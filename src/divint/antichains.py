@@ -14,14 +14,9 @@ Subsets are int bitmasks; a family or antichain is a sorted tuple of masks.
 from __future__ import annotations
 
 import itertools
-import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from pathlib import Path
 from typing import Optional
 
-from ._version import __version__
 from .errors import ResourceLimitError
 
 MaskFamily = tuple[int, ...]
@@ -35,7 +30,7 @@ def _check_k(k: int, k_cap: int) -> None:
     if k > k_cap:
         raise ResourceLimitError(
             f"k={k} exceeds the antichain enumeration cap of {k_cap} "
-            f"(override with k_cap / --k-cap)"
+            f"(raise k_cap via DIVINT_K_CAP or divisor-intersect.toml)"
         )
 
 
@@ -81,79 +76,34 @@ def _antichain_key(family: MaskFamily) -> tuple:
     return (len(mins), mins)
 
 
-def _enumerate_sequential(k: int) -> list[MaskFamily]:
-    full = (1 << k) - 1
-    reps = _pair_representatives(k)
-    out: list[MaskFamily] = []
-    _dfs(reps, 0, full, [full], [full], out)
-    return out
-
-
-def _complete_prefix(args: tuple[int, tuple[int, ...]]) -> list[MaskFamily]:
-    """Worker: finish the DFS below a fixed assignment of the first pairs."""
-    k, prefix = args
-    full = (1 << k) - 1
-    reps = _pair_representatives(k)
-    chosen = [full] + list(prefix)
-    constraints: list[int] = []
-    for c in [full] + list(prefix):
-        if not any(x & c == x for x in constraints):
-            constraints = [x for x in constraints if c & x != c]
-            constraints.append(c)
-    out: list[MaskFamily] = []
-    _dfs(reps, len(prefix), full, chosen, constraints, out)
-    return out
-
-
-def _viable_prefixes(k: int, depth: int) -> list[tuple[int, ...]]:
-    full = (1 << k) - 1
-    reps = _pair_representatives(k)[:depth]
-    prefixes = []
-    for bits in itertools.product((0, 1), repeat=len(reps)):
-        prefix = tuple(s if b == 0 else full ^ s for s, b in zip(reps, bits))
-        ok = all(a & b for a, b in itertools.combinations([full, *prefix], 2))
-        if ok:
-            prefixes.append(prefix)
-    return prefixes
-
-
 @lru_cache(maxsize=None)
 def _families_cached(k: int) -> tuple[MaskFamily, ...]:
-    out = _enumerate_sequential(k)
+    full = (1 << k) - 1
+    out: list[MaskFamily] = []
+    _dfs(_pair_representatives(k), 0, full, [full], [full], out)
     out.sort(key=_antichain_key)
     return tuple(out)
 
 
-def enumerate_families(k: int, *, k_cap: int = DEFAULT_K_CAP,
-                       threads: int = 1) -> tuple[MaskFamily, ...]:
+def enumerate_families(k: int, *,
+                       k_cap: int = DEFAULT_K_CAP) -> tuple[MaskFamily, ...]:
     """All maximal intersecting families on [k], canonically ordered.
 
     The order follows the canonical order of the generating antichains, so
-    this list and `enumerate_antichains` correspond elementwise.  With
-    threads > 1 the top-level DFS branches are farmed to worker processes;
-    results are merged and sorted, so the output is identical for any thread
-    count.
+    this list and `enumerate_antichains` correspond elementwise.
     """
     _check_k(k, k_cap)
-    if threads > 1 and k >= 4:
-        depth = min(4, (1 << (k - 1)) - 1)
-        tasks = [(k, p) for p in _viable_prefixes(k, depth)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_complete_prefix, tasks))
-        out = [fam for chunk in chunks for fam in chunk]
-        out.sort(key=_antichain_key)
-        return tuple(out)
     return _families_cached(k)
 
 
-def enumerate_antichains(k: int, *, k_cap: int = DEFAULT_K_CAP,
-                         threads: int = 1) -> tuple[MaskFamily, ...]:
+def enumerate_antichains(k: int, *,
+                         k_cap: int = DEFAULT_K_CAP) -> tuple[MaskFamily, ...]:
     """Generating antichains of all maximal intersecting families on [k].
 
     Sorted by cardinality, then lexicographically on the sorted mask lists.
     """
     return tuple(minimal_masks(f)
-                 for f in enumerate_families(k, k_cap=k_cap, threads=threads))
+                 for f in enumerate_families(k, k_cap=k_cap))
 
 
 def minimal_masks(family: MaskFamily) -> MaskFamily:
@@ -212,58 +162,3 @@ def reference_families(k: int) -> tuple[MaskFamily, ...]:
             out.append(tuple(sorted(chosen)))
     out.sort(key=_antichain_key)
     return tuple(out)
-
-
-# --- advisory on-disk cache -------------------------------------------------
-
-def _cache_path(cache_dir: Path, k: int) -> Path:
-    return Path(cache_dir) / f"antichains-k{k}.json"
-
-
-def load_cached_antichains(cache_dir: Path, k: int) -> Optional[tuple[MaskFamily, ...]]:
-    """Read a cache entry; None when missing, stale, or malformed."""
-    path = _cache_path(cache_dir, k)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if (doc.get("k") != k or doc.get("tool_version") != __version__
-            or not isinstance(doc.get("antichains"), list)
-            or doc.get("count") != len(doc["antichains"])):
-        return None
-    try:
-        return tuple(tuple(int(m) for m in ac) for ac in doc["antichains"])
-    except (TypeError, ValueError):
-        return None
-
-
-def write_antichain_cache(cache_dir: Path, k: int,
-                          antichains: tuple[MaskFamily, ...]) -> None:
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "k": k,
-        "antichains": [list(ac) for ac in antichains],
-        "count": len(antichains),
-        "tool_version": __version__,
-    }
-    path = _cache_path(cache_dir, k)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-    os.replace(tmp, path)
-
-
-def cached_antichains(k: int, *, cache_dir: Optional[Path] = None,
-                      no_cache: bool = False, k_cap: int = DEFAULT_K_CAP,
-                      threads: int = 1) -> tuple[MaskFamily, ...]:
-    """enumerate_antichains with an advisory JSON cache keyed by k."""
-    if cache_dir is not None and not no_cache:
-        hit = load_cached_antichains(cache_dir, k)
-        if hit is not None:
-            return hit
-    result = enumerate_antichains(k, k_cap=k_cap, threads=threads)
-    if cache_dir is not None:
-        write_antichain_cache(cache_dir, k, result)
-    return result

@@ -17,7 +17,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import antichains, extremal, families, lattice, matching, oracle
 from . import report, restricted, verify as verify_mod
@@ -53,11 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default=None,
                         help="output format (default text)")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker processes for enumeration (default 1)")
-    common.add_argument("--cache-dir", type=Path, default=None,
-                        help="directory for antichain cache files")
-    common.add_argument("--no-cache", action="store_const", const=True,
-                        default=None, help="bypass the antichain cache")
+                        help="accepted for compatibility; every engine is "
+                             "sequential, so it changes nothing")
 
     sig_args = argparse.ArgumentParser(add_help=False)
     sig_args.add_argument("--sig", default=None,
@@ -171,7 +167,7 @@ def cmd_bound(args, cfg: RunConfig) -> Outcome:
 
 def cmd_extremal(args, cfg: RunConfig) -> Outcome:
     sig, primes = _parse_signature(args)
-    rep = extremal.extremal_families(sig, k_cap=cfg.k_cap, threads=cfg.threads)
+    rep = extremal.extremal_families(sig, k_cap=cfg.k_cap)
     text = _sig_notice(sig)
     text.append(
         f"signature {sig}: {rep.regime} regime, minimum size {rep.min_size}, "
@@ -209,9 +205,7 @@ def cmd_extremal(args, cfg: RunConfig) -> Outcome:
 
 def cmd_count(args, cfg: RunConfig) -> Outcome:
     sig, _ = _parse_signature(args)
-    value = extremal.count_minimum_families(
-        sig, k_cap=cfg.k_cap, threads=cfg.threads
-    )
+    value = extremal.count_minimum_families(sig, k_cap=cfg.k_cap)
     text = _sig_notice(sig)
     text.append(str(value))
     return Outcome(
@@ -226,10 +220,7 @@ def cmd_count(args, cfg: RunConfig) -> Outcome:
 def cmd_antichains(args, cfg: RunConfig) -> Outcome:
     if args.k is None or args.k < 1:
         raise _UsageError("--k must be a positive integer")
-    chains = antichains.cached_antichains(
-        args.k, cache_dir=cfg.cache_dir, no_cache=cfg.no_cache,
-        k_cap=cfg.k_cap, threads=cfg.threads,
-    )
+    chains = antichains.enumerate_antichains(args.k, k_cap=cfg.k_cap)
     text = [f"{len(chains)} generating antichains on {args.k} primes"]
     rows = []
     listed = []
@@ -258,8 +249,7 @@ def _size_histogram(sizes) -> str:
 def cmd_oracle(args, cfg: RunConfig) -> Outcome:
     sig, primes = _parse_signature(args)
     rep = oracle.enumerate_maximal_families(
-        sig, args.method, threads=cfg.threads,
-        divisor_cap=min(oracle.DIRECT_DIVISOR_CAP, cfg.divisor_cap),
+        sig, args.method, divisor_cap=cfg.divisor_cap,
         materialize_cap=cfg.materialize_cap,
     )
     text = _sig_notice(sig)
@@ -347,7 +337,7 @@ def _cmd_matching_ground(args, cfg: RunConfig) -> Outcome:
 
 def _cmd_matching_sig(args, cfg: RunConfig) -> Outcome:
     sig, primes = _parse_signature(args)
-    rep = extremal.extremal_families(sig, k_cap=cfg.k_cap, threads=cfg.threads)
+    rep = extremal.extremal_families(sig, k_cap=cfg.k_cap)
     text = _sig_notice(sig)
     text.append(
         f"signature {sig}: weight-preserving pairings on all "
@@ -485,7 +475,7 @@ def cmd_openprob(args, cfg: RunConfig) -> Outcome:
         raise _UsageError("--max-n and --max-exp must be positive")
     rows = restricted.sweep_tables(
         args.max_n, args.max_exp, ts, args.mode,
-        maximality=args.maximality, threads=cfg.threads,
+        maximality=args.maximality,
     )
     text = [
         f"{letter}(N, t) sweep: n <= {args.max_n}, exponents <= "
@@ -513,8 +503,7 @@ def cmd_openprob(args, cfg: RunConfig) -> Outcome:
 def cmd_verify(args, cfg: RunConfig) -> Outcome:
     if args.max_n < 1 or args.max_exp < 1:
         raise _UsageError("--max-n and --max-exp must be positive")
-    rep = verify_mod.run_verify(args.max_n, args.max_exp,
-                                threads=cfg.threads)
+    rep = verify_mod.run_verify(args.max_n, args.max_exp)
     text = []
     rows = []
     failures = 0
@@ -572,8 +561,6 @@ def main(argv=None) -> int:
         cfg = resolve_config({
             "threads": args.threads,
             "format": args.format,
-            "cache_dir": args.cache_dir,
-            "no_cache": args.no_cache,
         })
         outcome = _DISPATCH[args.command](args, cfg)
     except _UsageError as exc:

@@ -15,8 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .antichains import DEFAULT_K_CAP
-from .lattice import MAX_DIVISORS
-from .oracle import MATERIALIZE_CAP
+from .oracle import DIRECT_DIVISOR_CAP, MATERIALIZE_CAP
 from .restricted import UNIVERSE_CAP
 
 CONFIG_FILENAME = "divisor-intersect.toml"
@@ -26,20 +25,18 @@ FORMATS = ("text", "json", "csv")
 _INT_KEYS = frozenset(
     {"threads", "k_cap", "divisor_cap", "materialize_cap", "universe_cap"}
 )
-_BOOL_KEYS = frozenset({"no_cache"})
-_PATH_KEYS = frozenset({"cache_dir"})
 _STR_KEYS = frozenset({"format"})
-KEYS = _INT_KEYS | _BOOL_KEYS | _PATH_KEYS | _STR_KEYS
+KEYS = _INT_KEYS | _STR_KEYS
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    # Accepted and range-checked so that existing flags and config files keep
+    # working; every engine is sequential, so it changes nothing.
     threads: int = 1
     format: str = "text"
-    cache_dir: Optional[Path] = None
-    no_cache: bool = False
     k_cap: int = DEFAULT_K_CAP
-    divisor_cap: int = MAX_DIVISORS
+    divisor_cap: int = DIRECT_DIVISOR_CAP
     materialize_cap: int = MATERIALIZE_CAP
     universe_cap: int = UNIVERSE_CAP
 
@@ -60,17 +57,6 @@ class RunConfig:
 def _coerce(key: str, value):
     if key in _INT_KEYS:
         return value if isinstance(value, int) else int(str(value), 10)
-    if key in _BOOL_KEYS:
-        if isinstance(value, bool):
-            return value
-        text = str(value).strip().lower()
-        if text in ("1", "true", "yes", "on"):
-            return True
-        if text in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot read {value!r} as a boolean for {key}")
-    if key in _PATH_KEYS:
-        return Path(value)
     return str(value)
 
 

@@ -63,8 +63,8 @@ def _embed_antichain(masks: antichains.MaskFamily, sig: Signature) -> DivisorFam
     return DivisorFamily(out)
 
 
-def extremal_families(sig: Signature, *, k_cap: int = DEFAULT_K_CAP,
-                      threads: int = 1) -> ExtremalReport:
+def extremal_families(sig: Signature, *,
+                      k_cap: int = DEFAULT_K_CAP) -> ExtremalReport:
     """All minimum-size maximal families, given by their generator antichains."""
     bound = lattice.min_size_bound(sig)
     if sig.alphas[-1] >= 2:
@@ -76,18 +76,18 @@ def extremal_families(sig: Signature, *, k_cap: int = DEFAULT_K_CAP,
     k = sig.n - sig.u
     gens = tuple(
         _embed_antichain(ac, sig)
-        for ac in antichains.enumerate_antichains(k, k_cap=k_cap, threads=threads)
+        for ac in antichains.enumerate_antichains(k, k_cap=k_cap)
     )
     return ExtremalReport(sig, "flat", bound, len(gens), gens)
 
 
-def count_minimum_families(sig: Signature, *, k_cap: int = DEFAULT_K_CAP,
-                           threads: int = 1) -> int:
+def count_minimum_families(sig: Signature, *,
+                           k_cap: int = DEFAULT_K_CAP) -> int:
     """Number of minimum-size maximal families, without materializing them."""
     if sig.alphas[-1] >= 2:
         return sig.n - sig.u
     k = sig.n - sig.u
-    return len(antichains.enumerate_antichains(k, k_cap=k_cap, threads=threads))
+    return len(antichains.enumerate_antichains(k, k_cap=k_cap))
 
 
 def _condition_b(mins: DivisorFamily, sig: Signature) -> bool:

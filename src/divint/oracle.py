@@ -70,14 +70,14 @@ def _finish(sig: Signature, method: str, built: list[DivisorFamily],
     )
 
 
-def _enumerate_radical_lift(sig: Signature, threads: int, n_cap: int,
+def _enumerate_radical_lift(sig: Signature, n_cap: int,
                             materialize_cap: int) -> OracleReport:
     if sig.n > n_cap:
         raise ResourceLimitError(
             f"radical-lift handles up to {n_cap} primes, got {sig.n} "
             f"(override with n_cap)"
         )
-    mask_families = antichains.enumerate_families(sig.n, k_cap=n_cap, threads=threads)
+    mask_families = antichains.enumerate_families(sig.n, k_cap=n_cap)
     sizes_raw = [
         sum(lattice.alpha_weight(m, sig) for m in fam) for fam in mask_families
     ]
@@ -172,28 +172,27 @@ def enumerate_maximal_families(
     sig: Signature,
     method: str = "radical-lift",
     *,
-    threads: int = 1,
     n_cap: int = RADICAL_N_CAP,
     divisor_cap: int = DIRECT_DIVISOR_CAP,
     materialize_cap: int = MATERIALIZE_CAP,
 ) -> OracleReport:
     """Census of every maximal family of divisors of the given signature."""
     if method == "radical-lift":
-        return _enumerate_radical_lift(sig, threads, n_cap, materialize_cap)
+        return _enumerate_radical_lift(sig, n_cap, materialize_cap)
     if method == "direct-clique":
         return _enumerate_direct(sig, divisor_cap, materialize_cap)
     raise ValueError(f"unknown method {method!r}: expected one of {METHODS}")
 
 
-def minimum_family_size(sig: Signature, *, method: str = "radical-lift",
-                        threads: int = 1) -> tuple[int, int]:
+def minimum_family_size(sig: Signature, *,
+                        method: str = "radical-lift") -> tuple[int, int]:
     """(smallest maximal-family size, number of families attaining it).
 
     The smallest size is required to equal the closed-form minimum
     ``min_size_bound``; any discrepancy is raised as a counterexample rather
     than returned.
     """
-    report = enumerate_maximal_families(sig, method, threads=threads)
+    report = enumerate_maximal_families(sig, method)
     bound = lattice.min_size_bound(sig)
     if report.min_size != bound:
         raise TheoremViolationError(

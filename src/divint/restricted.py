@@ -17,7 +17,6 @@ family, which is reported as a status rather than an error.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -203,9 +202,7 @@ def solve_restricted(
                              len(attaining), len(universe), witnesses, note)
 
 
-def _cell(args) -> dict:
-    alphas, mode, t, maximality = args
-    sig = Signature(alphas)
+def _cell(sig: Signature, mode: str, t: int, maximality: str) -> dict:
     row = {
         "signature": str(sig),
         "n": sig.n,
@@ -238,7 +235,6 @@ def sweep_tables(
     mode: str,
     *,
     maximality: str = "restricted",
-    threads: int = 1,
 ) -> list[dict]:
     """One row per (signature, t) over the grid, in deterministic order.
 
@@ -246,12 +242,8 @@ def sweep_tables(
     continues; only malformed arguments abort.
     """
     _validate(mode, min(t_values, default=2), maximality, allow_t1=False)
-    cells = [
-        (sig.alphas, mode, t, maximality)
+    return [
+        _cell(sig, mode, t, maximality)
         for sig in lattice.signature_grid(max_n, max_exp)
         for t in sorted(set(t_values))
     ]
-    if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_cell, cells))
-    return [_cell(c) for c in cells]

@@ -71,7 +71,7 @@ def _fam_json(fam: DivisorFamily) -> list[list[int]]:
     return [list(d) for d in fam.members]
 
 
-def _check_sig_claims(sig: Signature, threads: int) -> dict[str, dict]:
+def _check_sig_claims(sig: Signature) -> dict[str, dict]:
     """Evaluate every per-signature claim; returns claim -> row fields."""
     out: dict[str, dict] = {}
 
@@ -83,9 +83,7 @@ def _check_sig_claims(sig: Signature, threads: int) -> dict[str, dict]:
     def ok(claim: str) -> None:
         out.setdefault(claim, {"status": "pass"})
 
-    rep = oracle.enumerate_maximal_families(
-        sig, threads=threads, materialize_cap=10**7
-    )
+    rep = oracle.enumerate_maximal_families(sig, materialize_cap=10**7)
     if rep.families is None:
         raise ResourceLimitError(
             f"signature {sig} is too large to verify family-by-family"
@@ -113,7 +111,7 @@ def _check_sig_claims(sig: Signature, threads: int) -> dict[str, dict]:
             ok("squarefree-size-law")
 
     try:
-        predicted = extremal.count_minimum_families(sig, threads=threads)
+        predicted = extremal.count_minimum_families(sig)
         if predicted == rep.min_count:
             ok("minimum-count-law")
         else:
@@ -125,7 +123,7 @@ def _check_sig_claims(sig: Signature, threads: int) -> dict[str, dict]:
         fail("minimum-count-law", {"signature": sig_json, "error": str(exc)})
 
     try:
-        ext = extremal.extremal_families(sig, threads=threads)
+        ext = extremal.extremal_families(sig)
         closures = {
             families.upward_closure(gen, sig) for gen in ext.generators
         }
@@ -248,13 +246,12 @@ def _check_ground_pairing(k: int) -> dict:
     return {"status": "pass"}
 
 
-def run_verify(max_n: int = 3, max_exp: int = 2, *,
-               threads: int = 1) -> VerifyReport:
+def run_verify(max_n: int = 3, max_exp: int = 2) -> VerifyReport:
     """Run every claim over the grid; never raises on claim failure."""
     grid = lattice.signature_grid(max_n, max_exp)
     per_sig: dict[str, dict[str, dict]] = {}
     for sig in grid:
-        per_sig[str(sig)] = _check_sig_claims(sig, threads)
+        per_sig[str(sig)] = _check_sig_claims(sig)
 
     rows: list[dict] = []
     for claim in CLAIMS:

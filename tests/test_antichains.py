@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,46 +116,6 @@ def test_permutation_equivariance(k, data):
         for ac in antichains.enumerate_antichains(k)
     }
     assert original == mapped
-
-
-def test_threads_match_sequential():
-    assert (antichains.enumerate_families(4, threads=3)
-            == antichains.enumerate_families(4))
-    assert (antichains.enumerate_antichains(5, threads=2)
-            == antichains.enumerate_antichains(5))
-
-
-def test_cache_round_trip(tmp_path):
-    first = antichains.cached_antichains(3, cache_dir=tmp_path)
-    path = tmp_path / "antichains-k3.json"
-    assert path.is_file()
-    doc = json.loads(path.read_text())
-    assert doc["k"] == 3 and doc["count"] == 4
-    again = antichains.cached_antichains(3, cache_dir=tmp_path)
-    assert again == first
-
-
-def test_cache_ignores_malformed(tmp_path):
-    path = tmp_path / "antichains-k3.json"
-    path.write_text("{not json")
-    assert antichains.load_cached_antichains(tmp_path, 3) is None
-    assert antichains.cached_antichains(3, cache_dir=tmp_path) \
-        == antichains.enumerate_antichains(3)
-
-
-def test_cache_rejects_wrong_key_or_count(tmp_path):
-    antichains.write_antichain_cache(tmp_path, 3, ((1,), (2,)))
-    # count field disagrees with k=3 enumeration but is self-consistent,
-    # so the loader returns it; no_cache must bypass it
-    cached = antichains.load_cached_antichains(tmp_path, 3)
-    assert cached == ((1,), (2,))
-    fresh = antichains.cached_antichains(3, cache_dir=tmp_path, no_cache=True)
-    assert fresh == antichains.enumerate_antichains(3)
-    # stale tool version is rejected
-    doc = json.loads((tmp_path / "antichains-k3.json").read_text())
-    doc["tool_version"] = "0.0.0"
-    (tmp_path / "antichains-k3.json").write_text(json.dumps(doc))
-    assert antichains.load_cached_antichains(tmp_path, 3) is None
 
 
 def test_dfs_against_brute_force_closures():

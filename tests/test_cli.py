@@ -2,10 +2,11 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from divint import cli, lattice
+from divint import cli, config, lattice
 from divint._version import __version__
 
 
@@ -123,6 +124,21 @@ def test_matching_ground(env, capsys):
                            "all with certified complement permutations")
 
 
+def test_matching_ground_of_five(env, capsys):
+    code, out, _ = run(["matching", "--k", "5", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["count"] == 7579
+    assert len(doc["results"]["families"]) == 7579
+
+
+def test_matching_ground_above_cap_exits_3(env, capsys):
+    code, out, err = run(["matching", "--k", "6"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "resource limit" in err
+
+
 def test_matching_signature(env, capsys):
     code, out, _ = run(["matching", "--sig", "2,2"], capsys)
     assert code == 0
@@ -209,6 +225,57 @@ def test_universe_cap_via_env(env, capsys, monkeypatch):
     assert "universe" in err
 
 
+def test_divisor_cap_default_refuses_large_lattice(env, capsys):
+    args = ["oracle", "--sig", "25,19", "--method", "direct-clique"]
+    code, _, err = run(args, capsys)
+    assert code == 3
+    assert "divisor_cap" in err
+
+
+def test_divisor_cap_can_be_raised(env, capsys, monkeypatch):
+    monkeypatch.setenv("DIVINT_DIVISOR_CAP", "600")
+    code, out, _ = run(["oracle", "--sig", "25,19", "--method",
+                        "direct-clique", "--format", "json"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["total_maximal"] == 2
+    assert results["min_size"] == 494
+
+
+def test_k_cap_message_names_a_real_knob(env, capsys):
+    code, _, err = run(["antichains", "--k", "7"], capsys)
+    assert code == 3
+    assert "k_cap" in err
+    assert "--k-cap" not in err
+
+
+def test_threads_zero_is_a_usage_error(env, capsys):
+    code, _, err = run(["bound", "--sig", "1,1", "--threads", "0"], capsys)
+    assert code == 2
+    assert "threads" in err
+
+
+def test_threads_key_in_config_file_still_loads(env, capsys):
+    (env / "divisor-intersect.toml").write_text("threads = 3\n")
+    code, out, _ = run(["bound", "--sig", "1,1"], capsys)
+    assert code == 0
+    assert out == "2\n"
+
+
+def test_readme_config_example_loads(tmp_path):
+    """Every key in the README's divisor-intersect.toml example exists."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    intro = text.index("`divisor-intersect.toml`")
+    start = text.index("```\n", intro) + len("```\n")
+    example = text[start:text.index("```", start)]
+    assert "k_cap" in example
+    (tmp_path / config.CONFIG_FILENAME).write_text(example)
+    # parse_config_file raises on an unknown key, RunConfig on a bad value
+    config.parse_config_file(tmp_path / config.CONFIG_FILENAME)
+    config.resolve_config(cwd=tmp_path, env={})
+
+
 def test_version_flag(env, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
@@ -249,17 +316,6 @@ def test_bad_config_file_is_a_usage_error(env, capsys):
     code, _, err = run(["bound", "--sig", "1,1"], capsys)
     assert code == 2
     assert "surprise" in err
-
-
-def test_cache_dir_round_trip(env, capsys):
-    cache = env / "cache"
-    args = ["antichains", "--k", "4", "--cache-dir", str(cache)]
-    _, first, _ = run(args, capsys)
-    assert (cache / "antichains-k4.json").is_file()
-    _, second, _ = run(args, capsys)
-    assert first == second
-    _, bypass, _ = run(args + ["--no-cache"], capsys)
-    assert bypass == first
 
 
 def test_verify_text_and_exit(env, capsys):

@@ -56,8 +56,32 @@ def test_witness_verify_rejects_tampering():
     assert not bad.verify(fam)
 
 
+def _brute_force_upward_closed(k):
+    """Referee: upward closures of every antichain of non-empty masks, in
+    order of antichain size, then of the sorted antichain."""
+    full = (1 << k) - 1
+    masks = list(range(1, full + 1))
+    out = []
+    for r in range(1, len(masks) + 1):
+        for combo in itertools.combinations(masks, r):
+            if any(a != b and a & b == a for a in combo for b in combo):
+                continue  # not an antichain
+            closure = tuple(sorted(
+                m for m in masks if any(m & t == t for t in combo)
+            ))
+            out.append(UpwardClosedFamily(full, closure))
+    return out
+
+
+def test_upward_closed_families_match_brute_force_order():
+    for k in (1, 2, 3, 4):
+        assert (matching.all_upward_closed_families(k)
+                == _brute_force_upward_closed(k))
+
+
 def test_all_upward_closed_family_counts():
-    expected = {1: 1, 2: 4, 3: 18, 4: 166}
+    # OEIS A000372 (Dedekind numbers) minus the empty and the full family
+    expected = {1: 1, 2: 4, 3: 18, 4: 166, 5: 7579}
     for k, count in expected.items():
         fams = matching.all_upward_closed_families(k)
         assert len(fams) == count

@@ -155,12 +155,3 @@ def test_sizes_are_ascending():
     for alphas in [(2, 1, 1, 1), (3, 2, 1), (1, 1, 1, 1)]:
         rep = enumerate_maximal_families(Signature(alphas))
         assert list(rep.sizes) == sorted(rep.sizes)
-
-
-def test_threads_do_not_change_output():
-    sig = Signature((1, 1, 1, 1, 1))
-    one = enumerate_maximal_families(sig, threads=1)
-    two = enumerate_maximal_families(sig, threads=2)
-    assert one.sizes == two.sizes
-    assert [f.members for f in one.families] == \
-        [f.members for f in two.families]

@@ -190,12 +190,6 @@ def test_sweep_empty_t_values():
     assert sweep_tables(2, 2, [], "omega") == []
 
 
-def test_sweep_threads_parity():
-    one = sweep_tables(3, 2, [2], "omega", threads=1)
-    two = sweep_tables(3, 2, [2], "omega", threads=2)
-    assert one == two
-
-
 def test_sweep_records_resource_errors(monkeypatch):
     real = restricted.solve_restricted
 

@@ -39,10 +39,6 @@ def test_squarefree_law_rows_only_for_squarefree_signatures():
     assert [r["subject"] for r in rows] == ["1", "1,1"]
 
 
-def test_threads_do_not_change_rows():
-    assert run_verify(2, 2, threads=2).rows == run_verify(2, 2).rows
-
-
 def test_injected_fault_is_reported_not_raised(monkeypatch):
     """Perturb the closed form and confirm the sweep records the clash."""
     real = lattice.min_size_bound
