@@ -249,7 +249,7 @@ def _size_histogram(sizes) -> str:
 def cmd_oracle(args, cfg: RunConfig) -> Outcome:
     sig, primes = _parse_signature(args)
     rep = oracle.enumerate_maximal_families(
-        sig, args.method, divisor_cap=cfg.divisor_cap,
+        sig, args.method, k_cap=cfg.k_cap, divisor_cap=cfg.divisor_cap,
         materialize_cap=cfg.materialize_cap,
     )
     text = _sig_notice(sig)
@@ -291,14 +291,10 @@ def cmd_oracle(args, cfg: RunConfig) -> Outcome:
     )
 
 
-def _cmd_matching_ground(args, cfg: RunConfig) -> Outcome:
+def _cmd_matching_ground(args) -> Outcome:
     k = args.k
     if k < 1:
         raise _UsageError("--k must be a positive integer")
-    if k > cfg.k_cap:
-        raise ResourceLimitError(
-            f"ground size {k} is above the cap of {cfg.k_cap}"
-        )
     fams = matching.all_upward_closed_families(k)
     text = []
     rows = []
@@ -388,7 +384,7 @@ def cmd_matching(args, cfg: RunConfig) -> Outcome:
     if args.k is not None and has_sig:
         raise _UsageError("give --k or a signature, not both")
     if args.k is not None:
-        return _cmd_matching_ground(args, cfg)
+        return _cmd_matching_ground(args)
     if has_sig:
         return _cmd_matching_sig(args, cfg)
     raise _UsageError("matching needs --k (ground sweep) or --sig/--n (pairing)")
@@ -503,7 +499,7 @@ def cmd_openprob(args, cfg: RunConfig) -> Outcome:
 def cmd_verify(args, cfg: RunConfig) -> Outcome:
     if args.max_n < 1 or args.max_exp < 1:
         raise _UsageError("--max-n and --max-exp must be positive")
-    rep = verify_mod.run_verify(args.max_n, args.max_exp)
+    rep = verify_mod.run_verify(args.max_n, args.max_exp, k_cap=cfg.k_cap)
     text = []
     rows = []
     failures = 0

@@ -16,6 +16,7 @@ an * prod(ai + 1, i < n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from . import antichains, families, lattice
@@ -81,6 +82,11 @@ def extremal_families(sig: Signature, *,
     return ExtremalReport(sig, "flat", bound, len(gens), gens)
 
 
+@lru_cache
+def _generator_set(sig: Signature, k_cap: int) -> frozenset[DivisorFamily]:
+    return frozenset(extremal_families(sig, k_cap=k_cap).generators)
+
+
 def count_minimum_families(sig: Signature, *,
                            k_cap: int = DEFAULT_K_CAP) -> int:
     """Number of minimum-size maximal families, without materializing them."""
@@ -116,13 +122,13 @@ def classify(family: DivisorFamily, sig: Signature, *,
     bound = lattice.min_size_bound(sig)
     if len(family) == bound:
         matched.add("a")
-    if _condition_b(families.minimal_members(family), sig):
+    mins = families.minimal_members(family)
+    if _condition_b(mins, sig):
         matched.add("b")
-    closures = {
-        families.upward_closure(g, sig)
-        for g in extremal_families(sig, k_cap=k_cap).generators
-    }
-    if family in closures:
+    # A maximal family is upward closed and closure is injective on
+    # antichains, so it is a generator closure exactly when its minimal
+    # members are that generator.
+    if mins in _generator_set(sig, k_cap):
         matched.add("c")
     is_extremal = "a" in matched
     witness = None if is_extremal else "size-above-minimum"

@@ -15,16 +15,15 @@ This is the ground-truth referee for the rest of the package.  Two engines:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from . import antichains, lattice
+from .antichains import DEFAULT_K_CAP
 from .errors import ResourceLimitError, TheoremViolationError
 from .families import DivisorFamily
 from .lattice import Divisor, Mask, Signature
 
-RADICAL_N_CAP = 6
 DIRECT_DIVISOR_CAP = 500
 MATERIALIZE_CAP = 10_000
 
@@ -49,13 +48,14 @@ class OracleReport:
     families: Optional[tuple[DivisorFamily, ...]]
 
 
-def _family_sort_key(fam: DivisorFamily):
+def family_sort_key(fam: DivisorFamily):
+    """Canonical family order: lexicographic on the members' divisor keys."""
     return tuple(lattice.divisor_key(d) for d in fam.members)
 
 
 def _finish(sig: Signature, method: str, built: list[DivisorFamily],
             materialize_cap: int) -> OracleReport:
-    built.sort(key=_family_sort_key)
+    built.sort(key=family_sort_key)
     sizes = tuple(sorted(len(f) for f in built))
     min_size = sizes[0]
     families = tuple(built) if sum(sizes) <= materialize_cap else None
@@ -70,14 +70,9 @@ def _finish(sig: Signature, method: str, built: list[DivisorFamily],
     )
 
 
-def _enumerate_radical_lift(sig: Signature, n_cap: int,
+def _enumerate_radical_lift(sig: Signature, k_cap: int,
                             materialize_cap: int) -> OracleReport:
-    if sig.n > n_cap:
-        raise ResourceLimitError(
-            f"radical-lift handles up to {n_cap} primes, got {sig.n} "
-            f"(override with n_cap)"
-        )
-    mask_families = antichains.enumerate_families(sig.n, k_cap=n_cap)
+    mask_families = antichains.enumerate_families(sig.n, k_cap=k_cap)
     sizes_raw = [
         sum(lattice.alpha_weight(m, sig) for m in fam) for fam in mask_families
     ]
@@ -118,52 +113,58 @@ def _degeneracy_order(adj: list[int]) -> list[int]:
     return order
 
 
-def _maximal_cliques(adj: list[int]) -> list[int]:
-    """All maximal cliques as vertex bitmasks (Bron-Kerbosch, pivoting)."""
-    cliques: list[int] = []
+def maximal_cliques(rads: list[Mask]) -> list[int]:
+    """Maximal cliques of the graph joining vertices whose radicals meet.
 
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            cliques.append(r)
-            return
-        pivot = max(
-            lattice.iter_bits(p | x), key=lambda v: (p & adj[v]).bit_count()
-        )
-        cand = p & ~adj[pivot]
-        for v in lattice.iter_bits(cand):
-            bit = 1 << v
-            expand(r | bit, p & adj[v], x & adj[v])
-            p ^= bit
-            x |= bit
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), len(adj) + 500))
-    done = 0
-    for v in _degeneracy_order(adj):
-        bit = 1 << v
-        expand(bit, adj[v] & ~done & ~bit, adj[v] & done)
-        done |= bit
-    return cliques
-
-
-def _enumerate_direct(sig: Signature, divisor_cap: int,
-                      materialize_cap: int) -> OracleReport:
-    divisors = [d for d in lattice.enumerate_divisors(sig) if any(d)]
-    if len(divisors) > divisor_cap:
-        raise ResourceLimitError(
-            f"direct-clique handles up to {divisor_cap} divisors, "
-            f"lattice has {len(divisors)} (override with divisor_cap)"
-        )
-    rads = [lattice.radical(d) for d in divisors]
-    nv = len(divisors)
+    Vertex i has radical rads[i]; cliques are vertex bitmasks.  Bron-Kerbosch
+    with pivoting under a degeneracy outer order, run on an explicit stack so
+    that depth is bounded by memory, not by the interpreter's recursion limit.
+    """
+    nv = len(rads)
     adj = [0] * nv
     for i in range(nv):
         for j in range(i + 1, nv):
             if rads[i] & rads[j]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
+    cliques: list[int] = []
+    done = 0
+    for v in _degeneracy_order(adj):
+        bit = 1 << v
+        stack = [(bit, adj[v] & ~done & ~bit, adj[v] & done)]
+        while stack:
+            r, p, x = stack.pop()
+            if not p and not x:
+                cliques.append(r)
+                continue
+            pivot = max(
+                lattice.iter_bits(p | x), key=lambda w: (p & adj[w]).bit_count()
+            )
+            children = []
+            for w in lattice.iter_bits(p & ~adj[pivot]):
+                wbit = 1 << w
+                children.append((r | wbit, p & adj[w], x & adj[w]))
+                p ^= wbit
+                x |= wbit
+            stack.extend(reversed(children))  # visit in ascending order
+        done |= bit
+    return cliques
+
+
+def _enumerate_direct(sig: Signature, divisor_cap: int,
+                      materialize_cap: int) -> OracleReport:
+    count = sig.divisor_count() - 1
+    if count > divisor_cap:
+        raise ResourceLimitError(
+            f"direct-clique handles up to {divisor_cap} divisors, "
+            f"lattice has {count} (override with divisor_cap)"
+        )
+    divisors = [
+        d for d in lattice.enumerate_divisors(sig, cap=count + 1) if any(d)
+    ]
     built = [
         DivisorFamily(divisors[v] for v in lattice.iter_bits(clique))
-        for clique in _maximal_cliques(adj)
+        for clique in maximal_cliques([lattice.radical(d) for d in divisors])
     ]
     return _finish(sig, "direct-clique", built, materialize_cap)
 
@@ -172,13 +173,13 @@ def enumerate_maximal_families(
     sig: Signature,
     method: str = "radical-lift",
     *,
-    n_cap: int = RADICAL_N_CAP,
+    k_cap: int = DEFAULT_K_CAP,
     divisor_cap: int = DIRECT_DIVISOR_CAP,
     materialize_cap: int = MATERIALIZE_CAP,
 ) -> OracleReport:
     """Census of every maximal family of divisors of the given signature."""
     if method == "radical-lift":
-        return _enumerate_radical_lift(sig, n_cap, materialize_cap)
+        return _enumerate_radical_lift(sig, k_cap, materialize_cap)
     if method == "direct-clique":
         return _enumerate_direct(sig, divisor_cap, materialize_cap)
     raise ValueError(f"unknown method {method!r}: expected one of {METHODS}")

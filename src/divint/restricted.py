@@ -102,26 +102,14 @@ def _cliques_two_orders(universe: tuple[Divisor, ...]) -> list[frozenset[int]]:
     results must agree exactly; a mismatch means the search itself is broken
     and is raised rather than reported as data.
     """
-    nv = len(universe)
     rads = [lattice.radical(d) for d in universe]
-    adj = [0] * nv
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if rads[i] & rads[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
     asc = {
-        frozenset(lattice.iter_bits(c))
-        for c in oracle._maximal_cliques(adj)
+        frozenset(lattice.iter_bits(c)) for c in oracle.maximal_cliques(rads)
     }
-    flip = nv - 1
-    adj_desc = [0] * nv
-    for i in range(nv):
-        for j in lattice.iter_bits(adj[i]):
-            adj_desc[flip - i] |= 1 << (flip - j)
+    flip = len(rads) - 1
     desc = {
         frozenset(flip - v for v in lattice.iter_bits(c))
-        for c in oracle._maximal_cliques(adj_desc)
+        for c in oracle.maximal_cliques(rads[::-1])
     }
     if asc != desc:
         raise DivintError(
@@ -186,7 +174,7 @@ def solve_restricted(
                                      len(universe), (), note)
     value = min(len(f) for f in fams)
     attaining = sorted(
-        (f for f in fams if len(f) == value), key=oracle._family_sort_key
+        (f for f in fams if len(f) == value), key=oracle.family_sort_key
     )
     for f in attaining:
         if maximality == "restricted":

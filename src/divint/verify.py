@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import antichains, extremal, families, lattice, matching, oracle
+from .antichains import DEFAULT_K_CAP
 from .errors import DivintError, ResourceLimitError
 from .families import DivisorFamily
 from .lattice import Signature
@@ -71,7 +72,7 @@ def _fam_json(fam: DivisorFamily) -> list[list[int]]:
     return [list(d) for d in fam.members]
 
 
-def _check_sig_claims(sig: Signature) -> dict[str, dict]:
+def _check_sig_claims(sig: Signature, k_cap: int) -> dict[str, dict]:
     """Evaluate every per-signature claim; returns claim -> row fields."""
     out: dict[str, dict] = {}
 
@@ -83,7 +84,8 @@ def _check_sig_claims(sig: Signature) -> dict[str, dict]:
     def ok(claim: str) -> None:
         out.setdefault(claim, {"status": "pass"})
 
-    rep = oracle.enumerate_maximal_families(sig, materialize_cap=10**7)
+    rep = oracle.enumerate_maximal_families(
+        sig, k_cap=k_cap, materialize_cap=10**7)
     if rep.families is None:
         raise ResourceLimitError(
             f"signature {sig} is too large to verify family-by-family"
@@ -111,7 +113,7 @@ def _check_sig_claims(sig: Signature) -> dict[str, dict]:
             ok("squarefree-size-law")
 
     try:
-        predicted = extremal.count_minimum_families(sig)
+        predicted = extremal.count_minimum_families(sig, k_cap=k_cap)
         if predicted == rep.min_count:
             ok("minimum-count-law")
         else:
@@ -123,7 +125,7 @@ def _check_sig_claims(sig: Signature) -> dict[str, dict]:
         fail("minimum-count-law", {"signature": sig_json, "error": str(exc)})
 
     try:
-        ext = extremal.extremal_families(sig)
+        ext = extremal.extremal_families(sig, k_cap=k_cap)
         closures = {
             families.upward_closure(gen, sig) for gen in ext.generators
         }
@@ -132,9 +134,9 @@ def _check_sig_claims(sig: Signature) -> dict[str, dict]:
             ok("extremal-agreement")
         else:
             only_oracle = sorted(
-                minimum - closures, key=oracle._family_sort_key)
+                minimum - closures, key=oracle.family_sort_key)
             only_extremal = sorted(
-                closures - minimum, key=oracle._family_sort_key)
+                closures - minimum, key=oracle.family_sort_key)
             fail("extremal-agreement", {
                 "signature": sig_json,
                 "oracle_only": [_fam_json(f) for f in only_oracle[:3]],
@@ -149,7 +151,7 @@ def _check_sig_claims(sig: Signature) -> dict[str, dict]:
         rads = set(fam.squarefree_part())
 
         try:
-            verdict = extremal.classify(fam, sig)
+            verdict = extremal.classify(fam, sig, k_cap=k_cap)
             if len(verdict.matched) not in (0, 3):
                 fail("classification-equivalence", {
                     "signature": sig_json, "family": _fam_json(fam),
@@ -246,12 +248,16 @@ def _check_ground_pairing(k: int) -> dict:
     return {"status": "pass"}
 
 
-def run_verify(max_n: int = 3, max_exp: int = 2) -> VerifyReport:
+def run_verify(max_n: int = 3, max_exp: int = 2, *,
+               k_cap: int = DEFAULT_K_CAP) -> VerifyReport:
     """Run every claim over the grid; never raises on claim failure."""
     grid = lattice.signature_grid(max_n, max_exp)
+    # every n-prime signature walks the n-prime antichains, so asking for the
+    # largest ground first lets a k_cap refusal precede the whole sweep
+    antichains.enumerate_families(max_n, k_cap=k_cap)
     per_sig: dict[str, dict[str, dict]] = {}
     for sig in grid:
-        per_sig[str(sig)] = _check_sig_claims(sig)
+        per_sig[str(sig)] = _check_sig_claims(sig, k_cap)
 
     rows: list[dict] = []
     for claim in CLAIMS:

@@ -249,6 +249,27 @@ def test_k_cap_message_names_a_real_knob(env, capsys):
     assert "--k-cap" not in err
 
 
+def test_radical_lift_refusal_names_k_cap(env, capsys):
+    code, _, err = run(["oracle", "--sig", "1,1,1,1,1,1,1"], capsys)
+    assert code == 3
+    assert "k_cap" in err
+    assert "n_cap" not in err
+
+
+def test_matching_ground_is_not_bounded_by_k_cap(env, capsys, monkeypatch):
+    monkeypatch.setenv("DIVINT_K_CAP", "3")
+    code, out, _ = run(["matching", "--k", "4", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["count"] == 166
+
+
+def test_verify_honours_k_cap(env, capsys, monkeypatch):
+    monkeypatch.setenv("DIVINT_K_CAP", "3")
+    code, _, err = run(["verify", "--max-n", "4", "--max-exp", "1"], capsys)
+    assert code == 3
+    assert "k_cap" in err
+
+
 def test_threads_zero_is_a_usage_error(env, capsys):
     code, _, err = run(["bound", "--sig", "1,1", "--threads", "0"], capsys)
     assert code == 2

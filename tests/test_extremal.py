@@ -1,6 +1,6 @@
 import pytest
 
-from divint import antichains, extremal, families, lattice
+from divint import antichains, extremal, families, lattice, oracle
 from divint.errors import ResourceLimitError
 from divint.families import DivisorFamily
 from divint.lattice import Signature
@@ -115,3 +115,26 @@ def test_classify_non_intersecting():
     verdict = extremal.classify(DivisorFamily([(1, 0), (0, 1)]), sig)
     assert not verdict.is_maximal
     assert verdict.failure_witness == ((1, 0), (0, 1))
+
+
+def test_classify_builds_no_closures(monkeypatch):
+    """Criterion (c) is a set lookup, not one closure per generator."""
+    sig = Signature((1,) * 5)
+    fams = oracle.enumerate_maximal_families(sig).families
+    calls = {"closure": 0, "extremal": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(families, "upward_closure",
+                        counted("closure", families.upward_closure))
+    monkeypatch.setattr(extremal, "extremal_families",
+                        counted("extremal", extremal.extremal_families))
+    verdicts = [extremal.classify(f, sig) for f in fams]
+    assert len(verdicts) == 81
+    assert all(v.matched == {"a", "b", "c"} for v in verdicts)
+    assert calls["closure"] == 0
+    assert calls["extremal"] <= 1

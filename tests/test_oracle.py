@@ -1,8 +1,11 @@
 """Tests for the exhaustive maximal-family census."""
 
-import pytest
+import sys
 
-from divint import oracle
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from divint import lattice, oracle
 from divint.errors import ResourceLimitError, TheoremViolationError
 from divint.families import check_intersecting, check_maximal
 from divint.lattice import Signature, min_size_bound
@@ -120,7 +123,7 @@ def test_minimum_violation_is_reported(monkeypatch):
 
 
 def test_radical_lift_prime_cap():
-    with pytest.raises(ResourceLimitError, match="n_cap"):
+    with pytest.raises(ResourceLimitError, match="k_cap"):
         enumerate_maximal_families(Signature((1,) * 7))
 
 
@@ -128,6 +131,59 @@ def test_direct_clique_divisor_cap():
     with pytest.raises(ResourceLimitError, match="divisor_cap"):
         enumerate_maximal_families(
             Signature((2, 1, 1, 1)), "direct-clique", divisor_cap=10)
+
+
+def test_direct_clique_refuses_before_building_the_lattice(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("lattice built before the divisor_cap check")
+
+    monkeypatch.setattr(lattice, "enumerate_divisors", boom)
+    with pytest.raises(ResourceLimitError, match="divisor_cap"):
+        enumerate_maximal_families(
+            Signature((2, 1, 1, 1)), "direct-clique", divisor_cap=10)
+
+
+def _brute_force_cliques(rads):
+    """Every maximal clique, by testing all vertex subsets."""
+    n = len(rads)
+
+    def meets_all(v, mask):
+        return all(rads[v] & rads[w] for w in lattice.iter_bits(mask) if w != v)
+
+    return sorted(
+        mask for mask in range(1, 1 << n)
+        if all(meets_all(v, mask) for v in lattice.iter_bits(mask))
+        and not any(meets_all(v, mask) for v in range(n) if not mask >> v & 1)
+    )
+
+
+@st.composite
+def graph_radicals(draw):
+    """Radicals realising any graph: vertex i owns prime i, and each edge
+    adds one more prime shared by its two ends."""
+    n = draw(st.integers(1, 9))
+    rads = [1 << v for v in range(n)]
+    prime = n
+    for v in range(n):
+        for w in range(v + 1, n):
+            if draw(st.booleans()):
+                rads[v] |= 1 << prime
+                rads[w] |= 1 << prime
+            prime += 1
+    return rads
+
+
+@given(graph_radicals())
+@settings(deadline=None)
+def test_maximal_cliques_match_brute_force(rads):
+    assert sorted(oracle.maximal_cliques(rads)) == _brute_force_cliques(rads)
+
+
+def test_maximal_cliques_needs_no_recursion_limit():
+    limit = sys.getrecursionlimit()
+    n = 1100  # one clique deeper than the default recursion limit
+    assert oracle.maximal_cliques([1] * n) == [(1 << n) - 1]
+    assert sys.getrecursionlimit() == limit
 
 
 def test_unknown_method():

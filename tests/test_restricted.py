@@ -148,15 +148,15 @@ def test_witnesses_are_unextendable_in_universe():
 
 def test_two_order_guard_catches_engine_faults(monkeypatch):
     calls = {"n": 0}
-    real = oracle._maximal_cliques
+    real = oracle.maximal_cliques
 
-    def flaky(adj):
+    def flaky(rads):
         calls["n"] += 1
         if calls["n"] == 2:
             return []
-        return real(adj)
+        return real(rads)
 
-    monkeypatch.setattr(oracle, "_maximal_cliques", flaky)
+    monkeypatch.setattr(oracle, "maximal_cliques", flaky)
     with pytest.raises(DivintError, match="unsound"):
         solve_restricted(Signature((1, 1, 1)), "omega", 2)
 

@@ -1,6 +1,9 @@
 """Tests for the self-check conformance sweep."""
 
-from divint import lattice
+import pytest
+
+from divint import lattice, verify
+from divint.errors import ResourceLimitError
 from divint.verify import CLAIMS, run_verify
 
 
@@ -53,3 +56,12 @@ def test_injected_fault_is_reported_not_raised(monkeypatch):
     # unaffected structural claims still pass
     ok = [r for r in rep.rows if r["claim"] == "radical-determination"]
     assert all(r["status"] == "pass" for r in ok)
+
+
+def test_k_cap_refusal_precedes_the_sweep(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a signature was checked before the k_cap refusal")
+
+    monkeypatch.setattr(verify, "_check_sig_claims", boom)
+    with pytest.raises(ResourceLimitError, match="k_cap"):
+        run_verify(4, 1, k_cap=3)
