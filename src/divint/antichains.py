@@ -71,7 +71,11 @@ def _dfs(reps: list[int], start: int, full: int,
             chosen.pop()
 
 
-def _antichain_key(family: MaskFamily) -> tuple:
+def antichain_key(family: MaskFamily) -> tuple:
+    """Canonical family order: by generating antichain, smaller ones first.
+
+    Closure is injective on antichains, so no two families share a key.
+    """
     mins = minimal_masks(family)
     return (len(mins), mins)
 
@@ -81,7 +85,7 @@ def _families_cached(k: int) -> tuple[MaskFamily, ...]:
     full = (1 << k) - 1
     out: list[MaskFamily] = []
     _dfs(_pair_representatives(k), 0, full, [full], [full], out)
-    out.sort(key=_antichain_key)
+    out.sort(key=antichain_key)
     return tuple(out)
 
 
@@ -160,5 +164,5 @@ def reference_families(k: int) -> tuple[MaskFamily, ...]:
         chosen = [full] + [s if b == 0 else full ^ s for s, b in zip(reps, bits)]
         if all(a & b for a, b in itertools.combinations(chosen, 2)):
             out.append(tuple(sorted(chosen)))
-    out.sort(key=_antichain_key)
+    out.sort(key=antichain_key)
     return tuple(out)

@@ -246,6 +246,17 @@ def _size_histogram(sizes) -> str:
     return " ".join(parts)
 
 
+def _listed(fams):
+    """Families asked for by --list; None means the cap dropped them."""
+    if fams is None:
+        raise ResourceLimitError(
+            "the families to list exceed the materialization cap; raise "
+            "materialize_cap via DIVINT_MATERIALIZE_CAP or "
+            "divisor-intersect.toml to list them"
+        )
+    return fams
+
+
 def cmd_oracle(args, cfg: RunConfig) -> Outcome:
     sig, primes = _parse_signature(args)
     rep = oracle.enumerate_maximal_families(
@@ -267,15 +278,9 @@ def cmd_oracle(args, cfg: RunConfig) -> Outcome:
         "sizes": list(rep.sizes),
     }
     if args.list:
-        if rep.families is None:
-            raise ResourceLimitError(
-                "families exceed the materialization cap; raise "
-                "materialize_cap to list them"
-            )
-        results["families"] = [
-            report.family_obj(f, primes) for f in rep.families
-        ]
-        for i, f in enumerate(rep.families, start=1):
+        fams = _listed(rep.families)
+        results["families"] = [report.family_obj(f, primes) for f in fams]
+        for i, f in enumerate(fams, start=1):
             text.append(f"  [{i}] size {len(f)}: {_brace(_values(f, primes))}")
     rows = [{
         "signature": str(sig), "method": rep.method,
@@ -402,11 +407,6 @@ def _parse_t(value) -> tuple[int, ...]:
     return ts
 
 
-def _cell_rows_fields() -> list[str]:
-    return ["signature", "n", "mode", "t", "maximality", "universe_size",
-            "status", "value", "attaining_count", "error"]
-
-
 def cmd_openprob(args, cfg: RunConfig) -> Outcome:
     has_sig = args.sig is not None or args.n is not None
     ts = _parse_t(args.t)
@@ -446,32 +446,28 @@ def cmd_openprob(args, cfg: RunConfig) -> Outcome:
             "universe_size": res.universe_size,
             "note": res.note,
         }
-        if args.list and res.witnesses is not None:
+        if args.list:
+            witnesses = _listed(res.witnesses)
             results["witnesses"] = [
-                report.family_obj(w, primes) for w in res.witnesses
+                report.family_obj(w, primes) for w in witnesses
             ]
-            for i, w in enumerate(res.witnesses, start=1):
+            for i, w in enumerate(witnesses, start=1):
                 text.append(f"  [{i}] {_brace(_values(w, primes))}")
-        row = {
-            "signature": str(sig), "n": sig.n, "mode": res.mode, "t": res.t,
-            "maximality": res.maximality, "universe_size": res.universe_size,
-            "status": res.status, "value": res.value,
-            "attaining_count": res.attaining_count, "error": None,
-        }
+        row = restricted.cell_row(sig, args.mode, t, args.maximality, res)
         return Outcome(
             parameters={"sig": str(sig), "mode": args.mode, "t": t,
                         "maximality": args.maximality,
                         "allow_t1": bool(args.allow_t1),
                         "list": bool(args.list)},
             results=results, text=text, rows=[row],
-            fields=_cell_rows_fields(),
+            fields=list(restricted.ROW_FIELDS),
         )
 
     if args.max_n < 1 or args.max_exp < 1:
         raise _UsageError("--max-n and --max-exp must be positive")
     rows = restricted.sweep_tables(
         args.max_n, args.max_exp, ts, args.mode,
-        maximality=args.maximality,
+        maximality=args.maximality, universe_cap=cfg.universe_cap,
     )
     text = [
         f"{letter}(N, t) sweep: n <= {args.max_n}, exponents <= "
@@ -492,7 +488,7 @@ def cmd_openprob(args, cfg: RunConfig) -> Outcome:
                     "maximality": args.maximality},
         results={"mode": args.mode, "maximality": args.maximality,
                  "t": list(ts), "rows": rows},
-        text=text, rows=rows, fields=_cell_rows_fields(),
+        text=text, rows=rows, fields=list(restricted.ROW_FIELDS),
     )
 
 

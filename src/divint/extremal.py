@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import antichains, families, lattice
-from .antichains import DEFAULT_K_CAP
+from .antichains import DEFAULT_K_CAP, MaskFamily
 from .families import DivisorFamily
 from .lattice import Signature
 
@@ -52,39 +52,29 @@ class ClassificationVerdict:
     failure_witness: Optional[object] = None
 
 
-def _embed_antichain(masks: antichains.MaskFamily, sig: Signature) -> DivisorFamily:
-    """Lift a k-bit antichain onto the minimal-exponent primes u..n-1."""
-    u = sig.u
-    out = []
-    for m in masks:
-        exps = [0] * sig.n
-        for j in lattice.iter_bits(m):
-            exps[u + j] = 1
-        out.append(tuple(exps))
-    return DivisorFamily(out)
-
-
 def extremal_families(sig: Signature, *,
                       k_cap: int = DEFAULT_K_CAP) -> ExtremalReport:
     """All minimum-size maximal families, given by their generator antichains."""
     bound = lattice.min_size_bound(sig)
+    n, u = sig.n, sig.u
     if sig.alphas[-1] >= 2:
-        gens = tuple(
-            DivisorFamily([lattice.unit_divisor(v, sig.n)])
-            for v in range(sig.u, sig.n)
-        )
-        return ExtremalReport(sig, "deep", bound, len(gens), gens)
-    k = sig.n - sig.u
+        regime = "deep"
+        masks = [(1 << v,) for v in range(u, n)]
+    else:
+        regime = "flat"
+        masks = [tuple(m << u for m in ac)
+                 for ac in antichains.enumerate_antichains(n - u, k_cap=k_cap)]
     gens = tuple(
-        _embed_antichain(ac, sig)
-        for ac in antichains.enumerate_antichains(k, k_cap=k_cap)
+        DivisorFamily(lattice.mask_to_divisor(m, n) for m in ac) for ac in masks
     )
-    return ExtremalReport(sig, "flat", bound, len(gens), gens)
+    return ExtremalReport(sig, regime, bound, len(gens), gens)
 
 
 @lru_cache
-def _generator_set(sig: Signature, k_cap: int) -> frozenset[DivisorFamily]:
-    return frozenset(extremal_families(sig, k_cap=k_cap).generators)
+def _generator_set(sig: Signature, k_cap: int) -> frozenset[MaskFamily]:
+    """Radical antichains of the generators, for lookup by `classify`."""
+    gens = extremal_families(sig, k_cap=k_cap).generators
+    return frozenset(tuple(sorted(g.radicals)) for g in gens)
 
 
 def count_minimum_families(sig: Signature, *,
@@ -92,23 +82,15 @@ def count_minimum_families(sig: Signature, *,
     """Number of minimum-size maximal families, without materializing them."""
     if sig.alphas[-1] >= 2:
         return sig.n - sig.u
-    k = sig.n - sig.u
-    return len(antichains.enumerate_antichains(k, k_cap=k_cap))
+    return len(antichains.enumerate_families(sig.n - sig.u, k_cap=k_cap))
 
 
-def _condition_b(mins: DivisorFamily, sig: Signature) -> bool:
-    """Minimal-member condition for each regime."""
+def _condition_b(mins: MaskFamily, sig: Signature) -> bool:
+    """Minimal-member condition for each regime, on the minimal radicals."""
     u = sig.u
-    if sig.alphas[-1] >= 2:
-        if len(mins) != 1:
-            return False
-        d = mins.members[0]
-        return sum(d) == 1 and any(d[v] == 1 for v in range(u, sig.n))
-    low_bits = ((1 << sig.n) - 1) ^ ((1 << u) - 1)
-    return all(
-        all(e <= 1 for e in d) and lattice.radical(d) & ~low_bits == 0
-        for d in mins.members
-    )
+    if sig.alphas[-1] >= 2:  # one prime p_v with v >= u
+        return len(mins) == 1 and mins[0].bit_count() == 1 and mins[0] >> u > 0
+    return all(m >> u << u == m for m in mins)  # only primes u..n-1
 
 
 def classify(family: DivisorFamily, sig: Signature, *,
@@ -122,12 +104,14 @@ def classify(family: DivisorFamily, sig: Signature, *,
     bound = lattice.min_size_bound(sig)
     if len(family) == bound:
         matched.add("a")
-    mins = families.minimal_members(family)
+    # A maximal family is fixed by its radical set, so its minimal members are
+    # squarefree and are exactly the squarefree divisors on the minimal masks
+    # of that set.  It is also upward closed and closure is injective on
+    # antichains, so it is a generator closure exactly when those masks are
+    # that generator's radicals.
+    mins = antichains.minimal_masks(tuple(sorted(set(family.radicals))))
     if _condition_b(mins, sig):
         matched.add("b")
-    # A maximal family is upward closed and closure is injective on
-    # antichains, so it is a generator closure exactly when its minimal
-    # members are that generator.
     if mins in _generator_set(sig, k_cap):
         matched.add("c")
     is_extremal = "a" in matched

@@ -48,7 +48,8 @@ class Signature:
         if len(orig) > max_primes:
             raise ResourceLimitError(
                 f"{len(orig)} primes exceeds the cap of {max_primes} "
-                f"(raise the library argument max_primes)"
+                f"(lattice.MAX_PRIMES, fixed for the command line; library "
+                f"callers may pass max_primes)"
             )
         perm = tuple(sorted(range(len(orig)), key=lambda i: (-orig[i], i)))
         object.__setattr__(self, "alphas", tuple(orig[i] for i in perm))
@@ -93,7 +94,8 @@ def enumerate_divisors(sig: Signature, cap: int = MAX_DIVISORS) -> list[Divisor]
     if count > cap:
         raise ResourceLimitError(
             f"lattice has {count} divisors, above the cap of {cap} "
-            f"(raise the library argument cap)"
+            f"(lattice.MAX_DIVISORS, fixed for the command line; library "
+            f"callers may pass cap)"
         )
     axes = [range(a + 1) for a in reversed(sig.alphas)]
     return [t[::-1] for t in itertools.product(*axes)]

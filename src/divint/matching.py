@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import families, lattice
+from . import antichains, families, lattice
 from .errors import (PreconditionError, ResourceLimitError,
                      TheoremViolationError)
 from .families import DivisorFamily
@@ -159,8 +159,8 @@ def all_upward_closed_families(k: int) -> list[UpwardClosedFamily]:
     Built by the Dedekind recursion: a family on [k] is f0 | {S | {k}: S in f1}
     for families f0 <= f1 on [k-1].  A family is held as a bitset over the
     2^k masks.  The two constant families (empty, and everything including the
-    empty set) are excluded.  Ordered by the size of the minimal-member
-    antichain, then by the sorted antichain itself.
+    empty set) are excluded.  Ordered by `antichains.antichain_key`: the size
+    of the minimal-member antichain, then the sorted antichain itself.
     """
     if k > GROUND_CAP:
         raise ResourceLimitError(
@@ -173,17 +173,13 @@ def all_upward_closed_families(k: int) -> list[UpwardClosedFamily]:
         level = [f0 | f1 << half for f1 in level for f0 in level
                  if f0 & ~f1 == 0]
     full = (1 << k) - 1
-    out = []
-    for bits in level:
-        if bits == 0 or bits & 1:
-            continue  # a family holding the empty set holds everything
-        members = tuple(m for m in range(1, full + 1) if bits >> m & 1)
-        mins = tuple(m for m in members
-                     if not any(bits >> (m ^ 1 << i) & 1
-                                for i in lattice.iter_bits(m)))
-        out.append(((len(mins), mins), members))
-    out.sort()
-    return [UpwardClosedFamily(full, members) for _, members in out]
+    out = [
+        tuple(m for m in range(1, full + 1) if bits >> m & 1)
+        for bits in level
+        if bits and not bits & 1  # a family holding the empty set holds all
+    ]
+    out.sort(key=antichains.antichain_key)
+    return [UpwardClosedFamily(full, members) for members in out]
 
 
 @dataclass(frozen=True)

@@ -53,41 +53,31 @@ def family_sort_key(fam: DivisorFamily):
     return tuple(lattice.divisor_key(d) for d in fam.members)
 
 
-def _finish(sig: Signature, method: str, built: list[DivisorFamily],
-            materialize_cap: int) -> OracleReport:
-    built.sort(key=family_sort_key)
-    sizes = tuple(sorted(len(f) for f in built))
-    min_size = sizes[0]
-    families = tuple(built) if sum(sizes) <= materialize_cap else None
+def _finish(sig: Signature, method: str, sizes: list[int],
+            built: Optional[list[DivisorFamily]]) -> OracleReport:
+    """Report for one engine; `built` is None above the materialization cap."""
+    if built is not None:
+        built = tuple(sorted(built, key=family_sort_key))
+    sizes = tuple(sorted(sizes))
     return OracleReport(
         signature=sig,
         method=method,
-        total_maximal=len(built),
-        min_size=min_size,
-        min_count=sizes.count(min_size),
+        total_maximal=len(sizes),
+        min_size=sizes[0],
+        min_count=sizes.count(sizes[0]),
         sizes=sizes,
-        families=families,
+        families=built,
     )
 
 
 def _enumerate_radical_lift(sig: Signature, k_cap: int,
                             materialize_cap: int) -> OracleReport:
     mask_families = antichains.enumerate_families(sig.n, k_cap=k_cap)
-    sizes_raw = [
+    sizes = [
         sum(lattice.alpha_weight(m, sig) for m in fam) for fam in mask_families
     ]
-    if sum(sizes_raw) > materialize_cap:
-        sizes = tuple(sorted(sizes_raw))
-        min_size = sizes[0]
-        return OracleReport(
-            signature=sig,
-            method="radical-lift",
-            total_maximal=len(mask_families),
-            min_size=min_size,
-            min_count=sizes.count(min_size),
-            sizes=sizes,
-            families=None,
-        )
+    if sum(sizes) > materialize_cap:
+        return _finish(sig, "radical-lift", sizes, None)
     by_radical: dict[Mask, list[Divisor]] = {}
     for d in lattice.enumerate_divisors(sig):
         if any(d):
@@ -96,7 +86,7 @@ def _enumerate_radical_lift(sig: Signature, k_cap: int,
         DivisorFamily(d for m in fam for d in by_radical[m])
         for fam in mask_families
     ]
-    return _finish(sig, "radical-lift", built, materialize_cap)
+    return _finish(sig, "radical-lift", sizes, built)
 
 
 def _degeneracy_order(adj: list[int]) -> list[int]:
@@ -162,11 +152,14 @@ def _enumerate_direct(sig: Signature, divisor_cap: int,
     divisors = [
         d for d in lattice.enumerate_divisors(sig, cap=count + 1) if any(d)
     ]
+    cliques = maximal_cliques([lattice.radical(d) for d in divisors])
+    sizes = [c.bit_count() for c in cliques]
+    if sum(sizes) > materialize_cap:
+        return _finish(sig, "direct-clique", sizes, None)
     built = [
-        DivisorFamily(divisors[v] for v in lattice.iter_bits(clique))
-        for clique in maximal_cliques([lattice.radical(d) for d in divisors])
+        DivisorFamily(divisors[v] for v in lattice.iter_bits(c)) for c in cliques
     ]
-    return _finish(sig, "direct-clique", built, materialize_cap)
+    return _finish(sig, "direct-clique", sizes, built)
 
 
 def enumerate_maximal_families(

@@ -28,6 +28,8 @@ from .lattice import Divisor, Signature
 UNIVERSE_CAP = 300
 MODES = ("omega", "bigomega")
 MAXIMALITIES = ("restricted", "global")
+ROW_FIELDS = ("signature", "n", "mode", "t", "maximality", "universe_size",
+              "status", "value", "attaining_count", "error")
 
 _COUNTERS = {"omega": lattice.omega, "bigomega": lattice.big_omega}
 
@@ -190,30 +192,32 @@ def solve_restricted(
                              len(attaining), len(universe), witnesses, note)
 
 
-def _cell(sig: Signature, mode: str, t: int, maximality: str) -> dict:
-    row = {
-        "signature": str(sig),
-        "n": sig.n,
-        "mode": mode,
-        "t": t,
-        "maximality": maximality,
-        "universe_size": None,
-        "status": None,
-        "value": None,
-        "attaining_count": None,
-        "error": None,
-    }
-    try:
-        res = solve_restricted(sig, mode, t, maximality=maximality)
-    except ResourceLimitError as exc:
-        row["status"] = "error"
-        row["error"] = str(exc)
-        return row
-    row["universe_size"] = res.universe_size
-    row["status"] = res.status
-    row["value"] = res.value
-    row["attaining_count"] = res.attaining_count
+def cell_row(sig: Signature, mode: str, t: int, maximality: str,
+             res: Optional[OpenProblemResult] = None,
+             error: Optional[str] = None) -> dict:
+    """One openprob table row, with the keys of ROW_FIELDS.
+
+    A cell refused by a cap has no result; its row carries the error instead.
+    """
+    row = dict.fromkeys(ROW_FIELDS)
+    row.update(signature=str(sig), n=sig.n, mode=mode, t=t,
+               maximality=maximality)
+    if res is None:
+        row.update(status="error", error=error)
+    else:
+        row.update(universe_size=res.universe_size, status=res.status,
+                   value=res.value, attaining_count=res.attaining_count)
     return row
+
+
+def _cell(sig: Signature, mode: str, t: int, maximality: str,
+          universe_cap: int) -> dict:
+    try:
+        res = solve_restricted(sig, mode, t, maximality=maximality,
+                               universe_cap=universe_cap)
+    except ResourceLimitError as exc:
+        return cell_row(sig, mode, t, maximality, error=str(exc))
+    return cell_row(sig, mode, t, maximality, res)
 
 
 def sweep_tables(
@@ -223,6 +227,7 @@ def sweep_tables(
     mode: str,
     *,
     maximality: str = "restricted",
+    universe_cap: int = UNIVERSE_CAP,
 ) -> list[dict]:
     """One row per (signature, t) over the grid, in deterministic order.
 
@@ -231,7 +236,7 @@ def sweep_tables(
     """
     _validate(mode, min(t_values, default=2), maximality, allow_t1=False)
     return [
-        _cell(sig, mode, t, maximality)
+        _cell(sig, mode, t, maximality, universe_cap)
         for sig in lattice.signature_grid(max_n, max_exp)
         for t in sorted(set(t_values))
     ]

@@ -225,6 +225,43 @@ def test_universe_cap_via_env(env, capsys, monkeypatch):
     assert "universe" in err
 
 
+def test_universe_cap_via_env_bounds_sweeps(env, capsys, monkeypatch):
+    monkeypatch.setenv("DIVINT_UNIVERSE_CAP", "2")
+    code, out, _ = run(["openprob", "--mode", "omega", "--max-n", "3",
+                        "--max-exp", "2", "--t", "2", "--format", "json"],
+                       capsys)
+    assert code == 0
+    rows = {r["signature"]: r for r in json.loads(out)["results"]["rows"]}
+    assert rows["2,1"]["status"] == "ok"
+    assert rows["2,2,2"]["status"] == "error"
+    assert "universe_cap" in rows["2,2,2"]["error"]
+
+
+def test_list_above_materialize_cap_exits_3(env, capsys, monkeypatch):
+    monkeypatch.setenv("DIVINT_MATERIALIZE_CAP", "1")
+    cell = ["openprob", "--mode", "omega", "--sig", "1,1,1", "--t", "2"]
+    assert run(cell, capsys)[0] == 0
+    code, out, err = run(cell + ["--list"], capsys)
+    assert (code, out) == (3, "")
+    assert "materialize_cap" in err
+    code, out, oracle_err = run(["oracle", "--sig", "1,1,1", "--list"],
+                                capsys)
+    assert (code, out) == (3, "")
+    assert oracle_err == err
+
+
+def test_fixed_lattice_caps_name_their_constants(env, capsys):
+    code, _, err = run(["extremal", "--sig", "30,30,30,30", "--list"],
+                       capsys)
+    assert code == 3
+    assert "lattice.MAX_DIVISORS" in err
+    assert "fixed for the command line" in err
+    code, _, err = run(["bound", "--sig", ",".join(["1"] * 17)], capsys)
+    assert code == 3
+    assert "lattice.MAX_PRIMES" in err
+    assert "fixed for the command line" in err
+
+
 def test_divisor_cap_default_refuses_large_lattice(env, capsys):
     args = ["oracle", "--sig", "25,19", "--method", "direct-clique"]
     code, _, err = run(args, capsys)

@@ -118,10 +118,15 @@ def test_classify_non_intersecting():
 
 
 def test_classify_builds_no_closures(monkeypatch):
-    """Criterion (c) is a set lookup, not one closure per generator."""
-    sig = Signature((1,) * 5)
-    fams = oracle.enumerate_maximal_families(sig).families
-    calls = {"closure": 0, "extremal": 0}
+    """Criterion (c) is a set lookup on radical masks: no closure per
+    generator, no minimal-member scan and no tuple divisibility test."""
+    cases = [
+        (Signature((1,) * 5), 81),  # flat: every maximal family is minimum
+        (Signature((3, 2, 2)), 2),  # deep: multiples of p2 or of p3
+    ]
+    census = {sig: oracle.enumerate_maximal_families(sig).families
+              for sig, _ in cases}
+    calls = {"closure": 0, "extremal": 0, "minimal": 0, "divides": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -131,10 +136,32 @@ def test_classify_builds_no_closures(monkeypatch):
 
     monkeypatch.setattr(families, "upward_closure",
                         counted("closure", families.upward_closure))
+    monkeypatch.setattr(families, "minimal_members",
+                        counted("minimal", families.minimal_members))
+    monkeypatch.setattr(lattice, "divides",
+                        counted("divides", lattice.divides))
     monkeypatch.setattr(extremal, "extremal_families",
                         counted("extremal", extremal.extremal_families))
-    verdicts = [extremal.classify(f, sig) for f in fams]
-    assert len(verdicts) == 81
-    assert all(v.matched == {"a", "b", "c"} for v in verdicts)
+    for sig, extremal_count in cases:
+        calls["extremal"] = 0
+        verdicts = [extremal.classify(f, sig) for f in census[sig]]
+        assert all(v.is_maximal for v in verdicts)
+        assert all(v.matched in ({"a", "b", "c"}, frozenset())
+                   for v in verdicts)
+        assert sum(v.is_extremal for v in verdicts) == extremal_count
+        assert calls["extremal"] <= 1
+    assert len(census[cases[0][0]]) == 81
     assert calls["closure"] == 0
-    assert calls["extremal"] <= 1
+    assert calls["minimal"] == 0
+    assert calls["divides"] == 0
+
+
+def test_minimal_members_are_the_minimal_radicals():
+    """The law classify rests on: a maximal family's minimal members are
+    squarefree, and their radicals are the minimal masks of its radical set."""
+    for sig in lattice.signature_grid(4, 2):
+        for fam in oracle.enumerate_maximal_families(sig).families:
+            mins = families.minimal_members(fam)
+            assert all(e <= 1 for d in mins for e in d)
+            assert antichains.minimal_masks(sorted(set(fam.radicals))) == \
+                tuple(sorted(mins.radicals))

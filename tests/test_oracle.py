@@ -211,3 +211,22 @@ def test_sizes_are_ascending():
     for alphas in [(2, 1, 1, 1), (3, 2, 1), (1, 1, 1, 1)]:
         rep = enumerate_maximal_families(Signature(alphas))
         assert list(rep.sizes) == sorted(rep.sizes)
+
+
+def test_direct_clique_sorts_nothing_above_materialize_cap(monkeypatch):
+    calls = []
+    real = oracle.family_sort_key
+
+    def counted(fam):
+        calls.append(fam)
+        return real(fam)
+
+    monkeypatch.setattr(oracle, "family_sort_key", counted)
+    sig = Signature((1, 1, 1, 1))
+    rep = enumerate_maximal_families(sig, "direct-clique", materialize_cap=95)
+    assert rep.families is None
+    assert rep.total_maximal == 12 and rep.sizes == (8,) * 12
+    assert calls == []
+    rep = enumerate_maximal_families(sig, "direct-clique", materialize_cap=96)
+    assert len(rep.families) == 12
+    assert len(calls) == 12

@@ -206,3 +206,14 @@ def test_sweep_records_resource_errors(monkeypatch):
     # the sweep keeps going past the failed cell
     assert by_sig["1,1"]["status"] == "ok"
     assert len(rows) == 5
+
+
+def test_sweep_honours_universe_cap():
+    rows = sweep_tables(3, 2, [2], "omega", universe_cap=2)
+    by_sig = {r["signature"]: r for r in rows}
+    assert by_sig["2,1"]["status"] == "ok"  # universe of 2
+    refused = [r for r in rows if r["status"] == "error"]
+    assert {r["signature"] for r in refused} == {
+        "2,2", "1,1,1", "2,1,1", "2,2,1", "2,2,2"}
+    assert all("universe_cap" in r["error"] for r in refused)
+    assert all(r["universe_size"] is None for r in refused)
