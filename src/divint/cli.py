@@ -414,6 +414,8 @@ def cmd_openprob(args, cfg: RunConfig) -> Outcome:
         raise _UsageError("give a signature or --max-n sweep bounds, not both")
     if not has_sig and args.max_n is None:
         raise _UsageError("openprob needs --sig/--n or --max-n")
+    if args.list and not has_sig:
+        raise _UsageError("--list prints a single cell's witnesses, not a sweep")
     letter = "m" if args.mode == "omega" else "M"
 
     if has_sig:

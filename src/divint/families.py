@@ -9,6 +9,7 @@ containing it could never be intersecting in a useful sense.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -138,21 +139,31 @@ def maximalize(family: DivisorFamily, sig: Signature) -> DivisorFamily:
 
 
 def minimal_members(family: DivisorFamily) -> DivisorFamily:
-    """Members not properly divisible by another member; an antichain."""
-    keep = [
-        d for d in family.members
-        if not any(e != d and lattice.divides(e, d) for e in family.members)
-    ]
+    """Members not properly divisible by another member; an antichain.
+
+    Members are scanned in ascending total degree, so a proper divisor comes
+    before its multiples, and each one is tested only against the minima
+    already kept: anything below it in the family lies above such a minimum.
+    """
+    keep: list[Divisor] = []
+    for d in sorted(family.members, key=sum):
+        if not any(lattice.divides(m, d) for m in keep):
+            keep.append(d)
     return DivisorFamily(keep)
 
 
 def upward_closure(generators: DivisorFamily, sig: Signature) -> DivisorFamily:
-    """All divisors of N divisible by at least one generator."""
+    """All divisors of N divisible by at least one generator.
+
+    Each generator's multiples are enumerated directly as a product of
+    exponent ranges, so no divisibility test runs.
+    """
     for t in generators.members:
         if len(t) != sig.n or any(e > a for e, a in zip(t, sig.alphas)):
             raise ValueError(f"generator {t} does not divide the {sig} lattice")
-    gens = generators.members
-    return DivisorFamily(
-        d for d in lattice.enumerate_divisors(sig)
-        if any(lattice.divides(t, d) for t in gens)
-    )
+    lattice.check_divisor_cap(sig)
+    multiples: set[Divisor] = set()
+    for t in generators.members:
+        multiples.update(itertools.product(
+            *(range(e, a + 1) for e, a in zip(t, sig.alphas))))
+    return DivisorFamily(multiples)

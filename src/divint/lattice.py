@@ -88,8 +88,8 @@ def divisor_key(d: Divisor) -> tuple[int, ...]:
     return d[::-1]
 
 
-def enumerate_divisors(sig: Signature, cap: int = MAX_DIVISORS) -> list[Divisor]:
-    """All exponent vectors of the lattice (including divisor 1), canonically ordered."""
+def check_divisor_cap(sig: Signature, cap: int = MAX_DIVISORS) -> None:
+    """Refuse a lattice with more than `cap` divisors before anything walks it."""
     count = sig.divisor_count()
     if count > cap:
         raise ResourceLimitError(
@@ -97,6 +97,11 @@ def enumerate_divisors(sig: Signature, cap: int = MAX_DIVISORS) -> list[Divisor]
             f"(lattice.MAX_DIVISORS, fixed for the command line; library "
             f"callers may pass cap)"
         )
+
+
+def enumerate_divisors(sig: Signature, cap: int = MAX_DIVISORS) -> list[Divisor]:
+    """All exponent vectors of the lattice (including divisor 1), canonically ordered."""
+    check_divisor_cap(sig, cap)
     axes = [range(a + 1) for a in reversed(sig.alphas)]
     return [t[::-1] for t in itertools.product(*axes)]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from json.encoder import encode_basestring_ascii as _quote
 
 from ._version import __version__
 from .families import DivisorFamily
@@ -26,10 +27,74 @@ def document(command: str, parameters: dict, results: dict) -> dict:
     }
 
 
-def json_dumps(doc) -> str:
-    import json
+# Containers nested less deeply than this write their pieces straight into
+# the document's one list of parts; deeper subtrees are each joined into one
+# string first, which keeps that list short.
+_STREAMED_DEPTH = 3
 
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+def json_dumps(doc) -> str:
+    """The document as `json.dumps(doc, sort_keys=True, indent=2)` plus a newline.
+
+    The output is byte-identical to that call and ASCII-only.  Only what
+    divint emits is accepted: dicts with str keys, lists, tuples, str, bool,
+    int and None; anything else raises TypeError.
+    """
+    parts: list[str] = []
+    _stream(doc, "\n", 0, parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+# Encoders of the scalar types, looked up by exact type: bool is not int here.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _container(o) -> tuple[str, str, list, list]:
+    """Brackets, per-item labels and values of a dict, list or tuple."""
+    if type(o) is dict:
+        keys = sorted(o)
+        for k in keys:
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        return "{", "}", [_quote(k) + ": " for k in keys], [o[k] for k in keys]
+    if type(o) in (list, tuple):
+        return "[", "]", [""] * len(o), o
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _encode(o, indent: str) -> str:
+    """One value as a string; `indent` is the newline and indent of its line."""
+    scalar = _SCALARS.get(type(o))
+    if scalar is not None:
+        return scalar(o)
+    opening, closing, labels, values = _container(o)
+    if not values:
+        return opening + closing
+    inner = indent + "  "
+    body = ("," + inner).join(
+        [label + _encode(v, inner) for label, v in zip(labels, values)])
+    return opening + inner + body + indent + closing
+
+
+def _stream(o, indent: str, depth: int, parts: list[str]) -> None:
+    """Append the pieces of `o` to `parts`, joining subtrees from a depth on."""
+    if depth == _STREAMED_DEPTH or type(o) in _SCALARS or not o:
+        parts.append(_encode(o, indent))
+        return
+    opening, closing, labels, values = _container(o)
+    inner = indent + "  "
+    sep = opening + inner
+    for label, v in zip(labels, values):
+        parts.append(sep + label)
+        _stream(v, inner, depth + 1, parts)
+        sep = "," + inner
+    parts.append(indent + closing)
 
 
 def csv_dumps(rows: list[dict], fieldnames: list[str]) -> str:

@@ -390,3 +390,32 @@ def test_verify_failure_exits_4(env, capsys, monkeypatch):
     code, out, _ = run(["verify", "--max-n", "2", "--max-exp", "1"], capsys)
     assert code == 4
     assert "FAIL min-size-equality" in out
+
+
+def test_openprob_list_refuses_sweeps(env, capsys):
+    code, out, err = run(["openprob", "--mode", "omega", "--max-n", "2",
+                          "--t", "2", "--list"], capsys)
+    assert (code, out) == (2, "")
+    assert "--list" in err
+
+
+def test_lattice_cap_refuses_before_any_closure(env, capsys, monkeypatch):
+    from divint import families
+
+    built = []
+    closure = families.upward_closure
+
+    def counted(gens, sig):
+        built.append(closure(gens, sig))
+        return built[-1]
+
+    monkeypatch.setattr(families, "upward_closure", counted)
+    errors = []
+    for argv in (["matching", "--sig", "30,30,30,30"],
+                 ["extremal", "--sig", "30,30,30,30", "--list"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert "lattice.MAX_DIVISORS" in err
+        errors.append(err)
+    assert built == []
+    assert errors[0] == errors[1]

@@ -140,3 +140,63 @@ def test_upward_closure_idempotent_on_antichains(case):
     assert antichain._member_set <= closed._member_set
     assert families.minimal_members(closed) == antichain
     assert families.upward_closure(closed, sig) == closed
+
+
+# All-pairs definitions of closure and minima: the reference against which
+# the tuple-level referee in `families` is checked.
+
+def closure_by_all_pairs(gens, sig):
+    return DivisorFamily(
+        d for d in lattice.enumerate_divisors(sig)
+        if any(lattice.divides(t, d) for t in gens.members)
+    )
+
+
+def minima_by_all_pairs(fam):
+    return DivisorFamily(
+        d for d in fam.members
+        if not any(e != d and lattice.divides(e, d) for e in fam.members)
+    )
+
+
+@st.composite
+def lattice_families(draw):
+    """Any family of divisors > 1 in a lattice of up to 4 primes, exponents <= 3."""
+    sig = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).map(Signature))
+    divs = [d for d in lattice.enumerate_divisors(sig) if any(d)]
+    return sig, DivisorFamily(draw(st.lists(st.sampled_from(divs), max_size=12)))
+
+
+@given(lattice_families())
+@settings(deadline=None, max_examples=200)
+def test_upward_closure_matches_all_pairs(case):
+    sig, gens = case
+    assert families.upward_closure(gens, sig) == closure_by_all_pairs(gens, sig)
+
+
+@given(lattice_families())
+@settings(deadline=None, max_examples=200)
+def test_minimal_members_matches_all_pairs(case):
+    _, fam = case
+    assert families.minimal_members(fam) == minima_by_all_pairs(fam)
+
+
+def test_referee_divides_call_counts(monkeypatch):
+    calls = [0]
+    divides = lattice.divides
+
+    def counted(a, b):
+        calls[0] += 1
+        return divides(a, b)
+
+    monkeypatch.setattr(lattice, "divides", counted)
+    sig = Signature((1,) * 6)
+    gens = DivisorFamily(lattice.mask_to_divisor(m, 6)
+                         for m in (0b011, 0b101, 0b110))
+    closed = families.upward_closure(gens, sig)
+    assert len(closed) == 32 and calls[0] == 0
+    assert families.minimal_members(closed) == gens
+    # 0 + 1 + 2 among the generators, then each other member stops at the
+    # first kept minimum below it: 15 above p1*p2, 7 more above p1*p3 and 7
+    # above p2*p3 alone.  The all-pairs scan made 32 * 31 tests.
+    assert calls[0] == 3 + 15 * 1 + 7 * 2 + 7 * 3
