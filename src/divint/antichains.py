@@ -9,14 +9,17 @@ T or a superset of some member.  Upward closure inverts the correspondence, so
 enumerating families and enumerating such antichains are the same problem.
 
 Subsets are int bitmasks; a family or antichain is a sorted tuple of masks.
+An upset on [k] is one int, a bitset over the 2^k masks (bit m is set when
+mask m is a member); every family walk runs on the one builder, `upsets`.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
+from . import lattice
 from .errors import ResourceLimitError
 
 MaskFamily = tuple[int, ...]
@@ -34,43 +37,6 @@ def _check_k(k: int, k_cap: int) -> None:
         )
 
 
-def _pair_representatives(k: int) -> list[int]:
-    """One representative per free complement pair, most constraining first.
-
-    The representative of {S, S^c} is the side with the smaller (popcount,
-    value); pairs are processed in that order so that small, highly
-    constraining sets are decided early.
-    """
-    full = (1 << k) - 1
-    reps = [s for s in range(1, full)
-            if (s.bit_count(), s) < ((full ^ s).bit_count(), full ^ s)]
-    reps.sort(key=lambda s: (s.bit_count(), s))
-    return reps
-
-
-def _dfs(reps: list[int], start: int, full: int,
-         chosen: list[int], constraints: list[int], out: list[MaskFamily]) -> None:
-    """Pick one side of each remaining pair, pruning on pairwise intersection.
-
-    `constraints` holds only the minimal chosen sets: a candidate meeting all
-    of them meets every chosen set.
-    """
-    if start == len(reps):
-        out.append(tuple(sorted(chosen)))
-        return
-    s = reps[start]
-    for cand in (s, full ^ s):
-        if all(cand & c for c in constraints):
-            if any(c & cand == c for c in constraints):
-                kept = constraints  # a chosen subset already implies cand
-            else:
-                kept = [c for c in constraints if cand & c != cand]
-                kept.append(cand)
-            chosen.append(cand)
-            _dfs(reps, start + 1, full, chosen, kept, out)
-            chosen.pop()
-
-
 def antichain_key(family: MaskFamily) -> tuple:
     """Canonical family order: by generating antichain, smaller ones first.
 
@@ -80,13 +46,59 @@ def antichain_key(family: MaskFamily) -> tuple:
     return (len(mins), mins)
 
 
+def upsets(k: int) -> list[int]:
+    """Every upset on [k], the empty one and the one of all 2^k masks too.
+
+    Dedekind recursion: an upset on [k] is f0 | f1 << 2^(k-1), its members
+    without and with element k-1, for upsets f0 <= f1 on [k-1].
+    """
+    level = [0, 1]  # on [0]: the empty upset and {empty set}
+    for j in range(k):
+        level = [f0 | f1 << (1 << j) for f1 in level for f0 in level
+                 if f0 & ~f1 == 0]
+    return level
+
+
+def _intervals(ups: list[int], j: int) -> Iterator[tuple[int, int]]:
+    """Each f0 in `ups` = upsets(j) with the f1 there, f0 <= f1 <= b(f0), as a
+    bitset over positions in `ups`.  b(f0) holds the sets meeting every member
+    of f0, so f0 | f1 << 2^j is exactly an intersecting upset on [j+1]."""
+    top = (1 << j) - 1
+    holding = [sum(1 << i for i, f in enumerate(ups) if f >> s & 1)
+               for s in range(top + 1)]
+    for f0 in ups:
+        choices = (1 << len(ups)) - 1
+        for s in range(top + 1):
+            if f0 >> s & 1:
+                choices &= holding[s]
+            if f0 >> (top ^ s) & 1:  # s misses a member of f0
+                choices &= ~holding[s]
+        yield f0, choices
+
+
 @lru_cache(maxsize=None)
 def _families_cached(k: int) -> tuple[MaskFamily, ...]:
-    full = (1 << k) - 1
-    out: list[MaskFamily] = []
-    _dfs(_pair_representatives(k), 0, full, [full], [full], out)
+    # F is fixed by G, its members without element k-1, an intersecting upset
+    # on [k-1]: a mask m with element k-1 is in F exactly when full ^ m is not.
+    half, full = 1 << (k - 1), (1 << k) - 1
+    ups = upsets(max(k - 2, 0))
+    gs = [0] if k == 1 else [f0 | ups[i] << (half >> 1)
+                             for f0, choices in _intervals(ups, k - 2)
+                             for i in lattice.iter_bits(choices)]
+    out = [tuple(m for m in range(1, full + 1)
+                 if (g >> m if m < half else ~g >> (full ^ m)) & 1)
+           for g in gs]
     out.sort(key=antichain_key)
     return tuple(out)
+
+
+def count_families(k: int, *, k_cap: int = DEFAULT_K_CAP) -> int:
+    """Number of maximal intersecting families on [k] (OEIS A001206), unlisted:
+    the number of intersecting upsets on [k-1]."""
+    _check_k(k, k_cap)
+    if k == 1:
+        return 1
+    return sum(c.bit_count() for _, c in _intervals(upsets(k - 2), k - 2))
 
 
 def enumerate_families(k: int, *,
@@ -106,16 +118,20 @@ def enumerate_antichains(k: int, *,
 
     Sorted by cardinality, then lexicographically on the sorted mask lists.
     """
-    return tuple(minimal_masks(f)
-                 for f in enumerate_families(k, k_cap=k_cap))
+    return tuple(minimal_masks(f) for f in enumerate_families(k, k_cap=k_cap))
 
 
 def minimal_masks(family: MaskFamily) -> MaskFamily:
-    """Members with no proper subset in the family, ascending."""
-    return tuple(sorted(
-        m for m in family
-        if not any(x != m and x & m == x for x in family)
-    ))
+    """Members with no proper subset in the family, ascending.
+
+    Distinct members are scanned in ascending popcount, each tested only
+    against the minima already kept.
+    """
+    keep: list[int] = []
+    for m in sorted(family, key=int.bit_count):
+        if not any(x & m == x for x in keep):
+            keep.append(m)
+    return tuple(sorted(keep))
 
 
 def mask_closure(antichain: MaskFamily, k: int) -> MaskFamily:
@@ -155,7 +171,7 @@ def antichain_conditions(sets: MaskFamily, k: int) -> tuple[bool, Optional[str]]
 def reference_families(k: int) -> tuple[MaskFamily, ...]:
     """Slow independent enumeration: literal filter over all choice vectors.
 
-    Exponential in 2^k; used only to validate the pruned DFS on small k.
+    Exponential in 2^k; used only to validate the Dedekind walk on small k.
     """
     full = (1 << k) - 1
     reps = [s for s in range(1, full) if s < (full ^ s)]

@@ -151,18 +151,20 @@ def _mask_symbol(m: int, k: int) -> str:
     return lattice.format_divisor(lattice.mask_to_divisor(m, k))
 
 
-def cmd_bound(args, cfg: RunConfig) -> Outcome:
-    sig, _ = _parse_signature(args)
-    value = lattice.min_size_bound(sig)
-    text = _sig_notice(sig)
-    text.append(str(value))
+def _sig_value(sig: Signature, key: str, value: int) -> Outcome:
+    """One number about one signature, e.g. its bound or its family count."""
     return Outcome(
         parameters={"sig": str(sig)},
-        results={"signature": report.signature_obj(sig), "min_size": value},
-        text=text,
-        rows=[{"signature": str(sig), "min_size": value}],
-        fields=["signature", "min_size"],
+        results={"signature": report.signature_obj(sig), key: value},
+        text=_sig_notice(sig) + [str(value)],
+        rows=[{"signature": str(sig), key: value}],
+        fields=["signature", key],
     )
+
+
+def cmd_bound(args, cfg: RunConfig) -> Outcome:
+    sig, _ = _parse_signature(args)
+    return _sig_value(sig, "min_size", lattice.min_size_bound(sig))
 
 
 def cmd_extremal(args, cfg: RunConfig) -> Outcome:
@@ -205,16 +207,8 @@ def cmd_extremal(args, cfg: RunConfig) -> Outcome:
 
 def cmd_count(args, cfg: RunConfig) -> Outcome:
     sig, _ = _parse_signature(args)
-    value = extremal.count_minimum_families(sig, k_cap=cfg.k_cap)
-    text = _sig_notice(sig)
-    text.append(str(value))
-    return Outcome(
-        parameters={"sig": str(sig)},
-        results={"signature": report.signature_obj(sig), "count": value},
-        text=text,
-        rows=[{"signature": str(sig), "count": value}],
-        fields=["signature", "count"],
-    )
+    return _sig_value(sig, "count",
+                      extremal.count_minimum_families(sig, k_cap=cfg.k_cap))
 
 
 def cmd_antichains(args, cfg: RunConfig) -> Outcome:
@@ -557,10 +551,7 @@ def main(argv=None) -> int:
             "format": args.format,
         })
         outcome = _DISPATCH[args.command](args, cfg)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -82,7 +82,7 @@ def count_minimum_families(sig: Signature, *,
     """Number of minimum-size maximal families, without materializing them."""
     if sig.alphas[-1] >= 2:
         return sig.n - sig.u
-    return len(antichains.enumerate_families(sig.n - sig.u, k_cap=k_cap))
+    return antichains.count_families(sig.n - sig.u, k_cap=k_cap)
 
 
 def _condition_b(mins: MaskFamily, sig: Signature) -> bool:

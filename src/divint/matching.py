@@ -25,7 +25,9 @@ from .families import DivisorFamily
 from .lattice import Mask, Signature
 
 # Largest ground on which every upward-closed family is listed: 7579 families
-# at k=5, 7828352 at k=6 (OEIS A000372 minus the two constants).
+# at k=5, 7828352 at k=6 (OEIS A000372 minus the two constants).  The same
+# builder serves `antichains.enumerate_families(k)`, which asks only for the
+# upsets on [k-2] and is bounded by its own `k_cap`.
 GROUND_CAP = 5
 
 
@@ -156,28 +158,19 @@ def complement_permutation(family: UpwardClosedFamily) -> PermutationWitness:
 def all_upward_closed_families(k: int) -> list[UpwardClosedFamily]:
     """Every upward-closed family of non-empty subsets of [k].
 
-    Built by the Dedekind recursion: a family on [k] is f0 | {S | {k}: S in f1}
-    for families f0 <= f1 on [k-1].  A family is held as a bitset over the
-    2^k masks.  The two constant families (empty, and everything including the
-    empty set) are excluded.  Ordered by `antichains.antichain_key`: the size
-    of the minimal-member antichain, then the sorted antichain itself.
+    The upsets of `antichains.upsets(k)` less the two constant ones (empty,
+    and everything including the empty set), ordered by
+    `antichains.antichain_key`: antichain size, then the sorted antichain.
     """
     if k > GROUND_CAP:
         raise ResourceLimitError(
             f"listing every upward-closed family on {k} primes is capped at "
             f"k={GROUND_CAP} (there are 7828352 at k=6)"
         )
-    level = [0, 1]  # on [0]: the empty family and {empty set}
-    for j in range(k):
-        half = 1 << j
-        level = [f0 | f1 << half for f1 in level for f0 in level
-                 if f0 & ~f1 == 0]
     full = (1 << k) - 1
-    out = [
-        tuple(m for m in range(1, full + 1) if bits >> m & 1)
-        for bits in level
-        if bits and not bits & 1  # a family holding the empty set holds all
-    ]
+    out = [tuple(m for m in range(1, full + 1) if bits >> m & 1)
+           for bits in antichains.upsets(k)
+           if bits and not bits & 1]  # holding the empty set, it holds all
     out.sort(key=antichains.antichain_key)
     return [UpwardClosedFamily(full, members) for members in out]
 

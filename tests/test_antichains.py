@@ -9,6 +9,10 @@ from divint.errors import ResourceLimitError
 # family counts for k = 1..6; equivalently the number of self-dual monotone
 # boolean functions of k variables
 COUNTS = {1: 1, 2: 2, 3: 4, 4: 12, 5: 81, 6: 2646}
+# OEIS A001206 at k = 7, past the default k_cap
+COUNT_7 = 1422564
+# upsets on [k] for k = 0..5, both constants included (OEIS A000372)
+DEDEKIND = (2, 3, 6, 20, 168, 7581)
 
 
 def test_counts_small():
@@ -50,7 +54,7 @@ def test_family_structure():
 
 
 def test_matches_reference_enumeration():
-    for k in (1, 2, 3, 4):
+    for k in (1, 2, 3, 4, 5):
         assert antichains.enumerate_families(k) == antichains.reference_families(k)
 
 
@@ -130,3 +134,42 @@ def test_dfs_against_brute_force_closures():
                 if ok:
                     found.add(antichains.mask_closure(combo, k))
         assert found == set(antichains.enumerate_families(k))
+
+
+def test_upsets_are_the_dedekind_numbers():
+    for k, count in enumerate(DEDEKIND):
+        ups = antichains.upsets(k)
+        assert len(ups) == len(set(ups)) == count
+        for bits in ups:
+            members = [m for m in range(1 << k) if bits >> m & 1]
+            assert all(bits >> (m | 1 << i) & 1
+                       for m in members for i in range(k))
+
+
+def test_count_families_is_a001206():
+    for k, count in COUNTS.items():
+        assert antichains.count_families(k) == count
+    assert antichains.count_families(7, k_cap=7) == COUNT_7
+
+
+def test_count_families_caps_and_bad_k():
+    with pytest.raises(ResourceLimitError, match="k_cap"):
+        antichains.count_families(7)
+    with pytest.raises(ValueError):
+        antichains.count_families(0)
+
+
+def _all_pairs_minimal_masks(family):
+    """Reference: members with no proper subset in the family, ascending."""
+    return tuple(sorted(
+        m for m in family
+        if not any(x != m and x & m == x for x in family)
+    ))
+
+
+@given(st.lists(st.integers(0, 63), unique=True, max_size=24))
+@settings(deadline=None)
+def test_minimal_masks_match_all_pairs_definition(masks):
+    """Any distinct masks, upward closed or not, in any order."""
+    assert antichains.minimal_masks(tuple(masks)) == \
+        _all_pairs_minimal_masks(masks)

@@ -300,6 +300,16 @@ def test_matching_ground_is_not_bounded_by_k_cap(env, capsys, monkeypatch):
     assert json.loads(out)["results"]["count"] == 166
 
 
+def test_count_answers_past_the_listing_cap(env, capsys, monkeypatch):
+    code, _, err = run(["count", "--sig", "1,1,1,1,1,1,1"], capsys)
+    assert code == 3
+    assert "k_cap" in err
+    monkeypatch.setenv("DIVINT_K_CAP", "7")
+    code, out, _ = run(["count", "--sig", "1,1,1,1,1,1,1"], capsys)
+    assert code == 0
+    assert out == "1422564\n"
+
+
 def test_verify_honours_k_cap(env, capsys, monkeypatch):
     monkeypatch.setenv("DIVINT_K_CAP", "3")
     code, _, err = run(["verify", "--max-n", "4", "--max-exp", "1"], capsys)

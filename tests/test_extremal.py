@@ -165,3 +165,23 @@ def test_minimal_members_are_the_minimal_radicals():
             assert all(e <= 1 for d in mins for e in d)
             assert antichains.minimal_masks(sorted(set(fam.radicals))) == \
                 tuple(sorted(mins.radicals))
+
+
+def test_count_lists_no_families(monkeypatch):
+    """The flat-regime count comes from the Dedekind intervals: no family is
+    built, so no generating antichain is taken and none is sorted."""
+    calls = {"minimal": 0, "enumerate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(antichains, "minimal_masks",
+                        counted("minimal", antichains.minimal_masks))
+    monkeypatch.setattr(antichains, "enumerate_families",
+                        counted("enumerate", antichains.enumerate_families))
+    antichains._families_cached.cache_clear()
+    assert extremal.count_minimum_families(Signature([1] * 6)) == 2646
+    assert calls == {"minimal": 0, "enumerate": 0}
