@@ -26,6 +26,10 @@ MaskFamily = tuple[int, ...]
 
 DEFAULT_K_CAP = 6
 
+# Largest ground the count walk answers, whatever `k_cap` allows: k = 8 would
+# build the 7828352 upsets on [6], which pure Python does not finish.
+COUNT_CAP = 7
+
 
 def _check_k(k: int, k_cap: int) -> None:
     if k < 1:
@@ -77,7 +81,10 @@ def _intervals(ups: list[int], j: int) -> Iterator[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _families_cached(k: int) -> tuple[MaskFamily, ...]:
+def _families_cached(k: int) -> tuple[tuple[MaskFamily, ...],
+                                      tuple[MaskFamily, ...]]:
+    """The families on [k] and their generating antichains, in the order of
+    `antichain_key`; each antichain is taken once, for the sort."""
     # F is fixed by G, its members without element k-1, an intersecting upset
     # on [k-1]: a mask m with element k-1 is in F exactly when full ^ m is not.
     half, full = 1 << (k - 1), (1 << k) - 1
@@ -88,14 +95,21 @@ def _families_cached(k: int) -> tuple[MaskFamily, ...]:
     out = [tuple(m for m in range(1, full + 1)
                  if (g >> m if m < half else ~g >> (full ^ m)) & 1)
            for g in gs]
-    out.sort(key=antichain_key)
-    return tuple(out)
+    keyed = sorted((len(mins), mins, f)
+                   for f in out for mins in [minimal_masks(f)])
+    return tuple(f for _, _, f in keyed), tuple(mins for _, mins, _ in keyed)
 
 
 def count_families(k: int, *, k_cap: int = DEFAULT_K_CAP) -> int:
     """Number of maximal intersecting families on [k] (OEIS A001206), unlisted:
     the number of intersecting upsets on [k-1]."""
     _check_k(k, k_cap)
+    if k > COUNT_CAP:
+        raise ResourceLimitError(
+            f"k={k} exceeds the count walk's cap of {COUNT_CAP} "
+            f"(antichains.COUNT_CAP, a fixed constant: past it the walk "
+            f"builds more upsets than pure Python finishes)"
+        )
     if k == 1:
         return 1
     return sum(c.bit_count() for _, c in _intervals(upsets(k - 2), k - 2))
@@ -109,7 +123,7 @@ def enumerate_families(k: int, *,
     this list and `enumerate_antichains` correspond elementwise.
     """
     _check_k(k, k_cap)
-    return _families_cached(k)
+    return _families_cached(k)[0]
 
 
 def enumerate_antichains(k: int, *,
@@ -118,7 +132,8 @@ def enumerate_antichains(k: int, *,
 
     Sorted by cardinality, then lexicographically on the sorted mask lists.
     """
-    return tuple(minimal_masks(f) for f in enumerate_families(k, k_cap=k_cap))
+    _check_k(k, k_cap)
+    return _families_cached(k)[1]
 
 
 def minimal_masks(family: MaskFamily) -> MaskFamily:
@@ -129,7 +144,10 @@ def minimal_masks(family: MaskFamily) -> MaskFamily:
     """
     keep: list[int] = []
     for m in sorted(family, key=int.bit_count):
-        if not any(x & m == x for x in keep):
+        for x in keep:
+            if x & m == x:
+                break
+        else:
             keep.append(m)
     return tuple(sorted(keep))
 

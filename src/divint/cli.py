@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import antichains, extremal, families, lattice, matching, oracle
 from . import report, restricted, verify as verify_mod
@@ -147,8 +148,22 @@ def _brace(values) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
 
 
+@lru_cache(maxsize=lattice.MAX_DIVISORS)
 def _mask_symbol(m: int, k: int) -> str:
     return lattice.format_divisor(lattice.mask_to_divisor(m, k))
+
+
+@lru_cache(maxsize=lattice.MAX_DIVISORS)
+def _entry_obj(e: matching.PairingEntry, k: int) -> dict:
+    """JSON shape of one pairing entry.  Cached: the families of one lattice
+    share their repeated entries, so `report.json_dumps` encodes each once.
+    The dict is shared and must never be mutated."""
+    return {
+        "position": _mask_symbol(e.position, k),
+        "source": _mask_symbol(e.source, k),
+        "source_complement": _mask_symbol(e.bar_source, k),
+        "alpha": e.alpha_position,
+    }
 
 
 def _sig_value(sig: Signature, key: str, value: int) -> Outcome:
@@ -343,14 +358,7 @@ def _cmd_matching_sig(args, cfg: RunConfig) -> Outcome:
     for i, gen in enumerate(rep.generators, start=1):
         fam = families.upward_closure(gen, sig)
         pairing = matching.alpha_pairing(fam, sig)
-        entries = []
-        for e in pairing.entries:
-            entries.append({
-                "position": _mask_symbol(e.position, sig.n),
-                "source": _mask_symbol(e.source, sig.n),
-                "source_complement": _mask_symbol(e.bar_source, sig.n),
-                "alpha": e.alpha_position,
-            })
+        entries = [_entry_obj(e, sig.n) for e in pairing.entries]
         listed.append({
             "family_index": i,
             "generators": [lattice.format_divisor(d) for d in gen.members],

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import lattice
+from . import antichains, lattice
 from .errors import PreconditionError
 from .lattice import Divisor, Mask, Signature
 
@@ -56,7 +56,7 @@ class DivisorFamily:
     def squarefree_part(self) -> tuple[Mask, ...]:
         """Masks of the squarefree members, ascending."""
         return tuple(sorted(
-            r for d, r in zip(self.members, self.radicals) if all(e <= 1 for e in d)
+            r for d, r in zip(self.members, self.radicals) if max(d) <= 1
         ))
 
 
@@ -93,10 +93,14 @@ def _compatible_masks(family: DivisorFamily, sig: Signature) -> list[Mask]:
     """Non-empty supports whose divisors could be added without a coprime pair.
 
     Addability of a divisor depends only on its radical, so the scan runs over
-    the 2^n - 1 masks instead of the full lattice.
+    the 2^n - 1 masks instead of the full lattice.  Each mask is tested only
+    against the minimal radicals: every radical contains a minimal one, so a
+    mask meets them all exactly when it meets the minimal ones.
     """
-    rads = set(family.radicals)
-    return [m for m in range(1, 1 << sig.n) if all(m & r for r in rads)]
+    masks = range(1, 1 << sig.n)
+    for r in antichains.minimal_masks(set(family.radicals)):
+        masks = [m for m in masks if m & r]
+    return list(masks)
 
 
 def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
@@ -104,10 +108,11 @@ def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
     base = check_intersecting(family)
     if not base.is_intersecting:
         return FamilyReport(False, False, coprime_witness=base.coprime_witness)
-    compatible = set(_compatible_masks(family, sig))
-    expected = sum(lattice.alpha_weight(m, sig) for m in compatible)
-    if len(family) == expected:
+    compatible = _compatible_masks(family, sig)
+    weights = lattice.alpha_weights(sig)
+    if len(family) == sum(weights[m] for m in compatible):
         return FamilyReport(True, True)
+    compatible = set(compatible)
     for d in lattice.enumerate_divisors(sig):
         if any(d) and lattice.radical(d) in compatible and d not in family:
             return FamilyReport(True, False, extension_witness=d)

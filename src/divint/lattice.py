@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 
 from .errors import ResourceLimitError
@@ -117,8 +118,12 @@ def is_coprime(a: Divisor, b: Divisor) -> bool:
     return not any(x and y for x, y in zip(a, b))
 
 
+@lru_cache(maxsize=MAX_DIVISORS)
 def radical(d: Divisor) -> Mask:
-    """Support mask: bit i set iff prime i divides d."""
+    """Support mask: bit i set iff prime i divides d.
+
+    Cached: every family over one lattice looks up the same table.
+    """
     m = 0
     for i, e in enumerate(d):
         if e:
@@ -151,6 +156,15 @@ def alpha_weight(mask: Mask, sig: Signature) -> int:
     for i in iter_bits(mask):
         w *= sig.alphas[i]
     return w
+
+
+@lru_cache(maxsize=16)
+def alpha_weights(sig: Signature) -> tuple[int, ...]:
+    """`alpha_weight` of every mask of the lattice, indexed by mask.
+
+    Cached per signature; the tuple is shared by every caller.
+    """
+    return tuple(alpha_weight(m, sig) for m in range(1 << sig.n))
 
 
 def min_size_bound(sig: Signature) -> int:
@@ -204,6 +218,10 @@ def signature_grid(max_n: int, max_exp: int) -> list[Signature]:
 
 
 # --- display helpers (human-readable output only; never used in the math) ---
+#
+# The per-divisor helpers are cached tables: a listing formats each divisor of
+# the lattice once, however many families it belongs to.  The cached values
+# are immutable, and the cache holds at most one full lattice.
 
 def first_primes(n: int) -> tuple[int, ...]:
     """The n smallest primes, for labeling abstract prime indices."""
@@ -216,11 +234,13 @@ def first_primes(n: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
+@lru_cache(maxsize=MAX_DIVISORS)
 def display_value(d: Divisor, primes: tuple[int, ...]) -> int:
     """Integer value of a divisor under a concrete prime labeling."""
     return prod(p ** e for p, e in zip(primes, d))
 
 
+@lru_cache(maxsize=MAX_DIVISORS)
 def format_divisor(d: Divisor) -> str:
     """Symbolic form like 'p1^2*p3'; '1' for the empty divisor."""
     parts = []

@@ -229,6 +229,7 @@ def alpha_pairing(family: DivisorFamily, sig: Signature) -> PairingReport:
     ground = (1 << (n - 1)) - 1
     witness = complement_permutation(UpwardClosedFamily(ground, without_last))
     full = (1 << n) - 1
+    weights = lattice.alpha_weights(sig)
     entries = []
     for j, pos in enumerate(without_last):
         src = without_last[witness.sigma[j]]
@@ -239,9 +240,9 @@ def alpha_pairing(family: DivisorFamily, sig: Signature) -> PairingReport:
             source=src,
             bar_source=bar_src,
             excess=excess,
-            alpha_position=lattice.alpha_weight(pos, sig),
-            alpha_bar_source=lattice.alpha_weight(bar_src, sig),
-            alpha_excess=lattice.alpha_weight(excess, sig),
+            alpha_position=weights[pos],
+            alpha_bar_source=weights[bar_src],
+            alpha_excess=weights[excess],
         )
         if entry.alpha_position != entry.alpha_bar_source:
             raise TheoremViolationError(

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._version import __version__
 from .families import DivisorFamily
-from .lattice import Divisor, Signature, display_value, format_divisor
+from .lattice import (MAX_DIVISORS, Divisor, Signature, display_value,
+                      format_divisor)
 
 
 def document(command: str, parameters: dict, results: dict) -> dict:
@@ -39,9 +41,15 @@ def json_dumps(doc) -> str:
     The output is byte-identical to that call and ASCII-only.  Only what
     divint emits is accepted: dicts with str keys, lists, tuples, str, bool,
     int and None; anything else raises TypeError.
+
+    A container that appears several times in the document, such as the
+    shared `divisor_obj` dicts, is encoded once per indent: its text is
+    memoized by `(id(o), indent)` for the length of the call.  The document
+    keeps every subtree alive until the call returns, so no id is reused
+    within it; the memo is dropped on return.
     """
     parts: list[str] = []
-    _stream(doc, "\n", 0, parts)
+    _stream(doc, "\n", 0, parts, {})
     parts.append("\n")
     return "".join(parts)
 
@@ -68,31 +76,40 @@ def _container(o) -> tuple[str, str, list, list]:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _encode(o, indent: str) -> str:
-    """One value as a string; `indent` is the newline and indent of its line."""
+def _encode(o, indent: str, memo: dict) -> str:
+    """One value as a string; `indent` is the newline and indent of its line.
+
+    `memo` maps `(id(container), indent)` to the text already encoded.
+    """
     scalar = _SCALARS.get(type(o))
     if scalar is not None:
         return scalar(o)
-    opening, closing, labels, values = _container(o)
-    if not values:
-        return opening + closing
-    inner = indent + "  "
-    body = ("," + inner).join(
-        [label + _encode(v, inner) for label, v in zip(labels, values)])
-    return opening + inner + body + indent + closing
+    key = (id(o), indent)
+    text = memo.get(key)
+    if text is None:
+        opening, closing, labels, values = _container(o)
+        if values:
+            inner = indent + "  "
+            body = ("," + inner).join([label + _encode(v, inner, memo)
+                                       for label, v in zip(labels, values)])
+            text = opening + inner + body + indent + closing
+        else:
+            text = opening + closing
+        memo[key] = text
+    return text
 
 
-def _stream(o, indent: str, depth: int, parts: list[str]) -> None:
+def _stream(o, indent: str, depth: int, parts: list[str], memo: dict) -> None:
     """Append the pieces of `o` to `parts`, joining subtrees from a depth on."""
     if depth == _STREAMED_DEPTH or type(o) in _SCALARS or not o:
-        parts.append(_encode(o, indent))
+        parts.append(_encode(o, indent, memo))
         return
     opening, closing, labels, values = _container(o)
     inner = indent + "  "
     sep = opening + inner
     for label, v in zip(labels, values):
         parts.append(sep + label)
-        _stream(v, inner, depth + 1, parts)
+        _stream(v, inner, depth + 1, parts, memo)
         sep = "," + inner
     parts.append(indent + closing)
 
@@ -106,8 +123,14 @@ def csv_dumps(rows: list[dict], fieldnames: list[str]) -> str:
     return buf.getvalue()
 
 
+@lru_cache(maxsize=MAX_DIVISORS)
 def divisor_obj(d: Divisor, primes=None) -> dict:
-    """JSON shape of one divisor; `value` only under a concrete prime labeling."""
+    """JSON shape of one divisor; `value` only under a concrete prime labeling.
+
+    Cached: equal arguments get the same dict, so a listing holds one object
+    per divisor and `json_dumps` encodes it once.  The dict is shared and
+    must never be mutated.
+    """
     obj = {"exponents": list(d), "symbol": format_divisor(d)}
     if primes is not None:
         obj["value"] = display_value(d, primes)

@@ -159,6 +159,30 @@ def test_count_families_caps_and_bad_k():
         antichains.count_families(0)
 
 
+def test_count_walk_has_its_own_cap():
+    """Past COUNT_CAP the walk is refused whatever k_cap allows."""
+    with pytest.raises(ResourceLimitError, match="antichains.COUNT_CAP"):
+        antichains.count_families(antichains.COUNT_CAP + 1, k_cap=8)
+
+
+def test_each_antichain_is_taken_once(monkeypatch):
+    """The listing walk keeps each family's antichain from its sort, so the
+    families and the antichains on [6] take 2646 antichains, one each."""
+    calls = [0]
+    minimal_masks = antichains.minimal_masks
+
+    def counted(family):
+        calls[0] += 1
+        return minimal_masks(family)
+
+    monkeypatch.setattr(antichains, "minimal_masks", counted)
+    antichains._families_cached.cache_clear()
+    fams = antichains.enumerate_families(6)
+    chains = antichains.enumerate_antichains(6)
+    assert calls[0] == len(fams) == len(chains) == 2646
+    assert chains[:5] == tuple(minimal_masks(f) for f in fams[:5])
+
+
 def _all_pairs_minimal_masks(family):
     """Reference: members with no proper subset in the family, ascending."""
     return tuple(sorted(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,15 @@ def test_count_answers_past_the_listing_cap(env, capsys, monkeypatch):
     code, out, _ = run(["count", "--sig", "1,1,1,1,1,1,1"], capsys)
     assert code == 0
     assert out == "1422564\n"
+
+
+def test_count_walk_cap_refuses_at_once(env, capsys, monkeypatch):
+    monkeypatch.setenv("DIVINT_K_CAP", "8")
+    start = time.perf_counter()
+    code, _, err = run(["count", "--sig", "1,1,1,1,1,1,1,1"], capsys)
+    assert code == 3
+    assert "antichains.COUNT_CAP" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_honours_k_cap(env, capsys, monkeypatch):

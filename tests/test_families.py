@@ -181,6 +181,21 @@ def test_minimal_members_matches_all_pairs(case):
     assert families.minimal_members(fam) == minima_by_all_pairs(fam)
 
 
+def compatible_by_all_radicals(fam, sig):
+    """Reference: the non-empty masks meeting every radical of the family."""
+    rads = set(fam.radicals)
+    return [m for m in range(1, 1 << sig.n) if all(m & r for r in rads)]
+
+
+@given(lattice_families())
+@settings(deadline=None, max_examples=200)
+def test_compatible_masks_match_all_radicals(case):
+    """Any family, intersecting or not: the minimal radicals suffice."""
+    sig, fam = case
+    assert families._compatible_masks(fam, sig) == \
+        compatible_by_all_radicals(fam, sig)
+
+
 def test_referee_divides_call_counts(monkeypatch):
     calls = [0]
     divides = lattice.divides

@@ -1,4 +1,5 @@
 import itertools
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -125,6 +126,15 @@ def test_alpha_weight_multiplicative(sig, data):
     b = data.draw(st.integers(0, full)) & ~a
     assert (lattice.alpha_weight(a | b, sig)
             == lattice.alpha_weight(a, sig) * lattice.alpha_weight(b, sig))
+
+
+@given(signatures)
+def test_alpha_weights_table_is_the_product_over_bits(sig):
+    table = lattice.alpha_weights(sig)
+    assert table == tuple(
+        prod(a for i, a in enumerate(sig.alphas) if m >> i & 1)
+        for m in range(1 << sig.n))
+    assert lattice.alpha_weights(sig) is table
 
 
 @given(signatures)
