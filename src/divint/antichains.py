@@ -30,6 +30,10 @@ DEFAULT_K_CAP = 6
 # build the 7828352 upsets on [6], which pure Python does not finish.
 COUNT_CAP = 7
 
+# Largest ground the listing walk answers, whatever `k_cap` allows: k = 7
+# would materialize and sort 1422564 families of 64 masks each.
+LIST_CAP = 6
+
 
 def _check_k(k: int, k_cap: int) -> None:
     if k < 1:
@@ -85,6 +89,12 @@ def _families_cached(k: int) -> tuple[tuple[MaskFamily, ...],
                                       tuple[MaskFamily, ...]]:
     """The families on [k] and their generating antichains, in the order of
     `antichain_key`; each antichain is taken once, for the sort."""
+    if k > LIST_CAP:
+        raise ResourceLimitError(
+            f"k={k} exceeds the listing walk's cap of {LIST_CAP} "
+            f"(antichains.LIST_CAP, a fixed constant: past it the walk would "
+            f"hold millions of families; `count` still answers)"
+        )
     # F is fixed by G, its members without element k-1, an intersecting upset
     # on [k-1]: a mask m with element k-1 is in F exactly when full ^ m is not.
     half, full = 1 << (k - 1), (1 << k) - 1

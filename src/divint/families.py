@@ -76,8 +76,19 @@ class FamilyReport:
     extension_witness: Optional[Divisor] = None
 
 
-def check_intersecting(family: DivisorFamily) -> FamilyReport:
-    """Do all member pairs share a prime?  Witness: first violating pair."""
+def _minimal_radicals(family: DivisorFamily) -> tuple[Mask, ...]:
+    return antichains.minimal_masks(set(family.radicals))
+
+
+def _intersecting(family: DivisorFamily, mins: tuple[Mask, ...]) -> FamilyReport:
+    """check_intersecting, given the family's minimal radicals `mins`.
+
+    Every radical contains a minimal one, so the members pairwise share a
+    prime exactly when the minimal radicals pairwise meet.  Only a family
+    that fails is scanned pair by pair, to name its first coprime pair.
+    """
+    if all(a & b for a, b in itertools.combinations(mins, 2)):
+        return FamilyReport(is_intersecting=True)
     rads = family.radicals
     for i in range(len(rads)):
         for j in range(i + 1, len(rads)):
@@ -86,7 +97,19 @@ def check_intersecting(family: DivisorFamily) -> FamilyReport:
                     is_intersecting=False,
                     coprime_witness=(family.members[i], family.members[j]),
                 )
-    return FamilyReport(is_intersecting=True)
+    raise AssertionError("minimal radicals disjoint, yet no coprime pair")
+
+
+def check_intersecting(family: DivisorFamily) -> FamilyReport:
+    """Do all member pairs share a prime?  Witness: first violating pair."""
+    return _intersecting(family, _minimal_radicals(family))
+
+
+def _meeting(mins: tuple[Mask, ...], sig: Signature) -> list[Mask]:
+    masks = range(1, 1 << sig.n)
+    for r in mins:
+        masks = [m for m in masks if m & r]
+    return list(masks)
 
 
 def _compatible_masks(family: DivisorFamily, sig: Signature) -> list[Mask]:
@@ -97,18 +120,16 @@ def _compatible_masks(family: DivisorFamily, sig: Signature) -> list[Mask]:
     against the minimal radicals: every radical contains a minimal one, so a
     mask meets them all exactly when it meets the minimal ones.
     """
-    masks = range(1, 1 << sig.n)
-    for r in antichains.minimal_masks(set(family.radicals)):
-        masks = [m for m in masks if m & r]
-    return list(masks)
+    return _meeting(_minimal_radicals(family), sig)
 
 
 def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
     """Full predicate: intersecting and admitting no further divisor of N."""
-    base = check_intersecting(family)
+    mins = _minimal_radicals(family)
+    base = _intersecting(family, mins)
     if not base.is_intersecting:
         return FamilyReport(False, False, coprime_witness=base.coprime_witness)
-    compatible = _compatible_masks(family, sig)
+    compatible = _meeting(mins, sig)
     weights = lattice.alpha_weights(sig)
     if len(family) == sum(weights[m] for m in compatible):
         return FamilyReport(True, True)

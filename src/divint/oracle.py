@@ -26,6 +26,10 @@ from .lattice import Divisor, Mask, Signature
 
 DIRECT_DIVISOR_CAP = 500
 MATERIALIZE_CAP = 10_000
+# Most maximal cliques one Bron-Kerbosch search may list; past it the search
+# stops with exit 3.  The largest search of the test suite and the benchmark
+# lists 23936 (openprob 1^8, t=3).
+CLIQUE_CAP = 100_000
 
 METHODS = ("radical-lift", "direct-clique")
 
@@ -109,6 +113,9 @@ def maximal_cliques(rads: list[Mask]) -> list[int]:
     Vertex i has radical rads[i]; cliques are vertex bitmasks.  Bron-Kerbosch
     with pivoting under a degeneracy outer order, run on an explicit stack so
     that depth is bounded by memory, not by the interpreter's recursion limit.
+    The pivot is the lowest vertex of P | X with the most neighbours in P.  A
+    search that would list more than CLIQUE_CAP cliques raises
+    ResourceLimitError.
     """
     nv = len(rads)
     adj = [0] * nv
@@ -126,16 +133,29 @@ def maximal_cliques(rads: list[Mask]) -> list[int]:
             r, p, x = stack.pop()
             if not p and not x:
                 cliques.append(r)
+                if len(cliques) > CLIQUE_CAP:
+                    raise ResourceLimitError(
+                        f"the clique search lists more than {CLIQUE_CAP} "
+                        f"maximal cliques (oracle.CLIQUE_CAP, a fixed constant)"
+                    )
                 continue
-            pivot = max(
-                lattice.iter_bits(p | x), key=lambda w: (p & adj[w]).bit_count()
-            )
+            best, pivot, rest = -1, 0, p | x
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                deg = (p & adj[u]).bit_count()
+                if deg > best:
+                    best, pivot = deg, u
+                rest ^= low
             children = []
-            for w in lattice.iter_bits(p & ~adj[pivot]):
-                wbit = 1 << w
-                children.append((r | wbit, p & adj[w], x & adj[w]))
-                p ^= wbit
-                x |= wbit
+            rest = p & ~adj[pivot]
+            while rest:
+                low = rest & -rest
+                row = adj[low.bit_length() - 1]
+                children.append((r | low, p & row, x & row))
+                p ^= low
+                x |= low
+                rest ^= low
             stack.extend(reversed(children))  # visit in ascending order
         done |= bit
     return cliques

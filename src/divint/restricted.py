@@ -4,10 +4,17 @@ Fix t >= 2 and keep only the divisors with exactly t distinct prime factors
 (omega mode) or exactly t prime factors counted with multiplicity (bigomega
 mode).  These solvers exhaustively enumerate the maximal pairwise-non-coprime
 families inside that universe and report the minimum size, how many families
-attain it, and the attaining families themselves.  No closed form for these
-minima is known; the output is data, cross-checked rather than compared to a
-formula: every search runs twice under independent vertex orders, and every
-witness is re-verified by direct extension tests.
+attain it, and the attaining families themselves.
+
+Whether a divisor can join a family depends only on its radical, so the
+clique search runs on the universe's distinct radicals, each weighted by the
+number of divisors that share it; a maximal clique takes every divisor of a
+radical or none.  Only the cliques of the minimum weight are lifted to
+divisor families.  No closed form for these minima is known; the output is
+data, cross-checked rather than compared to a formula: every search runs
+twice under independent vertex orders and the two complete clique sets must
+agree, and every witness is re-verified on the full universe by direct
+extension tests.
 
 Maximality defaults to the restricted reading (no divisor from the same
 universe can be added).  The global reading (no divisor of N at all can be
@@ -23,7 +30,7 @@ from typing import Optional
 from . import families, lattice, oracle
 from .errors import DivintError, ResourceLimitError
 from .families import DivisorFamily
-from .lattice import Divisor, Signature
+from .lattice import Divisor, Mask, Signature
 
 UNIVERSE_CAP = 300
 MODES = ("omega", "bigomega")
@@ -97,20 +104,27 @@ def build_universe(sig: Signature, mode: str, t: int,
     return RestrictedUniverse(sig, mode, t, members)
 
 
-def _cliques_two_orders(universe: tuple[Divisor, ...]) -> list[frozenset[int]]:
-    """Maximal cliques of the non-coprimality graph, as member-index sets.
+def _twin_classes(universe: tuple[Divisor, ...]
+                  ) -> tuple[list[Mask], list[tuple[Divisor, ...]]]:
+    """The universe grouped by radical: distinct radicals in order of first
+    appearance, and the members of each, in universe order."""
+    classes: dict[Mask, list[Divisor]] = {}
+    for d in universe:
+        classes.setdefault(lattice.radical(d), []).append(d)
+    return list(classes), [tuple(c) for c in classes.values()]
+
+
+def _cliques_two_orders(rads: list[Mask]) -> set[int]:
+    """Maximal cliques of the non-coprimality graph, as vertex bitmasks.
 
     The search runs under ascending and descending vertex orders and the two
-    results must agree exactly; a mismatch means the search itself is broken
-    and is raised rather than reported as data.
+    complete clique sets must agree exactly; a mismatch means the search
+    itself is broken and is raised rather than reported as data.
     """
-    rads = [lattice.radical(d) for d in universe]
-    asc = {
-        frozenset(lattice.iter_bits(c)) for c in oracle.maximal_cliques(rads)
-    }
-    flip = len(rads) - 1
+    asc = set(oracle.maximal_cliques(rads))
+    width = f"0{len(rads)}b"  # vertex v of the reversed order is nv-1-v
     desc = {
-        frozenset(flip - v for v in lattice.iter_bits(c))
+        int(format(c, width)[::-1], 2)
         for c in oracle.maximal_cliques(rads[::-1])
     }
     if asc != desc:
@@ -118,7 +132,7 @@ def _cliques_two_orders(universe: tuple[Divisor, ...]) -> list[frozenset[int]]:
             "clique searches under two vertex orders disagree; "
             "the enumeration engine is unsound"
         )
-    return sorted(asc, key=lambda s: sorted(s))
+    return asc
 
 
 def _verify_witness(fam: DivisorFamily, universe: RestrictedUniverse) -> None:
@@ -162,29 +176,43 @@ def solve_restricted(
             f"universe has {len(universe)} divisors, above the cap of "
             f"{universe_cap} (override with universe_cap)"
         )
-    cliques = _cliques_two_orders(universe.members)
-    fams = [
-        DivisorFamily(universe.members[v] for v in idxs) for idxs in cliques
-    ]
-    if maximality == "global":
-        fams = [
-            f for f in fams if families.check_maximal(f, sig).is_maximal
-        ]
-        if not fams:
+    # Twins: divisors with one radical have the same neighbours and meet
+    # each other, so a maximal clique takes a whole radical class or none of
+    # it.  The search runs on the distinct radicals; a clique weighs the
+    # sizes of its classes and lifts to the divisors class by class.
+    rads, classes = _twin_classes(universe.members)
+    of_size: dict[int, int] = {}  # class size -> the classes of that size
+    for v, members in enumerate(classes):
+        of_size[len(members)] = of_size.get(len(members), 0) | 1 << v
+    by_weight: dict[int, list[int]] = {}
+    for c in _cliques_two_orders(rads):
+        weight = sum(n * (c & m).bit_count() for n, m in of_size.items())
+        by_weight.setdefault(weight, []).append(c)
+
+    def lift(c: int) -> DivisorFamily:
+        return DivisorFamily(d for v in lattice.iter_bits(c)
+                             for d in classes[v])
+
+    if maximality == "restricted":
+        value = min(by_weight)
+        attaining = [lift(c) for c in by_weight[value]]
+        for f in attaining:
+            _verify_witness(f, universe)
+    else:
+        # the lightest cliques maximal among all divisors of N, if any; the
+        # filter is itself the full re-check of each witness
+        for value in sorted(by_weight):
+            attaining = [
+                f for f in map(lift, by_weight[value])
+                if families.check_maximal(f, sig).is_maximal
+            ]
+            if attaining:
+                break
+        else:
             return OpenProblemResult(sig, mode, t, maximality,
                                      "no-maximal-family", 0, 0,
                                      len(universe), (), note)
-    value = min(len(f) for f in fams)
-    attaining = sorted(
-        (f for f in fams if len(f) == value), key=oracle.family_sort_key
-    )
-    for f in attaining:
-        if maximality == "restricted":
-            _verify_witness(f, universe)
-        else:
-            report = families.check_maximal(f, sig)
-            if not report.is_maximal:
-                raise DivintError("witness family failed the global re-check")
+    attaining.sort(key=oracle.family_sort_key)
     witnesses: Optional[tuple[DivisorFamily, ...]] = tuple(attaining)
     if sum(len(f) for f in attaining) > materialize_cap:
         witnesses = None

@@ -165,6 +165,17 @@ def test_count_walk_has_its_own_cap():
         antichains.count_families(antichains.COUNT_CAP + 1, k_cap=8)
 
 
+def test_listing_walk_has_its_own_cap():
+    """Past LIST_CAP the listing walks are refused whatever k_cap allows;
+    the count walk still answers there."""
+    k = antichains.LIST_CAP + 1
+    for walk in (antichains.enumerate_families,
+                 antichains.enumerate_antichains):
+        with pytest.raises(ResourceLimitError, match="antichains.LIST_CAP"):
+            walk(k, k_cap=k)
+    assert antichains.count_families(k, k_cap=k) == COUNT_7
+
+
 def test_each_antichain_is_taken_once(monkeypatch):
     """The listing walk keeps each family's antichain from its sort, so the
     families and the antichains on [6] take 2646 antichains, one each."""

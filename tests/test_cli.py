@@ -320,6 +320,28 @@ def test_count_walk_cap_refuses_at_once(env, capsys, monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_listing_walk_cap_refuses_at_once(env, capsys, monkeypatch):
+    monkeypatch.setenv("DIVINT_K_CAP", "7")
+    start = time.perf_counter()
+    code, _, err = run(["antichains", "--k", "7"], capsys)
+    assert code == 3
+    assert "antichains.LIST_CAP" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    # a universe of 252, under universe_cap
+    ["openprob", "--mode", "omega", "--t", "5", "--sig", ",".join("1" * 10)],
+    # 127 divisors, under divisor_cap; 1422564 maximal cliques
+    ["oracle", "--method", "direct-clique", "--sig", ",".join("1" * 7)],
+])
+def test_clique_cap_stops_a_runaway_search(env, capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "oracle.CLIQUE_CAP" in err
+
+
 def test_verify_honours_k_cap(env, capsys, monkeypatch):
     monkeypatch.setenv("DIVINT_K_CAP", "3")
     code, _, err = run(["verify", "--max-n", "4", "--max-exp", "1"], capsys)

@@ -181,6 +181,28 @@ def test_minimal_members_matches_all_pairs(case):
     assert families.minimal_members(fam) == minima_by_all_pairs(fam)
 
 
+def intersecting_by_all_pairs(fam):
+    """Reference: the first member pair, in canonical order, with coprime
+    radicals, or None."""
+    for i, a in enumerate(fam.members):
+        for b in fam.members[i + 1:]:
+            if not lattice.radical(a) & lattice.radical(b):
+                return a, b
+    return None
+
+
+@given(lattice_families())
+@settings(deadline=None, max_examples=200)
+def test_intersecting_check_matches_all_pairs(case):
+    """Any family: the minimal radicals decide, the witness is the first pair."""
+    sig, fam = case
+    pair = intersecting_by_all_pairs(fam)
+    for rep in (families.check_intersecting(fam),
+                families.check_maximal(fam, sig)):
+        assert rep.is_intersecting == (pair is None)
+        assert rep.coprime_witness == pair
+
+
 def compatible_by_all_radicals(fam, sig):
     """Reference: the non-empty masks meeting every radical of the family."""
     rads = set(fam.radicals)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from divint import oracle, restricted
+from divint import families, lattice, oracle, restricted
 from divint.errors import DivintError, ResourceLimitError
+from divint.families import DivisorFamily, FamilyReport, check_maximal
 from divint.lattice import Signature
 from divint.restricted import build_universe, solve_restricted, sweep_tables
 
@@ -217,3 +218,85 @@ def test_sweep_honours_universe_cap():
         "2,2", "1,1,1", "2,1,1", "2,2,1", "2,2,2"}
     assert all("universe_cap" in r["error"] for r in refused)
     assert all(r["universe_size"] is None for r in refused)
+
+
+def reference_cell(sig, mode, t, maximality):
+    """The full-universe solver: both vertex orders over every divisor of the
+    universe, and one family per maximal clique."""
+    universe = build_universe(sig, mode, t).members
+    if not universe:
+        return "empty-universe", 0, 0, 0, ()
+    rads = [lattice.radical(d) for d in universe]
+    asc = {frozenset(lattice.iter_bits(c))
+           for c in oracle.maximal_cliques(rads)}
+    flip = len(rads) - 1
+    desc = {frozenset(flip - v for v in lattice.iter_bits(c))
+            for c in oracle.maximal_cliques(rads[::-1])}
+    assert asc == desc
+    fams = [DivisorFamily(universe[v] for v in idxs) for idxs in asc]
+    if maximality == "global":
+        fams = [f for f in fams if check_maximal(f, sig).is_maximal]
+        if not fams:
+            return "no-maximal-family", 0, 0, len(universe), ()
+    value = min(len(f) for f in fams)
+    attaining = sorted((f for f in fams if len(f) == value),
+                       key=oracle.family_sort_key)
+    return "ok", value, len(attaining), len(universe), tuple(attaining)
+
+
+@pytest.mark.parametrize("maximality", restricted.MAXIMALITIES)
+@pytest.mark.parametrize("mode", restricted.MODES)
+def test_twin_quotient_matches_full_universe_search(mode, maximality):
+    for sig in lattice.signature_grid(4, 3):
+        for t in (2, 3):
+            res = solve_restricted(sig, mode, t, maximality=maximality)
+            assert (res.status, res.value, res.attaining_count,
+                    res.universe_size, res.witnesses) == \
+                reference_cell(sig, mode, t, maximality), (sig, t)
+
+
+def test_global_mode_takes_the_lightest_passing_cliques(monkeypatch):
+    """No cell of the grid has globally maximal cliques of two sizes, so a
+    stub that passes every clique pins the ascending scan: global mode must
+    then answer exactly as restricted mode."""
+    passed = FamilyReport(is_intersecting=True, is_maximal=True)
+    expected = {
+        (sig, mode): solve_restricted(sig, mode, 2)
+        for sig in lattice.signature_grid(4, 3) for mode in restricted.MODES
+    }
+    monkeypatch.setattr(families, "check_maximal", lambda f, sig: passed)
+    for (sig, mode), res in expected.items():
+        glob = solve_restricted(sig, mode, 2, maximality="global")
+        assert (glob.status, glob.value, glob.attaining_count,
+                glob.witnesses) == (res.status, res.value,
+                                    res.attaining_count, res.witnesses)
+
+
+def test_clique_search_runs_on_distinct_radicals(monkeypatch):
+    """p^a q^b, 1 <= a, b <= 3: nine divisors, one radical, one vertex."""
+    seen = []
+    real = oracle.maximal_cliques
+
+    def spy(rads):
+        seen.append(len(rads))
+        return real(rads)
+
+    monkeypatch.setattr(oracle, "maximal_cliques", spy)
+    res = solve_restricted(Signature((3, 3)), "omega", 2)
+    assert seen == [1, 1]
+    assert (res.value, res.attaining_count, res.universe_size) == (9, 1, 9)
+    assert len(res.witnesses[0]) == 9
+
+
+def test_clique_cap_refuses_a_search(monkeypatch):
+    # pairs from four primes: 4 stars and 4 triangles
+    sig = Signature((1, 1, 1, 1))
+    monkeypatch.setattr(oracle, "CLIQUE_CAP", 8)
+    assert solve_restricted(sig, "omega", 2).attaining_count == 8
+    monkeypatch.setattr(oracle, "CLIQUE_CAP", 7)
+    with pytest.raises(ResourceLimitError, match="oracle.CLIQUE_CAP"):
+        solve_restricted(sig, "omega", 2)
+    rows = sweep_tables(4, 1, [2], "omega")
+    assert [r["status"] for r in rows] == [
+        "empty-universe", "ok", "ok", "error"]
+    assert "oracle.CLIQUE_CAP" in rows[-1]["error"]
