@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import lattice
-from .errors import ResourceLimitError
+from .errors import limit_error
 
 MaskFamily = tuple[int, ...]
 
@@ -35,14 +35,15 @@ COUNT_CAP = 7
 LIST_CAP = 6
 
 
-def _check_k(k: int, k_cap: int) -> None:
+def _check_k(k: int, k_cap: int, walk_cap: int, name: str) -> None:
+    """Refuse a walk on [k] before it starts.  The walk's own fixed cap
+    binds whatever `k_cap` says, so it is named first."""
     if k < 1:
         raise ValueError(f"ground set must have at least one element, got k={k}")
+    if k > walk_cap:
+        raise limit_error("the ground size k, at any k_cap,", k, walk_cap, name)
     if k > k_cap:
-        raise ResourceLimitError(
-            f"k={k} exceeds the antichain enumeration cap of {k_cap} "
-            f"(raise k_cap via DIVINT_K_CAP or divisor-intersect.toml)"
-        )
+        raise limit_error("the ground size k", k, k_cap, "k_cap")
 
 
 def antichain_key(family: MaskFamily) -> tuple:
@@ -89,12 +90,6 @@ def _families_cached(k: int) -> tuple[tuple[MaskFamily, ...],
                                       tuple[MaskFamily, ...]]:
     """The families on [k] and their generating antichains, in the order of
     `antichain_key`; each antichain is taken once, for the sort."""
-    if k > LIST_CAP:
-        raise ResourceLimitError(
-            f"k={k} exceeds the listing walk's cap of {LIST_CAP} "
-            f"(antichains.LIST_CAP, a fixed constant: past it the walk would "
-            f"hold millions of families; `count` still answers)"
-        )
     # F is fixed by G, its members without element k-1, an intersecting upset
     # on [k-1]: a mask m with element k-1 is in F exactly when full ^ m is not.
     half, full = 1 << (k - 1), (1 << k) - 1
@@ -113,13 +108,7 @@ def _families_cached(k: int) -> tuple[tuple[MaskFamily, ...],
 def count_families(k: int, *, k_cap: int = DEFAULT_K_CAP) -> int:
     """Number of maximal intersecting families on [k] (OEIS A001206), unlisted:
     the number of intersecting upsets on [k-1]."""
-    _check_k(k, k_cap)
-    if k > COUNT_CAP:
-        raise ResourceLimitError(
-            f"k={k} exceeds the count walk's cap of {COUNT_CAP} "
-            f"(antichains.COUNT_CAP, a fixed constant: past it the walk "
-            f"builds more upsets than pure Python finishes)"
-        )
+    _check_k(k, k_cap, COUNT_CAP, "antichains.COUNT_CAP")
     if k == 1:
         return 1
     return sum(c.bit_count() for _, c in _intervals(upsets(k - 2), k - 2))
@@ -132,7 +121,7 @@ def enumerate_families(k: int, *,
     The order follows the canonical order of the generating antichains, so
     this list and `enumerate_antichains` correspond elementwise.
     """
-    _check_k(k, k_cap)
+    _check_k(k, k_cap, LIST_CAP, "antichains.LIST_CAP")
     return _families_cached(k)[0]
 
 
@@ -142,7 +131,7 @@ def enumerate_antichains(k: int, *,
 
     Sorted by cardinality, then lexicographically on the sorted mask lists.
     """
-    _check_k(k, k_cap)
+    _check_k(k, k_cap, LIST_CAP, "antichains.LIST_CAP")
     return _families_cached(k)[1]
 
 

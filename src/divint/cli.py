@@ -23,7 +23,8 @@ from . import antichains, extremal, families, lattice, matching, oracle
 from . import report, restricted, verify as verify_mod
 from ._version import __version__
 from .config import FORMATS, RunConfig, resolve_config
-from .errors import DivintError, ResourceLimitError, TheoremViolationError
+from .errors import (DivintError, ResourceLimitError, TheoremViolationError,
+                     limit_error)
 from .lattice import Signature
 
 
@@ -255,14 +256,11 @@ def _size_histogram(sizes) -> str:
     return " ".join(parts)
 
 
-def _listed(fams):
+def _listed(fams, cfg: RunConfig):
     """Families asked for by --list; None means the cap dropped them."""
     if fams is None:
-        raise ResourceLimitError(
-            "the families to list exceed the materialization cap; raise "
-            "materialize_cap via DIVINT_MATERIALIZE_CAP or "
-            "divisor-intersect.toml to list them"
-        )
+        raise limit_error("the member count of the families to list", None,
+                          cfg.materialize_cap, "materialize_cap")
     return fams
 
 
@@ -287,7 +285,7 @@ def cmd_oracle(args, cfg: RunConfig) -> Outcome:
         "sizes": list(rep.sizes),
     }
     if args.list:
-        fams = _listed(rep.families)
+        fams = _listed(rep.families, cfg)
         results["families"] = [report.family_obj(f, primes) for f in fams]
         for i, f in enumerate(fams, start=1):
             text.append(f"  [{i}] size {len(f)}: {_brace(_values(f, primes))}")
@@ -451,7 +449,7 @@ def cmd_openprob(args, cfg: RunConfig) -> Outcome:
             "note": res.note,
         }
         if args.list:
-            witnesses = _listed(res.witnesses)
+            witnesses = _listed(res.witnesses, cfg)
             results["witnesses"] = [
                 report.family_obj(w, primes) for w in witnesses
             ]
@@ -472,6 +470,7 @@ def cmd_openprob(args, cfg: RunConfig) -> Outcome:
     rows = restricted.sweep_tables(
         args.max_n, args.max_exp, ts, args.mode,
         maximality=args.maximality, universe_cap=cfg.universe_cap,
+        allow_t1=args.allow_t1,
     )
     text = [
         f"{letter}(N, t) sweep: n <= {args.max_n}, exponents <= "

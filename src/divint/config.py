@@ -22,12 +22,6 @@ CONFIG_FILENAME = "divisor-intersect.toml"
 ENV_PREFIX = "DIVINT_"
 FORMATS = ("text", "json", "csv")
 
-_INT_KEYS = frozenset(
-    {"threads", "k_cap", "divisor_cap", "materialize_cap", "universe_cap"}
-)
-_STR_KEYS = frozenset({"format"})
-KEYS = _INT_KEYS | _STR_KEYS
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -52,6 +46,12 @@ class RunConfig:
                 raise ValueError(
                     f"{f.name} must be positive, got {getattr(self, f.name)}"
                 )
+
+
+# The fields of RunConfig are the one list of knobs.
+KEYS = frozenset(f.name for f in fields(RunConfig))
+_INT_KEYS = frozenset(f.name for f in fields(RunConfig)
+                      if isinstance(f.default, int))
 
 
 def _coerce(key: str, value):

@@ -6,10 +6,32 @@ class DivintError(Exception):
 
 
 class ResourceLimitError(DivintError):
-    """A configured cap would be exceeded.
+    """A cap would be exceeded; built only by `limit_error`, whose message
+    names the cap and how, if at all, it can be raised."""
 
-    The message names the cap and how to override it.
+
+# Fixed caps that library callers can still lift, and the argument that does.
+_LIBRARY_ARGS = {"lattice.MAX_DIVISORS": "cap", "lattice.MAX_PRIMES": "max_primes"}
+
+
+def limit_error(what: str, value: int | None, limit: int,
+                name: str) -> ResourceLimitError:
+    """The refusal for `what`, which came to `value` against `limit`.
+
+    `value` is None when a walk stops at the cap without knowing its total.
+    `name` is either a `RunConfig` field, which the message tells how to
+    raise, or a dotted module constant such as `oracle.CLIQUE_CAP`.
     """
+    if "." not in name:
+        how = (f"raise {name} via DIVINT_{name.upper()} or {name} in "
+               f"divisor-intersect.toml")
+    elif name in _LIBRARY_ARGS:
+        how = (f"{name}, fixed for the command line; library callers may "
+               f"pass {_LIBRARY_ARGS[name]}")
+    else:
+        how = f"{name}, a fixed constant"
+    amount = "exceeds" if value is None else f"is {value}, above"
+    return ResourceLimitError(f"{what} {amount} the cap of {limit} ({how})")
 
 
 class TheoremViolationError(DivintError):

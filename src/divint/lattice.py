@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 
-from .errors import ResourceLimitError
+from .errors import limit_error
 
 # A divisor is an exponent tuple; a squarefree divisor is an int bitmask.
 Divisor = tuple[int, ...]
@@ -47,11 +47,8 @@ class Signature:
         if any(a < 1 for a in orig):
             raise ValueError(f"exponents must be positive, got {orig}")
         if len(orig) > max_primes:
-            raise ResourceLimitError(
-                f"{len(orig)} primes exceeds the cap of {max_primes} "
-                f"(lattice.MAX_PRIMES, fixed for the command line; library "
-                f"callers may pass max_primes)"
-            )
+            raise limit_error("the number of primes", len(orig), max_primes,
+                              "lattice.MAX_PRIMES")
         perm = tuple(sorted(range(len(orig)), key=lambda i: (-orig[i], i)))
         object.__setattr__(self, "alphas", tuple(orig[i] for i in perm))
         object.__setattr__(self, "original", orig)
@@ -93,11 +90,8 @@ def check_divisor_cap(sig: Signature, cap: int = MAX_DIVISORS) -> None:
     """Refuse a lattice with more than `cap` divisors before anything walks it."""
     count = sig.divisor_count()
     if count > cap:
-        raise ResourceLimitError(
-            f"lattice has {count} divisors, above the cap of {cap} "
-            f"(lattice.MAX_DIVISORS, fixed for the command line; library "
-            f"callers may pass cap)"
-        )
+        raise limit_error("the number of divisors in the lattice", count, cap,
+                          "lattice.MAX_DIVISORS")
 
 
 def enumerate_divisors(sig: Signature, cap: int = MAX_DIVISORS) -> list[Divisor]:

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import antichains, families, lattice
-from .errors import (PreconditionError, ResourceLimitError,
-                     TheoremViolationError)
+from .errors import PreconditionError, TheoremViolationError, limit_error
 from .families import DivisorFamily
 from .lattice import Mask, Signature
 
@@ -163,10 +162,8 @@ def all_upward_closed_families(k: int) -> list[UpwardClosedFamily]:
     `antichains.antichain_key`: antichain size, then the sorted antichain.
     """
     if k > GROUND_CAP:
-        raise ResourceLimitError(
-            f"listing every upward-closed family on {k} primes is capped at "
-            f"k={GROUND_CAP} (there are 7828352 at k=6)"
-        )
+        raise limit_error("the ground size k", k, GROUND_CAP,
+                          "matching.GROUND_CAP")
     full = (1 << k) - 1
     out = [tuple(m for m in range(1, full + 1) if bits >> m & 1)
            for bits in antichains.upsets(k)

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import antichains, lattice
 from .antichains import DEFAULT_K_CAP
-from .errors import ResourceLimitError, TheoremViolationError
+from .errors import TheoremViolationError, limit_error
 from .families import DivisorFamily
 from .lattice import Divisor, Mask, Signature
 
@@ -134,10 +134,8 @@ def maximal_cliques(rads: list[Mask]) -> list[int]:
             if not p and not x:
                 cliques.append(r)
                 if len(cliques) > CLIQUE_CAP:
-                    raise ResourceLimitError(
-                        f"the clique search lists more than {CLIQUE_CAP} "
-                        f"maximal cliques (oracle.CLIQUE_CAP, a fixed constant)"
-                    )
+                    raise limit_error("the number of maximal cliques", None,
+                                      CLIQUE_CAP, "oracle.CLIQUE_CAP")
                 continue
             best, pivot, rest = -1, 0, p | x
             while rest:
@@ -165,10 +163,8 @@ def _enumerate_direct(sig: Signature, divisor_cap: int,
                       materialize_cap: int) -> OracleReport:
     count = sig.divisor_count() - 1
     if count > divisor_cap:
-        raise ResourceLimitError(
-            f"direct-clique handles up to {divisor_cap} divisors, "
-            f"lattice has {count} (override with divisor_cap)"
-        )
+        raise limit_error("the number of divisors > 1 for direct-clique",
+                          count, divisor_cap, "divisor_cap")
     divisors = [
         d for d in lattice.enumerate_divisors(sig, cap=count + 1) if any(d)
     ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import families, lattice, oracle
-from .errors import DivintError, ResourceLimitError
+from .errors import DivintError, ResourceLimitError, limit_error
 from .families import DivisorFamily
 from .lattice import Divisor, Mask, Signature
 
@@ -172,10 +172,8 @@ def solve_restricted(
         return OpenProblemResult(sig, mode, t, maximality, "empty-universe",
                                  0, 0, 0, (), note)
     if len(universe) > universe_cap:
-        raise ResourceLimitError(
-            f"universe has {len(universe)} divisors, above the cap of "
-            f"{universe_cap} (override with universe_cap)"
-        )
+        raise limit_error("the number of divisors in the universe",
+                          len(universe), universe_cap, "universe_cap")
     # Twins: divisors with one radical have the same neighbours and meet
     # each other, so a maximal clique takes a whole radical class or none of
     # it.  The search runs on the distinct radicals; a clique weighs the
@@ -239,10 +237,10 @@ def cell_row(sig: Signature, mode: str, t: int, maximality: str,
 
 
 def _cell(sig: Signature, mode: str, t: int, maximality: str,
-          universe_cap: int) -> dict:
+          universe_cap: int, allow_t1: bool) -> dict:
     try:
         res = solve_restricted(sig, mode, t, maximality=maximality,
-                               universe_cap=universe_cap)
+                               universe_cap=universe_cap, allow_t1=allow_t1)
     except ResourceLimitError as exc:
         return cell_row(sig, mode, t, maximality, error=str(exc))
     return cell_row(sig, mode, t, maximality, res)
@@ -256,15 +254,16 @@ def sweep_tables(
     *,
     maximality: str = "restricted",
     universe_cap: int = UNIVERSE_CAP,
+    allow_t1: bool = False,
 ) -> list[dict]:
     """One row per (signature, t) over the grid, in deterministic order.
 
     Per-cell resource exhaustion is recorded in the row and the sweep
     continues; only malformed arguments abort.
     """
-    _validate(mode, min(t_values, default=2), maximality, allow_t1=False)
+    _validate(mode, min(t_values, default=2), maximality, allow_t1)
     return [
-        _cell(sig, mode, t, maximality, universe_cap)
+        _cell(sig, mode, t, maximality, universe_cap, allow_t1)
         for sig in lattice.signature_grid(max_n, max_exp)
         for t in sorted(set(t_values))
     ]

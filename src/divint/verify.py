@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from . import antichains, extremal, families, lattice, matching, oracle
 from .antichains import DEFAULT_K_CAP
-from .errors import DivintError, ResourceLimitError
+from .errors import DivintError, limit_error
 from .families import DivisorFamily
 from .lattice import Signature
 
@@ -58,6 +58,8 @@ CLAIMS = (
 )
 
 MATCHING_GROUND_CAP = 4
+# Most family members of one signature that the sweep holds to check them.
+MEMBER_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,10 @@ def _check_sig_claims(sig: Signature, k_cap: int) -> dict[str, dict]:
         out.setdefault(claim, {"status": "pass"})
 
     rep = oracle.enumerate_maximal_families(
-        sig, k_cap=k_cap, materialize_cap=10**7)
+        sig, k_cap=k_cap, materialize_cap=MEMBER_CAP)
     if rep.families is None:
-        raise ResourceLimitError(
-            f"signature {sig} is too large to verify family-by-family"
-        )
+        raise limit_error(f"the number of family members of {sig}",
+                          sum(rep.sizes), MEMBER_CAP, "verify.MEMBER_CAP")
     bound = lattice.min_size_bound(sig)
     sig_json = list(sig.alphas)
 

@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import ast
+import importlib
 import json
 import os
+import re
 import time
 from pathlib import Path
 
 import pytest
 
-from divint import cli, config, lattice
+from divint import cli, config, errors, lattice
 from divint._version import __version__
 
 
@@ -461,3 +464,146 @@ def test_lattice_cap_refuses_before_any_closure(env, capsys, monkeypatch):
         errors.append(err)
     assert built == []
     assert errors[0] == errors[1]
+
+
+def test_openprob_sweep_honours_allow_t1(env, capsys):
+    code, out, _ = run(["openprob", "--mode", "omega", "--max-n", "2",
+                        "--max-exp", "1", "--t", "1", "--allow-t1",
+                        "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["results"]["rows"]
+    assert [(r["signature"], r["t"], r["status"], r["value"]) for r in rows] \
+        == [("1", 1, "ok", 1), ("1,1", 1, "ok", 1)]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "divint"
+CAP_NOTE = re.compile(r"the cap of (\d+) \((?:raise (\w+) via|([a-z]+)\.(\w+),)")
+
+
+def _calls(name):
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == name:
+                yield node
+
+
+def _cap_names():
+    """Every cap name a refusal can carry: the literal `name` argument of
+    each `errors.limit_error` call, and of each `antichains._check_k` call,
+    which passes its walk's fixed cap on to the one non-literal call."""
+    names = set()
+    forwarded = 0
+    for fn in ("limit_error", "_check_k"):
+        for node in _calls(fn):
+            arg = node.args[3]
+            if isinstance(arg, ast.Constant):
+                names.add(arg.value)
+            else:
+                forwarded += 1
+    assert forwarded == 1
+    return names
+
+
+def _cap_value(name):
+    """The default of a knob or the value of a `module.CONST`."""
+    if "." not in name:
+        return getattr(config.RunConfig(), name)
+    module, const = name.split(".")
+    return getattr(importlib.import_module(f"divint.{module}"), const)
+
+
+def test_one_place_builds_a_resource_limit_error():
+    sites = list(_calls("ResourceLimitError"))
+    assert len(sites) == 1
+
+
+def test_limit_error_words_each_kind_of_cap():
+    for name in _cap_names():
+        msg = str(errors.limit_error("the count", 9, 8, name))
+        assert msg.startswith("the count is 9, above the cap of 8 (")
+        if "." in name:
+            assert isinstance(_cap_value(name), int)
+            assert "raise" not in msg
+        else:
+            assert name in config.KEYS
+            env_var = config.ENV_PREFIX + name.upper()
+            assert (f"raise {name} via {env_var} or {name} in "
+                    f"{config.CONFIG_FILENAME})") in msg
+    assert str(errors.limit_error("the count", None, 8, "oracle.CLIQUE_CAP")) \
+        == ("the count exceeds the cap of 8 "
+            "(oracle.CLIQUE_CAP, a fixed constant)")
+    assert "library callers may pass max_primes" in str(
+        errors.limit_error("the count", 9, 8, "lattice.MAX_PRIMES"))
+
+
+def test_readme_cap_table_matches_the_code():
+    """Each cap in the README's table is a knob or a constant with the
+    default shown, and every cap a refusal can name has a row."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    start = text.index("| walk | commands | cap | default |")
+    rows = []
+    for line in text[start:].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    table = {}
+    for _, _, cap, default, how in rows:
+        name = cap.strip("`")
+        assert _cap_value(name) == int(default), name
+        if "." not in name:
+            assert name in config.KEYS
+            assert f"`{config.ENV_PREFIX}{name.upper()}`" in how
+        table[name] = how
+    assert _cap_names() <= set(table)
+
+
+# Between them these commands reach every refusal site of the package.
+# `setup` holds DIVINT_* variables and `module.CONST` values to patch first.
+REFUSALS = [
+    (["antichains", "--k", "7"], {}),
+    (["oracle", "--sig", ",".join("1" * 7)], {}),
+    (["count", "--sig", ",".join("1" * 7)], {}),
+    (["count", "--sig", ",".join("1" * 8)], {}),
+    (["verify", "--max-n", "4", "--max-exp", "1"], {"DIVINT_K_CAP": "3"}),
+    (["matching", "--k", "6"], {}),
+    (["oracle", "--sig", "25,19", "--method", "direct-clique"], {}),
+    (["openprob", "--mode", "omega", "--sig", "20,20", "--t", "2"], {}),
+    (["openprob", "--mode", "omega", "--t", "5", "--sig", ",".join("1" * 10)],
+     {}),
+    (["oracle", "--sig", "1,1", "--list"], {"DIVINT_MATERIALIZE_CAP": "1"}),
+    (["openprob", "--mode", "omega", "--sig", "1,1,1", "--t", "2", "--list"],
+     {"DIVINT_MATERIALIZE_CAP": "1"}),
+    (["extremal", "--sig", "30,30,30,30", "--list"], {}),
+    (["bound", "--sig", ",".join("1" * 17)], {}),
+    (["verify", "--max-n", "2", "--max-exp", "1"], {"verify.MEMBER_CAP": 1}),
+]
+
+
+@pytest.mark.parametrize("argv,setup", REFUSALS,
+                         ids=[" ".join(a)[:40] for a, _ in REFUSALS])
+def test_no_refusal_points_at_a_knob_that_cannot_help(env, capsys,
+                                                      monkeypatch, argv,
+                                                      setup):
+    for key, value in setup.items():
+        if "." in key:
+            module, const = key.split(".")
+            monkeypatch.setattr(importlib.import_module(f"divint.{module}"),
+                                const, value)
+        else:
+            monkeypatch.setenv(key, value)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    stated, knob, module, const = CAP_NOTE.search(err).groups()
+    if knob is None:
+        assert _cap_value(f"{module}.{const}") == int(stated)
+        assert "raise" not in err
+        return
+    env_var = config.ENV_PREFIX + knob.upper()
+    assert knob in config.KEYS and env_var in err
+    assert getattr(config.resolve_config(), knob) == int(stated)
+    # Raising the knob it names must let the run through.  A second
+    # refusal on a fixed cap would mean the advice could not help.
+    monkeypatch.setenv(env_var, str(10**6))
+    assert run(argv, capsys)[0] == 0
