@@ -151,14 +151,6 @@ def minimal_masks(family: MaskFamily) -> MaskFamily:
     return tuple(sorted(keep))
 
 
-def mask_closure(antichain: MaskFamily, k: int) -> MaskFamily:
-    """Upward closure within the non-empty subsets of [k], ascending."""
-    return tuple(sorted(
-        m for m in range(1, 1 << k)
-        if any(m & t == t for t in antichain)
-    ))
-
-
 def antichain_conditions(sets: MaskFamily, k: int) -> tuple[bool, Optional[str]]:
     """Check the three generating-antichain conditions; name the first violated.
 
@@ -184,18 +176,3 @@ def antichain_conditions(sets: MaskFamily, k: int) -> tuple[bool, Optional[str]]
             return False, "c"
     return True, None
 
-
-def reference_families(k: int) -> tuple[MaskFamily, ...]:
-    """Slow independent enumeration: literal filter over all choice vectors.
-
-    Exponential in 2^k; used only to validate the Dedekind walk on small k.
-    """
-    full = (1 << k) - 1
-    reps = [s for s in range(1, full) if s < (full ^ s)]
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(reps)):
-        chosen = [full] + [s if b == 0 else full ^ s for s, b in zip(reps, bits)]
-        if all(a & b for a, b in itertools.combinations(chosen, 2)):
-            out.append(tuple(sorted(chosen)))
-    out.sort(key=antichain_key)
-    return tuple(out)

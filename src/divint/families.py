@@ -10,6 +10,7 @@ containing it could never be intersecting in a useful sense.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -24,16 +25,27 @@ class DivisorFamily:
     __slots__ = ("members", "radicals", "_member_set")
 
     def __init__(self, divisors: Iterable[Divisor]):
-        members = sorted({tuple(d) for d in divisors}, key=lattice.divisor_key)
-        for d in members:
-            if not any(d):
-                raise ValueError("divisor 1 cannot belong to a family")
-        object.__setattr__(self, "members", tuple(members))
-        object.__setattr__(self, "radicals", tuple(lattice.radical(d) for d in members))
-        object.__setattr__(self, "_member_set", frozenset(members))
+        # sorting the input as given is cheap when it comes in canonical
+        # order; only input with repeats is sorted again from the set
+        members = sorted(map(tuple, divisors), key=lattice.divisor_key)
+        member_set = frozenset(members)
+        if len(member_set) < len(members):
+            members = sorted(member_set, key=lattice.divisor_key)
+        members = tuple(members)
+        radicals = tuple(map(lattice.radical, members))
+        if 0 in radicals:  # only divisor 1 has the empty radical
+            raise ValueError("divisor 1 cannot belong to a family")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "radicals", radicals)
+        object.__setattr__(self, "_member_set", member_set)
 
     def __setattr__(self, name, value):
         raise AttributeError("DivisorFamily is immutable")
+
+    @property
+    def member_set(self) -> frozenset[Divisor]:
+        """The members as a frozenset, for set comparisons."""
+        return self._member_set
 
     def __contains__(self, d: Divisor) -> bool:
         return tuple(d) in self._member_set
@@ -55,9 +67,11 @@ class DivisorFamily:
 
     def squarefree_part(self) -> tuple[Mask, ...]:
         """Masks of the squarefree members, ascending."""
-        return tuple(sorted(
-            r for d, r in zip(self.members, self.radicals) if max(d) <= 1
-        ))
+        lengths = set(map(len, self.members))
+        squarefree = frozenset().union(
+            *map(lattice.squarefree_divisors, lengths))
+        return tuple(sorted(map(lattice.radical,
+                                self._member_set & squarefree)))
 
 
 @dataclass(frozen=True)
@@ -178,18 +192,40 @@ def minimal_members(family: DivisorFamily) -> DivisorFamily:
     return DivisorFamily(keep)
 
 
-def upward_closure(generators: DivisorFamily, sig: Signature) -> DivisorFamily:
-    """All divisors of N divisible by at least one generator.
+def predecessor_minima(family: DivisorFamily, sig: Signature) -> DivisorFamily:
+    """Minimal members of an upward-closed family of the `sig` lattice.
+
+    In an upward-closed family a member is minimal exactly when none of its
+    lower covers d / p_i is a member, so each member is tested against the
+    cached `lattice.predecessors` table only.  On any other family the result
+    holds every minimal member and maybe more; its upward closure is still
+    that of `minimal_members`.
+    """
+    members = family.members
+    lower = map(lattice.predecessors(sig).__getitem__, members)
+    return DivisorFamily(itertools.compress(
+        members, map(family.member_set.isdisjoint, lower)))
+
+
+def closure_members(generators: Iterable[Divisor],
+                    sig: Signature) -> set[Divisor]:
+    """The members of `upward_closure`, as a set.
 
     Each generator's multiples are enumerated directly as a product of
     exponent ranges, so no divisibility test runs.
     """
-    for t in generators.members:
-        if len(t) != sig.n or any(e > a for e, a in zip(t, sig.alphas)):
+    generators = list(generators)
+    for t in generators:
+        if len(t) != sig.n or not all(map(operator.le, t, sig.alphas)):
             raise ValueError(f"generator {t} does not divide the {sig} lattice")
     lattice.check_divisor_cap(sig)
+    tops = [a + 1 for a in sig.alphas]
     multiples: set[Divisor] = set()
-    for t in generators.members:
-        multiples.update(itertools.product(
-            *(range(e, a + 1) for e, a in zip(t, sig.alphas))))
-    return DivisorFamily(multiples)
+    for t in generators:
+        multiples.update(itertools.product(*map(range, t, tops)))
+    return multiples
+
+
+def upward_closure(generators: DivisorFamily, sig: Signature) -> DivisorFamily:
+    """All divisors of N divisible by at least one generator."""
+    return DivisorFamily(closure_members(generators.members, sig))

@@ -12,9 +12,11 @@ readable output.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
+from typing import Callable, Iterable, Iterator
 
 from .errors import limit_error
 
@@ -77,13 +79,12 @@ class Signature:
         return ",".join(str(a) for a in self.alphas)
 
 
-def divisor_key(d: Divisor) -> tuple[int, ...]:
-    """Canonical sort key: the first prime's exponent varies fastest.
-
-    Under this order p1 < p1^2 < ... < p2 < p1*p2 < ..., i.e. divisors
-    supported on earlier primes come first.
-    """
-    return d[::-1]
+# Canonical sort key: the first prime's exponent varies fastest.  Under this
+# order p1 < p1^2 < ... < p2 < p1*p2 < ..., i.e. divisors supported on
+# earlier primes come first.  The key is the reversed exponent tuple, taken
+# by a C-level callable because every family sorts its members by it.
+divisor_key: Callable[[Divisor], tuple[int, ...]] = \
+    operator.itemgetter(slice(None, None, -1))
 
 
 def check_divisor_cap(sig: Signature, cap: int = MAX_DIVISORS) -> None:
@@ -99,6 +100,40 @@ def enumerate_divisors(sig: Signature, cap: int = MAX_DIVISORS) -> list[Divisor]
     check_divisor_cap(sig, cap)
     axes = [range(a + 1) for a in reversed(sig.alphas)]
     return [t[::-1] for t in itertools.product(*axes)]
+
+
+# The per-signature divisor tables below are as large as the lattice, so
+# each keeps only the last signature asked for: the callers walk one
+# signature at a time.
+
+@lru_cache(maxsize=1)
+def _radical_table(sig: Signature) -> tuple[tuple[Divisor, ...],
+                                            tuple[Mask, ...]]:
+    divisors = tuple(enumerate_divisors(sig))
+    return divisors, tuple(map(radical, divisors))
+
+
+def divisors_on_radicals(sig: Signature,
+                         masks: Iterable[Mask]) -> Iterator[Divisor]:
+    """The divisors whose radical lies in `masks`, in canonical order.
+
+    Reads the lattice's divisors and their radicals from a cached table;
+    mask 0 stands for divisor 1.
+    """
+    divisors, radicals = _radical_table(sig)
+    return itertools.compress(divisors, map(set(masks).__contains__, radicals))
+
+
+@lru_cache(maxsize=1)
+def predecessors(sig: Signature) -> dict[Divisor, tuple[Divisor, ...]]:
+    """Each divisor's lower covers d / p_i, one per prime dividing d.
+
+    Cached; the table is shared by every caller.
+    """
+    return {
+        d: tuple(d[:i] + (e - 1,) + d[i + 1:] for i, e in enumerate(d) if e)
+        for d in enumerate_divisors(sig)
+    }
 
 
 def divides(a: Divisor, b: Divisor) -> bool:
@@ -123,6 +158,15 @@ def radical(d: Divisor) -> Mask:
         if e:
             m |= 1 << i
     return m
+
+
+@lru_cache(maxsize=MAX_PRIMES + 1)
+def squarefree_divisors(n: int) -> frozenset[Divisor]:
+    """Every squarefree divisor of an n-prime lattice, divisor 1 included.
+
+    Cached per n; the set is shared by every caller.
+    """
+    return frozenset(itertools.product((0, 1), repeat=n))
 
 
 def mask_to_divisor(mask: Mask, n: int) -> Divisor:

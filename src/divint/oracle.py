@@ -22,7 +22,7 @@ from . import antichains, lattice
 from .antichains import DEFAULT_K_CAP
 from .errors import TheoremViolationError, limit_error
 from .families import DivisorFamily
-from .lattice import Divisor, Mask, Signature
+from .lattice import Mask, Signature
 
 DIRECT_DIVISOR_CAP = 500
 MATERIALIZE_CAP = 10_000
@@ -54,7 +54,7 @@ class OracleReport:
 
 def family_sort_key(fam: DivisorFamily):
     """Canonical family order: lexicographic on the members' divisor keys."""
-    return tuple(lattice.divisor_key(d) for d in fam.members)
+    return tuple(map(lattice.divisor_key, fam.members))
 
 
 def _finish(sig: Signature, method: str, sizes: list[int],
@@ -77,19 +77,12 @@ def _finish(sig: Signature, method: str, sizes: list[int],
 def _enumerate_radical_lift(sig: Signature, k_cap: int,
                             materialize_cap: int) -> OracleReport:
     mask_families = antichains.enumerate_families(sig.n, k_cap=k_cap)
-    sizes = [
-        sum(lattice.alpha_weight(m, sig) for m in fam) for fam in mask_families
-    ]
+    weights = lattice.alpha_weights(sig)
+    sizes = [sum(map(weights.__getitem__, fam)) for fam in mask_families]
     if sum(sizes) > materialize_cap:
         return _finish(sig, "radical-lift", sizes, None)
-    by_radical: dict[Mask, list[Divisor]] = {}
-    for d in lattice.enumerate_divisors(sig):
-        if any(d):
-            by_radical.setdefault(lattice.radical(d), []).append(d)
-    built = [
-        DivisorFamily(d for m in fam for d in by_radical[m])
-        for fam in mask_families
-    ]
+    built = [DivisorFamily(lattice.divisors_on_radicals(sig, fam))
+             for fam in mask_families]
     return _finish(sig, "radical-lift", sizes, built)
 
 

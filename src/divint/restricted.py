@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import families, lattice, oracle
+from . import antichains, families, lattice, oracle
 from .errors import DivintError, ResourceLimitError, limit_error
 from .families import DivisorFamily
 from .lattice import Divisor, Mask, Signature
@@ -136,17 +136,24 @@ def _cliques_two_orders(rads: list[Mask]) -> set[int]:
 
 
 def _verify_witness(fam: DivisorFamily, universe: RestrictedUniverse) -> None:
-    """Independent re-check: in-universe, intersecting, unextendable there."""
+    """Independent re-check: in-universe, intersecting, unextendable there.
+
+    A divisor shares a prime with every member exactly when its radical
+    meets each minimal radical of the family, since every radical contains
+    a minimal one.
+    """
     allowed = set(universe.members)
     for d in fam:
         if d not in allowed:
             raise DivintError(f"witness member {d} lies outside the universe")
     if not families.check_intersecting(fam).is_intersecting:
         raise DivintError("witness family contains a coprime pair")
+    mins = antichains.minimal_masks(set(fam.radicals))
     for d in universe.members:
         if d in fam:
             continue
-        if all(not lattice.is_coprime(d, q) for q in fam):
+        r = lattice.radical(d)
+        if all(r & m for m in mins):
             raise DivintError(
                 f"witness family is not maximal in the universe: {d} extends it"
             )

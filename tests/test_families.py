@@ -237,3 +237,65 @@ def test_referee_divides_call_counts(monkeypatch):
     # first kept minimum below it: 15 above p1*p2, 7 more above p1*p3 and 7
     # above p2*p3 alone.  The all-pairs scan made 32 * 31 tests.
     assert calls[0] == 3 + 15 * 1 + 7 * 2 + 7 * 3
+
+
+@st.composite
+def upward_closed_families(draw):
+    """The upward closure of any family, in a lattice of up to 4 primes."""
+    sig, gens = draw(lattice_families())
+    return sig, families.upward_closure(gens, sig)
+
+
+@given(upward_closed_families())
+@settings(deadline=None, max_examples=200)
+def test_predecessor_minima_match_minimal_members(case):
+    sig, closed = case
+    assert families.predecessor_minima(closed, sig) == \
+        families.minimal_members(closed)
+
+
+@given(lattice_families())
+@settings(deadline=None, max_examples=200)
+def test_predecessor_minima_keep_the_closure_of_any_family(case):
+    """Off upward-closed input the predecessor test may keep extra members,
+    but never loses a minimal one, so the closure is unchanged."""
+    sig, fam = case
+    mins = families.minimal_members(fam)
+    kept = families.predecessor_minima(fam, sig)
+    assert mins.member_set <= kept.member_set <= fam.member_set
+    assert families.closure_members(kept, sig) == \
+        families.upward_closure(mins, sig).member_set
+
+
+def test_predecessor_minima_on_a_family_that_is_not_upward_closed():
+    # p1^2*p2 has neither lower cover p1*p2 nor p1^2 in the family, though
+    # p1 divides it
+    sig = Signature((2, 1))
+    fam = DivisorFamily([(1, 0), (2, 1)])
+    assert families.predecessor_minima(fam, sig) == fam
+    assert families.minimal_members(fam).members == ((1, 0),)
+
+
+@given(st.integers(0, 8))
+def test_family_rejects_divisor_one_of_any_length(n):
+    one = (0,) * n
+    with pytest.raises(ValueError, match="divisor 1"):
+        DivisorFamily([one])
+    if n:
+        with pytest.raises(ValueError, match="divisor 1"):
+            DivisorFamily([(1,) * n, one, (2,) + (0,) * (n - 1)])
+
+
+@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6)
+                .map(tuple).filter(any), max_size=20))
+@settings(deadline=None)
+def test_family_orders_members_by_reversed_exponents(divisors):
+    """Any tuples, of any lengths, in any order and with repeats."""
+    fam = DivisorFamily(divisors)
+    assert fam.members == tuple(sorted(set(divisors), key=lambda d: d[::-1]))
+    assert fam.radicals == tuple(lattice.radical(d) for d in fam.members)
+    assert fam.member_set == frozenset(divisors)
+    assert fam.squarefree_part() == tuple(sorted(
+        r for d, r in zip(fam.members, fam.radicals) if max(d) <= 1))
+    assert fam == DivisorFamily(reversed(divisors))
+    assert hash(fam) == hash(DivisorFamily(reversed(divisors)))

@@ -300,3 +300,52 @@ def test_clique_cap_refuses_a_search(monkeypatch):
     assert [r["status"] for r in rows] == [
         "empty-universe", "ok", "ok", "error"]
     assert "oracle.CLIQUE_CAP" in rows[-1]["error"]
+
+
+def verify_witness_by_tuples(fam, universe):
+    """Reference: the tuple-level re-check, every universe member against
+    every witness member."""
+    allowed = set(universe.members)
+    for d in fam:
+        if d not in allowed:
+            raise DivintError(f"witness member {d} lies outside the universe")
+    if not families.check_intersecting(fam).is_intersecting:
+        raise DivintError("witness family contains a coprime pair")
+    for d in universe.members:
+        if d in fam:
+            continue
+        if all(not lattice.is_coprime(d, q) for q in fam):
+            raise DivintError(
+                f"witness family is not maximal in the universe: {d} extends it"
+            )
+
+
+def _witness_verdict(check, fam, universe):
+    try:
+        check(fam, universe)
+    except DivintError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("mode", restricted.MODES)
+def test_witness_check_matches_tuple_referee(mode):
+    """Every witness of the grid passes both checks; with any one member
+    taken out, both name the same first extension."""
+    refusals = 0
+    for sig in lattice.signature_grid(4, 3):
+        for t in (2, 3):
+            res = solve_restricted(sig, mode, t)
+            universe = build_universe(sig, mode, t)
+            for fam in res.witnesses:
+                cases = [fam] + [DivisorFamily(d for d in fam if d != x)
+                                 for x in fam.members]
+                for case in cases:
+                    verdict = _witness_verdict(
+                        restricted._verify_witness, case, universe)
+                    assert verdict == _witness_verdict(
+                        verify_witness_by_tuples, case, universe)
+                    refusals += verdict is not None
+                assert _witness_verdict(
+                    restricted._verify_witness, fam, universe) is None
+    assert refusals > 0

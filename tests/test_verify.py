@@ -1,9 +1,13 @@
 """Tests for the self-check conformance sweep."""
 
+import dataclasses
+
 import pytest
 
-from divint import lattice, verify
+from divint import extremal, families, lattice, oracle, verify
 from divint.errors import ResourceLimitError
+from divint.families import DivisorFamily
+from divint.lattice import Signature
 from divint.verify import CLAIMS, run_verify
 
 
@@ -65,3 +69,104 @@ def test_k_cap_refusal_precedes_the_sweep(monkeypatch):
     monkeypatch.setattr(verify, "_check_sig_claims", boom)
     with pytest.raises(ResourceLimitError, match="k_cap"):
         run_verify(4, 1, k_cap=3)
+
+
+def test_member_cap_refusal_precedes_the_sweep(monkeypatch):
+    """The member total of every signature is known from the mask families,
+    so the first signature over the cap, in grid order, is refused before
+    any is checked: on the 6/4 grid that is 4,3,3,3,3,3."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a signature was checked before the refusal")
+
+    monkeypatch.setattr(verify, "_check_sig_claims", boom)
+    with pytest.raises(ResourceLimitError) as exc:
+        run_verify(6, 4)
+    assert str(exc.value) == (
+        "the number of family members of 4,3,3,3,3,3 is 12038086, above the "
+        "cap of 10000000 (verify.MEMBER_CAP, a fixed constant)")
+    monkeypatch.setattr(verify, "MEMBER_CAP", 44)
+    with pytest.raises(ResourceLimitError, match="of 2,2,1 is 45, above"):
+        run_verify(3, 2)
+
+
+def test_member_totals_are_the_lifted_family_sizes():
+    for sig in lattice.signature_grid(4, 3):
+        counts = verify._member_counts(sig.n, 6)
+        weights = lattice.alpha_weights(sig)
+        rep = oracle.enumerate_maximal_families(sig)
+        assert sum(c * w for c, w in zip(counts, weights)) == sum(rep.sizes)
+
+
+# p1 and p1^2*p2 in the 2,1 lattice: not upward closed, and p1^2*p2 has no
+# lower cover in the family, so the predecessor test keeps it as a minimum.
+NOT_UPWARD_CLOSED = DivisorFamily([(1, 0), (2, 1)])
+
+
+def test_a_family_that_is_not_upward_closed_fails_with_its_counterexamples(monkeypatch):
+    """The counterexamples are those of the general definitions: the closure
+    of the minimal members, and every divisor on the squarefree radicals."""
+    real = oracle.enumerate_maximal_families
+
+    def with_bad_family(sig, *args, **kwargs):
+        rep = real(sig, *args, **kwargs)
+        if sig != Signature((2, 1)):
+            return rep
+        return dataclasses.replace(
+            rep, families=rep.families + (NOT_UPWARD_CLOSED,))
+
+    monkeypatch.setattr(oracle, "enumerate_maximal_families", with_bad_family)
+    rows = {(r["claim"], r["subject"]): r for r in run_verify(2, 2).rows}
+    fam = [[1, 0], [2, 1]]
+    assert rows["minimal-closure-identity", "2,1"] == {
+        "claim": "minimal-closure-identity", "subject": "2,1",
+        "status": "fail", "counterexample": {
+            "signature": [2, 1], "family": fam,
+            "closure": [[1, 0], [2, 0], [1, 1], [2, 1]],
+        },
+    }
+    assert rows["radical-determination", "2,1"] == {
+        "claim": "radical-determination", "subject": "2,1",
+        "status": "fail", "counterexample": {
+            "signature": [2, 1], "family": fam, "rebuilt": [[1, 0], [2, 0]],
+        },
+    }
+    sig = Signature((2, 1))
+    closure = families.upward_closure(
+        families.minimal_members(NOT_UPWARD_CLOSED), sig)
+    rebuilt = DivisorFamily(d for d in lattice.enumerate_divisors(sig)
+                            if any(d) and lattice.radical(d) == 0b01)
+    assert [list(d) for d in closure] == [[1, 0], [2, 0], [1, 1], [2, 1]]
+    assert [list(d) for d in rebuilt] == [[1, 0], [2, 0]]
+    assert rows["minimal-closure-identity", "1,1"]["status"] == "pass"
+
+
+def test_sweep_work_counts(monkeypatch):
+    """run_verify(5, 2) takes no minimal members through the tuple-level
+    referee and tests no divisibility.  It builds 1575 families: the lift
+    and the predecessor minima of each of the 570 maximal families, and 435
+    generators and generator closures for extremal-agreement and
+    classification-equivalence."""
+    calls = {"families": 0, "minimal_members": 0, "divides": 0}
+    init = DivisorFamily.__init__
+    minimal_members = families.minimal_members
+    divides = lattice.divides
+
+    def counted_init(self, divisors):
+        calls["families"] += 1
+        init(self, divisors)
+
+    def counted_minimal_members(fam):
+        calls["minimal_members"] += 1
+        return minimal_members(fam)
+
+    def counted_divides(a, b):
+        calls["divides"] += 1
+        return divides(a, b)
+
+    monkeypatch.setattr(DivisorFamily, "__init__", counted_init)
+    monkeypatch.setattr(families, "minimal_members", counted_minimal_members)
+    monkeypatch.setattr(lattice, "divides", counted_divides)
+    extremal._generator_set.cache_clear()
+    rep = run_verify(5, 2)
+    assert rep.passed and len(rep.rows) == 209
+    assert calls == {"families": 1575, "minimal_members": 0, "divides": 0}
