@@ -16,6 +16,7 @@ This is the ground-truth referee for the rest of the package.  Two engines:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from . import antichains, lattice
@@ -52,9 +53,15 @@ class OracleReport:
     families: Optional[tuple[DivisorFamily, ...]]
 
 
+# One shared key tuple per divisor: the keys of a lattice's families then
+# hold references rather than copies, and equal members compare by identity.
+_shared_divisor_key = lru_cache(maxsize=lattice.MAX_DIVISORS)(
+    lattice.divisor_key)
+
+
 def family_sort_key(fam: DivisorFamily):
     """Canonical family order: lexicographic on the members' divisor keys."""
-    return tuple(map(lattice.divisor_key, fam.members))
+    return tuple(map(_shared_divisor_key, fam.members))
 
 
 def _finish(sig: Signature, method: str, sizes: list[int],

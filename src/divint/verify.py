@@ -265,12 +265,12 @@ def run_verify(max_n: int = 3, max_exp: int = 2, *,
                k_cap: int = DEFAULT_K_CAP) -> VerifyReport:
     """Run every claim over the grid; never raises on claim failure.
 
-    Every limit is checked before the first signature is swept: `k_cap` on
-    the largest ground, then each signature's member total, which the mask
-    families fix before any lift, against MEMBER_CAP in grid order.
+    Every limit is checked before the first signature is swept: the caps of
+    the Dedekind walk on each ground, then each signature's member total,
+    which the mask families fix before any lift, against MEMBER_CAP in grid
+    order.
     """
     grid = lattice.signature_grid(max_n, max_exp)
-    antichains.enumerate_families(max_n, k_cap=k_cap)
     counts = {n: _member_counts(n, k_cap) for n in range(1, max_n + 1)}
     for sig in grid:
         total = sum(map(operator.mul, counts[sig.n],
