@@ -67,11 +67,9 @@ class DivisorFamily:
 
     def squarefree_part(self) -> tuple[Mask, ...]:
         """Masks of the squarefree members, ascending."""
-        lengths = set(map(len, self.members))
-        squarefree = frozenset().union(
-            *map(lattice.squarefree_divisors, lengths))
-        return tuple(sorted(map(lattice.radical,
-                                self._member_set & squarefree)))
+        return tuple(sorted(
+            r for d, r in zip(self.members, self.radicals) if max(d) <= 1
+        ))
 
 
 @dataclass(frozen=True)
@@ -192,18 +190,19 @@ def minimal_members(family: DivisorFamily) -> DivisorFamily:
     return DivisorFamily(keep)
 
 
-def predecessor_minima(family: DivisorFamily, sig: Signature) -> DivisorFamily:
+def predecessor_minima(family: DivisorFamily,
+                       sig: Signature) -> tuple[Divisor, ...]:
     """Minimal members of an upward-closed family of the `sig` lattice.
 
     In an upward-closed family a member is minimal exactly when none of its
     lower covers d / p_i is a member, so each member is tested against the
     cached `lattice.predecessors` table only.  On any other family the result
     holds every minimal member and maybe more; its upward closure is still
-    that of `minimal_members`.
+    that of `minimal_members`.  Members come in canonical order.
     """
     members = family.members
     lower = map(lattice.predecessors(sig).__getitem__, members)
-    return DivisorFamily(itertools.compress(
+    return tuple(itertools.compress(
         members, map(family.member_set.isdisjoint, lower)))
 
 

@@ -160,15 +160,6 @@ def radical(d: Divisor) -> Mask:
     return m
 
 
-@lru_cache(maxsize=MAX_PRIMES + 1)
-def squarefree_divisors(n: int) -> frozenset[Divisor]:
-    """Every squarefree divisor of an n-prime lattice, divisor 1 included.
-
-    Cached per n; the set is shared by every caller.
-    """
-    return frozenset(itertools.product((0, 1), repeat=n))
-
-
 def mask_to_divisor(mask: Mask, n: int) -> Divisor:
     """The squarefree divisor with the given support."""
     return tuple((mask >> i) & 1 for i in range(n))

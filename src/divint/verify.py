@@ -87,10 +87,13 @@ def _check_sig_claims(sig: Signature, k_cap: int) -> dict[str, dict]:
     def ok(claim: str) -> None:
         out.setdefault(claim, {"status": "pass"})
 
-    # run_verify has checked the member total against MEMBER_CAP, so the
-    # families are always listed
+    # run_verify refuses an over-cap grid before the sweep; this refusal
+    # stands for any other caller
     rep = oracle.enumerate_maximal_families(
         sig, k_cap=k_cap, materialize_cap=MEMBER_CAP)
+    if rep.families is None:
+        raise limit_error(f"the number of family members of {sig}",
+                          sum(rep.sizes), MEMBER_CAP, "verify.MEMBER_CAP")
     bound = lattice.min_size_bound(sig)
     sig_json = list(sig.alphas)
 
@@ -181,16 +184,12 @@ def _check_sig_claims(sig: Signature, k_cap: int) -> dict[str, dict]:
                 "with_last": sorted(with_last), "lifted": sorted(lifted),
             })
 
-        # The predecessor minima are exact on an upward-closed family, and a
-        # family that is not upward closed fails either way; its
-        # counterexample is rebuilt from the general minimal members.
-        mins = families.predecessor_minima(fam, sig)
-        if families.closure_members(mins, sig) != fam.member_set:
-            closure = families.upward_closure(
-                families.minimal_members(fam), sig)
+        closure = families.closure_members(
+            families.predecessor_minima(fam, sig), sig)
+        if closure != fam.member_set:
             fail("minimal-closure-identity", {
                 "signature": sig_json, "family": _fam_json(fam),
-                "closure": _fam_json(closure),
+                "closure": _fam_json(DivisorFamily(closure)),
             })
 
         rebuilt = frozenset(lattice.divisors_on_radicals(sig, rads))

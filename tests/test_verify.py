@@ -89,6 +89,13 @@ def test_member_cap_refusal_precedes_the_sweep(monkeypatch):
         run_verify(3, 2)
 
 
+def test_a_signature_checked_alone_still_refuses_the_member_cap(monkeypatch):
+    monkeypatch.setattr(verify, "MEMBER_CAP", 44)
+    with pytest.raises(ResourceLimitError,
+                       match=r"of 2,2,1 is 45, .*verify\.MEMBER_CAP"):
+        verify._check_sig_claims(Signature((2, 2, 1)), 6)
+
+
 def test_member_totals_are_the_lifted_family_sizes():
     for sig in lattice.signature_grid(4, 3):
         counts = verify._member_counts(sig.n, 6)
@@ -142,10 +149,9 @@ def test_a_family_that_is_not_upward_closed_fails_with_its_counterexamples(monke
 
 def test_sweep_work_counts(monkeypatch):
     """run_verify(5, 2) takes no minimal members through the tuple-level
-    referee and tests no divisibility.  It builds 1575 families: the lift
-    and the predecessor minima of each of the 570 maximal families, and 435
-    generators and generator closures for extremal-agreement and
-    classification-equivalence."""
+    referee and tests no divisibility.  It builds 1005 families: the lift of
+    each of the 570 maximal families, and 435 generators and generator
+    closures for extremal-agreement and classification-equivalence."""
     calls = {"families": 0, "minimal_members": 0, "divides": 0}
     init = DivisorFamily.__init__
     minimal_members = families.minimal_members
@@ -169,4 +175,4 @@ def test_sweep_work_counts(monkeypatch):
     extremal._generator_set.cache_clear()
     rep = run_verify(5, 2)
     assert rep.passed and len(rep.rows) == 209
-    assert calls == {"families": 1575, "minimal_members": 0, "divides": 0}
+    assert calls == {"families": 1005, "minimal_members": 0, "divides": 0}
