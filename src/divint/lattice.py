@@ -140,13 +140,6 @@ def divides(a: Divisor, b: Divisor) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def is_coprime(a: Divisor, b: Divisor) -> bool:
-    """True iff the divisors share no prime."""
-    if len(a) != len(b):
-        raise ValueError("divisors come from different lattices")
-    return not any(x and y for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=MAX_DIVISORS)
 def radical(d: Divisor) -> Mask:
     """Support mask: bit i set iff prime i divides d.
@@ -163,14 +156,6 @@ def radical(d: Divisor) -> Mask:
 def mask_to_divisor(mask: Mask, n: int) -> Divisor:
     """The squarefree divisor with the given support."""
     return tuple((mask >> i) & 1 for i in range(n))
-
-
-def complement_bar(mask: Mask, sig: Signature) -> Mask:
-    """Complement within the squarefree lattice: the mask of N'/d for d | N'."""
-    full = (1 << sig.n) - 1
-    if mask & ~full:
-        raise ValueError(f"mask {mask:#b} has bits outside the {sig.n}-prime lattice")
-    return full ^ mask
 
 
 def alpha_weight(mask: Mask, sig: Signature) -> int:
@@ -207,17 +192,12 @@ def min_size_bound(sig: Signature) -> int:
 
 def omega(d: Divisor) -> int:
     """Number of distinct primes dividing d."""
-    return sum(1 for e in d if e)
+    return radical(d).bit_count()
 
 
 def big_omega(d: Divisor) -> int:
     """Number of prime factors of d counted with multiplicity."""
     return sum(d)
-
-
-def unit_divisor(i: int, n: int) -> Divisor:
-    """The i-th prime itself, as an exponent vector."""
-    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def iter_bits(mask: Mask):

@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import antichains, lattice
 from .antichains import DEFAULT_K_CAP
-from .errors import TheoremViolationError, limit_error
+from .errors import limit_error
 from .families import DivisorFamily
 from .lattice import Mask, Signature
 
@@ -29,7 +29,7 @@ DIRECT_DIVISOR_CAP = 500
 MATERIALIZE_CAP = 10_000
 # Most maximal cliques one Bron-Kerbosch search may list; past it the search
 # stops with exit 3.  The largest search of the test suite and the benchmark
-# lists 23936 (openprob 1^8, t=3).
+# lists 2646 (oracle --sig 1^6 --method direct-clique).
 CLIQUE_CAP = 100_000
 
 METHODS = ("radical-lift", "direct-clique")
@@ -193,25 +193,3 @@ def enumerate_maximal_families(
         return _enumerate_direct(sig, divisor_cap, materialize_cap)
     raise ValueError(f"unknown method {method!r}: expected one of {METHODS}")
 
-
-def minimum_family_size(sig: Signature, *,
-                        method: str = "radical-lift") -> tuple[int, int]:
-    """(smallest maximal-family size, number of families attaining it).
-
-    The smallest size is required to equal the closed-form minimum
-    ``min_size_bound``; any discrepancy is raised as a counterexample rather
-    than returned.
-    """
-    report = enumerate_maximal_families(sig, method)
-    bound = lattice.min_size_bound(sig)
-    if report.min_size != bound:
-        raise TheoremViolationError(
-            "exhaustive minimum disagrees with the closed-form minimum size",
-            counterexample={
-                "signature": list(sig.alphas),
-                "exhaustive_min": report.min_size,
-                "closed_form": bound,
-                "method": report.method,
-            },
-        )
-    return report.min_size, report.min_count

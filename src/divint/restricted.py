@@ -2,37 +2,64 @@
 
 Fix t >= 2 and keep only the divisors with exactly t distinct prime factors
 (omega mode) or exactly t prime factors counted with multiplicity (bigomega
-mode).  These solvers exhaustively enumerate the maximal pairwise-non-coprime
-families inside that universe and report the minimum size, how many families
-attain it, and the attaining families themselves.
+mode).  These solvers find the minimum size of a maximal pairwise-non-coprime
+family inside that universe, how many families attain it, and the attaining
+families themselves.
 
 Whether a divisor can join a family depends only on its radical, so the
-clique search runs on the universe's distinct radicals, each weighted by the
-number of divisors that share it; a maximal clique takes every divisor of a
-radical or none.  Only the cliques of the minimum weight are lifted to
-divisor families.  No closed form for these minima is known; the output is
-data, cross-checked rather than compared to a formula: every search runs
-twice under independent vertex orders and the two complete clique sets must
-agree, and every witness is re-verified on the full universe by direct
-extension tests.
+search runs on the universe's distinct radicals, each weighted by the number
+of divisors that share it; a maximal family takes every divisor of a radical
+or none.  Join two radicals when they are disjoint.  A maximal family is then
+an independent dominating set of this coprimality graph: its radicals meet
+pairwise, and every other radical misses one of them.  Under the restricted
+reading such a set is one independent dominating set per connected component,
+so the minimum is the sum of the component minima and the number of families
+attaining it is the product of the component counts.
+
+Each component is solved by an exact branch search that counts every
+minimum-weight set once.  It branches on the undominated vertex with the
+fewest possible dominators; its i-th branch takes the i-th of them and
+excludes the earlier ones, so each minimum set is found in the branch of its
+lowest-indexed dominator of that vertex.  A branch heavier than the best set
+found so far is cut, and so is one whose undominated vertices no free vertex
+covers cheaply enough per vertex to stay within that weight; ties are kept.
+`NODE_CAP` bounds the nodes of one cell.
+
+No closed form for these minima is known; the output is data, cross-checked
+rather than compared to a formula: every search runs twice, under ascending
+and reversed vertex orders, and the two runs must find the same weight and the
+same minimum sets in each component, and every minimum set is re-checked on
+the radicals themselves.  Radicals in different components always meet, so
+the per-component check is exact for the whole family, also when there are
+too many families to list.
 
 Maximality defaults to the restricted reading (no divisor from the same
 universe can be added).  The global reading (no divisor of N at all can be
-added) is also available; under it a universe may contain no admissible
-family, which is reported as a status rather than an error.
+added) is also available.  It does not split over components: one search
+runs on the whole graph, keeps only the sets whose families pass the full
+maximality check, and cuts against the lightest set kept.  Under it a universe
+may contain no admissible family, which is reported as a status rather than
+an error; a universe that lacks a divisor with every prime of N has none,
+and answers so without a search.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from . import antichains, families, lattice, oracle
+from . import families, lattice, oracle
 from .errors import DivintError, ResourceLimitError, limit_error
 from .families import DivisorFamily
 from .lattice import Divisor, Mask, Signature
 
 UNIVERSE_CAP = 300
+# Most search nodes one cell may visit, over both vertex orders and every
+# component; past it the cell exits 3.  The largest search of the test suite
+# visits 29763 nodes (openprob 1^9, t=3); the benchmark's, 10544 (1^8, t=3).
+NODE_CAP = 1_000_000
 MODES = ("omega", "bigomega")
 MAXIMALITIES = ("restricted", "global")
 ROW_FIELDS = ("signature", "n", "mode", "t", "maximality", "universe_size",
@@ -60,7 +87,7 @@ class OpenProblemResult:
     "no-maximal-family" (global maximality only: no subset of the universe is
     maximal among all divisors).  value and attaining_count are 0 outside
     "ok".  witnesses holds the minimum-size families, or None above the
-    materialization cap.
+    materialization cap.  nodes counts the search nodes the cell visited.
     """
 
     signature: Signature
@@ -73,6 +100,7 @@ class OpenProblemResult:
     universe_size: int
     witnesses: Optional[tuple[DivisorFamily, ...]]
     note: Optional[str] = None
+    nodes: int = 0
 
 
 def _validate(mode: str, t: int, maximality: str, allow_t1: bool) -> None:
@@ -114,49 +142,162 @@ def _twin_classes(universe: tuple[Divisor, ...]
     return list(classes), [tuple(c) for c in classes.values()]
 
 
-def _cliques_two_orders(rads: list[Mask]) -> set[int]:
-    """Maximal cliques of the non-coprimality graph, as vertex bitmasks.
+def _coprime_rows(rads: list[Mask]) -> list[int]:
+    """Adjacency rows of the coprimality graph, as vertex bitmasks: two
+    radicals are joined when they are disjoint."""
+    rows = [0] * len(rads)
+    for i, r in enumerate(rads):
+        for j in range(i + 1, len(rads)):
+            if not r & rads[j]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
 
-    The search runs under ascending and descending vertex orders and the two
-    complete clique sets must agree exactly; a mismatch means the search
-    itself is broken and is raised rather than reported as data.
+
+def _components(rows: list[int]) -> list[int]:
+    """Connected components as vertex bitmasks, ordered by lowest vertex."""
+    comps = []
+    left = (1 << len(rows)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in lattice.iter_bits(frontier):
+                reach |= rows[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
+def _lightest(rows: list[int], weights: list[int], within: int,
+              accept: Optional[Callable[[int], bool]],
+              spent: int) -> tuple[Optional[int], list[int], int]:
+    """Every minimum-weight independent dominating set of the graph induced
+    on `within`, among the sets that `accept` passes (all when it is None).
+
+    Returns the minimum weight (None when no set passes), the sets as vertex
+    bitmasks, and `spent` plus the nodes visited; past NODE_CAP nodes in all
+    the search stops.  Every set is found exactly once: a branch picks an
+    undominated vertex v, and its i-th child takes the i-th free vertex of
+    N[v] and excludes the earlier ones.
     """
-    asc = set(oracle.maximal_cliques(rads))
-    width = f"0{len(rads)}b"  # vertex v of the reversed order is nv-1-v
-    desc = {
-        int(format(c, width)[::-1], 2)
-        for c in oracle.maximal_cliques(rads[::-1])
-    }
-    if asc != desc:
-        raise DivintError(
-            "clique searches under two vertex orders disagree; "
-            "the enumeration engine is unsound"
-        )
-    return asc
-
-
-def _verify_witness(fam: DivisorFamily, universe: RestrictedUniverse) -> None:
-    """Independent re-check: in-universe, intersecting, unextendable there.
-
-    A divisor shares a prime with every member exactly when its radical
-    meets each minimal radical of the family, since every radical contains
-    a minimal one.
-    """
-    allowed = set(universe.members)
-    for d in fam:
-        if d not in allowed:
-            raise DivintError(f"witness member {d} lies outside the universe")
-    if not families.check_intersecting(fam).is_intersecting:
-        raise DivintError("witness family contains a coprime pair")
-    mins = antichains.minimal_masks(set(fam.radicals))
-    for d in universe.members:
-        if d in fam:
+    closed = [row | 1 << v for v, row in enumerate(rows)]
+    best, found = math.inf, []
+    stack = [(0, 0, 0, 0)]  # chosen, dominated, excluded, weight
+    while stack:
+        chosen, dominated, excluded, weight = stack.pop()
+        if weight > best:
             continue
-        r = lattice.radical(d)
-        if all(r & m for m in mins):
-            raise DivintError(
-                f"witness family is not maximal in the universe: {d} extends it"
-            )
+        spent += 1
+        if spent > NODE_CAP:
+            raise limit_error("the number of search nodes", None, NODE_CAP,
+                              "restricted.NODE_CAP")
+        undominated = within & ~dominated
+        if not undominated:
+            if accept is None or accept(chosen):
+                if weight < best:
+                    best, found = weight, []
+                found.append(chosen)
+            continue
+        free = undominated & ~excluded
+        if best < math.inf:
+            # a further vertex u dominates at most |N[u] & undominated| of
+            # the `need` vertices for its weight; cut when no free vertex
+            # has a rate cheap enough to finish within `slack`
+            need, slack, rest = undominated.bit_count(), best - weight, free
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                if need * weights[u] <= \
+                        slack * (closed[u] & undominated).bit_count():
+                    break
+                rest ^= low
+            else:
+                continue
+        # branch on the undominated vertex with the fewest free dominators
+        options, fewest, rest = 0, math.inf, undominated
+        while rest:
+            low = rest & -rest
+            opts = closed[low.bit_length() - 1] & free
+            if opts.bit_count() < fewest:
+                options, fewest = opts, opts.bit_count()
+                if fewest <= 1:
+                    break
+            rest ^= low
+        children = []
+        while options:
+            low = options & -options
+            u = low.bit_length() - 1
+            children.append((chosen | low, dominated | closed[u], excluded,
+                             weight + weights[u]))
+            excluded |= low
+            options ^= low
+        stack.extend(reversed(children))  # visit in ascending order
+    return (None if best == math.inf else best), found, spent
+
+
+def _flip(mask: int, nv: int) -> int:
+    """The mask with vertex v renamed nv-1-v."""
+    return int(format(mask, f"0{nv}b")[::-1], 2)
+
+
+def _both_orders(rows: list[int], flipped: list[int], weights: list[int],
+                 within: int, accept: Optional[Callable[[int], bool]],
+                 spent: int) -> tuple[Optional[int], list[int], int]:
+    """`_lightest` under ascending and reversed vertex orders; `flipped` is
+    the graph with its vertices renamed by `_flip`.  The two runs must agree
+    on the weight and on the whole collection of minimum sets, each found
+    once; a mismatch means the search itself is broken and is raised rather
+    than reported as data."""
+    nv = len(rows)
+    value, sets, spent = _lightest(rows, weights, within, accept, spent)
+    rev_accept = (None if accept is None
+                  else lambda s: accept(_flip(s, nv)))
+    rev_value, rev_sets, spent = _lightest(flipped, weights[::-1],
+                                           _flip(within, nv), rev_accept,
+                                           spent)
+    mirrored = [_flip(s, nv) for s in rev_sets]
+    if (rev_value != value or len(set(sets)) != len(sets)
+            or sorted(mirrored) != sorted(sets)):
+        raise DivintError(
+            "searches under two vertex orders disagree or repeat a set; "
+            "the search is unsound"
+        )
+    return value, sets, spent
+
+
+def _check_witness(rads: list[Mask], within: int, chosen: int,
+                   classes: list[tuple[Divisor, ...]]) -> None:
+    """Re-check one minimum set on the radicals of `within`: the chosen
+    radicals meet pairwise, and every other radical misses one of them, so
+    no divisor of those radicals extends the family.  The first extension
+    named is the first in universe order."""
+    picked = [rads[v] for v in lattice.iter_bits(chosen)]
+    if any(not a & b for i, a in enumerate(picked) for b in picked[i + 1:]):
+        raise DivintError("witness family contains a coprime pair")
+    extensions = list(lattice.iter_bits(within & ~chosen))
+    for r in picked:
+        extensions = [v for v in extensions if rads[v] & r]
+    if extensions:
+        raise DivintError(
+            f"witness family is not maximal in the universe: "
+            f"{classes[extensions[0]][0]} extends it"
+        )
+
+
+def _holds_every_full_divisor(universe: RestrictedUniverse) -> bool:
+    """Whether the universe holds every divisor that all primes of N divide.
+
+    Such a divisor meets every divisor > 1, so a family maximal among all
+    divisors of N holds each of them.  A universe without them all has no
+    family maximal in the global reading, and no search is needed to say so.
+    """
+    sig = universe.signature
+    full = (1 << sig.n) - 1
+    held = sum(lattice.radical(d) == full for d in universe.members)
+    return held == lattice.alpha_weight(full, sig)
 
 
 def solve_restricted(
@@ -182,47 +323,51 @@ def solve_restricted(
         raise limit_error("the number of divisors in the universe",
                           len(universe), universe_cap, "universe_cap")
     # Twins: divisors with one radical have the same neighbours and meet
-    # each other, so a maximal clique takes a whole radical class or none of
-    # it.  The search runs on the distinct radicals; a clique weighs the
-    # sizes of its classes and lifts to the divisors class by class.
+    # each other, so a maximal family takes a whole radical class or none of
+    # it.  The search runs on the distinct radicals; a set weighs the sizes
+    # of its classes and lifts to the divisors class by class.
     rads, classes = _twin_classes(universe.members)
-    of_size: dict[int, int] = {}  # class size -> the classes of that size
-    for v, members in enumerate(classes):
-        of_size[len(members)] = of_size.get(len(members), 0) | 1 << v
-    by_weight: dict[int, list[int]] = {}
-    for c in _cliques_two_orders(rads):
-        weight = sum(n * (c & m).bit_count() for n, m in of_size.items())
-        by_weight.setdefault(weight, []).append(c)
+    weights = [len(c) for c in classes]
+    rows = _coprime_rows(rads)
+    flipped = [_flip(row, len(rows)) for row in reversed(rows)]
 
-    def lift(c: int) -> DivisorFamily:
-        return DivisorFamily(d for v in lattice.iter_bits(c)
+    def lift(chosen: int) -> DivisorFamily:
+        return DivisorFamily(d for v in lattice.iter_bits(chosen)
                              for d in classes[v])
 
+    spent = 0
     if maximality == "restricted":
-        value = min(by_weight)
-        attaining = [lift(c) for c in by_weight[value]]
-        for f in attaining:
-            _verify_witness(f, universe)
+        parts = []
+        for comp in _components(rows):
+            weight, sets, spent = _both_orders(rows, flipped, weights, comp,
+                                               None, spent)
+            for s in sets:
+                _check_witness(rads, comp, s, classes)
+            parts.append((weight, sets))
+        value = sum(weight for weight, _ in parts)
+        count = math.prod(len(sets) for _, sets in parts)
+        # the components are disjoint, so a sum of their sets is a union
+        chosen = (sum(combo)
+                  for combo in itertools.product(*(s for _, s in parts)))
     else:
-        # the lightest cliques maximal among all divisors of N, if any; the
-        # filter is itself the full re-check of each witness
-        for value in sorted(by_weight):
-            attaining = [
-                f for f in map(lift, by_weight[value])
-                if families.check_maximal(f, sig).is_maximal
-            ]
-            if attaining:
-                break
-        else:
+        value, chosen = None, []
+        if _holds_every_full_divisor(universe):
+            # the full maximality check of each lifted family is its re-check
+            value, chosen, spent = _both_orders(
+                rows, flipped, weights, (1 << len(rows)) - 1,
+                lambda s: families.check_maximal(lift(s), sig).is_maximal,
+                spent)
+        if value is None:
             return OpenProblemResult(sig, mode, t, maximality,
                                      "no-maximal-family", 0, 0,
-                                     len(universe), (), note)
-    attaining.sort(key=oracle.family_sort_key)
-    witnesses: Optional[tuple[DivisorFamily, ...]] = tuple(attaining)
-    if sum(len(f) for f in attaining) > materialize_cap:
-        witnesses = None
-    return OpenProblemResult(sig, mode, t, maximality, "ok", value,
-                             len(attaining), len(universe), witnesses, note)
+                                     len(universe), (), note, spent)
+        count = len(chosen)
+    witnesses = None
+    if count * value <= materialize_cap:
+        witnesses = tuple(sorted(map(lift, chosen),
+                                 key=oracle.family_sort_key))
+    return OpenProblemResult(sig, mode, t, maximality, "ok", value, count,
+                             len(universe), witnesses, note, spent)
 
 
 def cell_row(sig: Signature, mode: str, t: int, maximality: str,

@@ -333,8 +333,8 @@ def test_listing_walk_cap_refuses_at_once(env, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    # a universe of 252, under universe_cap
-    ["openprob", "--mode", "omega", "--t", "5", "--sig", ",".join("1" * 10)],
+    # 191 divisors, under divisor_cap; more maximal cliques than CLIQUE_CAP
+    ["oracle", "--method", "direct-clique", "--sig", "2," + ",".join("1" * 6)],
     # 127 divisors, under divisor_cap; 1422564 maximal cliques
     ["oracle", "--method", "direct-clique", "--sig", ",".join("1" * 7)],
 ])
@@ -343,6 +343,32 @@ def test_clique_cap_stops_a_runaway_search(env, capsys, argv):
     assert code == 3
     assert out == ""
     assert "oracle.CLIQUE_CAP" in err
+
+
+def test_node_cap_stops_a_runaway_search(env, capsys):
+    # the odd graph O_5: 126 radicals, one component, no answer in the budget
+    start = time.perf_counter()
+    code, out, err = run(["openprob", "--mode", "omega", "--t", "4",
+                          "--sig", ",".join("1" * 9)], capsys)
+    assert (code, out) == (3, "")
+    assert "restricted.NODE_CAP" in err
+    assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_openprob_answers_squarefree_at_twice_t(env, capsys, n):
+    """n = 2t primes: C(2t-1, t-1) complementary pairs, one set of each."""
+    t = n // 2
+    start = time.perf_counter()
+    code, out, _ = run(["openprob", "--mode", "omega", "--t", str(t),
+                        "--sig", ",".join("1" * n), "--format", "json"],
+                       capsys)
+    assert code == 0
+    res = json.loads(out)["results"]
+    pairs = {8: 35, 10: 126}[n]
+    assert (res["status"], res["value"], res["attaining_count"]) == \
+        ("ok", pairs, 2 ** pairs)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_honours_k_cap(env, capsys, monkeypatch):
@@ -571,7 +597,8 @@ REFUSALS = [
     (["oracle", "--sig", "25,19", "--method", "direct-clique"], {}),
     (["openprob", "--mode", "omega", "--sig", "20,20", "--t", "2"], {}),
     (["openprob", "--mode", "omega", "--t", "5", "--sig", ",".join("1" * 10)],
-     {}),
+     {"restricted.NODE_CAP": 100}),
+    (["oracle", "--method", "direct-clique", "--sig", ",".join("1" * 7)], {}),
     (["oracle", "--sig", "1,1", "--list"], {"DIVINT_MATERIALIZE_CAP": "1"}),
     (["openprob", "--mode", "omega", "--sig", "1,1,1", "--t", "2", "--list"],
      {"DIVINT_MATERIALIZE_CAP": "1"}),

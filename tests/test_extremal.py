@@ -77,7 +77,7 @@ def test_flat_cap():
 def test_classify_extremal_deep():
     sig = Signature((2, 2))
     fam = families.upward_closure(
-        DivisorFamily([lattice.unit_divisor(0, 2)]), sig)
+        DivisorFamily([(1, 0)]), sig)
     verdict = extremal.classify(fam, sig)
     assert verdict.is_maximal and verdict.is_extremal
     assert verdict.matched == {"a", "b", "c"}
@@ -87,7 +87,7 @@ def test_classify_maximal_not_extremal():
     """Multiples of the large prime in (3,2): maximal but above minimum."""
     sig = Signature((3, 2))
     fam = families.upward_closure(
-        DivisorFamily([lattice.unit_divisor(0, 2)]), sig)
+        DivisorFamily([(1, 0)]), sig)
     assert len(fam) == 9
     verdict = extremal.classify(fam, sig)
     assert verdict.is_maximal and not verdict.is_extremal

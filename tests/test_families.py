@@ -105,7 +105,7 @@ def test_minimal_members():
 def test_upward_closure_sizes():
     sig = Signature((2, 1, 1, 1))
     one_prime = families.upward_closure(
-        DivisorFamily([lattice.unit_divisor(1, 4)]), sig)
+        DivisorFamily([(0, 1, 0, 0)]), sig)
     assert len(one_prime) == 12
     triple = families.upward_closure(DivisorFamily(
         [(0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)]), sig)

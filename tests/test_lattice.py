@@ -77,14 +77,6 @@ def test_enumerate_divisors_cap():
         lattice.enumerate_divisors(Signature((9,) * 6), cap=1000)
 
 
-def test_coprime():
-    assert lattice.is_coprime((1, 0), (0, 1))
-    assert not lattice.is_coprime((2, 1), (1, 0))
-    assert lattice.is_coprime((0, 0), (1, 1))
-    with pytest.raises(ValueError):
-        lattice.is_coprime((1, 0), (1, 0, 0))
-
-
 def test_radical():
     assert lattice.radical((2, 0, 1)) == 0b101
     assert lattice.radical((0, 0, 0)) == 0
@@ -94,22 +86,6 @@ def test_radical():
 @given(st.integers(0, 2**6 - 1))
 def test_mask_divisor_round_trip(mask):
     assert lattice.radical(lattice.mask_to_divisor(mask, 6)) == mask
-
-
-def test_complement_examples():
-    sig3 = Signature((1, 1, 1))
-    assert lattice.complement_bar(0b100, sig3) == 0b011
-    assert lattice.complement_bar(0b111, sig3) == 0b000
-    sig4 = Signature((1, 1, 1, 1))
-    assert lattice.complement_bar(0b0101, sig4) == 0b1010
-    with pytest.raises(ValueError):
-        lattice.complement_bar(0b1000, sig3)
-
-
-@given(signatures, st.data())
-def test_complement_involution(sig, data):
-    mask = data.draw(st.integers(0, (1 << sig.n) - 1))
-    assert lattice.complement_bar(lattice.complement_bar(mask, sig), sig) == mask
 
 
 def test_alpha_weight_examples():
@@ -166,7 +142,7 @@ def test_factor_counts():
 
 
 def test_unit_divisor_and_iter_bits():
-    assert lattice.unit_divisor(1, 3) == (0, 1, 0)
+    assert lattice.mask_to_divisor(1 << 1, 3) == (0, 1, 0)
     assert list(lattice.iter_bits(0b1011)) == [0, 1, 3]
     assert list(lattice.iter_bits(0)) == []
 

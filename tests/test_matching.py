@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divint import extremal, families, lattice, matching
+from divint import extremal, families, matching
 from divint.errors import PreconditionError, TheoremViolationError
 from divint.families import DivisorFamily
 from divint.lattice import Signature
@@ -147,7 +147,7 @@ def test_alpha_pairing_on_triangle_closure():
 def test_alpha_pairing_on_420_prime_family():
     sig = Signature((2, 1, 1, 1))
     fam = families.upward_closure(
-        DivisorFamily([lattice.unit_divisor(1, 4)]), sig)
+        DivisorFamily([(0, 1, 0, 0)]), sig)
     rep = matching.alpha_pairing(fam, sig)
     # squarefree members avoiding the last prime: p2, p1p2, p2p3, p1p2p3
     assert rep.members == (0b0010, 0b0011, 0b0110, 0b0111)
@@ -159,7 +159,7 @@ def test_alpha_pairing_on_420_prime_family():
 def test_alpha_pairing_last_prime_family_is_empty():
     sig = Signature((2, 2, 2))
     fam = families.upward_closure(
-        DivisorFamily([lattice.unit_divisor(2, 3)]), sig)
+        DivisorFamily([(0, 0, 1)]), sig)
     rep = matching.alpha_pairing(fam, sig)
     assert rep.members == ()
     assert rep.entries == ()
@@ -178,7 +178,7 @@ def test_alpha_pairing_excess_weight_matches_last_exponent():
 def test_alpha_pairing_rejects_non_minimum():
     sig = Signature((3, 2))
     fam = families.upward_closure(
-        DivisorFamily([lattice.unit_divisor(0, 2)]), sig)
+        DivisorFamily([(1, 0)]), sig)
     with pytest.raises(PreconditionError, match="minimum-size"):
         matching.alpha_pairing(fam, sig)
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divint import lattice, oracle
-from divint.errors import ResourceLimitError, TheoremViolationError
+from divint.errors import ResourceLimitError
 from divint.families import check_intersecting, check_maximal
 from divint.lattice import Signature, min_size_bound
-from divint.oracle import enumerate_maximal_families, minimum_family_size
+from divint.oracle import enumerate_maximal_families
 
 
 def test_single_prime_cube():
@@ -54,14 +54,14 @@ def test_three_squarefree_primes():
     rep = enumerate_maximal_families(Signature((1, 1, 1)))
     assert rep.total_maximal == 4
     assert rep.sizes == (4, 4, 4, 4)
-    assert minimum_family_size(Signature((1, 1, 1))) == (4, 4)
+    assert (rep.min_size, rep.min_count) == (4, 4)
 
 
 def test_four_squarefree_primes():
     rep = enumerate_maximal_families(Signature((1, 1, 1, 1)))
     assert rep.total_maximal == 12
     assert set(rep.sizes) == {8}
-    assert minimum_family_size(Signature((1, 1, 1, 1))) == (8, 12)
+    assert (rep.min_size, rep.min_count) == (8, 12)
 
 
 def test_census_420():
@@ -106,20 +106,9 @@ def test_every_reported_family_is_maximal(alphas):
 ])
 def test_minimum_matches_closed_form(alphas):
     sig = Signature(alphas)
-    size, count = minimum_family_size(sig)
-    assert size == min_size_bound(sig)
-    assert count >= 1
-
-
-def test_minimum_violation_is_reported(monkeypatch):
-    """Sabotage the closed form and check the discrepancy is raised."""
-    monkeypatch.setattr(oracle.lattice, "min_size_bound", lambda sig: 999)
-    with pytest.raises(TheoremViolationError) as exc:
-        minimum_family_size(Signature((2, 1)))
-    ce = exc.value.counterexample
-    assert ce["exhaustive_min"] == 3
-    assert ce["closed_form"] == 999
-    assert ce["signature"] == [2, 1]
+    rep = enumerate_maximal_families(sig)
+    assert rep.min_size == min_size_bound(sig)
+    assert rep.min_count >= 1
 
 
 def test_radical_lift_prime_cap():

@@ -1,8 +1,10 @@
 """Tests for the restricted-universe minimum solvers."""
 
+from math import comb
+
 import pytest
 
-from divint import families, lattice, oracle, restricted
+from divint import antichains, families, lattice, oracle, restricted
 from divint.errors import DivintError, ResourceLimitError
 from divint.families import DivisorFamily, FamilyReport, check_maximal
 from divint.lattice import Signature
@@ -109,6 +111,15 @@ def test_global_maximality_rejects_all_bounded_support():
     assert res.universe_size == 6
 
 
+def test_global_maximality_needs_every_full_divisor():
+    """p1...p8 meets every divisor > 1, so no family of 3- or 4-sets is
+    maximal among all divisors; that is known before any search."""
+    for t in (3, 4):
+        res = solve_restricted(Signature((1,) * 8), "omega", t,
+                               maximality="global")
+        assert (res.status, res.nodes) == ("no-maximal-family", 0)
+
+
 def test_global_maximality_can_succeed():
     # one prime, t=1: the universe is every divisor above 1, and that
     # whole set is trivially maximal in the full lattice
@@ -143,23 +154,32 @@ def test_witnesses_are_unextendable_in_universe():
             for d in uni.members:
                 if d in fam:
                     continue
-                from divint.lattice import is_coprime
                 assert any(is_coprime(d, q) for q in fam)
 
 
 def test_two_order_guard_catches_engine_faults(monkeypatch):
-    calls = {"n": 0}
-    real = oracle.maximal_cliques
+    """A search that loses one minimum set, finds one twice, or misreads
+    the weight, under the reversed order only is caught."""
+    real = restricted._lightest
+    faults = {
+        "a set lost": lambda value, sets: (value, sets[1:]),
+        "a set twice": lambda value, sets: (value, sets + sets[:1]),
+        "the weight": lambda value, sets: (value + 1, sets),
+    }
+    for fault in faults.values():
+        calls = {"n": 0}
 
-    def flaky(rads):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            return []
-        return real(rads)
+        def flaky(*args, fault=fault):
+            value, sets, spent = real(*args)
+            calls["n"] += 1
+            if calls["n"] == 2:
+                value, sets = fault(value, sets)
+            return value, sets, spent
 
-    monkeypatch.setattr(oracle, "maximal_cliques", flaky)
-    with pytest.raises(DivintError, match="unsound"):
-        solve_restricted(Signature((1, 1, 1)), "omega", 2)
+        monkeypatch.setattr(restricted, "_lightest", flaky)
+        # pairs from four primes: one component with 8 minimum sets
+        with pytest.raises(DivintError, match="unsound"):
+            solve_restricted(Signature((1, 1, 1, 1)), "omega", 2)
 
 
 def test_sweep_shape_and_order():
@@ -222,7 +242,7 @@ def test_sweep_honours_universe_cap():
 
 def reference_cell(sig, mode, t, maximality):
     """The full-universe solver: both vertex orders over every divisor of the
-    universe, and one family per maximal clique."""
+    universe, and one family per maximal Bron-Kerbosch clique."""
     universe = build_universe(sig, mode, t).members
     if not universe:
         return "empty-universe", 0, 0, 0, ()
@@ -247,8 +267,10 @@ def reference_cell(sig, mode, t, maximality):
 @pytest.mark.parametrize("maximality", restricted.MAXIMALITIES)
 @pytest.mark.parametrize("mode", restricted.MODES)
 def test_twin_quotient_matches_full_universe_search(mode, maximality):
-    for sig in lattice.signature_grid(4, 3):
-        for t in (2, 3):
+    grid = lattice.signature_grid(4, 3) + [
+        sig for sig in lattice.signature_grid(5, 2) if sig.n == 5]
+    for sig in grid:
+        for t in (2, 3, 4):
             res = solve_restricted(sig, mode, t, maximality=maximality)
             assert (res.status, res.value, res.attaining_count,
                     res.universe_size, res.witnesses) == \
@@ -265,6 +287,8 @@ def test_global_mode_takes_the_lightest_passing_cliques(monkeypatch):
         for sig in lattice.signature_grid(4, 3) for mode in restricted.MODES
     }
     monkeypatch.setattr(families, "check_maximal", lambda f, sig: passed)
+    monkeypatch.setattr(restricted, "_holds_every_full_divisor",
+                        lambda universe: True)
     for (sig, mode), res in expected.items():
         glob = solve_restricted(sig, mode, 2, maximality="global")
         assert (glob.status, glob.value, glob.attaining_count,
@@ -275,31 +299,91 @@ def test_global_mode_takes_the_lightest_passing_cliques(monkeypatch):
 def test_clique_search_runs_on_distinct_radicals(monkeypatch):
     """p^a q^b, 1 <= a, b <= 3: nine divisors, one radical, one vertex."""
     seen = []
-    real = oracle.maximal_cliques
+    real = restricted._lightest
 
-    def spy(rads):
-        seen.append(len(rads))
-        return real(rads)
+    def spy(rows, *args):
+        seen.append(len(rows))
+        return real(rows, *args)
 
-    monkeypatch.setattr(oracle, "maximal_cliques", spy)
+    monkeypatch.setattr(restricted, "_lightest", spy)
     res = solve_restricted(Signature((3, 3)), "omega", 2)
     assert seen == [1, 1]
     assert (res.value, res.attaining_count, res.universe_size) == (9, 1, 9)
     assert len(res.witnesses[0]) == 9
 
 
-def test_clique_cap_refuses_a_search(monkeypatch):
-    # pairs from four primes: 4 stars and 4 triangles
+def test_node_cap_refuses_a_search(monkeypatch):
+    # pairs from four primes: one component, searched under both orders
     sig = Signature((1, 1, 1, 1))
-    monkeypatch.setattr(oracle, "CLIQUE_CAP", 8)
+    nodes = solve_restricted(sig, "omega", 2).nodes
+    monkeypatch.setattr(restricted, "NODE_CAP", nodes)
     assert solve_restricted(sig, "omega", 2).attaining_count == 8
-    monkeypatch.setattr(oracle, "CLIQUE_CAP", 7)
-    with pytest.raises(ResourceLimitError, match="oracle.CLIQUE_CAP"):
+    monkeypatch.setattr(restricted, "NODE_CAP", nodes - 1)
+    with pytest.raises(ResourceLimitError, match="restricted.NODE_CAP"):
         solve_restricted(sig, "omega", 2)
     rows = sweep_tables(4, 1, [2], "omega")
     assert [r["status"] for r in rows] == [
         "empty-universe", "ok", "ok", "error"]
-    assert "oracle.CLIQUE_CAP" in rows[-1]["error"]
+    assert "restricted.NODE_CAP" in rows[-1]["error"]
+
+
+def test_search_nodes_are_a_fixed_count():
+    """The work of the benchmark's heavy cell, both orders together."""
+    res = solve_restricted(Signature((1,) * 8), "omega", 3)
+    assert (res.value, res.attaining_count, res.nodes) == (7, 240, 10544)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_below_twice_t_the_universe_is_the_one_family(n):
+    """With n < 2t any two t-sets meet: the whole universe is maximal."""
+    res = solve_restricted(Signature((1,) * n), "omega", 3)
+    assert (res.value, res.attaining_count) == (comb(n, 3), 1)
+    assert res.witnesses[0].members == build_universe(
+        Signature((1,) * n), "omega", 3).members
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_squarefree_at_twice_t_is_one_of_each_complementary_pair(t):
+    """n = 2t: a t-set misses only its complement, so a maximal family takes
+    one set of each of the C(2t-1, t-1) complementary pairs."""
+    pairs = comb(2 * t - 1, t - 1)
+    res = solve_restricted(Signature((1,) * (2 * t)), "omega", t)
+    assert (res.value, res.attaining_count) == (pairs, 2 ** pairs)
+    assert (res.witnesses is None) == (pairs * 2 ** pairs > 10_000)
+
+
+@pytest.mark.parametrize("n,count", [(7, 30), (9, 1080)])
+def test_fano_planes_are_the_t3_minimum(n, count):
+    """The lines of a Fano plane on 7 of the primes: 7!/168 = 30 labelled
+    planes per 7-set, C(n, 7) * 30 in all."""
+    res = solve_restricted(Signature((1,) * n), "omega", 3)
+    assert (res.value, res.attaining_count) == (7, comb(n, 7) * 30)
+
+
+def test_squares_at_twice_t_weigh_each_radical():
+    """2^8, t = 4: the squarefree answer with each radical weighing 2^4."""
+    sig = Signature((2,) * 8)
+    with pytest.raises(ResourceLimitError, match="universe_cap"):
+        solve_restricted(sig, "omega", 4)
+    res = solve_restricted(sig, "omega", 4, universe_cap=1120)
+    assert (res.value, res.attaining_count, res.universe_size) == \
+        (35 * 16, 2 ** 35, 1120)
+    assert res.witnesses is None
+
+
+def is_coprime(a, b):
+    """True iff the divisors share no prime."""
+    if len(a) != len(b):
+        raise ValueError("divisors come from different lattices")
+    return not any(x and y for x, y in zip(a, b))
+
+
+def test_coprime():
+    assert is_coprime((1, 0), (0, 1))
+    assert not is_coprime((2, 1), (1, 0))
+    assert is_coprime((0, 0), (1, 1))
+    with pytest.raises(ValueError):
+        is_coprime((1, 0), (1, 0, 0))
 
 
 def verify_witness_by_tuples(fam, universe):
@@ -314,15 +398,36 @@ def verify_witness_by_tuples(fam, universe):
     for d in universe.members:
         if d in fam:
             continue
-        if all(not lattice.is_coprime(d, q) for q in fam):
+        if all(not is_coprime(d, q) for q in fam):
             raise DivintError(
                 f"witness family is not maximal in the universe: {d} extends it"
             )
 
 
-def _witness_verdict(check, fam, universe):
+def verify_witness_by_minimal_radicals(fam, universe):
+    """Reference: each universe member's radical against the family's
+    minimal radicals; a divisor meets every member exactly when it meets
+    each minimal radical, since every radical contains a minimal one."""
+    allowed = set(universe.members)
+    for d in fam:
+        if d not in allowed:
+            raise DivintError(f"witness member {d} lies outside the universe")
+    if not families.check_intersecting(fam).is_intersecting:
+        raise DivintError("witness family contains a coprime pair")
+    mins = antichains.minimal_masks(set(fam.radicals))
+    for d in universe.members:
+        if d in fam:
+            continue
+        r = lattice.radical(d)
+        if all(r & m for m in mins):
+            raise DivintError(
+                f"witness family is not maximal in the universe: {d} extends it"
+            )
+
+
+def _witness_verdict(check, *args):
     try:
-        check(fam, universe)
+        check(*args)
     except DivintError as exc:
         return str(exc)
     return None
@@ -330,22 +435,34 @@ def _witness_verdict(check, fam, universe):
 
 @pytest.mark.parametrize("mode", restricted.MODES)
 def test_witness_check_matches_tuple_referee(mode):
-    """Every witness of the grid passes both checks; with any one member
-    taken out, both name the same first extension."""
+    """Every witness of the grid passes the mask-level check and both
+    referees.  With one radical class taken out, or one more put in, all
+    three give the same verdict, naming the same first extension."""
     refusals = 0
     for sig in lattice.signature_grid(4, 3):
         for t in (2, 3):
             res = solve_restricted(sig, mode, t)
             universe = build_universe(sig, mode, t)
+            rads, classes = restricted._twin_classes(universe.members)
+            every = (1 << len(rads)) - 1
+
+            def lift(chosen):
+                return DivisorFamily(d for v in lattice.iter_bits(chosen)
+                                     for d in classes[v])
+
             for fam in res.witnesses:
-                cases = [fam] + [DivisorFamily(d for d in fam if d != x)
-                                 for x in fam.members]
+                chosen = sum(1 << v for v, c in enumerate(classes)
+                             if c[0] in fam)
+                assert lift(chosen) == fam
+                cases = [chosen] + [chosen ^ 1 << v for v in range(len(rads))]
                 for case in cases:
-                    verdict = _witness_verdict(
-                        restricted._verify_witness, case, universe)
-                    assert verdict == _witness_verdict(
-                        verify_witness_by_tuples, case, universe)
+                    verdict = _witness_verdict(restricted._check_witness,
+                                               rads, every, case, classes)
+                    for referee in (verify_witness_by_tuples,
+                                    verify_witness_by_minimal_radicals):
+                        assert verdict == _witness_verdict(
+                            referee, lift(case), universe), (sig, t, case)
                     refusals += verdict is not None
-                assert _witness_verdict(
-                    restricted._verify_witness, fam, universe) is None
+                assert _witness_verdict(restricted._check_witness,
+                                        rads, every, chosen, classes) is None
     assert refusals > 0
