@@ -35,12 +35,17 @@ too many families to list.
 
 Maximality defaults to the restricted reading (no divisor from the same
 universe can be added).  The global reading (no divisor of N at all can be
-added) is also available.  It does not split over components: one search
-runs on the whole graph, keeps only the sets whose families pass the full
-maximality check, and cuts against the lightest set kept.  Under it a universe
-may contain no admissible family, which is reported as a status rather than
-an error; a universe that lacks a divisor with every prime of N has none,
-and answers so without a search.
+added) is also available, and needs no search.  A family maximal among all
+divisors of N takes, with each divisor, every divisor of the same radical, so
+it is the lift of a maximal intersecting family on [n]: 2^(n-1) radicals, the
+full one among them.  Inside a universe every lifted divisor has t prime
+factors, counted as the mode counts them.  The full radical forces t = n in
+omega mode and, in bigomega mode, every exponent 1 and again t = n; for
+n >= 2 any second radical has fewer primes.
+So a family exists exactly when the universe is every divisor > 1 of N, which
+happens only for n = 1, and the family is then the universe itself.  Any
+other universe is reported as a status, not an error: it has no family
+maximal among all divisors.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import families, lattice, oracle
 from .errors import DivintError, ResourceLimitError, limit_error
@@ -66,17 +71,6 @@ ROW_FIELDS = ("signature", "n", "mode", "t", "maximality", "universe_size",
               "status", "value", "attaining_count", "error")
 
 _COUNTERS = {"omega": lattice.omega, "bigomega": lattice.big_omega}
-
-
-@dataclass(frozen=True)
-class RestrictedUniverse:
-    signature: Signature
-    mode: str
-    t: int
-    members: tuple[Divisor, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ def _validate(mode: str, t: int, maximality: str, allow_t1: bool) -> None:
 
 
 def build_universe(sig: Signature, mode: str, t: int,
-                   allow_t1: bool = False) -> RestrictedUniverse:
+                   allow_t1: bool = False) -> tuple[Divisor, ...]:
     """All divisors with the requested factor count, in canonical order.
 
     An out-of-range t yields an empty universe, not an error; emptiness is a
@@ -126,10 +120,7 @@ def build_universe(sig: Signature, mode: str, t: int,
     """
     _validate(mode, t, "restricted", allow_t1)
     count = _COUNTERS[mode]
-    members = tuple(
-        d for d in lattice.enumerate_divisors(sig) if count(d) == t
-    )
-    return RestrictedUniverse(sig, mode, t, members)
+    return tuple(d for d in lattice.enumerate_divisors(sig) if count(d) == t)
 
 
 def _twin_classes(universe: tuple[Divisor, ...]
@@ -172,16 +163,15 @@ def _components(rows: list[int]) -> list[int]:
 
 
 def _lightest(rows: list[int], weights: list[int], within: int,
-              accept: Optional[Callable[[int], bool]],
-              spent: int) -> tuple[Optional[int], list[int], int]:
+              spent: int) -> tuple[int, list[int], int]:
     """Every minimum-weight independent dominating set of the graph induced
-    on `within`, among the sets that `accept` passes (all when it is None).
+    on `within`.
 
-    Returns the minimum weight (None when no set passes), the sets as vertex
-    bitmasks, and `spent` plus the nodes visited; past NODE_CAP nodes in all
-    the search stops.  Every set is found exactly once: a branch picks an
-    undominated vertex v, and its i-th child takes the i-th free vertex of
-    N[v] and excludes the earlier ones.
+    Returns the minimum weight, the sets as vertex bitmasks, and `spent`
+    plus the nodes visited; past NODE_CAP nodes in all the search stops.
+    Every set is found exactly once: a branch picks an undominated vertex v,
+    and its i-th child takes the i-th free vertex of N[v] and excludes the
+    earlier ones.
     """
     closed = [row | 1 << v for v, row in enumerate(rows)]
     best, found = math.inf, []
@@ -196,10 +186,9 @@ def _lightest(rows: list[int], weights: list[int], within: int,
                               "restricted.NODE_CAP")
         undominated = within & ~dominated
         if not undominated:
-            if accept is None or accept(chosen):
-                if weight < best:
-                    best, found = weight, []
-                found.append(chosen)
+            if weight < best:
+                best, found = weight, []
+            found.append(chosen)
             continue
         free = undominated & ~excluded
         if best < math.inf:
@@ -235,7 +224,7 @@ def _lightest(rows: list[int], weights: list[int], within: int,
             excluded |= low
             options ^= low
         stack.extend(reversed(children))  # visit in ascending order
-    return (None if best == math.inf else best), found, spent
+    return best, found, spent
 
 
 def _flip(mask: int, nv: int) -> int:
@@ -244,20 +233,16 @@ def _flip(mask: int, nv: int) -> int:
 
 
 def _both_orders(rows: list[int], flipped: list[int], weights: list[int],
-                 within: int, accept: Optional[Callable[[int], bool]],
-                 spent: int) -> tuple[Optional[int], list[int], int]:
+                 within: int, spent: int) -> tuple[int, list[int], int]:
     """`_lightest` under ascending and reversed vertex orders; `flipped` is
     the graph with its vertices renamed by `_flip`.  The two runs must agree
     on the weight and on the whole collection of minimum sets, each found
     once; a mismatch means the search itself is broken and is raised rather
     than reported as data."""
     nv = len(rows)
-    value, sets, spent = _lightest(rows, weights, within, accept, spent)
-    rev_accept = (None if accept is None
-                  else lambda s: accept(_flip(s, nv)))
+    value, sets, spent = _lightest(rows, weights, within, spent)
     rev_value, rev_sets, spent = _lightest(flipped, weights[::-1],
-                                           _flip(within, nv), rev_accept,
-                                           spent)
+                                           _flip(within, nv), spent)
     mirrored = [_flip(s, nv) for s in rev_sets]
     if (rev_value != value or len(set(sets)) != len(sets)
             or sorted(mirrored) != sorted(sets)):
@@ -287,19 +272,6 @@ def _check_witness(rads: list[Mask], within: int, chosen: int,
         )
 
 
-def _holds_every_full_divisor(universe: RestrictedUniverse) -> bool:
-    """Whether the universe holds every divisor that all primes of N divide.
-
-    Such a divisor meets every divisor > 1, so a family maximal among all
-    divisors of N holds each of them.  A universe without them all has no
-    family maximal in the global reading, and no search is needed to say so.
-    """
-    sig = universe.signature
-    full = (1 << sig.n) - 1
-    held = sum(lattice.radical(d) == full for d in universe.members)
-    return held == lattice.alpha_weight(full, sig)
-
-
 def solve_restricted(
     sig: Signature,
     mode: str,
@@ -316,56 +288,49 @@ def solve_restricted(
     note = (
         "t=1 lies outside the stated problem range (t >= 2)" if t == 1 else None
     )
-    if not universe.members:
+    if not universe:
         return OpenProblemResult(sig, mode, t, maximality, "empty-universe",
                                  0, 0, 0, (), note)
     if len(universe) > universe_cap:
         raise limit_error("the number of divisors in the universe",
                           len(universe), universe_cap, "universe_cap")
-    # Twins: divisors with one radical have the same neighbours and meet
-    # each other, so a maximal family takes a whole radical class or none of
-    # it.  The search runs on the distinct radicals; a set weighs the sizes
-    # of its classes and lifts to the divisors class by class.
-    rads, classes = _twin_classes(universe.members)
-    weights = [len(c) for c in classes]
-    rows = _coprime_rows(rads)
-    flipped = [_flip(row, len(rows)) for row in reversed(rows)]
-
-    def lift(chosen: int) -> DivisorFamily:
-        return DivisorFamily(d for v in lattice.iter_bits(chosen)
-                             for d in classes[v])
-
     spent = 0
-    if maximality == "restricted":
+    if maximality == "global":
+        # the radical-lift argument of the module docstring
+        if len(universe) != sig.divisor_count() - 1:
+            return OpenProblemResult(sig, mode, t, maximality,
+                                     "no-maximal-family", 0, 0,
+                                     len(universe), (), note)
+        family = DivisorFamily(universe)
+        if not families.check_maximal(family, sig).is_maximal:
+            raise DivintError("the universe of every divisor > 1 is not "
+                              "maximal among all divisors")
+        value, count, found = len(family), 1, [family]
+    else:
+        # Twins: divisors with one radical have the same neighbours and meet
+        # each other, so a maximal family takes a whole radical class or
+        # none of it.  The search runs on the distinct radicals; a set weighs
+        # the sizes of its classes and lifts to the divisors class by class.
+        rads, classes = _twin_classes(universe)
+        weights = [len(c) for c in classes]
+        rows = _coprime_rows(rads)
+        flipped = [_flip(row, len(rows)) for row in reversed(rows)]
         parts = []
         for comp in _components(rows):
             weight, sets, spent = _both_orders(rows, flipped, weights, comp,
-                                               None, spent)
+                                               spent)
             for s in sets:
                 _check_witness(rads, comp, s, classes)
             parts.append((weight, sets))
         value = sum(weight for weight, _ in parts)
         count = math.prod(len(sets) for _, sets in parts)
         # the components are disjoint, so a sum of their sets is a union
-        chosen = (sum(combo)
-                  for combo in itertools.product(*(s for _, s in parts)))
-    else:
-        value, chosen = None, []
-        if _holds_every_full_divisor(universe):
-            # the full maximality check of each lifted family is its re-check
-            value, chosen, spent = _both_orders(
-                rows, flipped, weights, (1 << len(rows)) - 1,
-                lambda s: families.check_maximal(lift(s), sig).is_maximal,
-                spent)
-        if value is None:
-            return OpenProblemResult(sig, mode, t, maximality,
-                                     "no-maximal-family", 0, 0,
-                                     len(universe), (), note, spent)
-        count = len(chosen)
+        found = (DivisorFamily(d for v in lattice.iter_bits(sum(combo))
+                               for d in classes[v])
+                 for combo in itertools.product(*(s for _, s in parts)))
     witnesses = None
     if count * value <= materialize_cap:
-        witnesses = tuple(sorted(map(lift, chosen),
-                                 key=oracle.family_sort_key))
+        witnesses = tuple(sorted(found, key=oracle.family_sort_key))
     return OpenProblemResult(sig, mode, t, maximality, "ok", value, count,
                              len(universe), witnesses, note, spent)
 
@@ -390,9 +355,11 @@ def cell_row(sig: Signature, mode: str, t: int, maximality: str,
 
 def _cell(sig: Signature, mode: str, t: int, maximality: str,
           universe_cap: int, allow_t1: bool) -> dict:
+    # a row carries counts only, so no witness family is built
     try:
         res = solve_restricted(sig, mode, t, maximality=maximality,
-                               universe_cap=universe_cap, allow_t1=allow_t1)
+                               universe_cap=universe_cap, materialize_cap=0,
+                               allow_t1=allow_t1)
     except ResourceLimitError as exc:
         return cell_row(sig, mode, t, maximality, error=str(exc))
     return cell_row(sig, mode, t, maximality, res)

@@ -2,7 +2,8 @@
 
 Each command runs in-process through `cli.main`, in an empty working
 directory with no DIVINT_* variables, and must give the recorded exit code
-and the recorded SHA-256 of its stdout.
+and the recorded SHA-256 of its stdout.  The global reading of `openprob`
+runs in no benchmark workload, so its output is pinned here as well.
 """
 
 import hashlib
@@ -19,14 +20,45 @@ GOLDEN = json.loads(
     .read_text()
 )
 
+GLOBAL_MAXIMALITY = {
+    "openprob --mode bigomega --max-n 4 --max-exp 3 --t 1,2,3 --allow-t1 "
+    "--maximality global --format json": {
+        "exit": 0,
+        "sha256": "b6540c3a2823887b965a82d66a155d29"
+                  "98dbeb643d52683d5960345b02dd8645",
+    },
+    "openprob --mode omega --sig 3 --t 1 --allow-t1 --maximality global "
+    "--list": {
+        "exit": 0,
+        "sha256": "74e62aa4b5e08889b45df89a5cdcc3c0"
+                  "8eee3ff900e781d9f01d527fbc04f234",
+    },
+    "openprob --mode omega --sig 1,1,1,1,1,1,1,1 --t 4 --maximality global "
+    "--format json": {
+        "exit": 0,
+        "sha256": "ce7f909173d7e9d0f320910002669fca"
+                  "b9a47b02477564bc35f3fc4d9706c2f5",
+    },
+}
+
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_output(command, monkeypatch, tmp_path, capsys):
+    _check_output(command, GOLDEN[command], monkeypatch, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", sorted(GLOBAL_MAXIMALITY))
+def test_global_maximality_output(command, monkeypatch, tmp_path, capsys):
+    _check_output(command, GLOBAL_MAXIMALITY[command], monkeypatch, tmp_path,
+                  capsys)
+
+
+def _check_output(command, expected, monkeypatch, tmp_path, capsys):
     for key in list(os.environ):
         if key.startswith("DIVINT_"):
             monkeypatch.delenv(key)
     monkeypatch.chdir(tmp_path)
     code = cli.main(command.split())
     out = capsys.readouterr().out.encode()
-    assert code == GOLDEN[command]["exit"]
-    assert hashlib.sha256(out).hexdigest() == GOLDEN[command]["sha256"]
+    assert code == expected["exit"]
+    assert hashlib.sha256(out).hexdigest() == expected["sha256"]

@@ -6,31 +6,30 @@ import pytest
 
 from divint import antichains, families, lattice, oracle, restricted
 from divint.errors import DivintError, ResourceLimitError
-from divint.families import DivisorFamily, FamilyReport, check_maximal
+from divint.families import DivisorFamily, check_maximal
 from divint.lattice import Signature
 from divint.restricted import build_universe, solve_restricted, sweep_tables
 
 
 def test_universe_omega_three_primes():
     uni = build_universe(Signature((1, 1, 1)), "omega", 2)
-    assert uni.members == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
-    assert len(uni) == 3
+    assert uni == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
 def test_universe_bigomega():
     uni = build_universe(Signature((2, 1)), "bigomega", 2)
-    assert uni.members == ((2, 0), (1, 1))
+    assert uni == ((2, 0), (1, 1))
 
 
 def test_universe_omega_vs_bigomega():
     # (2,0) has one distinct prime but two with multiplicity
     uni = build_universe(Signature((2, 1)), "omega", 2)
-    assert uni.members == ((1, 1), (2, 1))
+    assert uni == ((1, 1), (2, 1))
 
 
 def test_universe_empty_for_large_t():
     uni = build_universe(Signature((1, 1)), "omega", 5)
-    assert uni.members == ()
+    assert uni == ()
 
 
 def test_t_one_needs_opt_in():
@@ -112,12 +111,33 @@ def test_global_maximality_rejects_all_bounded_support():
 
 
 def test_global_maximality_needs_every_full_divisor():
-    """p1...p8 meets every divisor > 1, so no family of 3- or 4-sets is
-    maximal among all divisors; that is known before any search."""
+    """p1...p8 meets every divisor > 1, so a family maximal among all
+    divisors holds it; no family of 3- or 4-sets does."""
     for t in (3, 4):
         res = solve_restricted(Signature((1,) * 8), "omega", t,
                                maximality="global")
         assert (res.status, res.nodes) == ("no-maximal-family", 0)
+
+
+def test_global_maximality_runs_no_search():
+    """The global reading is decided by the radical-lift argument: every
+    cell of the grid, both modes and every t, visits no search node, and
+    only universes of every divisor > 1 (n = 1) have a family."""
+    grid = lattice.signature_grid(5, 3) + [
+        sig for sig in lattice.signature_grid(6, 2) if sig.n == 6] + [
+        Signature((1,) * 7), Signature((1,) * 8)]
+    cells = 0
+    for sig in grid:
+        for mode in restricted.MODES:
+            for t in range(1, min(sum(sig.alphas), 9) + 1):
+                res = solve_restricted(sig, mode, t, maximality="global",
+                                       universe_cap=10**6, allow_t1=True)
+                assert res.nodes == 0, (sig, mode, t)
+                assert (res.status == "ok") == (
+                    res.universe_size == sig.divisor_count() - 1), \
+                    (sig, mode, t)
+                cells += 1
+    assert cells == 902
 
 
 def test_global_maximality_can_succeed():
@@ -151,7 +171,7 @@ def test_witnesses_are_unextendable_in_universe():
         res = solve_restricted(sig, mode, t)
         uni = build_universe(sig, mode, t)
         for fam in res.witnesses:
-            for d in uni.members:
+            for d in uni:
                 if d in fam:
                     continue
                 assert any(is_coprime(d, q) for q in fam)
@@ -211,6 +231,24 @@ def test_sweep_empty_t_values():
     assert sweep_tables(2, 2, [], "omega") == []
 
 
+def test_sweep_builds_no_witness_families(monkeypatch):
+    """A sweep row carries counts only, so no cell lifts or sorts its
+    minimum sets."""
+    calls = []
+    real = oracle.family_sort_key
+
+    def spy(fam):
+        calls.append(fam)
+        return real(fam)
+
+    monkeypatch.setattr(oracle, "family_sort_key", spy)
+    rows = sweep_tables(3, 2, [1, 2, 3], "omega", allow_t1=True)
+    assert sum(r["status"] == "ok" for r in rows) > 0
+    assert calls == []
+    solve_restricted(Signature((1, 1, 1)), "omega", 2)
+    assert len(calls) == 1
+
+
 def test_sweep_records_resource_errors(monkeypatch):
     real = restricted.solve_restricted
 
@@ -240,10 +278,10 @@ def test_sweep_honours_universe_cap():
     assert all(r["universe_size"] is None for r in refused)
 
 
-def reference_cell(sig, mode, t, maximality):
+def reference_cell(sig, mode, t, maximality, allow_t1=False):
     """The full-universe solver: both vertex orders over every divisor of the
     universe, and one family per maximal Bron-Kerbosch clique."""
-    universe = build_universe(sig, mode, t).members
+    universe = build_universe(sig, mode, t, allow_t1)
     if not universe:
         return "empty-universe", 0, 0, 0, ()
     rads = [lattice.radical(d) for d in universe]
@@ -270,30 +308,12 @@ def test_twin_quotient_matches_full_universe_search(mode, maximality):
     grid = lattice.signature_grid(4, 3) + [
         sig for sig in lattice.signature_grid(5, 2) if sig.n == 5]
     for sig in grid:
-        for t in (2, 3, 4):
-            res = solve_restricted(sig, mode, t, maximality=maximality)
+        for t in (1, 2, 3, 4):
+            res = solve_restricted(sig, mode, t, maximality=maximality,
+                                   allow_t1=True)
             assert (res.status, res.value, res.attaining_count,
                     res.universe_size, res.witnesses) == \
-                reference_cell(sig, mode, t, maximality), (sig, t)
-
-
-def test_global_mode_takes_the_lightest_passing_cliques(monkeypatch):
-    """No cell of the grid has globally maximal cliques of two sizes, so a
-    stub that passes every clique pins the ascending scan: global mode must
-    then answer exactly as restricted mode."""
-    passed = FamilyReport(is_intersecting=True, is_maximal=True)
-    expected = {
-        (sig, mode): solve_restricted(sig, mode, 2)
-        for sig in lattice.signature_grid(4, 3) for mode in restricted.MODES
-    }
-    monkeypatch.setattr(families, "check_maximal", lambda f, sig: passed)
-    monkeypatch.setattr(restricted, "_holds_every_full_divisor",
-                        lambda universe: True)
-    for (sig, mode), res in expected.items():
-        glob = solve_restricted(sig, mode, 2, maximality="global")
-        assert (glob.status, glob.value, glob.attaining_count,
-                glob.witnesses) == (res.status, res.value,
-                                    res.attaining_count, res.witnesses)
+                reference_cell(sig, mode, t, maximality, True), (sig, t)
 
 
 def test_clique_search_runs_on_distinct_radicals(monkeypatch):
@@ -339,7 +359,7 @@ def test_below_twice_t_the_universe_is_the_one_family(n):
     res = solve_restricted(Signature((1,) * n), "omega", 3)
     assert (res.value, res.attaining_count) == (comb(n, 3), 1)
     assert res.witnesses[0].members == build_universe(
-        Signature((1,) * n), "omega", 3).members
+        Signature((1,) * n), "omega", 3)
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
@@ -389,13 +409,13 @@ def test_coprime():
 def verify_witness_by_tuples(fam, universe):
     """Reference: the tuple-level re-check, every universe member against
     every witness member."""
-    allowed = set(universe.members)
+    allowed = set(universe)
     for d in fam:
         if d not in allowed:
             raise DivintError(f"witness member {d} lies outside the universe")
     if not families.check_intersecting(fam).is_intersecting:
         raise DivintError("witness family contains a coprime pair")
-    for d in universe.members:
+    for d in universe:
         if d in fam:
             continue
         if all(not is_coprime(d, q) for q in fam):
@@ -408,14 +428,14 @@ def verify_witness_by_minimal_radicals(fam, universe):
     """Reference: each universe member's radical against the family's
     minimal radicals; a divisor meets every member exactly when it meets
     each minimal radical, since every radical contains a minimal one."""
-    allowed = set(universe.members)
+    allowed = set(universe)
     for d in fam:
         if d not in allowed:
             raise DivintError(f"witness member {d} lies outside the universe")
     if not families.check_intersecting(fam).is_intersecting:
         raise DivintError("witness family contains a coprime pair")
     mins = antichains.minimal_masks(set(fam.radicals))
-    for d in universe.members:
+    for d in universe:
         if d in fam:
             continue
         r = lattice.radical(d)
@@ -443,7 +463,7 @@ def test_witness_check_matches_tuple_referee(mode):
         for t in (2, 3):
             res = solve_restricted(sig, mode, t)
             universe = build_universe(sig, mode, t)
-            rads, classes = restricted._twin_classes(universe.members)
+            rads, classes = restricted._twin_classes(universe)
             every = (1 << len(rads)) - 1
 
             def lift(chosen):
