@@ -35,8 +35,8 @@ class _UsageError(Exception):
 @dataclass
 class Outcome:
     parameters: dict
-    results: dict
-    text: list[str]
+    results: dict = field(default_factory=dict)
+    text: list[str] = field(default_factory=list)
     rows: list[dict] = field(default_factory=list)
     fields: list[str] = field(default_factory=list)
     exit_code: int = 0
@@ -186,39 +186,40 @@ def cmd_bound(args, cfg: RunConfig) -> Outcome:
 def cmd_extremal(args, cfg: RunConfig) -> Outcome:
     sig, primes = _parse_signature(args)
     rep = extremal.extremal_families(sig, k_cap=cfg.k_cap)
-    text = _sig_notice(sig)
-    text.append(
-        f"signature {sig}: {rep.regime} regime, minimum size {rep.min_size}, "
-        f"{rep.h_count} minimum-size maximal families"
-    )
-    rows = []
-    gen_objs = []
-    for i, gen in enumerate(rep.generators, start=1):
-        vals = _values(gen, primes)
-        text.append(f"  [{i}] generators {_brace(vals)}")
-        rows.append({
-            "signature": str(sig), "regime": rep.regime, "index": i,
-            "generators": " ".join(str(v) for v in vals),
-            "closure_size": rep.min_size,
-        })
-        gen_objs.append(report.family_obj(gen, primes))
-    results = {
-        "signature": report.signature_obj(sig),
-        "regime": rep.regime,
-        "min_size": rep.min_size,
-        "count": rep.h_count,
-        "generators": gen_objs,
-    }
-    if args.list:
-        closures = [families.upward_closure(g, sig) for g in rep.generators]
-        results["families"] = [report.family_obj(c, primes) for c in closures]
-        for i, c in enumerate(closures, start=1):
-            text.append(f"  [{i}] closure {_brace(_values(c, primes))}")
-    return Outcome(
+    closures = (extremal.minimum_families(sig, k_cap=cfg.k_cap)
+                if args.list else [])
+    out = Outcome(
         parameters={"sig": str(sig), "list": bool(args.list)},
-        results=results, text=text, rows=rows,
         fields=["signature", "regime", "index", "generators", "closure_size"],
     )
+    if cfg.format == "json":
+        out.results = {
+            "signature": report.signature_obj(sig),
+            "regime": rep.regime,
+            "min_size": rep.min_size,
+            "count": rep.h_count,
+            "generators": [report.family_obj(g, primes)
+                           for g in rep.generators],
+        }
+        if args.list:
+            out.results["families"] = [report.family_obj(c, primes)
+                                       for c in closures]
+    elif cfg.format == "csv":
+        out.rows = [{
+            "signature": str(sig), "regime": rep.regime, "index": i,
+            "generators": " ".join(map(str, _values(gen, primes))),
+            "closure_size": rep.min_size,
+        } for i, gen in enumerate(rep.generators, start=1)]
+    else:
+        out.text = _sig_notice(sig) + [
+            f"signature {sig}: {rep.regime} regime, minimum size "
+            f"{rep.min_size}, {rep.h_count} minimum-size maximal families"
+        ]
+        for label, fams in (("generators", rep.generators),
+                            ("closure", closures)):
+            out.text.extend(f"  [{i}] {label} {_brace(_values(f, primes))}"
+                            for i, f in enumerate(fams, start=1))
+    return out
 
 
 def cmd_count(args, cfg: RunConfig) -> Outcome:
@@ -346,42 +347,42 @@ def _cmd_matching_ground(args) -> Outcome:
 def _cmd_matching_sig(args, cfg: RunConfig) -> Outcome:
     sig, primes = _parse_signature(args)
     rep = extremal.extremal_families(sig, k_cap=cfg.k_cap)
-    text = _sig_notice(sig)
-    text.append(
-        f"signature {sig}: weight-preserving pairings on all "
-        f"{rep.h_count} minimum-size families"
-    )
-    listed = []
-    rows = []
-    for i, gen in enumerate(rep.generators, start=1):
-        fam = families.upward_closure(gen, sig)
-        pairing = matching.alpha_pairing(fam, sig)
-        entries = [_entry_obj(e, sig.n) for e in pairing.entries]
-        listed.append({
-            "family_index": i,
-            "generators": [lattice.format_divisor(d) for d in gen.members],
-            "sigma": list(pairing.sigma),
-            "entries": entries,
-        })
-        rows.append({
-            "signature": str(sig), "family_index": i,
-            "paired_members": len(pairing.entries),
-            "sigma": " ".join(str(s) for s in pairing.sigma),
-        })
-        if args.list:
-            text.append(f"  [{i}] generators {_brace(_values(gen, primes))}")
-            for e in entries:
-                text.append(
-                    f"       {e['position']} <- complement of {e['source']} "
-                    f"(alpha {e['alpha']})"
-                )
-    return Outcome(
+    closures = extremal.minimum_families(sig, k_cap=cfg.k_cap)
+    out = Outcome(
         parameters={"sig": str(sig), "list": bool(args.list)},
-        results={"signature": report.signature_obj(sig),
-                 "pairings": listed},
-        text=text, rows=rows,
         fields=["signature", "family_index", "paired_members", "sigma"],
     )
+    if cfg.format == "text":
+        out.text = _sig_notice(sig) + [
+            f"signature {sig}: weight-preserving pairings on all "
+            f"{rep.h_count} minimum-size families"
+        ]
+    listed = []
+    for i, (gen, fam) in enumerate(zip(rep.generators, closures), start=1):
+        pairing = matching.alpha_pairing(fam, sig)
+        if cfg.format == "json":
+            listed.append({
+                "family_index": i,
+                "generators": [lattice.format_divisor(d) for d in gen.members],
+                "sigma": list(pairing.sigma),
+                "entries": [_entry_obj(e, sig.n) for e in pairing.entries],
+            })
+        elif cfg.format == "csv":
+            out.rows.append({
+                "signature": str(sig), "family_index": i,
+                "paired_members": len(pairing.entries),
+                "sigma": " ".join(map(str, pairing.sigma)),
+            })
+        elif args.list:
+            out.text.append(f"  [{i}] generators {_brace(_values(gen, primes))}")
+            out.text.extend(
+                f"       {_mask_symbol(e.position, sig.n)} <- complement of "
+                f"{_mask_symbol(e.source, sig.n)} (alpha {e.alpha_position})"
+                for e in pairing.entries)
+    if cfg.format == "json":
+        out.results = {"signature": report.signature_obj(sig),
+                       "pairings": listed}
+    return out
 
 
 def cmd_matching(args, cfg: RunConfig) -> Outcome:

@@ -52,20 +52,23 @@ class ClassificationVerdict:
     failure_witness: Optional[object] = None
 
 
+def _generator_masks(sig: Signature, k_cap: int) -> tuple[MaskFamily, ...]:
+    """Radical antichains of the generators, in the order of the report."""
+    n, u = sig.n, sig.u
+    if sig.alphas[-1] >= 2:
+        return tuple((1 << v,) for v in range(u, n))
+    return tuple(tuple(m << u for m in ac)
+                 for ac in antichains.enumerate_antichains(n - u, k_cap=k_cap))
+
+
 def extremal_families(sig: Signature, *,
                       k_cap: int = DEFAULT_K_CAP) -> ExtremalReport:
     """All minimum-size maximal families, given by their generator antichains."""
     bound = lattice.min_size_bound(sig)
-    n, u = sig.n, sig.u
-    if sig.alphas[-1] >= 2:
-        regime = "deep"
-        masks = [(1 << v,) for v in range(u, n)]
-    else:
-        regime = "flat"
-        masks = [tuple(m << u for m in ac)
-                 for ac in antichains.enumerate_antichains(n - u, k_cap=k_cap)]
+    regime = "deep" if sig.alphas[-1] >= 2 else "flat"
     gens = tuple(
-        DivisorFamily(lattice.mask_to_divisor(m, n) for m in ac) for ac in masks
+        DivisorFamily(lattice.mask_to_divisor(m, sig.n) for m in ac)
+        for ac in _generator_masks(sig, k_cap)
     )
     return ExtremalReport(sig, regime, bound, len(gens), gens)
 
@@ -73,8 +76,32 @@ def extremal_families(sig: Signature, *,
 @lru_cache
 def _generator_set(sig: Signature, k_cap: int) -> frozenset[MaskFamily]:
     """Radical antichains of the generators, for lookup by `classify`."""
-    gens = extremal_families(sig, k_cap=k_cap).generators
-    return frozenset(tuple(sorted(g.radicals)) for g in gens)
+    return frozenset(_generator_masks(sig, k_cap))
+
+
+def minimum_families(sig: Signature, *,
+                     k_cap: int = DEFAULT_K_CAP) -> list[DivisorFamily]:
+    """The closures of `extremal_families(sig).generators`, in that order.
+
+    A maximal family is fixed by its radical set, so each closure is lifted
+    from that set through the cached divisor table, and no multiple of a
+    generator is enumerated.  In the deep regime the set is the masks
+    holding bit v.  In the flat regime it is the generator's maximal
+    intersecting family on primes u..n-1, each mask joined with every mask
+    on the first u primes.
+    """
+    lattice.check_divisor_cap(sig)  # before any radical set is built
+    n, u = sig.n, sig.u
+    if sig.alphas[-1] >= 2:
+        radical_sets = [[m for m in range(1 << n) if m >> v & 1]
+                        for v in range(u, n)]
+    else:
+        lows = range(1 << u)
+        radical_sets = [[h << u | low for h in fam for low in lows]
+                        for fam in antichains.enumerate_families(
+                            n - u, k_cap=k_cap)]
+    return [DivisorFamily(lattice.divisors_on_radicals(sig, masks))
+            for masks in radical_sets]
 
 
 def count_minimum_families(sig: Signature, *,

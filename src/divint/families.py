@@ -66,9 +66,14 @@ class DivisorFamily:
         return f"DivisorFamily({[lattice.format_divisor(d) for d in self.members]})"
 
     def squarefree_part(self) -> tuple[Mask, ...]:
-        """Masks of the squarefree members, ascending."""
+        """Masks of the squarefree members, ascending.
+
+        A member is squarefree exactly when its exponents sum to the number
+        of primes in its radical.
+        """
         return tuple(sorted(
-            r for d, r in zip(self.members, self.radicals) if max(d) <= 1
+            r for d, r in zip(self.members, self.radicals)
+            if sum(d) == r.bit_count()
         ))
 
 

@@ -153,8 +153,12 @@ def radical(d: Divisor) -> Mask:
     return m
 
 
+@lru_cache(maxsize=MAX_DIVISORS)
 def mask_to_divisor(mask: Mask, n: int) -> Divisor:
-    """The squarefree divisor with the given support."""
+    """The squarefree divisor with the given support.
+
+    Cached: the generators of one lattice share their squarefree divisors.
+    """
     return tuple((mask >> i) & 1 for i in range(n))
 
 

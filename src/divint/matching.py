@@ -84,23 +84,27 @@ def validate_upward_closed(family: UpwardClosedFamily) -> None:
 def _max_matching(n_left: int, n_right: int, adj: list[list[int]]):
     """Augmenting-path maximum bipartite matching with deterministic scan order.
 
-    Returns (match_left, match_right) with -1 for unmatched vertices.
+    Returns (match_left, match_right) with -1 for unmatched vertices.  The
+    right vertices one search has visited are the set bits of `seen`.
     """
     match_left = [-1] * n_left
     match_right = [-1] * n_right
+    seen = 0
 
-    def augment(j: int, seen: list[bool]) -> bool:
+    def augment(j: int) -> bool:
+        nonlocal seen
         for i in adj[j]:
-            if not seen[i]:
-                seen[i] = True
-                if match_right[i] == -1 or augment(match_right[i], seen):
+            if not seen >> i & 1:
+                seen |= 1 << i
+                if match_right[i] == -1 or augment(match_right[i]):
                     match_left[j] = i
                     match_right[i] = j
                     return True
         return False
 
     for j in range(n_left):
-        augment(j, [False] * n_right)
+        seen = 0
+        augment(j)
     return match_left, match_right
 
 
@@ -131,10 +135,9 @@ def complement_permutation(family: UpwardClosedFamily) -> PermutationWitness:
     validate_upward_closed(family)
     members = family.members
     s = len(members)
-    adj = [
-        [i for i in range(s) if (family.ground ^ members[i]) & ~members[j] == 0]
-        for j in range(s)
-    ]
+    complements = [family.ground ^ m for m in members]
+    adj = [[i for i, c in enumerate(complements) if c & m == c]
+           for m in members]
     match_left, match_right = _max_matching(s, s, adj)
     if any(i == -1 for i in match_left):
         violator = _hall_violator(adj, match_left, match_right)

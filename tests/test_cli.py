@@ -492,6 +492,30 @@ def test_lattice_cap_refuses_before_any_closure(env, capsys, monkeypatch):
     assert errors[0] == errors[1]
 
 
+def test_json_listings_lift_closures_and_build_no_text(env, capsys,
+                                                     monkeypatch):
+    """At 1^6 the JSON listings take every minimum family from its radical
+    set, not from `families.upward_closure`, and build no text line and no
+    CSV row."""
+    from divint import families
+
+    calls = []
+    closure = families.upward_closure
+    monkeypatch.setattr(families, "upward_closure",
+                        lambda gens, sig: calls.append(1) or closure(gens, sig))
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda outcome, command, cfg: (
+        emitted.append(outcome), emit(outcome, command, cfg)))
+    for argv in (["extremal", "--sig", "1,1,1,1,1,1", "--list"],
+                 ["matching", "--sig", "1,1,1,1,1,1"]):
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["results"]) > 1
+    assert calls == []
+    assert [(o.text, o.rows) for o in emitted] == [([], [])] * 2
+
+
 def test_openprob_sweep_honours_allow_t1(env, capsys):
     code, out, _ = run(["openprob", "--mode", "omega", "--max-n", "2",
                         "--max-exp", "1", "--t", "1", "--allow-t1",

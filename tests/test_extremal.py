@@ -26,6 +26,15 @@ def test_420_report():
     assert closure_sizes(rep, sig) == [12, 12, 12, 12]
 
 
+@pytest.mark.parametrize("sig", lattice.signature_grid(5, 3) + [
+    Signature((1,) * 6), Signature((2, 1, 1, 1, 1, 1))], ids=str)
+def test_minimum_families_are_the_generator_closures(sig):
+    """The radical lift gives each generator's upward closure, in order."""
+    gens = extremal.extremal_families(sig).generators
+    assert extremal.minimum_families(sig) == [
+        families.upward_closure(g, sig) for g in gens]
+
+
 def test_deep_regime_report():
     sig = Signature((3, 2, 2))
     rep = extremal.extremal_families(sig)

@@ -39,6 +39,22 @@ def test_squarefree_part():
     assert fam.squarefree_part() == (0b011, 0b110)
 
 
+@st.composite
+def lattice_families(draw):
+    """Any family of divisors > 1 in a lattice of up to 4 primes, exponents <= 3."""
+    sig = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).map(Signature))
+    divs = [d for d in lattice.enumerate_divisors(sig) if any(d)]
+    return sig, DivisorFamily(draw(st.lists(st.sampled_from(divs), max_size=12)))
+
+
+@given(lattice_families())
+@settings(deadline=None, max_examples=200)
+def test_squarefree_part_matches_max_exponent_filter(case):
+    _, fam = case
+    assert fam.squarefree_part() == tuple(sorted(
+        r for d, r in zip(fam.members, fam.radicals) if max(d) <= 1))
+
+
 def test_intersecting_check():
     assert families.check_intersecting(DivisorFamily([P1, P12])).is_intersecting
     rep = families.check_intersecting(DivisorFamily([P1, P2]))
@@ -157,14 +173,6 @@ def minima_by_all_pairs(fam):
         d for d in fam.members
         if not any(e != d and lattice.divides(e, d) for e in fam.members)
     )
-
-
-@st.composite
-def lattice_families(draw):
-    """Any family of divisors > 1 in a lattice of up to 4 primes, exponents <= 3."""
-    sig = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).map(Signature))
-    divs = [d for d in lattice.enumerate_divisors(sig) if any(d)]
-    return sig, DivisorFamily(draw(st.lists(st.sampled_from(divs), max_size=12)))
 
 
 @given(lattice_families())

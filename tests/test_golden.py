@@ -3,7 +3,8 @@
 Each command runs in-process through `cli.main`, in an empty working
 directory with no DIVINT_* variables, and must give the recorded exit code
 and the recorded SHA-256 of its stdout.  The global reading of `openprob`
-runs in no benchmark workload, so its output is pinned here as well.
+runs in no benchmark workload, so its output is pinned here as well, and so
+are the text and CSV forms of the listings, whose benchmark runs are JSON.
 """
 
 import hashlib
@@ -41,6 +42,34 @@ GLOBAL_MAXIMALITY = {
     },
 }
 
+LISTING_FORMATS = {
+    "extremal --sig 1,1,1,1,1,1 --list": {
+        "exit": 0,
+        "sha256": "4c279785ae9fe0b19f7609d12e45172b"
+                  "5eb81cdc761f780bfb59a9e96cd91b42",
+    },
+    "extremal --sig 2,1,1,1,1,1 --list --format csv": {
+        "exit": 0,
+        "sha256": "1812d53dd4deaaa7c6a320d607b88cb3"
+                  "d2f60963eff6da3575762d47f2b2a1b9",
+    },
+    "extremal --sig 3,2,2 --list": {
+        "exit": 0,
+        "sha256": "ac2d6c4e823dbdb21dc5ec7ce82a35ee"
+                  "3fe56c47e85820405c0b6ef1cba9732c",
+    },
+    "matching --sig 1,1,1,1,1,1 --list": {
+        "exit": 0,
+        "sha256": "3cc2073417f01afc0bf49f29ff3b3922"
+                  "5e9385e6d7371f3c98e7b0d465518fe8",
+    },
+    "matching --sig 1,1,1,1,1,1 --format csv": {
+        "exit": 0,
+        "sha256": "0a98c2904fa54a64b9f5793911414814"
+                  "731d776e7834ae356ece1c0f008a1f1d",
+    },
+}
+
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_output(command, monkeypatch, tmp_path, capsys):
@@ -50,6 +79,12 @@ def test_golden_output(command, monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("command", sorted(GLOBAL_MAXIMALITY))
 def test_global_maximality_output(command, monkeypatch, tmp_path, capsys):
     _check_output(command, GLOBAL_MAXIMALITY[command], monkeypatch, tmp_path,
+                  capsys)
+
+
+@pytest.mark.parametrize("command", sorted(LISTING_FORMATS))
+def test_listing_format_output(command, monkeypatch, tmp_path, capsys):
+    _check_output(command, LISTING_FORMATS[command], monkeypatch, tmp_path,
                   capsys)
 
 

@@ -116,6 +116,40 @@ def test_random_upward_closures_certified(k, data):
     assert witness.verify(fam)
 
 
+def _sigma_by_lists(family):
+    """Referee: the list-based matcher, with each complement taken per pair."""
+    members = family.members
+    s = len(members)
+    adj = [
+        [i for i in range(s) if (family.ground ^ members[i]) & ~members[j] == 0]
+        for j in range(s)
+    ]
+    match_left = [-1] * s
+    match_right = [-1] * s
+
+    def augment(j, seen):
+        for i in adj[j]:
+            if not seen[i]:
+                seen[i] = True
+                if match_right[i] == -1 or augment(match_right[i], seen):
+                    match_left[j] = i
+                    match_right[i] = j
+                    return True
+        return False
+
+    for j in range(s):
+        augment(j, [False] * s)
+    return tuple(match_left)
+
+
+def test_sigma_matches_the_list_based_matcher():
+    fams = matching.all_upward_closed_families(5)
+    assert len(fams) == 7579
+    for fam in fams:
+        assert matching.complement_permutation(fam).sigma == \
+            _sigma_by_lists(fam)
+
+
 def test_hall_violator_on_forced_failure(monkeypatch):
     """Disable validation to reach the matcher's diagnostic path.
 

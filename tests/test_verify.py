@@ -149,13 +149,15 @@ def test_a_family_that_is_not_upward_closed_fails_with_its_counterexamples(monke
 
 def test_sweep_work_counts(monkeypatch):
     """run_verify(5, 2) takes no minimal members through the tuple-level
-    referee and tests no divisibility.  It builds 1005 families: the lift of
-    each of the 570 maximal families, and 435 generators and generator
-    closures for extremal-agreement and classification-equivalence."""
-    calls = {"families": 0, "minimal_members": 0, "divides": 0}
+    referee and tests no divisibility.  It builds 860 families: the lift of
+    each of the 570 maximal families, and the 145 generators and their 145
+    closures for extremal-agreement.  classification-equivalence looks the
+    generators up by their radical masks and builds none of them."""
+    calls = {"families": 0, "minimal_members": 0, "divides": 0, "closures": 0}
     init = DivisorFamily.__init__
     minimal_members = families.minimal_members
     divides = lattice.divides
+    upward_closure = families.upward_closure
 
     def counted_init(self, divisors):
         calls["families"] += 1
@@ -169,10 +171,16 @@ def test_sweep_work_counts(monkeypatch):
         calls["divides"] += 1
         return divides(a, b)
 
+    def counted_upward_closure(gens, sig):
+        calls["closures"] += 1
+        return upward_closure(gens, sig)
+
     monkeypatch.setattr(DivisorFamily, "__init__", counted_init)
+    monkeypatch.setattr(families, "upward_closure", counted_upward_closure)
     monkeypatch.setattr(families, "minimal_members", counted_minimal_members)
     monkeypatch.setattr(lattice, "divides", counted_divides)
     extremal._generator_set.cache_clear()
     rep = run_verify(5, 2)
     assert rep.passed and len(rep.rows) == 209
-    assert calls == {"families": 1005, "minimal_members": 0, "divides": 0}
+    assert calls == {"families": 860, "minimal_members": 0, "divides": 0,
+                     "closures": 145}
