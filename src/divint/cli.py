@@ -314,11 +314,6 @@ def _cmd_matching_ground(args) -> Outcome:
     listed = []
     for i, fam in enumerate(fams, start=1):
         witness = matching.complement_permutation(fam)
-        if not witness.verify(fam):
-            raise TheoremViolationError(
-                "emitted permutation failed its own certificate check",
-                counterexample={"ground": k, "members": list(fam.members)},
-            )
         entry = {
             "members": [_mask_symbol(m, k) for m in fam.members],
             "sigma": list(witness.sigma),

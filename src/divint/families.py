@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import antichains, lattice
-from .errors import PreconditionError
 from .lattice import Divisor, Mask, Signature
 
 
@@ -129,17 +128,6 @@ def _meeting(mins: tuple[Mask, ...], sig: Signature) -> list[Mask]:
     return list(masks)
 
 
-def _compatible_masks(family: DivisorFamily, sig: Signature) -> list[Mask]:
-    """Non-empty supports whose divisors could be added without a coprime pair.
-
-    Addability of a divisor depends only on its radical, so the scan runs over
-    the 2^n - 1 masks instead of the full lattice.  Each mask is tested only
-    against the minimal radicals: every radical contains a minimal one, so a
-    mask meets them all exactly when it meets the minimal ones.
-    """
-    return _meeting(_minimal_radicals(family), sig)
-
-
 def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
     """Full predicate: intersecting and admitting no further divisor of N."""
     mins = _minimal_radicals(family)
@@ -155,30 +143,6 @@ def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
         if any(d) and lattice.radical(d) in compatible and d not in family:
             return FamilyReport(True, False, extension_witness=d)
     raise AssertionError("family larger than its compatible closure")
-
-
-def maximalize(family: DivisorFamily, sig: Signature) -> DivisorFamily:
-    """Deterministic completion to a maximal family by canonical ascending scan.
-
-    Maximal completions are not unique; the fixed scan order makes the output
-    reproducible.  Input must already be intersecting.
-    """
-    base = check_intersecting(family)
-    if not base.is_intersecting:
-        raise PreconditionError(
-            f"family contains the coprime pair {base.coprime_witness}",
-            witness=base.coprime_witness,
-        )
-    chosen = list(family.members)
-    rads = list(family.radicals)
-    for d in lattice.enumerate_divisors(sig):
-        if not any(d) or d in family:
-            continue
-        r = lattice.radical(d)
-        if all(r & x for x in rads):
-            chosen.append(d)
-            rads.append(r)
-    return DivisorFamily(chosen)
 
 
 def minimal_members(family: DivisorFamily) -> DivisorFamily:

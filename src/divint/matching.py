@@ -3,20 +3,24 @@
 For an upward-closed family F of divisors of a squarefree M there is always a
 permutation sigma of F pairing each member d_j with a member d_sigma(j) whose
 complement M/d_sigma(j) divides d_j.  The permutation is found by maximum
-bipartite matching on the divisibility graph and returned with one explicit
-divisibility certificate per member; a non-perfect matching would be a
-counterexample to the underlying combinatorial fact and is raised as a
-diagnostic, never silently absorbed.
+bipartite matching on the divisibility graph, and sigma is the whole
+witness: `complement_permutation` checks it against the family where it is
+built, once, and raises rather than return a failing permutation.  A
+non-perfect matching would be a counterexample to the underlying
+combinatorial fact and is raised as a diagnostic, never silently absorbed.
 
 On a minimum-size maximal family of divisors of N this pairing, applied to
 the squarefree members not divisible by the last prime, additionally
 preserves the exponent-product weight of each member; that equality is what
-forces the extremal structure and is re-verified here.
+forces the extremal structure and is re-verified here.  Both the `--k`
+sweep and the `--sig` pairings take their permutation from
+`complement_permutation`, so both are certified by the same check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import antichains, families, lattice
 from .errors import PreconditionError, TheoremViolationError, limit_error
@@ -44,27 +48,21 @@ class UpwardClosedFamily:
                 raise ValueError(f"member {m:#b} is not a divisor of ground {self.ground:#b}")
 
 
-@dataclass(frozen=True)
-class PermutationWitness:
-    """sigma plus one (position, source, complement-mask) certificate each.
+class PermutationWitness(NamedTuple):
+    """A permutation sigma of a family's positions.
 
-    For every position j: complement of members[sigma[j]] within the ground
-    is a subset of members[j].
+    It certifies the family when, for every position j, the complement of
+    members[sigma[j]] within the ground is a subset of members[j].
     """
 
     sigma: tuple[int, ...]
-    certificates: tuple[tuple[int, int, Mask], ...]
 
     def verify(self, family: UpwardClosedFamily) -> bool:
-        if sorted(self.sigma) != list(range(len(family.members))):
+        members = family.members
+        if sorted(self.sigma) != list(range(len(members))):
             return False
-        for j, (pos, src, comp) in enumerate(self.certificates):
-            if pos != j or src != self.sigma[j]:
-                return False
-            expected = family.ground ^ family.members[src]
-            if comp != expected or comp & family.members[j] != comp:
-                return False
-        return True
+        return all(not (family.ground ^ members[i]) & ~m
+                   for m, i in zip(members, self.sigma))
 
 
 def validate_upward_closed(family: UpwardClosedFamily) -> None:
@@ -130,7 +128,8 @@ def complement_permutation(family: UpwardClosedFamily) -> PermutationWitness:
 
     The input must be upward closed within its ground; a perfect matching then
     always exists.  A non-perfect matching is raised as a diagnostic carrying
-    the offending member subset.
+    the offending member subset, and so is a permutation that fails
+    `PermutationWitness.verify`: no caller gets an uncertified one.
     """
     validate_upward_closed(family)
     members = family.members
@@ -150,11 +149,17 @@ def complement_permutation(family: UpwardClosedFamily) -> PermutationWitness:
                 "violator_members": [members[j] for j in violator],
             },
         )
-    sigma = tuple(match_left)
-    certificates = tuple(
-        (j, sigma[j], family.ground ^ members[sigma[j]]) for j in range(s)
-    )
-    return PermutationWitness(sigma, certificates)
+    witness = PermutationWitness(tuple(match_left))
+    if not witness.verify(family):
+        raise TheoremViolationError(
+            "complement permutation failed its certificate check",
+            counterexample={
+                "ground": family.ground,
+                "members": list(members),
+                "sigma": list(witness.sigma),
+            },
+        )
+    return witness
 
 
 def all_upward_closed_families(k: int) -> list[UpwardClosedFamily]:
@@ -175,8 +180,7 @@ def all_upward_closed_families(k: int) -> list[UpwardClosedFamily]:
     return [UpwardClosedFamily(full, members) for members in out]
 
 
-@dataclass(frozen=True)
-class PairingEntry:
+class PairingEntry(NamedTuple):
     """One pairing certificate on the minimum-family squarefree part.
 
     `position` and `source` are squarefree members (masks without the last
@@ -195,8 +199,7 @@ class PairingEntry:
     alpha_excess: int
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     members: tuple[Mask, ...]
     sigma: tuple[int, ...]
     entries: tuple[PairingEntry, ...]
@@ -225,7 +228,7 @@ def alpha_pairing(family: DivisorFamily, sig: Signature) -> PairingReport:
     n = sig.n
     last = 1 << (n - 1)
     squarefree = family.squarefree_part()
-    without_last = tuple(sorted(m for m in squarefree if not m & last))
+    without_last = tuple(m for m in squarefree if not m & last)
     ground = (1 << (n - 1)) - 1
     witness = complement_permutation(UpwardClosedFamily(ground, without_last))
     full = (1 << n) - 1

@@ -405,6 +405,69 @@ def test_readme_config_example_loads(tmp_path):
     config.resolve_config(cwd=tmp_path, env={})
 
 
+def _readme_examples():
+    """Every `$ divint ...` line in the README's code blocks, with the lines
+    printed under it: (line, environment, argv, tail, expected lines).
+
+    A line may start with VAR=value assignments and may end in `| tail -N`.
+    The printed lines run to the next `$` line, a blank line or the end of
+    the block.
+    """
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    examples = []
+    in_block = False
+    for i, line in enumerate(lines):
+        if line.startswith("```"):
+            in_block = not in_block
+        if not (in_block and line.startswith("$ ")):
+            continue
+        words = line[2:].split()
+        environ = {}
+        while "=" in words[0]:
+            key, value = words.pop(0).split("=", 1)
+            environ[key] = value
+        assert words.pop(0) == "divint", line
+        tail = None
+        if "|" in words:
+            cut = words.index("|")
+            assert words[cut + 1] == "tail", line
+            tail = int(words[cut + 2].lstrip("-"))
+            words = words[:cut]
+        expected = []
+        for printed in lines[i + 1:]:
+            if not printed or printed.startswith(("$ ", "```")):
+                break
+            expected.append(printed)
+        examples.append((line[2:], environ, words, tail, expected))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_examples_are_found():
+    assert len(README_EXAMPLES) >= 10
+    assert any(environ for _, environ, _, _, _ in README_EXAMPLES)
+    assert any(tail for _, _, _, tail, _ in README_EXAMPLES)
+
+
+@pytest.mark.parametrize("line,environ,argv,tail,expected", README_EXAMPLES,
+                         ids=[e[0] for e in README_EXAMPLES])
+def test_readme_example_prints_what_the_readme_shows(
+        env, capsys, monkeypatch, line, environ, argv, tail, expected):
+    """stdout (its last `tail` lines, for a `| tail -N` example), then
+    stderr without the elapsed-time line."""
+    for key, value in environ.items():
+        monkeypatch.setenv(key, value)
+    _, out, err = run(argv, capsys)
+    out_lines = out.splitlines()
+    if tail is not None:
+        out_lines = out_lines[-tail:]
+    err_lines = [x for x in err.splitlines() if not x.startswith("elapsed: ")]
+    assert out_lines + err_lines == expected
+
+
 def test_version_flag(env, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divint import families, lattice
-from divint.errors import PreconditionError
 from divint.families import DivisorFamily
 from divint.lattice import Signature
 
@@ -87,28 +86,6 @@ def test_empty_family_report():
     rep = families.check_maximal(DivisorFamily([]), sig)
     assert rep.is_intersecting and not rep.is_maximal
     assert rep.extension_witness == (1, 0)
-
-
-def test_maximalize_trace():
-    """Canonical scan adds p1 first, which then blocks p2."""
-    sig = Signature((1, 1))
-    out = families.maximalize(DivisorFamily([P12]), sig)
-    assert out.members == (P1, P12)
-
-
-def test_maximalize_multiples_of_last_prime():
-    sig = Signature((2, 1))
-    out = families.maximalize(DivisorFamily([(0, 1)]), sig)
-    assert out.members == ((0, 1), (1, 1), (2, 1))
-    # fixed point on an already maximal family
-    assert families.maximalize(out, sig) == out
-
-
-def test_maximalize_rejects_non_intersecting():
-    sig = Signature((1, 1))
-    with pytest.raises(PreconditionError) as exc:
-        families.maximalize(DivisorFamily([P1, P2]), sig)
-    assert exc.value.witness == (P1, P2)
 
 
 def test_minimal_members():
@@ -222,7 +199,7 @@ def compatible_by_all_radicals(fam, sig):
 def test_compatible_masks_match_all_radicals(case):
     """Any family, intersecting or not: the minimal radicals suffice."""
     sig, fam = case
-    assert families._compatible_masks(fam, sig) == \
+    assert families._meeting(families._minimal_radicals(fam), sig) == \
         compatible_by_all_radicals(fam, sig)
 
 

@@ -4,7 +4,8 @@ Each command runs in-process through `cli.main`, in an empty working
 directory with no DIVINT_* variables, and must give the recorded exit code
 and the recorded SHA-256 of its stdout.  The global reading of `openprob`
 runs in no benchmark workload, so its output is pinned here as well, and so
-are the text and CSV forms of the listings, whose benchmark runs are JSON.
+are the text and CSV forms of the listings, whose benchmark runs are JSON,
+and the ground sweep `matching --k` in all three formats.
 """
 
 import hashlib
@@ -70,6 +71,24 @@ LISTING_FORMATS = {
     },
 }
 
+GROUND_PAIRINGS = {
+    "matching --k 4 --list": {
+        "exit": 0,
+        "sha256": "7c59d825abadb80a09c2f14423250f50"
+                  "dcd6cf9a5f6f9a8c3da5fc70c3f43699",
+    },
+    "matching --k 5 --format json": {
+        "exit": 0,
+        "sha256": "f61afeace51ec4ae3f3abeaeeaed15a1"
+                  "c8615eaca0eac06d8590509dee56f0e5",
+    },
+    "matching --k 3 --format csv": {
+        "exit": 0,
+        "sha256": "9e91a770d167eef34d8691513140017b"
+                  "ff898d8f5f6f75098c96f04768f038f4",
+    },
+}
+
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_output(command, monkeypatch, tmp_path, capsys):
@@ -85,6 +104,12 @@ def test_global_maximality_output(command, monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("command", sorted(LISTING_FORMATS))
 def test_listing_format_output(command, monkeypatch, tmp_path, capsys):
     _check_output(command, LISTING_FORMATS[command], monkeypatch, tmp_path,
+                  capsys)
+
+
+@pytest.mark.parametrize("command", sorted(GROUND_PAIRINGS))
+def test_ground_pairing_output(command, monkeypatch, tmp_path, capsys):
+    _check_output(command, GROUND_PAIRINGS[command], monkeypatch, tmp_path,
                   capsys)
 
 

@@ -1,9 +1,10 @@
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divint import extremal, families, matching
+from divint import cli, extremal, families, matching, verify
 from divint.errors import PreconditionError, TheoremViolationError
 from divint.families import DivisorFamily
 from divint.lattice import Signature
@@ -52,7 +53,7 @@ def test_not_upward_closed_rejected():
 def test_witness_verify_rejects_tampering():
     fam = UpwardClosedFamily(0b11, (0b01, 0b11))
     witness = matching.complement_permutation(fam)
-    bad = matching.PermutationWitness((0, 1), witness.certificates)
+    bad = matching.PermutationWitness((0, 1))
     assert not bad.verify(fam)
 
 
@@ -164,6 +165,72 @@ def test_hall_violator_on_forced_failure(monkeypatch):
     ce = exc.value.counterexample
     assert ce["violator_positions"] == [0, 1, 2]
     assert ce["ground"] == 0b111
+
+
+@pytest.fixture
+def identity_matching(monkeypatch):
+    """A matcher that pairs every position with itself, right or wrong."""
+    def identity(n_left, n_right, adj):
+        return list(range(n_left)), list(range(n_right))
+    monkeypatch.setattr(matching, "_max_matching", identity)
+
+
+def test_uncertified_permutation_is_raised_where_it_is_built(identity_matching):
+    fam = UpwardClosedFamily(0b11, (0b01, 0b11))
+    with pytest.raises(TheoremViolationError) as exc:
+        matching.complement_permutation(fam)
+    assert exc.value.counterexample == {
+        "ground": 0b11, "members": [0b01, 0b11], "sigma": [0, 1],
+    }
+
+
+def test_uncertified_alpha_pairing_is_raised(identity_matching):
+    """The --sig path is certified by the same check as the --k path."""
+    sig = Signature((1, 1, 1, 1))
+    ground = 0b111
+    for gen in extremal.extremal_families(sig).generators:
+        fam = families.upward_closure(gen, sig)
+        paired = [m for m in fam.squarefree_part() if m <= ground]
+        if any((ground ^ m) & ~m for m in paired):
+            break
+    else:
+        pytest.fail("the identity certifies every minimum family of 1,1,1,1")
+    with pytest.raises(TheoremViolationError):
+        matching.alpha_pairing(fam, sig)
+
+
+def test_uncertified_ground_pairing_fails_the_command_and_the_sweep(
+        identity_matching, monkeypatch, tmp_path, capsys):
+    for key in list(os.environ):
+        if key.startswith("DIVINT_"):
+            monkeypatch.delenv(key)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["matching", "--k", "2"]) == 4
+    assert "certificate check" in capsys.readouterr().err
+    rows = {r["subject"]: r for r in verify.run_verify(2, 1).rows
+            if r["claim"] == "upward-family-pairing"}
+    assert rows["ground=2"]["status"] == "fail"
+
+
+def test_certification_does_not_replace_the_upward_closure_check(monkeypatch):
+    """{011, 101, 110} is not upward closed, yet a permutation certifies it."""
+    fam = UpwardClosedFamily(0b111, (0b011, 0b101, 0b110))
+    with pytest.raises(PreconditionError):
+        matching.complement_permutation(fam)
+    monkeypatch.setattr(matching, "validate_upward_closed", lambda fam: None)
+    assert matching.complement_permutation(fam).verify(fam)
+
+
+def test_pairing_records_are_tuples():
+    """Plain tuples hash and compare at C level, e.g. in cli's entry cache."""
+    assert issubclass(matching.PairingEntry, tuple)
+    assert issubclass(matching.PairingReport, tuple)
+    assert issubclass(matching.PermutationWitness, tuple)
+    assert matching.PermutationWitness._fields == ("sigma",)
+    assert matching.PairingReport._fields == ("members", "sigma", "entries")
+    assert matching.PairingEntry._fields == (
+        "position", "source", "bar_source", "excess", "alpha_position",
+        "alpha_bar_source", "alpha_excess")
 
 
 def test_alpha_pairing_on_triangle_closure():
