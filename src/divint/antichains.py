@@ -24,26 +24,21 @@ from .errors import limit_error
 
 MaskFamily = tuple[int, ...]
 
-DEFAULT_K_CAP = 6
-
-# Largest ground the count walk answers, whatever `k_cap` allows: k = 8 would
-# build the 7828352 upsets on [6], which pure Python does not finish.
+# Largest ground the count walk answers: k = 8 would build the 7828352
+# upsets on [6], which pure Python does not finish.
 COUNT_CAP = 7
 
-# Largest ground the listing walk answers, whatever `k_cap` allows: k = 7
-# would materialize and sort 1422564 families of 64 masks each.
+# Largest ground the listing walk answers: k = 7 would materialize and sort
+# 1422564 families of 64 masks each.
 LIST_CAP = 6
 
 
-def _check_k(k: int, k_cap: int, walk_cap: int, name: str) -> None:
-    """Refuse a walk on [k] before it starts.  The walk's own fixed cap
-    binds whatever `k_cap` says, so it is named first."""
+def _check_k(k: int, limit: int, name: str) -> None:
+    """Refuse a walk on [k] past its own fixed cap before it starts."""
     if k < 1:
         raise ValueError(f"ground set must have at least one element, got k={k}")
-    if k > walk_cap:
-        raise limit_error("the ground size k, at any k_cap,", k, walk_cap, name)
-    if k > k_cap:
-        raise limit_error("the ground size k", k, k_cap, "k_cap")
+    if k > limit:
+        raise limit_error("the ground size k", k, limit, name)
 
 
 def antichain_key(family: MaskFamily) -> tuple:
@@ -105,33 +100,31 @@ def _families_cached(k: int) -> tuple[tuple[MaskFamily, ...],
     return tuple(f for _, _, f in keyed), tuple(mins for _, mins, _ in keyed)
 
 
-def count_families(k: int, *, k_cap: int = DEFAULT_K_CAP) -> int:
+def count_families(k: int) -> int:
     """Number of maximal intersecting families on [k] (OEIS A001206), unlisted:
     the number of intersecting upsets on [k-1]."""
-    _check_k(k, k_cap, COUNT_CAP, "antichains.COUNT_CAP")
+    _check_k(k, COUNT_CAP, "antichains.COUNT_CAP")
     if k == 1:
         return 1
     return sum(c.bit_count() for _, c in _intervals(upsets(k - 2), k - 2))
 
 
-def enumerate_families(k: int, *,
-                       k_cap: int = DEFAULT_K_CAP) -> tuple[MaskFamily, ...]:
+def enumerate_families(k: int) -> tuple[MaskFamily, ...]:
     """All maximal intersecting families on [k], canonically ordered.
 
     The order follows the canonical order of the generating antichains, so
     this list and `enumerate_antichains` correspond elementwise.
     """
-    _check_k(k, k_cap, LIST_CAP, "antichains.LIST_CAP")
+    _check_k(k, LIST_CAP, "antichains.LIST_CAP")
     return _families_cached(k)[0]
 
 
-def enumerate_antichains(k: int, *,
-                         k_cap: int = DEFAULT_K_CAP) -> tuple[MaskFamily, ...]:
+def enumerate_antichains(k: int) -> tuple[MaskFamily, ...]:
     """Generating antichains of all maximal intersecting families on [k].
 
     Sorted by cardinality, then lexicographically on the sorted mask lists.
     """
-    _check_k(k, k_cap, LIST_CAP, "antichains.LIST_CAP")
+    _check_k(k, LIST_CAP, "antichains.LIST_CAP")
     return _families_cached(k)[1]
 
 

@@ -185,9 +185,8 @@ def cmd_bound(args, cfg: RunConfig) -> Outcome:
 
 def cmd_extremal(args, cfg: RunConfig) -> Outcome:
     sig, primes = _parse_signature(args)
-    rep = extremal.extremal_families(sig, k_cap=cfg.k_cap)
-    closures = (extremal.minimum_families(sig, k_cap=cfg.k_cap)
-                if args.list else [])
+    rep = extremal.extremal_families(sig)
+    closures = extremal.minimum_families(sig) if args.list else []
     out = Outcome(
         parameters={"sig": str(sig), "list": bool(args.list)},
         fields=["signature", "regime", "index", "generators", "closure_size"],
@@ -224,14 +223,13 @@ def cmd_extremal(args, cfg: RunConfig) -> Outcome:
 
 def cmd_count(args, cfg: RunConfig) -> Outcome:
     sig, _ = _parse_signature(args)
-    return _sig_value(sig, "count",
-                      extremal.count_minimum_families(sig, k_cap=cfg.k_cap))
+    return _sig_value(sig, "count", extremal.count_minimum_families(sig))
 
 
 def cmd_antichains(args, cfg: RunConfig) -> Outcome:
     if args.k is None or args.k < 1:
         raise _UsageError("--k must be a positive integer")
-    chains = antichains.enumerate_antichains(args.k, k_cap=cfg.k_cap)
+    chains = antichains.enumerate_antichains(args.k)
     text = [f"{len(chains)} generating antichains on {args.k} primes"]
     rows = []
     listed = []
@@ -268,7 +266,7 @@ def _listed(fams, cfg: RunConfig):
 def cmd_oracle(args, cfg: RunConfig) -> Outcome:
     sig, primes = _parse_signature(args)
     rep = oracle.enumerate_maximal_families(
-        sig, args.method, k_cap=cfg.k_cap, divisor_cap=cfg.divisor_cap,
+        sig, args.method, divisor_cap=cfg.divisor_cap,
         materialize_cap=cfg.materialize_cap,
     )
     text = _sig_notice(sig)
@@ -341,8 +339,8 @@ def _cmd_matching_ground(args) -> Outcome:
 
 def _cmd_matching_sig(args, cfg: RunConfig) -> Outcome:
     sig, primes = _parse_signature(args)
-    rep = extremal.extremal_families(sig, k_cap=cfg.k_cap)
-    closures = extremal.minimum_families(sig, k_cap=cfg.k_cap)
+    rep = extremal.extremal_families(sig)
+    closures = extremal.minimum_families(sig)
     out = Outcome(
         parameters={"sig": str(sig), "list": bool(args.list)},
         fields=["signature", "family_index", "paired_members", "sigma"],
@@ -494,7 +492,7 @@ def cmd_openprob(args, cfg: RunConfig) -> Outcome:
 def cmd_verify(args, cfg: RunConfig) -> Outcome:
     if args.max_n < 1 or args.max_exp < 1:
         raise _UsageError("--max-n and --max-exp must be positive")
-    rep = verify_mod.run_verify(args.max_n, args.max_exp, k_cap=cfg.k_cap)
+    rep = verify_mod.run_verify(args.max_n, args.max_exp)
     text = []
     rows = []
     failures = 0

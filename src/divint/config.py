@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from .antichains import DEFAULT_K_CAP
 from .oracle import DIRECT_DIVISOR_CAP, MATERIALIZE_CAP
 from .restricted import UNIVERSE_CAP
 
@@ -29,7 +28,6 @@ class RunConfig:
     # working; every engine is sequential, so it changes nothing.
     threads: int = 1
     format: str = "text"
-    k_cap: int = DEFAULT_K_CAP
     divisor_cap: int = DIRECT_DIVISOR_CAP
     materialize_cap: int = MATERIALIZE_CAP
     universe_cap: int = UNIVERSE_CAP
@@ -61,7 +59,11 @@ def _coerce(key: str, value):
 
 
 def parse_config_file(path: Path) -> dict:
-    """key = value pairs from a minimal toml-style file."""
+    """key = value pairs from a minimal toml-style file.
+
+    A `#` starts a comment wherever it stands, so no value may hold one; the
+    quotes around a value are dropped after its comment is.
+    """
     out: dict = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
@@ -71,11 +73,9 @@ def parse_config_file(path: Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        value = value.strip()
+        value = value.split("#", 1)[0].strip()
         if len(value) >= 2 and value[0] in "\"'" and value[-1] == value[0]:
             value = value[1:-1]
-        else:
-            value = value.split("#", 1)[0].strip()
         if key not in KEYS:
             raise ValueError(
                 f"{path}:{lineno}: unknown key {key!r} (known: {sorted(KEYS)})"

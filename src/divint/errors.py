@@ -10,10 +10,6 @@ class ResourceLimitError(DivintError):
     names the cap and how, if at all, it can be raised."""
 
 
-# Fixed caps that library callers can still lift, and the argument that does.
-_LIBRARY_ARGS = {"lattice.MAX_DIVISORS": "cap", "lattice.MAX_PRIMES": "max_primes"}
-
-
 def limit_error(what: str, value: int | None, limit: int,
                 name: str) -> ResourceLimitError:
     """The refusal for `what`, which came to `value` against `limit`.
@@ -25,9 +21,6 @@ def limit_error(what: str, value: int | None, limit: int,
     if "." not in name:
         how = (f"raise {name} via DIVINT_{name.upper()} or {name} in "
                f"divisor-intersect.toml")
-    elif name in _LIBRARY_ARGS:
-        how = (f"{name}, fixed for the command line; library callers may "
-               f"pass {_LIBRARY_ARGS[name]}")
     else:
         how = f"{name}, a fixed constant"
     amount = "exceeds" if value is None else f"is {value}, above"

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import antichains, families, lattice
-from .antichains import DEFAULT_K_CAP, MaskFamily
+from .antichains import MaskFamily
 from .families import DivisorFamily
 from .lattice import Signature
 
@@ -52,35 +52,33 @@ class ClassificationVerdict:
     failure_witness: Optional[object] = None
 
 
-def _generator_masks(sig: Signature, k_cap: int) -> tuple[MaskFamily, ...]:
+def _generator_masks(sig: Signature) -> tuple[MaskFamily, ...]:
     """Radical antichains of the generators, in the order of the report."""
     n, u = sig.n, sig.u
     if sig.alphas[-1] >= 2:
         return tuple((1 << v,) for v in range(u, n))
     return tuple(tuple(m << u for m in ac)
-                 for ac in antichains.enumerate_antichains(n - u, k_cap=k_cap))
+                 for ac in antichains.enumerate_antichains(n - u))
 
 
-def extremal_families(sig: Signature, *,
-                      k_cap: int = DEFAULT_K_CAP) -> ExtremalReport:
+def extremal_families(sig: Signature) -> ExtremalReport:
     """All minimum-size maximal families, given by their generator antichains."""
     bound = lattice.min_size_bound(sig)
     regime = "deep" if sig.alphas[-1] >= 2 else "flat"
     gens = tuple(
         DivisorFamily(lattice.mask_to_divisor(m, sig.n) for m in ac)
-        for ac in _generator_masks(sig, k_cap)
+        for ac in _generator_masks(sig)
     )
     return ExtremalReport(sig, regime, bound, len(gens), gens)
 
 
 @lru_cache
-def _generator_set(sig: Signature, k_cap: int) -> frozenset[MaskFamily]:
+def _generator_set(sig: Signature) -> frozenset[MaskFamily]:
     """Radical antichains of the generators, for lookup by `classify`."""
-    return frozenset(_generator_masks(sig, k_cap))
+    return frozenset(_generator_masks(sig))
 
 
-def minimum_families(sig: Signature, *,
-                     k_cap: int = DEFAULT_K_CAP) -> list[DivisorFamily]:
+def minimum_families(sig: Signature) -> list[DivisorFamily]:
     """The closures of `extremal_families(sig).generators`, in that order.
 
     A maximal family is fixed by its radical set, so each closure is lifted
@@ -98,18 +96,16 @@ def minimum_families(sig: Signature, *,
     else:
         lows = range(1 << u)
         radical_sets = [[h << u | low for h in fam for low in lows]
-                        for fam in antichains.enumerate_families(
-                            n - u, k_cap=k_cap)]
+                        for fam in antichains.enumerate_families(n - u)]
     return [DivisorFamily(lattice.divisors_on_radicals(sig, masks))
             for masks in radical_sets]
 
 
-def count_minimum_families(sig: Signature, *,
-                           k_cap: int = DEFAULT_K_CAP) -> int:
+def count_minimum_families(sig: Signature) -> int:
     """Number of minimum-size maximal families, without materializing them."""
     if sig.alphas[-1] >= 2:
         return sig.n - sig.u
-    return antichains.count_families(sig.n - sig.u, k_cap=k_cap)
+    return antichains.count_families(sig.n - sig.u)
 
 
 def _condition_b(mins: MaskFamily, sig: Signature) -> bool:
@@ -120,8 +116,7 @@ def _condition_b(mins: MaskFamily, sig: Signature) -> bool:
     return all(m >> u << u == m for m in mins)  # only primes u..n-1
 
 
-def classify(family: DivisorFamily, sig: Signature, *,
-             k_cap: int = DEFAULT_K_CAP) -> ClassificationVerdict:
+def classify(family: DivisorFamily, sig: Signature) -> ClassificationVerdict:
     """Evaluate the three extremal characterizations independently."""
     report = families.check_maximal(family, sig)
     if not report.is_maximal:
@@ -139,7 +134,7 @@ def classify(family: DivisorFamily, sig: Signature, *,
     mins = antichains.minimal_masks(tuple(sorted(set(family.radicals))))
     if _condition_b(mins, sig):
         matched.add("b")
-    if mins in _generator_set(sig, k_cap):
+    if mins in _generator_set(sig):
         matched.add("c")
     is_extremal = "a" in matched
     witness = None if is_extremal else "size-above-minimum"

@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
+from math import isqrt, prod
 from typing import Callable, Iterable, Iterator
 
 from .errors import limit_error
@@ -42,14 +42,14 @@ class Signature:
     original: tuple[int, ...] = field(compare=False, repr=False)
     perm: tuple[int, ...] = field(compare=False, repr=False)
 
-    def __init__(self, exponents, max_primes: int = MAX_PRIMES):
+    def __init__(self, exponents):
         orig = tuple(int(a) for a in exponents)
         if not orig:
             raise ValueError("signature needs at least one exponent")
         if any(a < 1 for a in orig):
             raise ValueError(f"exponents must be positive, got {orig}")
-        if len(orig) > max_primes:
-            raise limit_error("the number of primes", len(orig), max_primes,
+        if len(orig) > MAX_PRIMES:
+            raise limit_error("the number of primes", len(orig), MAX_PRIMES,
                               "lattice.MAX_PRIMES")
         perm = tuple(sorted(range(len(orig)), key=lambda i: (-orig[i], i)))
         object.__setattr__(self, "alphas", tuple(orig[i] for i in perm))
@@ -87,17 +87,17 @@ divisor_key: Callable[[Divisor], tuple[int, ...]] = \
     operator.itemgetter(slice(None, None, -1))
 
 
-def check_divisor_cap(sig: Signature, cap: int = MAX_DIVISORS) -> None:
-    """Refuse a lattice with more than `cap` divisors before anything walks it."""
+def check_divisor_cap(sig: Signature) -> None:
+    """Refuse a lattice above MAX_DIVISORS divisors before any walk."""
     count = sig.divisor_count()
-    if count > cap:
-        raise limit_error("the number of divisors in the lattice", count, cap,
-                          "lattice.MAX_DIVISORS")
+    if count > MAX_DIVISORS:
+        raise limit_error("the number of divisors in the lattice", count,
+                          MAX_DIVISORS, "lattice.MAX_DIVISORS")
 
 
-def enumerate_divisors(sig: Signature, cap: int = MAX_DIVISORS) -> list[Divisor]:
+def enumerate_divisors(sig: Signature) -> list[Divisor]:
     """All exponent vectors of the lattice (including divisor 1), canonically ordered."""
-    check_divisor_cap(sig, cap)
+    check_divisor_cap(sig)
     axes = [range(a + 1) for a in reversed(sig.alphas)]
     return [t[::-1] for t in itertools.product(*axes)]
 
@@ -216,16 +216,14 @@ def signature_grid(max_n: int, max_exp: int) -> list[Signature]:
     """Every normalized signature with n <= max_n primes and exponents <= max_exp.
 
     Deterministic order: by prime count, then lexicographically on the
-    exponent vector.  Only descending vectors are emitted, so each signature
-    appears exactly once.
+    exponent vector.  Only non-increasing vectors are built, one per
+    multiset of exponents, so each signature appears exactly once.
     """
     if max_n < 1 or max_exp < 1:
         raise ValueError("signature grid needs max_n >= 1 and max_exp >= 1")
-    out = []
-    for n in range(1, max_n + 1):
-        for alphas in itertools.product(range(max_exp, 0, -1), repeat=n):
-            if all(alphas[i] >= alphas[i + 1] for i in range(n - 1)):
-                out.append(Signature(alphas))
+    out = [Signature(alphas) for n in range(1, max_n + 1)
+           for alphas in itertools.combinations_with_replacement(
+               range(max_exp, 0, -1), n)]
     out.sort(key=lambda s: (s.n, s.alphas))
     return out
 
@@ -265,13 +263,44 @@ def format_divisor(d: Divisor) -> str:
     return "*".join(parts) if parts else "1"
 
 
+# Trial division stops below 2^21, the cube root of 2^63: what is left of a
+# value up to 2^63 then has at most two prime factors, both above 2^21.
+_TRIAL_LIMIT = 1 << 21
+
+# Miller-Rabin on these bases is exact for every n below 3.3 * 10^24.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact far beyond 2^63."""
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factor_int(value: int) -> tuple[Signature, tuple[int, ...]]:
-    """Factor a small integer by trial division (input convenience only).
+    """Factor an integer 2 <= value <= 2^63 (input convenience only).
 
     Returns the normalized signature together with its primes reordered to
-    match, so display output uses the integer's own primes.  Limited to
-    2 <= value <= 2**63; expect trial division to be slow near the top of
-    that range.
+    match, so display output uses the integer's own primes.  Trial division
+    runs below 2^21; the cofactor left is 1, a prime or a prime square,
+    which `_is_prime` and `isqrt` settle, or a product of two distinct
+    primes above 2^21, which is refused.
     """
     if value < 2:
         raise ValueError(f"cannot build a signature from {value}: need an integer >= 2")
@@ -280,7 +309,7 @@ def factor_int(value: int) -> tuple[Signature, tuple[int, ...]]:
     pairs = []
     rest = value
     d = 2
-    while d * d <= rest:
+    while d < _TRIAL_LIMIT and d * d <= rest:
         if rest % d == 0:
             e = 0
             while rest % d == 0:
@@ -289,7 +318,16 @@ def factor_int(value: int) -> tuple[Signature, tuple[int, ...]]:
             pairs.append((d, e))
         d += 1 if d == 2 else 2
     if rest > 1:
-        pairs.append((rest, 1))
+        root = isqrt(rest)
+        if root * root == rest:
+            pairs.append((root, 2))
+        elif _is_prime(rest):
+            pairs.append((rest, 1))
+        else:
+            raise ValueError(
+                f"{value} has two distinct prime factors above 2^21, which "
+                f"the factoring convenience does not split; give its "
+                f"exponents with --sig")
     sig = Signature([e for _, e in pairs])
     primes = tuple(pairs[i][0] for i in sig.perm)
     return sig, primes

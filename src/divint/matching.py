@@ -30,7 +30,7 @@ from .lattice import Mask, Signature
 # Largest ground on which every upward-closed family is listed: 7579 families
 # at k=5, 7828352 at k=6 (OEIS A000372 minus the two constants).  The same
 # builder serves `antichains.enumerate_families(k)`, which asks only for the
-# upsets on [k-2] and is bounded by its own `k_cap`.
+# upsets on [k-2] and is bounded by its own `antichains.LIST_CAP`.
 GROUND_CAP = 5
 
 

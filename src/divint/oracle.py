@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Optional
 
 from . import antichains, lattice
-from .antichains import DEFAULT_K_CAP
 from .errors import limit_error
 from .families import DivisorFamily
 from .lattice import Mask, Signature
@@ -81,9 +80,9 @@ def _finish(sig: Signature, method: str, sizes: list[int],
     )
 
 
-def _enumerate_radical_lift(sig: Signature, k_cap: int,
+def _enumerate_radical_lift(sig: Signature,
                             materialize_cap: int) -> OracleReport:
-    mask_families = antichains.enumerate_families(sig.n, k_cap=k_cap)
+    mask_families = antichains.enumerate_families(sig.n)
     weights = lattice.alpha_weights(sig)
     sizes = [sum(map(weights.__getitem__, fam)) for fam in mask_families]
     if sum(sizes) > materialize_cap:
@@ -165,9 +164,7 @@ def _enumerate_direct(sig: Signature, divisor_cap: int,
     if count > divisor_cap:
         raise limit_error("the number of divisors > 1 for direct-clique",
                           count, divisor_cap, "divisor_cap")
-    divisors = [
-        d for d in lattice.enumerate_divisors(sig, cap=count + 1) if any(d)
-    ]
+    divisors = [d for d in lattice.enumerate_divisors(sig) if any(d)]
     cliques = maximal_cliques([lattice.radical(d) for d in divisors])
     sizes = [c.bit_count() for c in cliques]
     if sum(sizes) > materialize_cap:
@@ -182,13 +179,12 @@ def enumerate_maximal_families(
     sig: Signature,
     method: str = "radical-lift",
     *,
-    k_cap: int = DEFAULT_K_CAP,
     divisor_cap: int = DIRECT_DIVISOR_CAP,
     materialize_cap: int = MATERIALIZE_CAP,
 ) -> OracleReport:
     """Census of every maximal family of divisors of the given signature."""
     if method == "radical-lift":
-        return _enumerate_radical_lift(sig, k_cap, materialize_cap)
+        return _enumerate_radical_lift(sig, materialize_cap)
     if method == "direct-clique":
         return _enumerate_direct(sig, divisor_cap, materialize_cap)
     raise ValueError(f"unknown method {method!r}: expected one of {METHODS}")

@@ -38,7 +38,6 @@ import operator
 from dataclasses import dataclass
 
 from . import antichains, extremal, families, lattice, matching, oracle
-from .antichains import DEFAULT_K_CAP
 from .errors import DivintError, limit_error
 from .families import DivisorFamily
 from .lattice import Signature
@@ -75,7 +74,7 @@ def _fam_json(fam: DivisorFamily) -> list[list[int]]:
     return [list(d) for d in fam.members]
 
 
-def _check_sig_claims(sig: Signature, k_cap: int) -> dict[str, dict]:
+def _check_sig_claims(sig: Signature) -> dict[str, dict]:
     """Evaluate every per-signature claim; returns claim -> row fields."""
     out: dict[str, dict] = {}
 
@@ -89,8 +88,7 @@ def _check_sig_claims(sig: Signature, k_cap: int) -> dict[str, dict]:
 
     # run_verify refuses an over-cap grid before the sweep; this refusal
     # stands for any other caller
-    rep = oracle.enumerate_maximal_families(
-        sig, k_cap=k_cap, materialize_cap=MEMBER_CAP)
+    rep = oracle.enumerate_maximal_families(sig, materialize_cap=MEMBER_CAP)
     if rep.families is None:
         raise limit_error(f"the number of family members of {sig}",
                           sum(rep.sizes), MEMBER_CAP, "verify.MEMBER_CAP")
@@ -117,7 +115,7 @@ def _check_sig_claims(sig: Signature, k_cap: int) -> dict[str, dict]:
             ok("squarefree-size-law")
 
     try:
-        predicted = extremal.count_minimum_families(sig, k_cap=k_cap)
+        predicted = extremal.count_minimum_families(sig)
         if predicted == rep.min_count:
             ok("minimum-count-law")
         else:
@@ -129,7 +127,7 @@ def _check_sig_claims(sig: Signature, k_cap: int) -> dict[str, dict]:
         fail("minimum-count-law", {"signature": sig_json, "error": str(exc)})
 
     try:
-        ext = extremal.extremal_families(sig, k_cap=k_cap)
+        ext = extremal.extremal_families(sig)
         closures = {
             families.upward_closure(gen, sig) for gen in ext.generators
         }
@@ -157,7 +155,7 @@ def _check_sig_claims(sig: Signature, k_cap: int) -> dict[str, dict]:
         rads = set(fam.squarefree_part())
 
         try:
-            verdict = extremal.classify(fam, sig, k_cap=k_cap)
+            verdict = extremal.classify(fam, sig)
             if len(verdict.matched) not in (0, 3):
                 fail("classification-equivalence", {
                     "signature": sig_json, "family": _fam_json(fam),
@@ -246,17 +244,16 @@ def _check_ground_pairing(k: int) -> dict:
     return {"status": "pass"}
 
 
-def _member_counts(n: int, k_cap: int) -> list[int]:
+def _member_counts(n: int) -> list[int]:
     """How many maximal intersecting families on [n] hold each mask."""
     counts = [0] * (1 << n)
-    for fam in antichains.enumerate_families(n, k_cap=k_cap):
+    for fam in antichains.enumerate_families(n):
         for m in fam:
             counts[m] += 1
     return counts
 
 
-def run_verify(max_n: int = 3, max_exp: int = 2, *,
-               k_cap: int = DEFAULT_K_CAP) -> VerifyReport:
+def run_verify(max_n: int = 3, max_exp: int = 2) -> VerifyReport:
     """Run every claim over the grid; never raises on claim failure.
 
     Every limit is checked before the first signature is swept: the caps of
@@ -265,7 +262,8 @@ def run_verify(max_n: int = 3, max_exp: int = 2, *,
     order.
     """
     grid = lattice.signature_grid(max_n, max_exp)
-    counts = {n: _member_counts(n, k_cap) for n in range(1, max_n + 1)}
+    # largest ground first: a walk past its cap is refused before any runs
+    counts = {n: _member_counts(n) for n in range(max_n, 0, -1)}
     for sig in grid:
         total = sum(map(operator.mul, counts[sig.n],
                         lattice.alpha_weights(sig)))
@@ -274,7 +272,7 @@ def run_verify(max_n: int = 3, max_exp: int = 2, *,
                               total, MEMBER_CAP, "verify.MEMBER_CAP")
     per_sig: dict[str, dict[str, dict]] = {}
     for sig in grid:
-        per_sig[str(sig)] = _check_sig_claims(sig, k_cap)
+        per_sig[str(sig)] = _check_sig_claims(sig)
 
     rows: list[dict] = []
     for claim in CLAIMS:

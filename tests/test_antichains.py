@@ -9,7 +9,7 @@ from divint.errors import ResourceLimitError
 # family counts for k = 1..6; equivalently the number of self-dual monotone
 # boolean functions of k variables
 COUNTS = {1: 1, 2: 2, 3: 4, 4: 12, 5: 81, 6: 2646}
-# OEIS A001206 at k = 7, past the default k_cap
+# OEIS A001206 at k = 7, past LIST_CAP
 COUNT_7 = 1422564
 # upsets on [k] for k = 0..5, both constants included (OEIS A000372)
 DEDEKIND = (2, 3, 6, 20, 168, 7581)
@@ -87,10 +87,10 @@ def test_cap_and_bad_k():
         antichains.enumerate_families(0)
     with pytest.raises(ResourceLimitError):
         antichains.enumerate_families(7)
-    # the error names the override
-    with pytest.raises(ResourceLimitError, match="k_cap"):
+    # the error names the walk's own fixed cap
+    with pytest.raises(ResourceLimitError, match="antichains.LIST_CAP"):
         antichains.enumerate_families(7)
-    assert len(antichains.enumerate_families(2, k_cap=2)) == 2
+    assert len(antichains.enumerate_families(2)) == 2
 
 
 def test_bijection_with_closures():
@@ -173,31 +173,31 @@ def test_upsets_are_the_dedekind_numbers():
 def test_count_families_is_a001206():
     for k, count in COUNTS.items():
         assert antichains.count_families(k) == count
-    assert antichains.count_families(7, k_cap=7) == COUNT_7
+    assert antichains.count_families(7) == COUNT_7
 
 
 def test_count_families_caps_and_bad_k():
-    with pytest.raises(ResourceLimitError, match="k_cap"):
-        antichains.count_families(7)
+    with pytest.raises(ResourceLimitError, match="antichains.COUNT_CAP"):
+        antichains.count_families(8)
     with pytest.raises(ValueError):
         antichains.count_families(0)
 
 
 def test_count_walk_has_its_own_cap():
-    """Past COUNT_CAP the walk is refused whatever k_cap allows."""
+    """Past COUNT_CAP the walk is refused."""
     with pytest.raises(ResourceLimitError, match="antichains.COUNT_CAP"):
-        antichains.count_families(antichains.COUNT_CAP + 1, k_cap=8)
+        antichains.count_families(antichains.COUNT_CAP + 1)
 
 
 def test_listing_walk_has_its_own_cap():
-    """Past LIST_CAP the listing walks are refused whatever k_cap allows;
-    the count walk still answers there."""
+    """Past LIST_CAP the listing walks are refused; the count walk still
+    answers there."""
     k = antichains.LIST_CAP + 1
     for walk in (antichains.enumerate_families,
                  antichains.enumerate_antichains):
         with pytest.raises(ResourceLimitError, match="antichains.LIST_CAP"):
-            walk(k, k_cap=k)
-    assert antichains.count_families(k, k_cap=k) == COUNT_7
+            walk(k)
+    assert antichains.count_families(k) == COUNT_7
 
 
 def test_each_antichain_is_taken_once(monkeypatch):

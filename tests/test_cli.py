@@ -258,12 +258,10 @@ def test_fixed_lattice_caps_name_their_constants(env, capsys):
     code, _, err = run(["extremal", "--sig", "30,30,30,30", "--list"],
                        capsys)
     assert code == 3
-    assert "lattice.MAX_DIVISORS" in err
-    assert "fixed for the command line" in err
+    assert "(lattice.MAX_DIVISORS, a fixed constant)" in err
     code, _, err = run(["bound", "--sig", ",".join(["1"] * 17)], capsys)
     assert code == 3
-    assert "lattice.MAX_PRIMES" in err
-    assert "fixed for the command line" in err
+    assert "(lattice.MAX_PRIMES, a fixed constant)" in err
 
 
 def test_divisor_cap_default_refuses_large_lattice(env, capsys):
@@ -284,38 +282,30 @@ def test_divisor_cap_can_be_raised(env, capsys, monkeypatch):
 
 
 def test_k_cap_message_names_a_real_knob(env, capsys):
+    """The cap on the ground size k is the listing walk's fixed constant."""
     code, _, err = run(["antichains", "--k", "7"], capsys)
     assert code == 3
-    assert "k_cap" in err
-    assert "--k-cap" not in err
+    assert "(antichains.LIST_CAP, a fixed constant)" in err
+    assert "raise" not in err
 
 
 def test_radical_lift_refusal_names_k_cap(env, capsys):
+    """The radical lift on 7 primes is refused by the cap on k."""
     code, _, err = run(["oracle", "--sig", "1,1,1,1,1,1,1"], capsys)
     assert code == 3
-    assert "k_cap" in err
+    assert "antichains.LIST_CAP" in err
     assert "n_cap" not in err
 
 
-def test_matching_ground_is_not_bounded_by_k_cap(env, capsys, monkeypatch):
-    monkeypatch.setenv("DIVINT_K_CAP", "3")
-    code, out, _ = run(["matching", "--k", "4", "--format", "json"], capsys)
-    assert code == 0
-    assert json.loads(out)["results"]["count"] == 166
+def test_count_answers_past_the_listing_cap(env, capsys):
+    """k = 7 is past LIST_CAP and within COUNT_CAP: OEIS A001206."""
+    for argv in (["count", "--sig", "1,1,1,1,1,1,1"],
+                 ["count", "--n", "510510"]):  # 2*3*5*7*11*13*17
+        code, out, _ = run(argv, capsys)
+        assert (code, out) == (0, "1422564\n")
 
 
-def test_count_answers_past_the_listing_cap(env, capsys, monkeypatch):
-    code, _, err = run(["count", "--sig", "1,1,1,1,1,1,1"], capsys)
-    assert code == 3
-    assert "k_cap" in err
-    monkeypatch.setenv("DIVINT_K_CAP", "7")
-    code, out, _ = run(["count", "--sig", "1,1,1,1,1,1,1"], capsys)
-    assert code == 0
-    assert out == "1422564\n"
-
-
-def test_count_walk_cap_refuses_at_once(env, capsys, monkeypatch):
-    monkeypatch.setenv("DIVINT_K_CAP", "8")
+def test_count_walk_cap_refuses_at_once(env, capsys):
     start = time.perf_counter()
     code, _, err = run(["count", "--sig", "1,1,1,1,1,1,1,1"], capsys)
     assert code == 3
@@ -323,8 +313,7 @@ def test_count_walk_cap_refuses_at_once(env, capsys, monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
-def test_listing_walk_cap_refuses_at_once(env, capsys, monkeypatch):
-    monkeypatch.setenv("DIVINT_K_CAP", "7")
+def test_listing_walk_cap_refuses_at_once(env, capsys):
     start = time.perf_counter()
     code, _, err = run(["antichains", "--k", "7"], capsys)
     assert code == 3
@@ -371,11 +360,11 @@ def test_openprob_answers_squarefree_at_twice_t(env, capsys, n):
     assert time.perf_counter() - start < 1.0
 
 
-def test_verify_honours_k_cap(env, capsys, monkeypatch):
-    monkeypatch.setenv("DIVINT_K_CAP", "3")
-    code, _, err = run(["verify", "--max-n", "4", "--max-exp", "1"], capsys)
-    assert code == 3
-    assert "k_cap" in err
+def test_verify_honours_k_cap(env, capsys):
+    """verify on 7 primes is refused by the cap on k, LIST_CAP."""
+    code, out, err = run(["verify", "--max-n", "7", "--max-exp", "1"], capsys)
+    assert (code, out) == (3, "")
+    assert "antichains.LIST_CAP" in err
 
 
 def test_threads_zero_is_a_usage_error(env, capsys):
@@ -398,7 +387,7 @@ def test_readme_config_example_loads(tmp_path):
     intro = text.index("`divisor-intersect.toml`")
     start = text.index("```\n", intro) + len("```\n")
     example = text[start:text.index("```", start)]
-    assert "k_cap" in example
+    assert "divisor_cap" in example
     (tmp_path / config.CONFIG_FILENAME).write_text(example)
     # parse_config_file raises on an unknown key, RunConfig on a bad value
     config.parse_config_file(tmp_path / config.CONFIG_FILENAME)
@@ -501,6 +490,28 @@ def test_config_file_env_flag_precedence(env, capsys, monkeypatch):
     assert out.splitlines()[0] == "signature,min_size"  # env beats file
     _, out, _ = run(["bound", "--sig", "1,1", "--format", "text"], capsys)
     assert out == "2\n"  # flag beats env
+
+
+def test_config_file_comment_after_a_quoted_value(env, capsys):
+    (env / "divisor-intersect.toml").write_text(
+        'format = "json"   # machine-readable\n'
+        "universe_cap = '300'  # restricted-universe size cap\n")
+    code, out, _ = run(["bound", "--sig", "1,1"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["min_size"] == 2
+
+
+def test_k_cap_key_in_config_file_is_unknown(env, capsys, monkeypatch):
+    """The knob is gone: its file key is refused like any unknown key, and
+    its environment variable is ignored like any unknown variable."""
+    (env / "divisor-intersect.toml").write_text("k_cap = 7\n")
+    code, out, err = run(["bound", "--sig", "1,1"], capsys)
+    assert (code, out) == (2, "")
+    assert "unknown key 'k_cap'" in err
+    (env / "divisor-intersect.toml").unlink()
+    monkeypatch.setenv("DIVINT_K_CAP", "3")
+    code, out, _ = run(["count", "--sig", "1,1,1,1,1,1,1"], capsys)
+    assert (code, out) == (0, "1422564\n")
 
 
 def test_bad_config_file_is_a_usage_error(env, capsys):
@@ -607,9 +618,9 @@ def _cap_names():
     which passes its walk's fixed cap on to the one non-literal call."""
     names = set()
     forwarded = 0
-    for fn in ("limit_error", "_check_k"):
+    for fn, at in (("limit_error", 3), ("_check_k", 2)):
         for node in _calls(fn):
-            arg = node.args[3]
+            arg = node.args[at]
             if isinstance(arg, ast.Constant):
                 names.add(arg.value)
             else:
@@ -646,8 +657,9 @@ def test_limit_error_words_each_kind_of_cap():
     assert str(errors.limit_error("the count", None, 8, "oracle.CLIQUE_CAP")) \
         == ("the count exceeds the cap of 8 "
             "(oracle.CLIQUE_CAP, a fixed constant)")
-    assert "library callers may pass max_primes" in str(
-        errors.limit_error("the count", 9, 8, "lattice.MAX_PRIMES"))
+    assert str(errors.limit_error("the count", 9, 8, "lattice.MAX_PRIMES")) \
+        == ("the count is 9, above the cap of 8 "
+            "(lattice.MAX_PRIMES, a fixed constant)")
 
 
 def test_readme_cap_table_matches_the_code():
@@ -677,9 +689,8 @@ def test_readme_cap_table_matches_the_code():
 REFUSALS = [
     (["antichains", "--k", "7"], {}),
     (["oracle", "--sig", ",".join("1" * 7)], {}),
-    (["count", "--sig", ",".join("1" * 7)], {}),
     (["count", "--sig", ",".join("1" * 8)], {}),
-    (["verify", "--max-n", "4", "--max-exp", "1"], {"DIVINT_K_CAP": "3"}),
+    (["verify", "--max-n", "7", "--max-exp", "1"], {}),
     (["matching", "--k", "6"], {}),
     (["oracle", "--sig", "25,19", "--method", "direct-clique"], {}),
     (["openprob", "--mode", "omega", "--sig", "20,20", "--t", "2"], {}),

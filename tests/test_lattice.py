@@ -1,5 +1,7 @@
 import itertools
-from math import prod
+import random
+import time
+from math import comb, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,10 +35,9 @@ def test_signature_rejects_bad_input():
         Signature((2, 0))
     with pytest.raises(ValueError):
         Signature((-1,))
-    with pytest.raises(ResourceLimitError):
-        Signature((1,) * 17)
-    # the cap is overridable
-    assert Signature((1,) * 17, max_primes=20).n == 17
+    with pytest.raises(ResourceLimitError, match=r"lattice\.MAX_PRIMES"):
+        Signature((1,) * (lattice.MAX_PRIMES + 1))
+    assert Signature((1,) * lattice.MAX_PRIMES).n == lattice.MAX_PRIMES
 
 
 @pytest.mark.parametrize("alphas,u", [
@@ -73,8 +74,13 @@ def test_enumerate_divisors_no_duplicates(sig):
 
 
 def test_enumerate_divisors_cap():
-    with pytest.raises(ResourceLimitError):
-        lattice.enumerate_divisors(Signature((9,) * 6), cap=1000)
+    # 10^6 divisors, above MAX_DIVISORS; the refusal comes before any is built
+    sig = Signature((9,) * 6)
+    assert sig.divisor_count() > lattice.MAX_DIVISORS
+    for build in (lattice.enumerate_divisors, lattice.check_divisor_cap):
+        with pytest.raises(ResourceLimitError,
+                           match=r"is 1000000, .*lattice\.MAX_DIVISORS"):
+            build(sig)
 
 
 def test_radical():
@@ -169,6 +175,35 @@ def test_signature_grid_counts_raw_tuples():
     assert raw == set(lattice.signature_grid(4, 3))
 
 
+def _grid_by_filtering(max_n, max_exp):
+    """Every exponent tuple, keeping the non-increasing ones."""
+    out = [Signature(t) for n in range(1, max_n + 1)
+           for t in itertools.product(range(max_exp, 0, -1), repeat=n)
+           if all(a >= b for a, b in zip(t, t[1:]))]
+    out.sort(key=lambda s: (s.n, s.alphas))
+    return out
+
+
+@pytest.mark.parametrize("max_n", range(1, 6))
+@pytest.mark.parametrize("max_exp", range(1, 5))
+def test_signature_grid_matches_the_filtered_product(max_n, max_exp):
+    grid = lattice.signature_grid(max_n, max_exp)
+    assert [s.alphas for s in grid] == \
+        [s.alphas for s in _grid_by_filtering(max_n, max_exp)]
+    # one signature per multiset of k exponents from 1..max_exp
+    assert len(grid) == sum(comb(max_exp + k - 1, k)
+                            for k in range(1, max_n + 1))
+
+
+def test_signature_grid_builds_only_its_signatures():
+    """The 6/12 grid holds 18563 signatures out of 12^6 + ... raw tuples;
+    it is built without walking the raw tuples."""
+    start = time.perf_counter()
+    grid = lattice.signature_grid(6, 12)
+    assert len(grid) == 18563 == sum(comb(12 + k - 1, k) for k in range(1, 7))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_display_helpers():
     assert lattice.first_primes(4) == (2, 3, 5, 7)
     assert lattice.display_value((2, 1, 0, 1), (2, 3, 5, 7)) == 4 * 3 * 7
@@ -190,3 +225,65 @@ def test_factor_int():
         lattice.factor_int(1)
     with pytest.raises(ValueError):
         lattice.factor_int(2**63 + 1)
+
+
+def _factor_by_trial_division(value):
+    """Prime -> exponent, by trial division up to the square root."""
+    out, d = {}, 2
+    while d * d <= value:
+        while value % d == 0:
+            out[d] = out.get(d, 0) + 1
+            value //= d
+        d += 1
+    if value > 1:
+        out[value] = out.get(value, 0) + 1
+    return out
+
+
+def _factored(value):
+    sig, primes = lattice.factor_int(value)
+    return dict(zip(primes, sig.alphas))
+
+
+def _random_prime(rng, low, high):
+    while True:
+        p = rng.randrange(low, high)
+        if _factor_by_trial_division(p) == {p: 1}:
+            return p
+
+
+def test_factor_int_agrees_with_trial_division():
+    for value in range(2, 5000):
+        assert _factored(value) == _factor_by_trial_division(value), value
+    rng = random.Random(20)
+    for _ in range(30):
+        value = rng.randrange(2, 2**32)
+        assert _factored(value) == _factor_by_trial_division(value), value
+
+
+def test_factor_int_settles_a_cofactor_above_the_trial_limit():
+    """Past trial division the cofactor is a prime or a prime square; the
+    primes above 2^21 here are found by trial division."""
+    rng = random.Random(21)
+    for _ in range(10):
+        small = rng.randrange(1, 2**10)
+        big = _random_prime(rng, 2**21, 2**26)
+        for power in (1, 2):
+            value = small * big ** power
+            want = _factor_by_trial_division(small)
+            want[big] = power
+            assert _factored(value) == want, value
+
+
+def test_factor_int_on_large_primes():
+    start = time.perf_counter()
+    # the largest prime below 2^63
+    assert _factored(9223372036854775783) == {9223372036854775783: 1}
+    sig, primes = lattice.factor_int((2**31 - 1) ** 2)
+    assert (str(sig), primes) == ("2", (2**31 - 1,))
+    assert time.perf_counter() - start < 5.0
+
+
+def test_factor_int_refuses_two_large_distinct_primes():
+    with pytest.raises(ValueError, match="--sig"):
+        lattice.factor_int(2147483629 * 2147483647)

@@ -112,7 +112,7 @@ def test_minimum_matches_closed_form(alphas):
 
 
 def test_radical_lift_prime_cap():
-    with pytest.raises(ResourceLimitError, match="k_cap"):
+    with pytest.raises(ResourceLimitError, match="antichains.LIST_CAP"):
         enumerate_maximal_families(Signature((1,) * 7))
 
 

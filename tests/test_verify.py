@@ -63,12 +63,14 @@ def test_injected_fault_is_reported_not_raised(monkeypatch):
 
 
 def test_k_cap_refusal_precedes_the_sweep(monkeypatch):
+    """The cap on the ground size k, antichains.LIST_CAP, refuses the 7/1
+    grid before any signature is checked."""
     def boom(*args, **kwargs):
-        raise AssertionError("a signature was checked before the k_cap refusal")
+        raise AssertionError("a signature was checked before the refusal")
 
     monkeypatch.setattr(verify, "_check_sig_claims", boom)
-    with pytest.raises(ResourceLimitError, match="k_cap"):
-        run_verify(4, 1, k_cap=3)
+    with pytest.raises(ResourceLimitError, match=r"antichains\.LIST_CAP"):
+        run_verify(7, 1)
 
 
 def test_member_cap_refusal_precedes_the_sweep(monkeypatch):
@@ -93,12 +95,12 @@ def test_a_signature_checked_alone_still_refuses_the_member_cap(monkeypatch):
     monkeypatch.setattr(verify, "MEMBER_CAP", 44)
     with pytest.raises(ResourceLimitError,
                        match=r"of 2,2,1 is 45, .*verify\.MEMBER_CAP"):
-        verify._check_sig_claims(Signature((2, 2, 1)), 6)
+        verify._check_sig_claims(Signature((2, 2, 1)))
 
 
 def test_member_totals_are_the_lifted_family_sizes():
     for sig in lattice.signature_grid(4, 3):
-        counts = verify._member_counts(sig.n, 6)
+        counts = verify._member_counts(sig.n)
         weights = lattice.alpha_weights(sig)
         rep = oracle.enumerate_maximal_families(sig)
         assert sum(c * w for c, w in zip(counts, weights)) == sum(rep.sizes)
