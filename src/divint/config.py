@@ -53,9 +53,14 @@ _INT_KEYS = frozenset(f.name for f in fields(RunConfig)
 
 
 def _coerce(key: str, value):
-    if key in _INT_KEYS:
-        return value if isinstance(value, int) else int(str(value), 10)
-    return str(value)
+    if key not in _INT_KEYS:
+        return str(value)
+    if isinstance(value, int):
+        return value
+    try:
+        return int(str(value), 10)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got '{value}'") from None
 
 
 def parse_config_file(path: Path) -> dict:

@@ -97,8 +97,7 @@ def minimum_families(sig: Signature) -> list[DivisorFamily]:
         lows = range(1 << u)
         radical_sets = [[h << u | low for h in fam for low in lows]
                         for fam in antichains.enumerate_families(n - u)]
-    return [DivisorFamily(lattice.divisors_on_radicals(sig, masks))
-            for masks in radical_sets]
+    return [DivisorFamily.lift(sig, masks) for masks in radical_sets]
 
 
 def count_minimum_families(sig: Signature) -> int:
@@ -131,7 +130,7 @@ def classify(family: DivisorFamily, sig: Signature) -> ClassificationVerdict:
     # of that set.  It is also upward closed and closure is injective on
     # antichains, so it is a generator closure exactly when those masks are
     # that generator's radicals.
-    mins = antichains.minimal_masks(tuple(sorted(set(family.radicals))))
+    mins = antichains.minimal_masks(family.radical_set)
     if _condition_b(mins, sig):
         matched.add("b")
     if mins in _generator_set(sig):

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import antichains, lattice
+from .errors import TheoremViolationError
 from .lattice import Divisor, Mask, Signature
 
 
 class DivisorFamily:
-    """Immutable, canonically sorted set of divisors > 1 with cached radicals."""
+    """Immutable, canonically sorted set of divisors > 1 and its radical set."""
 
-    __slots__ = ("members", "radicals", "_member_set")
+    __slots__ = ("members", "radical_set", "_member_set")
 
     def __init__(self, divisors: Iterable[Divisor]):
         # sorting the input as given is cheap when it comes in canonical
@@ -30,13 +31,29 @@ class DivisorFamily:
         member_set = frozenset(members)
         if len(member_set) < len(members):
             members = sorted(member_set, key=lattice.divisor_key)
-        members = tuple(members)
-        radicals = tuple(map(lattice.radical, members))
-        if 0 in radicals:  # only divisor 1 has the empty radical
+        radical_set = tuple(sorted(set(map(lattice.radical, members))))
+        if radical_set[:1] == (0,):  # only divisor 1 has the empty radical
             raise ValueError("divisor 1 cannot belong to a family")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "radicals", radicals)
+        object.__setattr__(self, "members", tuple(members))
+        object.__setattr__(self, "radical_set", radical_set)
         object.__setattr__(self, "_member_set", member_set)
+
+    @classmethod
+    def lift(cls, sig: Signature, masks: Iterable[Mask]) -> DivisorFamily:
+        """Every divisor whose radical lies in `masks` (non-empty subsets of
+        the n primes), read in order from `lattice.radical_table`."""
+        masks = frozenset(masks)
+        if not all(0 < m < 1 << sig.n for m in masks):
+            raise ValueError(f"masks {sorted(masks)} are not all non-empty "
+                             f"subsets of the {sig.n} primes")
+        divisors, radicals = lattice.radical_table(sig)
+        members = tuple(itertools.compress(
+            divisors, map(masks.__contains__, radicals)))
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "members", members)
+        object.__setattr__(fam, "radical_set", tuple(sorted(masks)))
+        object.__setattr__(fam, "_member_set", frozenset(members))
+        return fam
 
     def __setattr__(self, name, value):
         raise AttributeError("DivisorFamily is immutable")
@@ -67,13 +84,11 @@ class DivisorFamily:
     def squarefree_part(self) -> tuple[Mask, ...]:
         """Masks of the squarefree members, ascending.
 
-        A member is squarefree exactly when its exponents sum to the number
-        of primes in its radical.
+        Scans the members, never the radical set a family was lifted from.
         """
-        return tuple(sorted(
-            r for d, r in zip(self.members, self.radicals)
-            if sum(d) == r.bit_count()
-        ))
+        members = self.members
+        return tuple(sorted(map(lattice.radical, itertools.compress(
+            members, map((1).__ge__, map(max, members))))))
 
 
 @dataclass(frozen=True)
@@ -92,10 +107,6 @@ class FamilyReport:
     extension_witness: Optional[Divisor] = None
 
 
-def _minimal_radicals(family: DivisorFamily) -> tuple[Mask, ...]:
-    return antichains.minimal_masks(set(family.radicals))
-
-
 def _intersecting(family: DivisorFamily, mins: tuple[Mask, ...]) -> FamilyReport:
     """check_intersecting, given the family's minimal radicals `mins`.
 
@@ -105,7 +116,7 @@ def _intersecting(family: DivisorFamily, mins: tuple[Mask, ...]) -> FamilyReport
     """
     if all(a & b for a, b in itertools.combinations(mins, 2)):
         return FamilyReport(is_intersecting=True)
-    rads = family.radicals
+    rads = tuple(map(lattice.radical, family.members))
     for i in range(len(rads)):
         for j in range(i + 1, len(rads)):
             if not rads[i] & rads[j]:
@@ -118,7 +129,7 @@ def _intersecting(family: DivisorFamily, mins: tuple[Mask, ...]) -> FamilyReport
 
 def check_intersecting(family: DivisorFamily) -> FamilyReport:
     """Do all member pairs share a prime?  Witness: first violating pair."""
-    return _intersecting(family, _minimal_radicals(family))
+    return _intersecting(family, antichains.minimal_masks(family.radical_set))
 
 
 def _meeting(mins: tuple[Mask, ...], sig: Signature) -> list[Mask]:
@@ -130,7 +141,7 @@ def _meeting(mins: tuple[Mask, ...], sig: Signature) -> list[Mask]:
 
 def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
     """Full predicate: intersecting and admitting no further divisor of N."""
-    mins = _minimal_radicals(family)
+    mins = antichains.minimal_masks(family.radical_set)
     base = _intersecting(family, mins)
     if not base.is_intersecting:
         return FamilyReport(False, False, coprime_witness=base.coprime_witness)
@@ -138,11 +149,10 @@ def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
     weights = lattice.alpha_weights(sig)
     if len(family) == sum(weights[m] for m in compatible):
         return FamilyReport(True, True)
-    compatible = set(compatible)
-    for d in lattice.enumerate_divisors(sig):
-        if any(d) and lattice.radical(d) in compatible and d not in family:
+    for d in DivisorFamily.lift(sig, compatible):
+        if d not in family:
             return FamilyReport(True, False, extension_witness=d)
-    raise AssertionError("family larger than its compatible closure")
+    raise TheoremViolationError("family differs from its compatible closure")
 
 
 def minimal_members(family: DivisorFamily) -> DivisorFamily:

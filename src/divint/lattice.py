@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt, prod
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .errors import limit_error
 
@@ -107,21 +107,11 @@ def enumerate_divisors(sig: Signature) -> list[Divisor]:
 # signature at a time.
 
 @lru_cache(maxsize=1)
-def _radical_table(sig: Signature) -> tuple[tuple[Divisor, ...],
-                                            tuple[Mask, ...]]:
+def radical_table(sig: Signature) -> tuple[tuple[Divisor, ...],
+                                           tuple[Mask, ...]]:
+    """The lattice's divisors in canonical order, and their radicals."""
     divisors = tuple(enumerate_divisors(sig))
     return divisors, tuple(map(radical, divisors))
-
-
-def divisors_on_radicals(sig: Signature,
-                         masks: Iterable[Mask]) -> Iterator[Divisor]:
-    """The divisors whose radical lies in `masks`, in canonical order.
-
-    Reads the lattice's divisors and their radicals from a cached table;
-    mask 0 stands for divisor 1.
-    """
-    divisors, radicals = _radical_table(sig)
-    return itertools.compress(divisors, map(set(masks).__contains__, radicals))
 
 
 @lru_cache(maxsize=1)

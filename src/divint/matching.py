@@ -227,8 +227,8 @@ def alpha_pairing(family: DivisorFamily, sig: Signature) -> PairingReport:
         )
     n = sig.n
     last = 1 << (n - 1)
-    squarefree = family.squarefree_part()
-    without_last = tuple(m for m in squarefree if not m & last)
+    # the radical set of a maximal family is its squarefree part
+    without_last = tuple(m for m in family.radical_set if not m & last)
     ground = (1 << (n - 1)) - 1
     witness = complement_permutation(UpwardClosedFamily(ground, without_last))
     full = (1 << n) - 1

@@ -87,8 +87,7 @@ def _enumerate_radical_lift(sig: Signature,
     sizes = [sum(map(weights.__getitem__, fam)) for fam in mask_families]
     if sum(sizes) > materialize_cap:
         return _finish(sig, "radical-lift", sizes, None)
-    built = [DivisorFamily(lattice.divisors_on_radicals(sig, fam))
-             for fam in mask_families]
+    built = [DivisorFamily.lift(sig, fam) for fam in mask_families]
     return _finish(sig, "radical-lift", sizes, built)
 
 

@@ -190,11 +190,11 @@ def _check_sig_claims(sig: Signature) -> dict[str, dict]:
                 "closure": _fam_json(DivisorFamily(closure)),
             })
 
-        rebuilt = frozenset(lattice.divisors_on_radicals(sig, rads))
-        if rebuilt != fam.member_set:
+        rebuilt = DivisorFamily.lift(sig, rads)
+        if rebuilt != fam:
             fail("radical-determination", {
                 "signature": sig_json, "family": _fam_json(fam),
-                "rebuilt": _fam_json(DivisorFamily(rebuilt)),
+                "rebuilt": _fam_json(rebuilt),
             })
 
         weight = sum(map(weights.__getitem__, rads))

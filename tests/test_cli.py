@@ -457,6 +457,24 @@ def test_readme_example_prints_what_the_readme_shows(
     assert out_lines + err_lines == expected
 
 
+def test_readme_names_exist():
+    """Every `module.name` the README cites for a divint module is an
+    attribute of that module, followed through any further dots."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    package = Path(cli.__file__).parent
+    modules = {p.stem for p in package.glob("*.py") if p.stem[0] != "_"}
+    cited = {name for name in re.findall(r"`(\w+(?:\.\w+)+)`", text)
+             if name.split(".")[0] in modules}
+    assert len(cited) >= 13
+    for name in sorted(cited):
+        head, *rest = name.split(".")
+        obj = importlib.import_module(f"divint.{head}")
+        for attr in rest:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+
+
 def test_version_flag(env, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
@@ -512,6 +530,20 @@ def test_k_cap_key_in_config_file_is_unknown(env, capsys, monkeypatch):
     monkeypatch.setenv("DIVINT_K_CAP", "3")
     code, out, _ = run(["count", "--sig", "1,1,1,1,1,1,1"], capsys)
     assert (code, out) == (0, "1422564\n")
+
+
+def test_integer_knob_from_env_names_the_knob(env, capsys, monkeypatch):
+    monkeypatch.setenv("DIVINT_THREADS", "abc")
+    code, out, err = run(["bound", "--sig", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "threads must be an integer, got 'abc'" in err
+
+
+def test_integer_knob_from_file_names_the_knob(env, capsys):
+    (env / "divisor-intersect.toml").write_text("universe_cap = x\n")
+    code, out, err = run(["bound", "--sig", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "universe_cap must be an integer, got 'x'" in err
 
 
 def test_bad_config_file_is_a_usage_error(env, capsys):

@@ -172,8 +172,10 @@ def test_minimal_members_are_the_minimal_radicals():
         for fam in oracle.enumerate_maximal_families(sig).families:
             mins = families.minimal_members(fam)
             assert all(e <= 1 for d in mins for e in d)
-            assert antichains.minimal_masks(sorted(set(fam.radicals))) == \
-                tuple(sorted(mins.radicals))
+            assert fam.radical_set == tuple(sorted(
+                {lattice.radical(d) for d in fam}))
+            assert antichains.minimal_masks(fam.radical_set) == \
+                tuple(sorted(map(lattice.radical, mins)))
 
 
 def test_count_lists_no_families(monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divint import families, lattice
+from divint import antichains, families, lattice
 from divint.families import DivisorFamily
 from divint.lattice import Signature
 
@@ -51,7 +51,37 @@ def lattice_families(draw):
 def test_squarefree_part_matches_max_exponent_filter(case):
     _, fam = case
     assert fam.squarefree_part() == tuple(sorted(
-        r for d, r in zip(fam.members, fam.radicals) if max(d) <= 1))
+        lattice.radical(d) for d in fam.members if all(e <= 1 for e in d)))
+
+
+@st.composite
+def lattice_mask_sets(draw):
+    """Any set of non-empty masks, the empty set too, in a lattice of up to
+    4 primes, exponents <= 3."""
+    sig = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).map(Signature))
+    return sig, draw(st.sets(st.integers(1, (1 << sig.n) - 1)))
+
+
+@given(lattice_mask_sets())
+@settings(deadline=None, max_examples=200)
+def test_lift_matches_the_divisor_filter(case):
+    sig, masks = case
+    lifted = DivisorFamily.lift(sig, masks)
+    referee = DivisorFamily(d for d in lattice.enumerate_divisors(sig)
+                            if any(d) and lattice.radical(d) in masks)
+    assert lifted.members == referee.members
+    assert lifted.radical_set == referee.radical_set == tuple(sorted(masks))
+    assert lifted.member_set == referee.member_set
+    assert lifted == referee
+    assert hash(lifted) == hash(referee)
+
+
+def test_lift_refuses_masks_outside_the_lattice():
+    sig = Signature((2, 1))
+    assert DivisorFamily.lift(sig, [0b11]).members == ((1, 1), (2, 1))
+    for bad in (0, 1 << sig.n):
+        with pytest.raises(ValueError, match="not all non-empty subsets"):
+            DivisorFamily.lift(sig, [0b01, bad])
 
 
 def test_intersecting_check():
@@ -190,7 +220,7 @@ def test_intersecting_check_matches_all_pairs(case):
 
 def compatible_by_all_radicals(fam, sig):
     """Reference: the non-empty masks meeting every radical of the family."""
-    rads = set(fam.radicals)
+    rads = {lattice.radical(d) for d in fam.members}
     return [m for m in range(1, 1 << sig.n) if all(m & r for r in rads)]
 
 
@@ -199,7 +229,8 @@ def compatible_by_all_radicals(fam, sig):
 def test_compatible_masks_match_all_radicals(case):
     """Any family, intersecting or not: the minimal radicals suffice."""
     sig, fam = case
-    assert families._meeting(families._minimal_radicals(fam), sig) == \
+    mins = antichains.minimal_masks(fam.radical_set)
+    assert families._meeting(mins, sig) == \
         compatible_by_all_radicals(fam, sig)
 
 
@@ -278,9 +309,10 @@ def test_family_orders_members_by_reversed_exponents(divisors):
     """Any tuples, of any lengths, in any order and with repeats."""
     fam = DivisorFamily(divisors)
     assert fam.members == tuple(sorted(set(divisors), key=lambda d: d[::-1]))
-    assert fam.radicals == tuple(lattice.radical(d) for d in fam.members)
+    assert fam.radical_set == tuple(sorted({lattice.radical(d)
+                                            for d in fam.members}))
     assert fam.member_set == frozenset(divisors)
     assert fam.squarefree_part() == tuple(sorted(
-        r for d, r in zip(fam.members, fam.radicals) if max(d) <= 1))
+        lattice.radical(d) for d in fam.members if max(d) <= 1))
     assert fam == DivisorFamily(reversed(divisors))
     assert hash(fam) == hash(DivisorFamily(reversed(divisors)))

@@ -434,7 +434,7 @@ def verify_witness_by_minimal_radicals(fam, universe):
             raise DivintError(f"witness member {d} lies outside the universe")
     if not families.check_intersecting(fam).is_intersecting:
         raise DivintError("witness family contains a coprime pair")
-    mins = antichains.minimal_masks(set(fam.radicals))
+    mins = antichains.minimal_masks({lattice.radical(d) for d in fam})
     for d in universe:
         if d in fam:
             continue

@@ -1,6 +1,7 @@
 """Tests for the self-check conformance sweep."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -149,14 +150,45 @@ def test_a_family_that_is_not_upward_closed_fails_with_its_counterexamples(monke
     assert rows["minimal-closure-identity", "1,1"]["status"] == "pass"
 
 
+def test_squarefree_part_is_read_from_the_members(monkeypatch):
+    """The sweep checks the lift, not the masks it was asked for: when the
+    divisor table of 2,1 loses p2, the family lifted from {p2, p1*p2} keeps
+    that radical set but no longer holds p2, and complement-dichotomy fails.
+    Were squarefree_part to echo the radical set, the claim would pass."""
+    real = lattice.radical_table
+    p2 = (0, 1)
+
+    def without_p2(sig):
+        divisors, radicals = real(sig)
+        if sig != Signature((2, 1)):
+            return divisors, radicals
+        keep = [d != p2 for d in divisors]
+        return (tuple(itertools.compress(divisors, keep)),
+                tuple(itertools.compress(radicals, keep)))
+
+    monkeypatch.setattr(lattice, "radical_table", without_p2)
+    rows = {(r["claim"], r["subject"]): r for r in run_verify(2, 2).rows}
+    assert rows["complement-dichotomy", "2,1"] == {
+        "claim": "complement-dichotomy", "subject": "2,1",
+        "status": "fail", "counterexample": {
+            "signature": [2, 1], "family": [[1, 1], [2, 1]], "mask": 1,
+        },
+    }
+    assert rows["complement-dichotomy", "2,2"]["status"] == "pass"
+
+
 def test_sweep_work_counts(monkeypatch):
     """run_verify(5, 2) takes no minimal members through the tuple-level
-    referee and tests no divisibility.  It builds 860 families: the lift of
-    each of the 570 maximal families, and the 145 generators and their 145
-    closures for extremal-agreement.  classification-equivalence looks the
-    generators up by their radical masks and builds none of them."""
-    calls = {"families": 0, "minimal_members": 0, "divides": 0, "closures": 0}
+    referee and tests no divisibility.  It lifts 1140 families: each of the
+    570 maximal families, and once more each one's rebuild for
+    radical-determination.  Its constructor builds 290 more: the 145
+    generators and their 145 closures for extremal-agreement.
+    classification-equivalence looks the generators up by their radical
+    masks and builds none of them."""
+    calls = {"families": 0, "lifts": 0, "minimal_members": 0, "divides": 0,
+             "closures": 0}
     init = DivisorFamily.__init__
+    lift = DivisorFamily.lift
     minimal_members = families.minimal_members
     divides = lattice.divides
     upward_closure = families.upward_closure
@@ -164,6 +196,10 @@ def test_sweep_work_counts(monkeypatch):
     def counted_init(self, divisors):
         calls["families"] += 1
         init(self, divisors)
+
+    def counted_lift(cls, sig, masks):
+        calls["lifts"] += 1
+        return lift(sig, masks)
 
     def counted_minimal_members(fam):
         calls["minimal_members"] += 1
@@ -178,11 +214,12 @@ def test_sweep_work_counts(monkeypatch):
         return upward_closure(gens, sig)
 
     monkeypatch.setattr(DivisorFamily, "__init__", counted_init)
+    monkeypatch.setattr(DivisorFamily, "lift", classmethod(counted_lift))
     monkeypatch.setattr(families, "upward_closure", counted_upward_closure)
     monkeypatch.setattr(families, "minimal_members", counted_minimal_members)
     monkeypatch.setattr(lattice, "divides", counted_divides)
     extremal._generator_set.cache_clear()
     rep = run_verify(5, 2)
     assert rep.passed and len(rep.rows) == 209
-    assert calls == {"families": 860, "minimal_members": 0, "divides": 0,
-                     "closures": 145}
+    assert calls == {"families": 290, "lifts": 1140, "minimal_members": 0,
+                     "divides": 0, "closures": 145}
