@@ -267,7 +267,7 @@ def cmd_oracle(args, cfg: RunConfig) -> Outcome:
     sig, primes = _parse_signature(args)
     rep = oracle.enumerate_maximal_families(
         sig, args.method, divisor_cap=cfg.divisor_cap,
-        materialize_cap=cfg.materialize_cap,
+        materialize_cap=cfg.materialize_cap if args.list else 0,
     )
     text = _sig_notice(sig)
     text.append(

@@ -21,8 +21,14 @@ from typing import Optional
 
 from . import antichains, families, lattice
 from .antichains import MaskFamily
+from .errors import limit_error
 from .families import DivisorFamily
 from .lattice import Signature
+
+# Most members, summed over all minimum families, that one listing may
+# build.  The largest listing of the tests and the README builds 84672
+# (2646 families of 32, at 1^6); 2,1,1,1,1,1,1 builds 254016.
+MEMBER_CAP = 300_000
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,10 @@ def minimum_families(sig: Signature) -> list[DivisorFamily]:
     on the first u primes.
     """
     lattice.check_divisor_cap(sig)  # before any radical set is built
+    total = count_minimum_families(sig) * lattice.min_size_bound(sig)
+    if total > MEMBER_CAP:
+        raise limit_error("the member count of the minimum families", total,
+                          MEMBER_CAP, "extremal.MEMBER_CAP")
     n, u = sig.n, sig.u
     if sig.alphas[-1] >= 2:
         radical_sets = [[m for m in range(1 << n) if m >> v & 1]

@@ -22,21 +22,20 @@ from .lattice import Divisor, Mask, Signature
 class DivisorFamily:
     """Immutable, canonically sorted set of divisors > 1 and its radical set."""
 
-    __slots__ = ("members", "radical_set", "_member_set")
+    __slots__ = ("members", "radical_set")
 
     def __init__(self, divisors: Iterable[Divisor]):
         # sorting the input as given is cheap when it comes in canonical
         # order; only input with repeats is sorted again from the set
         members = sorted(map(tuple, divisors), key=lattice.divisor_key)
-        member_set = frozenset(members)
-        if len(member_set) < len(members):
-            members = sorted(member_set, key=lattice.divisor_key)
+        distinct = set(members)
+        if len(distinct) < len(members):
+            members = sorted(distinct, key=lattice.divisor_key)
         radical_set = tuple(sorted(set(map(lattice.radical, members))))
         if radical_set[:1] == (0,):  # only divisor 1 has the empty radical
             raise ValueError("divisor 1 cannot belong to a family")
         object.__setattr__(self, "members", tuple(members))
         object.__setattr__(self, "radical_set", radical_set)
-        object.__setattr__(self, "_member_set", member_set)
 
     @classmethod
     def lift(cls, sig: Signature, masks: Iterable[Mask]) -> DivisorFamily:
@@ -52,7 +51,6 @@ class DivisorFamily:
         fam = object.__new__(cls)
         object.__setattr__(fam, "members", members)
         object.__setattr__(fam, "radical_set", tuple(sorted(masks)))
-        object.__setattr__(fam, "_member_set", frozenset(members))
         return fam
 
     def __setattr__(self, name, value):
@@ -60,11 +58,11 @@ class DivisorFamily:
 
     @property
     def member_set(self) -> frozenset[Divisor]:
-        """The members as a frozenset, for set comparisons."""
-        return self._member_set
+        """The members as a frozenset, built anew on each call."""
+        return frozenset(self.members)
 
     def __contains__(self, d: Divisor) -> bool:
-        return tuple(d) in self._member_set
+        return tuple(d) in self.members
 
     def __iter__(self):
         return iter(self.members)
@@ -149,8 +147,9 @@ def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
     weights = lattice.alpha_weights(sig)
     if len(family) == sum(weights[m] for m in compatible):
         return FamilyReport(True, True)
+    members = family.member_set
     for d in DivisorFamily.lift(sig, compatible):
-        if d not in family:
+        if d not in members:
             return FamilyReport(True, False, extension_witness=d)
     raise TheoremViolationError("family differs from its compatible closure")
 

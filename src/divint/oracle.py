@@ -6,7 +6,14 @@ This is the ground-truth referee for the rest of the package.  Two engines:
   prime indices, then lift each to the divisor lattice by taking every
   divisor whose radical lies in the set family.  Whether a divisor can join a
   family depends only on its radical, so this is complete, and it collapses
-  e.g. a 255-divisor lattice to a 15-vertex problem.
+  e.g. a 255-divisor lattice to a 15-vertex problem.  Families are lifted
+  in lexicographic order of their sorted radical sets, which is the
+  canonical member order: distinct maximal families A, B never contain one
+  another, so their member sequences first differ at the least divisor of
+  A ^ B, held by the family that comes first.  That divisor is the
+  squarefree one on min(R_A ^ R_B), since a radical's squarefree divisor
+  comes first among the divisors on it, and `lattice.divisor_key`, which
+  compares the last prime first, orders squarefree divisors as their masks.
 * ``direct-clique``: Bron-Kerbosch maximal-clique search (pivoting, degeneracy
   outer order, bitset rows) over the graph on divisors > 1 with an edge iff
   gcd > 1.  Slower, but makes no structural assumption at all, which is the
@@ -16,7 +23,6 @@ This is the ground-truth referee for the rest of the package.  Two engines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from . import antichains, lattice
@@ -52,22 +58,15 @@ class OracleReport:
     families: Optional[tuple[DivisorFamily, ...]]
 
 
-# One shared key tuple per divisor: the keys of a lattice's families then
-# hold references rather than copies, and equal members compare by identity.
-_shared_divisor_key = lru_cache(maxsize=lattice.MAX_DIVISORS)(
-    lattice.divisor_key)
-
-
 def family_sort_key(fam: DivisorFamily):
     """Canonical family order: lexicographic on the members' divisor keys."""
-    return tuple(map(_shared_divisor_key, fam.members))
+    return tuple(map(lattice.divisor_key, fam.members))
 
 
 def _finish(sig: Signature, method: str, sizes: list[int],
             built: Optional[list[DivisorFamily]]) -> OracleReport:
-    """Report for one engine; `built` is None above the materialization cap."""
-    if built is not None:
-        built = tuple(sorted(built, key=family_sort_key))
+    """Report for one engine; `built` is in canonical order, or None above
+    the materialization cap."""
     sizes = tuple(sorted(sizes))
     return OracleReport(
         signature=sig,
@@ -76,7 +75,7 @@ def _finish(sig: Signature, method: str, sizes: list[int],
         min_size=sizes[0],
         min_count=sizes.count(sizes[0]),
         sizes=sizes,
-        families=built,
+        families=None if built is None else tuple(built),
     )
 
 
@@ -87,7 +86,7 @@ def _enumerate_radical_lift(sig: Signature,
     sizes = [sum(map(weights.__getitem__, fam)) for fam in mask_families]
     if sum(sizes) > materialize_cap:
         return _finish(sig, "radical-lift", sizes, None)
-    built = [DivisorFamily.lift(sig, fam) for fam in mask_families]
+    built = [DivisorFamily.lift(sig, fam) for fam in sorted(mask_families)]
     return _finish(sig, "radical-lift", sizes, built)
 
 
@@ -171,6 +170,7 @@ def _enumerate_direct(sig: Signature, divisor_cap: int,
     built = [
         DivisorFamily(divisors[v] for v in lattice.iter_bits(c)) for c in cliques
     ]
+    built.sort(key=family_sort_key)
     return _finish(sig, "direct-clique", sizes, built)
 
 

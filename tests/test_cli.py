@@ -305,6 +305,46 @@ def test_count_answers_past_the_listing_cap(env, capsys):
         assert (code, out) == (0, "1422564\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["extremal", "--list"], ["matching"],
+])
+def test_listing_member_cap_refuses_at_once(env, capsys, argv):
+    """2646 minimum families of 23328 members each, refused from the
+    closed forms before any family is lifted."""
+    start = time.perf_counter()
+    code, out, err = run(argv + ["--sig", "2,2,2,2,2,2,1,1,1,1,1,1"], capsys)
+    assert (code, out) == (3, "")
+    assert "extremal.MEMBER_CAP" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("method", ["radical-lift", "direct-clique"])
+def test_oracle_builds_no_family_without_list(env, capsys, monkeypatch,
+                                              method):
+    from divint import oracle
+
+    built = []
+    real = oracle.DivisorFamily
+
+    class Counted:
+        def __new__(cls, divisors):
+            built.append(1)
+            return real(divisors)
+
+        @staticmethod
+        def lift(sig, masks):
+            built.append(1)
+            return real.lift(sig, masks)
+
+    monkeypatch.setattr(oracle, "DivisorFamily", Counted)
+    argv = ["oracle", "--sig", "1,1,1,1,1", "--method", method]
+    code, out, _ = run(argv, capsys)
+    assert (code, built) == (0, [])
+    assert "81 maximal families" in out
+    code, _, _ = run(argv + ["--list"], capsys)
+    assert (code, len(built)) == (0, 81)
+
+
 def test_count_walk_cap_refuses_at_once(env, capsys):
     start = time.perf_counter()
     code, _, err = run(["count", "--sig", "1,1,1,1,1,1,1,1"], capsys)
@@ -733,6 +773,7 @@ REFUSALS = [
     (["openprob", "--mode", "omega", "--sig", "1,1,1", "--t", "2", "--list"],
      {"DIVINT_MATERIALIZE_CAP": "1"}),
     (["extremal", "--sig", "30,30,30,30", "--list"], {}),
+    (["matching", "--sig", "2,2,2,2,2,2,1,1,1,1,1,1"], {}),
     (["bound", "--sig", ",".join("1" * 17)], {}),
     (["verify", "--max-n", "2", "--max-exp", "1"], {"verify.MEMBER_CAP": 1}),
 ]

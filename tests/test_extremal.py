@@ -35,6 +35,21 @@ def test_minimum_families_are_the_generator_closures(sig):
         families.upward_closure(g, sig) for g in gens]
 
 
+def test_minimum_families_refuses_past_member_cap(monkeypatch):
+    """The member total comes from the closed forms, so a listing past
+    MEMBER_CAP is refused before any radical set is lifted."""
+    def boom(*args):
+        raise AssertionError("a family was lifted before the cap check")
+
+    monkeypatch.setattr(DivisorFamily, "lift", boom)
+    sig = Signature((2,) * 6 + (1,) * 6)  # 2646 families of 23328
+    with pytest.raises(ResourceLimitError,
+                       match="is 61725888, above the cap of 300000 "
+                             r"\(extremal.MEMBER_CAP"):
+        extremal.minimum_families(sig)
+    assert 2646 * 32 <= extremal.MEMBER_CAP  # the 1^6 listing still runs
+
+
 def test_deep_regime_report():
     sig = Signature((3, 2, 2))
     rep = extremal.extremal_families(sig)

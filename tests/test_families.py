@@ -24,6 +24,14 @@ def test_family_rejects_divisor_one():
         DivisorFamily([(0, 0), P1])
 
 
+def test_family_holds_its_members_and_radical_set_only():
+    """No third copy of a family: `member_set` is built on each call."""
+    assert DivisorFamily.__slots__ == ("members", "radical_set")
+    fam = DivisorFamily([P12, P1])
+    assert fam.member_set == frozenset({P1, P12})
+    assert fam.member_set is not fam.member_set
+
+
 def test_family_immutable_and_hashable():
     fam = DivisorFamily([P1])
     with pytest.raises(AttributeError):
@@ -160,7 +168,7 @@ def antichain_families(draw):
 def test_upward_closure_idempotent_on_antichains(case):
     sig, antichain = case
     closed = families.upward_closure(antichain, sig)
-    assert antichain._member_set <= closed._member_set
+    assert antichain.member_set <= closed.member_set
     assert families.minimal_members(closed) == antichain
     assert families.upward_closure(closed, sig) == closed
 

@@ -5,7 +5,9 @@ directory with no DIVINT_* variables, and must give the recorded exit code
 and the recorded SHA-256 of its stdout.  The global reading of `openprob`
 runs in no benchmark workload, so its output is pinned here as well, and so
 are the text and CSV forms of the listings, whose benchmark runs are JSON,
-and the ground sweep `matching --k` in all three formats.
+the ground sweep `matching --k` in all three formats, and oracle
+listings in both engines' family order, with the one n = 6 sweep cheap
+enough to run here.
 """
 
 import hashlib
@@ -90,6 +92,30 @@ GROUND_PAIRINGS = {
 }
 
 
+ORACLE_LISTINGS = {
+    "oracle --sig 2,1,1,1 --list": {
+        "exit": 0,
+        "sha256": "dd502d5d97583186d6081ff6bf59950d"
+                  "339e0280666ab0dde8d3afbcc54742b5",
+    },
+    "oracle --sig 2,1,1,1,1 --list --format json": {
+        "exit": 0,
+        "sha256": "dd4558e1f1a732267f9c826630f77fbd"
+                  "354d3fa049dc6141097e8af354d962e6",
+    },
+    "oracle --sig 1,1,1,1,1 --method direct-clique --list --format json": {
+        "exit": 0,
+        "sha256": "15faf14f92cdd2a73185f15b1b4d899b"
+                  "690fae5938f64726021578aa1628c808",
+    },
+    "verify --max-n 6 --max-exp 1 --format json": {
+        "exit": 0,
+        "sha256": "dbcf8a37723c2717da4fd1027d5c0e5a"
+                  "cc61259f27df0f2c1c07dd8436250a3a",
+    },
+}
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_output(command, monkeypatch, tmp_path, capsys):
     _check_output(command, GOLDEN[command], monkeypatch, tmp_path, capsys)
@@ -110,6 +136,12 @@ def test_listing_format_output(command, monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("command", sorted(GROUND_PAIRINGS))
 def test_ground_pairing_output(command, monkeypatch, tmp_path, capsys):
     _check_output(command, GROUND_PAIRINGS[command], monkeypatch, tmp_path,
+                  capsys)
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_LISTINGS))
+def test_oracle_listing_output(command, monkeypatch, tmp_path, capsys):
+    _check_output(command, ORACLE_LISTINGS[command], monkeypatch, tmp_path,
                   capsys)
 
 

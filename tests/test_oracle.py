@@ -74,7 +74,7 @@ def test_census_420():
 
 @pytest.mark.parametrize("alphas", [
     (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1), (2, 1, 1), (3, 2),
-    (2, 1, 1, 1), (1, 1, 1, 1),
+    (2, 1, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1), (2, 2, 1, 1),
 ])
 def test_methods_agree(alphas):
     sig = Signature(alphas)
@@ -200,6 +200,20 @@ def test_sizes_are_ascending():
     for alphas in [(2, 1, 1, 1), (3, 2, 1), (1, 1, 1, 1)]:
         rep = enumerate_maximal_families(Signature(alphas))
         assert list(rep.sizes) == sorted(rep.sizes)
+
+
+def test_radical_lift_order_needs_no_member_sort(monkeypatch):
+    """Lifting in the order of the sorted radical sets gives the canonical
+    family order, with no call to `family_sort_key`."""
+    real = oracle.family_sort_key
+    calls = []
+    monkeypatch.setattr(oracle, "family_sort_key",
+                        lambda fam: calls.append(fam) or real(fam))
+    for sig in lattice.signature_grid(4, 3) + [Signature((1,) * 6)]:
+        fams = list(enumerate_maximal_families(
+            sig, materialize_cap=10 ** 6).families)
+        assert calls == []
+        assert fams == sorted(fams, key=real), sig
 
 
 def test_direct_clique_sorts_nothing_above_materialize_cap(monkeypatch):
