@@ -16,8 +16,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Optional
 
 from . import antichains, extremal, families, lattice, matching, oracle
 from . import report, restricted, verify as verify_mod
@@ -32,14 +32,19 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass
 class Outcome:
-    parameters: dict
-    results: dict = field(default_factory=dict)
-    text: list[str] = field(default_factory=list)
-    rows: list[dict] = field(default_factory=list)
-    fields: list[str] = field(default_factory=list)
-    exit_code: int = 0
+    """What one command produced, in the shape of every output format."""
+
+    def __init__(self, parameters: dict, results: Optional[dict] = None,
+                 text: Optional[list[str]] = None,
+                 rows: Optional[list[dict]] = None,
+                 fields: Optional[list[str]] = None, exit_code: int = 0):
+        self.parameters = parameters
+        self.results = {} if results is None else results
+        self.text = [] if text is None else text
+        self.rows = [] if rows is None else rows
+        self.fields = [] if fields is None else fields
+        self.exit_code = exit_code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,12 +126,13 @@ def _parse_signature(args) -> tuple[Signature, tuple[int, ...]]:
         raise _UsageError("give either --sig or --n, not both")
     if args.sig is not None:
         text = args.sig.replace(" ", "")
+        if not text:
+            raise _UsageError("signature is empty")
         try:
-            parts = [int(x) for x in text.split(",") if x]
+            # an empty component is refused, not skipped: `2,,1` is a typo
+            parts = [int(x) for x in text.split(",")]
         except ValueError:
             raise _UsageError(f"cannot parse signature {args.sig!r}") from None
-        if not parts:
-            raise _UsageError("signature is empty")
         sig = Signature(parts)
         return sig, lattice.first_primes(sig.n)
     if args.n is not None:

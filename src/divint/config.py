@@ -10,9 +10,8 @@ every computation is deterministic.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .oracle import DIRECT_DIVISOR_CAP, MATERIALIZE_CAP
 from .restricted import UNIVERSE_CAP
@@ -22,8 +21,7 @@ ENV_PREFIX = "DIVINT_"
 FORMATS = ("text", "json", "csv")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _Settings(NamedTuple):
     # Accepted and range-checked so that existing flags and config files keep
     # working; every engine is sequential, so it changes nothing.
     threads: int = 1
@@ -32,24 +30,35 @@ class RunConfig:
     materialize_cap: int = MATERIALIZE_CAP
     universe_cap: int = UNIVERSE_CAP
 
-    def __post_init__(self):
+
+class RunConfig(_Settings):
+    """The validated settings; every way of building one runs the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.format not in FORMATS:
             raise ValueError(
                 f"format must be one of {FORMATS}, got {self.format!r}"
             )
         if self.threads < 1:
             raise ValueError(f"threads must be positive, got {self.threads}")
-        for f in fields(self):
-            if f.name.endswith("_cap") and getattr(self, f.name) < 1:
-                raise ValueError(
-                    f"{f.name} must be positive, got {getattr(self, f.name)}"
-                )
+        for name, value in zip(self._fields, self):
+            if name.endswith("_cap") and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`, which would skip `__new__`
+        return cls(*iterable)
 
 
 # The fields of RunConfig are the one list of knobs.
-KEYS = frozenset(f.name for f in fields(RunConfig))
-_INT_KEYS = frozenset(f.name for f in fields(RunConfig)
-                      if isinstance(f.default, int))
+KEYS = frozenset(RunConfig._fields)
+_INT_KEYS = frozenset(k for k, v in RunConfig._field_defaults.items()
+                      if isinstance(v, int))
 
 
 def _coerce(key: str, value):

@@ -15,9 +15,8 @@ an * prod(ai + 1, i < n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import antichains, families, lattice
 from .antichains import MaskFamily
@@ -31,8 +30,7 @@ from .lattice import Signature
 MEMBER_CAP = 300_000
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     """Minimum size, count of minimum families, and their generators."""
 
     signature: Signature
@@ -42,8 +40,7 @@ class ExtremalReport:
     generators: tuple[DivisorFamily, ...]
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     """Which of the three equivalent extremal characterizations a family meets.
 
     (a) maximal of minimum size; (b) maximal with the minimal-member

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import antichains, lattice
 from .errors import TheoremViolationError
@@ -89,8 +88,7 @@ class DivisorFamily:
             members, map((1).__ge__, map(max, members))))))
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     """Outcome of the intersecting / maximality predicates, with witnesses.
 
     `coprime_witness` is the canonically first coprime member pair when the

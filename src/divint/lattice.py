@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt, prod
 from typing import Callable
@@ -28,19 +27,20 @@ MAX_PRIMES = 16
 MAX_DIVISORS = 100_000
 
 
-@dataclass(frozen=True, init=False)
 class Signature:
     """Exponent vector of the ambient integer, sorted descending.
 
     `alphas` is the normalized (descending) vector; `original` preserves the
     caller's order and `perm` maps normalized index -> original index, so
     user-facing prime labels can be kept consistent after normalization.
-    Equality and hashing consider `alphas` only.
+    Immutable; equality and hashing consider `alphas` only.
     """
 
+    __slots__ = ("alphas", "original", "perm")
+
     alphas: tuple[int, ...]
-    original: tuple[int, ...] = field(compare=False, repr=False)
-    perm: tuple[int, ...] = field(compare=False, repr=False)
+    original: tuple[int, ...]
+    perm: tuple[int, ...]
 
     def __init__(self, exponents):
         orig = tuple(int(a) for a in exponents)
@@ -55,6 +55,23 @@ class Signature:
         object.__setattr__(self, "alphas", tuple(orig[i] for i in perm))
         object.__setattr__(self, "original", orig)
         object.__setattr__(self, "perm", perm)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Signature is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Signature is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alphas == other.alphas
+
+    def __hash__(self) -> int:
+        return hash(self.alphas)
+
+    def __repr__(self) -> str:
+        return f"Signature(alphas={self.alphas!r})"
 
     @property
     def n(self) -> int:

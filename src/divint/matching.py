@@ -19,7 +19,6 @@ sweep and the `--sig` pairings take their permutation from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import antichains, families, lattice
@@ -34,18 +33,41 @@ from .lattice import Mask, Signature
 GROUND_CAP = 5
 
 
-@dataclass(frozen=True)
 class UpwardClosedFamily:
-    """Masks `members` within `ground`, expected upward closed in the ground."""
+    """Masks `members` within `ground`, expected upward closed in the ground.
+
+    Immutable; the members are kept sorted and without repeats.
+    """
+
+    __slots__ = ("ground", "members")
 
     ground: Mask
     members: tuple[Mask, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-        for m in self.members:
-            if m & ~self.ground:
-                raise ValueError(f"member {m:#b} is not a divisor of ground {self.ground:#b}")
+    def __init__(self, ground: Mask, members):
+        members = tuple(sorted(set(members)))
+        for m in members:
+            if m & ~ground:
+                raise ValueError(f"member {m:#b} is not a divisor of ground {ground:#b}")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UpwardClosedFamily is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("UpwardClosedFamily is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground, self.members) == (other.ground, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.members))
+
+    def __repr__(self) -> str:
+        return f"UpwardClosedFamily(ground={self.ground!r}, members={self.members!r})"
 
 
 class PermutationWitness(NamedTuple):

@@ -22,8 +22,7 @@ This is the ground-truth referee for the rest of the package.  Two engines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import antichains, lattice
 from .errors import limit_error
@@ -40,8 +39,7 @@ CLIQUE_CAP = 100_000
 METHODS = ("radical-lift", "direct-clique")
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Census of every maximal family for one signature.
 
     `sizes` is ascending, one entry per maximal family.  `families` is None

@@ -8,8 +8,6 @@ stderr concern, not part of any document.
 
 from __future__ import annotations
 
-import csv
-import io
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -115,6 +113,10 @@ def _stream(o, indent: str, depth: int, parts: list[str], memo: dict) -> None:
 
 
 def csv_dumps(rows: list[dict], fieldnames: list[str]) -> str:
+    # imported here so that text and JSON runs never load csv
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()

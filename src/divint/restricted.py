@@ -52,8 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import families, lattice, oracle
 from .errors import DivintError, ResourceLimitError, limit_error
@@ -73,8 +72,7 @@ ROW_FIELDS = ("signature", "n", "mode", "t", "maximality", "universe_size",
 _COUNTERS = {"omega": lattice.omega, "bigomega": lattice.big_omega}
 
 
-@dataclass(frozen=True)
-class OpenProblemResult:
+class OpenProblemResult(NamedTuple):
     """Outcome of one (signature, mode, t, maximality) cell.
 
     status is "ok", "empty-universe" (no divisor has the requested count), or

@@ -35,7 +35,7 @@ keeps sweeping rather than aborting, so one broken claim cannot mask another.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import antichains, extremal, families, lattice, matching, oracle
 from .errors import DivintError, limit_error
@@ -62,8 +62,7 @@ MATCHING_GROUND_CAP = 4
 MEMBER_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     max_n: int
     max_exp: int
     rows: tuple[dict, ...]

@@ -2,9 +2,12 @@
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +15,8 @@ import pytest
 
 from divint import cli, config, errors, lattice
 from divint._version import __version__
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -212,6 +217,51 @@ def test_usage_errors(env, capsys):
     assert run(["bound", "--sig", "1,1", "--n", "6"], capsys)[0] == 2
     assert run(["bound", "--sig", "a,b"], capsys)[0] == 2
     assert run(["bound", "--sig", "0,1"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("text", ["2,,1", "2,1,", ",2,1"])
+def test_empty_signature_component_is_a_usage_error(env, capsys, text):
+    """A typo such as `2,,1` is refused, not read as another signature."""
+    code, out, err = run(["bound", "--sig", text], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: cannot parse signature {text!r}" in err
+
+
+@pytest.mark.parametrize("bad", [{"format": "xml"}, {"threads": 0},
+                                 {"universe_cap": 0}])
+def test_run_config_refuses_bad_values(bad):
+    with pytest.raises(ValueError):
+        config.RunConfig(**bad)
+    with pytest.raises(ValueError):
+        config.RunConfig()._replace(**bad)
+
+
+def test_config_keys_are_the_run_config_fields():
+    assert config.KEYS == {"threads", "format", "divisor_cap",
+                           "materialize_cap", "universe_cap"}
+    assert config._INT_KEYS == config.KEYS - {"format"}
+
+
+def test_importing_the_cli_loads_every_layer_and_no_heavy_module():
+    """`import divint.cli` stays cheap at start-up and still imports every
+    layer that the benchmark's child process rebinds spans on."""
+    child = ROOT / "divbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("divbench_child", child)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              "import divint.cli\n"
+              "print(json.dumps([sorted(set(sys.modules) - before),"
+              " sorted(sys.modules)]))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    new, loaded = json.loads(proc.stdout)
+    assert not {"dataclasses", "inspect", "csv"} & set(new)
+    assert {f"divint.{name}" for name in module.SPANS} <= set(loaded)
 
 
 def test_resource_exit_codes(env, capsys):

@@ -28,6 +28,18 @@ def test_signature_equality_ignores_input_order():
     assert hash(Signature((1, 2, 2))) == hash(Signature((2, 2, 1)))
 
 
+def test_signature_is_immutable_and_keeps_its_repr():
+    sig = Signature((1, 2))
+    for name in ("alphas", "original", "perm", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sig, name, (1,))
+    with pytest.raises(AttributeError):
+        del sig.alphas
+    assert (sig.alphas, sig.original, sig.perm) == ((2, 1), (1, 2), (1, 0))
+    assert repr(sig) == "Signature(alphas=(2, 1))"
+    assert sig != (2, 1)
+
+
 def test_signature_rejects_bad_input():
     with pytest.raises(ValueError):
         Signature(())

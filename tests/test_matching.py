@@ -43,6 +43,25 @@ def test_members_outside_ground_rejected():
         UpwardClosedFamily(0b011, (0b100,))
 
 
+def test_upward_closed_family_sorts_and_dedupes_its_members():
+    fam = UpwardClosedFamily(0b111, (0b111, 0b011, 0b011, 0b101))
+    assert fam.members == (0b011, 0b101, 0b111)
+    same = UpwardClosedFamily(0b111, (0b101, 0b111, 0b011))
+    assert fam == same and hash(fam) == hash(same)
+    assert fam != UpwardClosedFamily(0b1111, (0b011, 0b101, 0b111))
+    assert fam != (0b111, (0b011, 0b101, 0b111))
+
+
+def test_upward_closed_family_is_immutable_and_keeps_its_repr():
+    fam = UpwardClosedFamily(0b111, (0b111, 0b011))
+    for name in ("ground", "members", "other"):
+        with pytest.raises(AttributeError):
+            setattr(fam, name, ())
+    with pytest.raises(AttributeError):
+        del fam.members
+    assert repr(fam) == "UpwardClosedFamily(ground=7, members=(3, 7))"
+
+
 def test_not_upward_closed_rejected():
     with pytest.raises(PreconditionError) as exc:
         matching.complement_permutation(UpwardClosedFamily(0b111, (0b001,)))

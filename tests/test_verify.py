@@ -1,6 +1,5 @@
 """Tests for the self-check conformance sweep."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -121,8 +120,7 @@ def test_a_family_that_is_not_upward_closed_fails_with_its_counterexamples(monke
         rep = real(sig, *args, **kwargs)
         if sig != Signature((2, 1)):
             return rep
-        return dataclasses.replace(
-            rep, families=rep.families + (NOT_UPWARD_CLOSED,))
+        return rep._replace(families=rep.families + (NOT_UPWARD_CLOSED,))
 
     monkeypatch.setattr(oracle, "enumerate_maximal_families", with_bad_family)
     rows = {(r["claim"], r["subject"]): r for r in run_verify(2, 2).rows}
