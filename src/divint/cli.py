@@ -398,13 +398,14 @@ def cmd_matching(args, cfg: RunConfig) -> Outcome:
 def _parse_t(value) -> tuple[int, ...]:
     if value is None:
         raise _UsageError("--t is required, e.g. --t 2 or --t 2,3")
+    text = str(value).replace(" ", "")
+    if not text:
+        raise _UsageError("--t is empty")
     try:
-        ts = tuple(sorted({int(x) for x in str(value).split(",") if x}))
+        # an empty component is refused, not skipped, as in --sig
+        return tuple(sorted({int(x) for x in text.split(",")}))
     except ValueError:
         raise _UsageError(f"cannot parse --t value {value!r}") from None
-    if not ts:
-        raise _UsageError("--t is empty")
-    return ts
 
 
 def cmd_openprob(args, cfg: RunConfig) -> Outcome:

@@ -41,7 +41,8 @@ class DivisorFamily:
         """Every divisor whose radical lies in `masks` (non-empty subsets of
         the n primes), read in order from `lattice.radical_table`."""
         masks = frozenset(masks)
-        if not all(0 < m < 1 << sig.n for m in masks):
+        top = 1 << sig.n
+        if not all(0 < m < top for m in masks):
             raise ValueError(f"masks {sorted(masks)} are not all non-empty "
                              f"subsets of the {sig.n} primes")
         divisors, radicals = lattice.radical_table(sig)

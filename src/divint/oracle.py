@@ -14,10 +14,12 @@ This is the ground-truth referee for the rest of the package.  Two engines:
   squarefree one on min(R_A ^ R_B), since a radical's squarefree divisor
   comes first among the divisors on it, and `lattice.divisor_key`, which
   compares the last prime first, orders squarefree divisors as their masks.
-* ``direct-clique``: Bron-Kerbosch maximal-clique search (pivoting, degeneracy
-  outer order, bitset rows) over the graph on divisors > 1 with an edge iff
-  gcd > 1.  Slower, but makes no structural assumption at all, which is the
-  point: the two engines check each other.
+* ``direct-clique``: Bron-Kerbosch maximal-clique search (pivoting, bitset
+  rows, one search from the whole vertex set) over the graph on divisors > 1
+  with an edge iff gcd > 1.  It finds the cliques in no specified order, and
+  the families are sorted by `family_sort_key`.  Slower, but makes no
+  structural assumption at all, which is the point: the two engines check
+  each other.
 """
 
 from __future__ import annotations
@@ -88,31 +90,19 @@ def _enumerate_radical_lift(sig: Signature,
     return _finish(sig, "radical-lift", sizes, built)
 
 
-def _degeneracy_order(adj: list[int]) -> list[int]:
-    n = len(adj)
-    remaining = (1 << n) - 1
-    order = []
-    while remaining:
-        v = min(
-            lattice.iter_bits(remaining),
-            key=lambda w: ((adj[w] & remaining).bit_count(), w),
-        )
-        order.append(v)
-        remaining &= ~(1 << v)
-    return order
-
-
 def maximal_cliques(rads: list[Mask]) -> list[int]:
     """Maximal cliques of the graph joining vertices whose radicals meet.
 
-    Vertex i has radical rads[i]; cliques are vertex bitmasks.  Bron-Kerbosch
-    with pivoting under a degeneracy outer order, run on an explicit stack so
-    that depth is bounded by memory, not by the interpreter's recursion limit.
-    The pivot is the lowest vertex of P | X with the most neighbours in P.  A
-    search that would list more than CLIQUE_CAP cliques raises
-    ResourceLimitError.
+    Vertex i has radical rads[i]; cliques are vertex bitmasks, in no
+    specified order (callers sort).  One pivoting Bron-Kerbosch search from
+    the whole vertex set, run on an explicit stack so that depth is bounded
+    by memory, not by the interpreter's recursion limit.  The pivot is the
+    lowest vertex of P | X with the most neighbours in P.  A search that
+    would list more than CLIQUE_CAP cliques raises ResourceLimitError.
     """
     nv = len(rads)
+    if not nv:
+        return []
     adj = [0] * nv
     for i in range(nv):
         for j in range(i + 1, nv):
@@ -120,37 +110,31 @@ def maximal_cliques(rads: list[Mask]) -> list[int]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     cliques: list[int] = []
-    done = 0
-    for v in _degeneracy_order(adj):
-        bit = 1 << v
-        stack = [(bit, adj[v] & ~done & ~bit, adj[v] & done)]
-        while stack:
-            r, p, x = stack.pop()
-            if not p and not x:
-                cliques.append(r)
-                if len(cliques) > CLIQUE_CAP:
-                    raise limit_error("the number of maximal cliques", None,
-                                      CLIQUE_CAP, "oracle.CLIQUE_CAP")
-                continue
-            best, pivot, rest = -1, 0, p | x
-            while rest:
-                low = rest & -rest
-                u = low.bit_length() - 1
-                deg = (p & adj[u]).bit_count()
-                if deg > best:
-                    best, pivot = deg, u
-                rest ^= low
-            children = []
-            rest = p & ~adj[pivot]
-            while rest:
-                low = rest & -rest
-                row = adj[low.bit_length() - 1]
-                children.append((r | low, p & row, x & row))
-                p ^= low
-                x |= low
-                rest ^= low
-            stack.extend(reversed(children))  # visit in ascending order
-        done |= bit
+    stack = [(0, (1 << nv) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p and not x:
+            cliques.append(r)
+            if len(cliques) > CLIQUE_CAP:
+                raise limit_error("the number of maximal cliques", None,
+                                  CLIQUE_CAP, "oracle.CLIQUE_CAP")
+            continue
+        best, pivot, rest = -1, 0, p | x
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            deg = (p & adj[u]).bit_count()
+            if deg > best:
+                best, pivot = deg, u
+            rest ^= low
+        rest = p & ~adj[pivot]
+        while rest:
+            low = rest & -rest
+            row = adj[low.bit_length() - 1]
+            stack.append((r | low, p & row, x & row))
+            p ^= low
+            x |= low
+            rest ^= low
     return cliques
 
 

@@ -210,6 +210,29 @@ def test_openprob_usage_errors(env, capsys):
     assert run(base + ["--t", "2,3", "--sig", "1,1"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("text", ["2,", ",2", "2,,3"])
+def test_empty_t_component_is_a_usage_error(env, capsys, text):
+    """`--t 2,` is refused, not read as `--t 2`, as `--sig` refuses `2,1,`."""
+    code, out, err = run(["openprob", "--mode", "omega", "--max-n", "2",
+                          "--max-exp", "1", "--t", text], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: cannot parse --t value {text!r}" in err
+
+
+@pytest.mark.parametrize("text", ["", " "])
+def test_empty_t_is_a_usage_error(env, capsys, text):
+    code, out, err = run(["openprob", "--mode", "omega", "--sig", "1,1",
+                          "--t", text], capsys)
+    assert (code, out) == (2, "")
+    assert "error: --t is empty" in err
+
+
+def test_t_ignores_spaces(env, capsys):
+    args = ["openprob", "--mode", "omega", "--max-n", "2", "--max-exp", "1"]
+    assert run(args + ["--t", " 3 , 2 "], capsys)[:2] == \
+        run(args + ["--t", "2,3"], capsys)[:2]
+
+
 def test_usage_errors(env, capsys):
     code, _, err = run(["bound"], capsys)
     assert code == 2

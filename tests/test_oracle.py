@@ -75,6 +75,7 @@ def test_census_420():
 @pytest.mark.parametrize("alphas", [
     (1, 1), (2, 1), (3,), (2, 2), (1, 1, 1), (2, 1, 1), (3, 2),
     (2, 1, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1), (2, 2, 1, 1),
+    (3, 3, 3, 3),  # 255 vertices, 12 families
 ])
 def test_methods_agree(alphas):
     sig = Signature(alphas)
@@ -84,6 +85,21 @@ def test_methods_agree(alphas):
     assert lift.sizes == direct.sizes
     assert lift.min_size == direct.min_size
     assert lift.min_count == direct.min_count
+    assert [f.members for f in lift.families] == \
+        [f.members for f in direct.families]
+
+
+def test_methods_agree_at_the_largest_n6_signature_within_divisor_cap():
+    """2,2,2,2,2,1 has 485 divisors > 1, the most of any n = 6 signature
+    within the default divisor_cap; every family is compared."""
+    sig = Signature((2, 2, 2, 2, 2, 1))
+    assert sig.divisor_count() - 1 == 485 <= oracle.DIRECT_DIVISOR_CAP
+    lift = enumerate_maximal_families(sig, "radical-lift",
+                                      materialize_cap=10**6)
+    direct = enumerate_maximal_families(sig, "direct-clique",
+                                        materialize_cap=10**6)
+    assert lift.total_maximal == direct.total_maximal == 2646
+    assert lift.sizes == direct.sizes
     assert [f.members for f in lift.families] == \
         [f.members for f in direct.families]
 
@@ -166,6 +182,10 @@ def graph_radicals(draw):
 @settings(deadline=None)
 def test_maximal_cliques_match_brute_force(rads):
     assert sorted(oracle.maximal_cliques(rads)) == _brute_force_cliques(rads)
+
+
+def test_maximal_cliques_of_no_vertices_is_empty():
+    assert oracle.maximal_cliques([]) == []
 
 
 def test_maximal_cliques_needs_no_recursion_limit():
