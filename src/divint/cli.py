@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: bound, extremal, count, antichains, oracle, matching, openprob,
-verify.  Every command accepts --format text|json|csv; JSON output is fully
-deterministic (sorted keys, canonical arrays, no timestamps and no echo of
-performance knobs), so identical inputs give byte-identical documents
-whatever the thread count.  Elapsed time goes to stderr only.
+verify.  Each command computes one thing, the `results` of its JSON
+document.  Every command accepts --format text|json|csv, and text and CSV
+are views of those results (`_text`, `_csv`), so the three forms cannot
+disagree; a run builds only the form it prints, and a JSON run formats no
+text line and no CSV row.  JSON output is fully deterministic (sorted keys,
+canonical arrays, no timestamps and no echo of performance knobs), so
+identical inputs give byte-identical documents whatever the thread count.
+Elapsed time goes to stderr only.
 
 Exit codes: 0 success, 2 usage error, 3 resource limit exceeded,
 4 theorem-violation diagnostic or internal consistency failure.
@@ -19,7 +23,7 @@ import time
 from functools import lru_cache
 from typing import Optional
 
-from . import antichains, extremal, families, lattice, matching, oracle
+from . import antichains, extremal, lattice, matching, oracle
 from . import report, restricted, verify as verify_mod
 from ._version import __version__
 from .config import FORMATS, RunConfig, resolve_config
@@ -27,24 +31,15 @@ from .errors import (DivintError, ResourceLimitError, TheoremViolationError,
                      limit_error)
 from .lattice import Signature
 
+# What a command computes: its document's parameters and results, and the
+# prime labels of its signature (None without one).  Only the text view of
+# `matching --sig --list` reads the labels: a pairing names its generators
+# by symbol, not by value.
+Run = tuple[dict, dict, Optional[tuple[int, ...]]]
+
 
 class _UsageError(Exception):
     pass
-
-
-class Outcome:
-    """What one command produced, in the shape of every output format."""
-
-    def __init__(self, parameters: dict, results: Optional[dict] = None,
-                 text: Optional[list[str]] = None,
-                 rows: Optional[list[dict]] = None,
-                 fields: Optional[list[str]] = None, exit_code: int = 0):
-        self.parameters = parameters
-        self.results = {} if results is None else results
-        self.text = [] if text is None else text
-        self.rows = [] if rows is None else rows
-        self.fields = [] if fields is None else fields
-        self.exit_code = exit_code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="permit t=1 (outside the stated problem range)")
     p.add_argument("--max-n", type=int, default=None,
                    help="sweep signatures with up to this many primes")
-    p.add_argument("--max-exp", type=int, default=2,
+    p.add_argument("--max-exp", type=int, default=None,
                    help="sweep exponent bound (default 2)")
     p.add_argument("--list", action="store_true",
                    help="print witness families (single cell only)")
@@ -121,38 +116,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numbers(text: str, what: str) -> list[int]:
+    """Comma-separated numbers, each ASCII digits with spaces around it.
+
+    A space inside a number, an underscore or a sign is refused, not read
+    as part of a number, and so is an empty component: `2,,1` is a typo.
+    """
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise _UsageError(f"cannot parse {what} {text!r}")
+    return [int(part) for part in parts]
+
+
 def _parse_signature(args) -> tuple[Signature, tuple[int, ...]]:
     if args.sig is not None and args.n is not None:
         raise _UsageError("give either --sig or --n, not both")
     if args.sig is not None:
-        text = args.sig.replace(" ", "")
-        if not text:
+        if not args.sig.strip():
             raise _UsageError("signature is empty")
-        try:
-            # an empty component is refused, not skipped: `2,,1` is a typo
-            parts = [int(x) for x in text.split(",")]
-        except ValueError:
-            raise _UsageError(f"cannot parse signature {args.sig!r}") from None
-        sig = Signature(parts)
+        sig = Signature(_numbers(args.sig, "signature"))
         return sig, lattice.first_primes(sig.n)
     if args.n is not None:
         return lattice.factor_int(args.n)
     raise _UsageError("one of --sig or --n is required")
 
 
-def _sig_notice(sig: Signature) -> list[str]:
-    if sig.was_normalized:
-        orig = ",".join(str(a) for a in sig.original)
-        return [f"note: signature normalized from {orig} to {sig}"]
-    return []
-
-
-def _values(fam: families.DivisorFamily, primes) -> list[int]:
-    return [lattice.display_value(d, primes) for d in fam.members]
-
-
-def _brace(values) -> str:
-    return "{" + ", ".join(str(v) for v in values) + "}"
+def _parse_t(value) -> tuple[int, ...]:
+    if value is None:
+        raise _UsageError("--t is required, e.g. --t 2 or --t 2,3")
+    if not value.strip():
+        raise _UsageError("--t is empty")
+    return tuple(sorted(set(_numbers(value, "--t value"))))
 
 
 @lru_cache(maxsize=lattice.MAX_DIVISORS)
@@ -173,92 +167,45 @@ def _entry_obj(e: matching.PairingEntry, k: int) -> dict:
     }
 
 
-def _sig_value(sig: Signature, key: str, value: int) -> Outcome:
+def _sig_value(sig: Signature, key: str, value: int) -> Run:
     """One number about one signature, e.g. its bound or its family count."""
-    return Outcome(
-        parameters={"sig": str(sig)},
-        results={"signature": report.signature_obj(sig), key: value},
-        text=_sig_notice(sig) + [str(value)],
-        rows=[{"signature": str(sig), key: value}],
-        fields=["signature", key],
-    )
+    return ({"sig": str(sig)},
+            {"signature": report.signature_obj(sig), key: value}, None)
 
 
-def cmd_bound(args, cfg: RunConfig) -> Outcome:
+def cmd_bound(args, cfg: RunConfig) -> Run:
     sig, _ = _parse_signature(args)
     return _sig_value(sig, "min_size", lattice.min_size_bound(sig))
 
 
-def cmd_extremal(args, cfg: RunConfig) -> Outcome:
+def cmd_extremal(args, cfg: RunConfig) -> Run:
     sig, primes = _parse_signature(args)
     rep = extremal.extremal_families(sig)
-    closures = extremal.minimum_families(sig) if args.list else []
-    out = Outcome(
-        parameters={"sig": str(sig), "list": bool(args.list)},
-        fields=["signature", "regime", "index", "generators", "closure_size"],
-    )
-    if cfg.format == "json":
-        out.results = {
-            "signature": report.signature_obj(sig),
-            "regime": rep.regime,
-            "min_size": rep.min_size,
-            "count": rep.h_count,
-            "generators": [report.family_obj(g, primes)
-                           for g in rep.generators],
-        }
-        if args.list:
-            out.results["families"] = [report.family_obj(c, primes)
-                                       for c in closures]
-    elif cfg.format == "csv":
-        out.rows = [{
-            "signature": str(sig), "regime": rep.regime, "index": i,
-            "generators": " ".join(map(str, _values(gen, primes))),
-            "closure_size": rep.min_size,
-        } for i, gen in enumerate(rep.generators, start=1)]
-    else:
-        out.text = _sig_notice(sig) + [
-            f"signature {sig}: {rep.regime} regime, minimum size "
-            f"{rep.min_size}, {rep.h_count} minimum-size maximal families"
-        ]
-        for label, fams in (("generators", rep.generators),
-                            ("closure", closures)):
-            out.text.extend(f"  [{i}] {label} {_brace(_values(f, primes))}"
-                            for i, f in enumerate(fams, start=1))
-    return out
+    results = {
+        "signature": report.signature_obj(sig),
+        "regime": rep.regime,
+        "min_size": rep.min_size,
+        "count": rep.h_count,
+        "generators": [report.family_obj(g, primes) for g in rep.generators],
+    }
+    if args.list:
+        results["families"] = [report.family_obj(c, primes)
+                               for c in extremal.minimum_families(sig)]
+    return {"sig": str(sig), "list": bool(args.list)}, results, primes
 
 
-def cmd_count(args, cfg: RunConfig) -> Outcome:
+def cmd_count(args, cfg: RunConfig) -> Run:
     sig, _ = _parse_signature(args)
     return _sig_value(sig, "count", extremal.count_minimum_families(sig))
 
 
-def cmd_antichains(args, cfg: RunConfig) -> Outcome:
+def cmd_antichains(args, cfg: RunConfig) -> Run:
     if args.k is None or args.k < 1:
         raise _UsageError("--k must be a positive integer")
     chains = antichains.enumerate_antichains(args.k)
-    text = [f"{len(chains)} generating antichains on {args.k} primes"]
-    rows = []
-    listed = []
-    for i, ac in enumerate(chains, start=1):
-        symbols = [_mask_symbol(m, args.k) for m in ac]
-        listed.append(symbols)
-        rows.append({"k": args.k, "index": i, "antichain": " ".join(symbols)})
-        if args.list:
-            text.append(f"  [{i}] {', '.join(symbols)}")
-    return Outcome(
-        parameters={"k": args.k, "list": bool(args.list)},
-        results={"k": args.k, "count": len(chains), "antichains": listed},
-        text=text, rows=rows, fields=["k", "index", "antichain"],
-    )
-
-
-def _size_histogram(sizes) -> str:
-    from collections import Counter
-
-    parts = []
-    for size, mult in sorted(Counter(sizes).items()):
-        parts.append(f"{size}x{mult}" if mult > 1 else str(size))
-    return " ".join(parts)
+    listed = [[_mask_symbol(m, args.k) for m in ac] for ac in chains]
+    return ({"k": args.k, "list": bool(args.list)},
+            {"k": args.k, "count": len(chains), "antichains": listed}, None)
 
 
 def _listed(fams, cfg: RunConfig):
@@ -269,17 +216,11 @@ def _listed(fams, cfg: RunConfig):
     return fams
 
 
-def cmd_oracle(args, cfg: RunConfig) -> Outcome:
+def cmd_oracle(args, cfg: RunConfig) -> Run:
     sig, primes = _parse_signature(args)
     rep = oracle.enumerate_maximal_families(
         sig, args.method, divisor_cap=cfg.divisor_cap,
         materialize_cap=cfg.materialize_cap if args.list else 0,
-    )
-    text = _sig_notice(sig)
-    text.append(
-        f"signature {sig}: {rep.total_maximal} maximal families "
-        f"({rep.method}); min size {rep.min_size} attained by "
-        f"{rep.min_count}; sizes: {_size_histogram(rep.sizes)}"
     )
     results = {
         "signature": report.signature_obj(sig),
@@ -290,134 +231,65 @@ def cmd_oracle(args, cfg: RunConfig) -> Outcome:
         "sizes": list(rep.sizes),
     }
     if args.list:
-        fams = _listed(rep.families, cfg)
-        results["families"] = [report.family_obj(f, primes) for f in fams]
-        for i, f in enumerate(fams, start=1):
-            text.append(f"  [{i}] size {len(f)}: {_brace(_values(f, primes))}")
-    rows = [{
-        "signature": str(sig), "method": rep.method,
-        "total_maximal": rep.total_maximal, "min_size": rep.min_size,
-        "min_count": rep.min_count,
-    }]
-    return Outcome(
-        parameters={"sig": str(sig), "method": args.method,
-                    "list": bool(args.list)},
-        results=results, text=text, rows=rows,
-        fields=["signature", "method", "total_maximal", "min_size",
-                "min_count"],
-    )
+        results["families"] = [report.family_obj(f, primes)
+                               for f in _listed(rep.families, cfg)]
+    return ({"sig": str(sig), "method": args.method, "list": bool(args.list)},
+            results, primes)
 
 
-def _cmd_matching_ground(args) -> Outcome:
+def _cmd_matching_ground(args) -> Run:
     k = args.k
     if k < 1:
         raise _UsageError("--k must be a positive integer")
     fams = matching.all_upward_closed_families(k)
-    text = []
-    rows = []
-    listed = []
-    for i, fam in enumerate(fams, start=1):
-        witness = matching.complement_permutation(fam)
-        entry = {
-            "members": [_mask_symbol(m, k) for m in fam.members],
-            "sigma": list(witness.sigma),
-        }
-        listed.append(entry)
-        rows.append({
-            "ground": k, "index": i, "size": len(fam.members),
-            "sigma": " ".join(str(s) for s in witness.sigma),
-        })
-        if args.list:
-            text.append(
-                f"  [{i}] {{{', '.join(entry['members'])}}} "
-                f"sigma={witness.sigma}"
-            )
-    text.insert(0, (
-        f"ground of {k} primes: {len(fams)} upward-closed families, "
-        f"all with certified complement permutations"
-    ))
-    return Outcome(
-        parameters={"k": k, "list": bool(args.list)},
-        results={"ground": k, "count": len(fams), "families": listed},
-        text=text, rows=rows, fields=["ground", "index", "size", "sigma"],
-    )
+    listed = [{
+        "members": [_mask_symbol(m, k) for m in fam.members],
+        "sigma": list(matching.complement_permutation(fam).sigma),
+    } for fam in fams]
+    return ({"k": k, "list": bool(args.list)},
+            {"ground": k, "count": len(fams), "families": listed}, None)
 
 
-def _cmd_matching_sig(args, cfg: RunConfig) -> Outcome:
+def _cmd_matching_sig(args) -> Run:
     sig, primes = _parse_signature(args)
     rep = extremal.extremal_families(sig)
     closures = extremal.minimum_families(sig)
-    out = Outcome(
-        parameters={"sig": str(sig), "list": bool(args.list)},
-        fields=["signature", "family_index", "paired_members", "sigma"],
-    )
-    if cfg.format == "text":
-        out.text = _sig_notice(sig) + [
-            f"signature {sig}: weight-preserving pairings on all "
-            f"{rep.h_count} minimum-size families"
-        ]
     listed = []
     for i, (gen, fam) in enumerate(zip(rep.generators, closures), start=1):
         pairing = matching.alpha_pairing(fam, sig)
-        if cfg.format == "json":
-            listed.append({
-                "family_index": i,
-                "generators": [lattice.format_divisor(d) for d in gen.members],
-                "sigma": list(pairing.sigma),
-                "entries": [_entry_obj(e, sig.n) for e in pairing.entries],
-            })
-        elif cfg.format == "csv":
-            out.rows.append({
-                "signature": str(sig), "family_index": i,
-                "paired_members": len(pairing.entries),
-                "sigma": " ".join(map(str, pairing.sigma)),
-            })
-        elif args.list:
-            out.text.append(f"  [{i}] generators {_brace(_values(gen, primes))}")
-            out.text.extend(
-                f"       {_mask_symbol(e.position, sig.n)} <- complement of "
-                f"{_mask_symbol(e.source, sig.n)} (alpha {e.alpha_position})"
-                for e in pairing.entries)
-    if cfg.format == "json":
-        out.results = {"signature": report.signature_obj(sig),
-                       "pairings": listed}
-    return out
+        listed.append({
+            "family_index": i,
+            "generators": [lattice.format_divisor(d) for d in gen.members],
+            "sigma": list(pairing.sigma),
+            "entries": [_entry_obj(e, sig.n) for e in pairing.entries],
+        })
+    return ({"sig": str(sig), "list": bool(args.list)},
+            {"signature": report.signature_obj(sig), "pairings": listed},
+            primes)
 
 
-def cmd_matching(args, cfg: RunConfig) -> Outcome:
+def cmd_matching(args, cfg: RunConfig) -> Run:
     has_sig = args.sig is not None or args.n is not None
     if args.k is not None and has_sig:
         raise _UsageError("give --k or a signature, not both")
     if args.k is not None:
         return _cmd_matching_ground(args)
     if has_sig:
-        return _cmd_matching_sig(args, cfg)
+        return _cmd_matching_sig(args)
     raise _UsageError("matching needs --k (ground sweep) or --sig/--n (pairing)")
 
 
-def _parse_t(value) -> tuple[int, ...]:
-    if value is None:
-        raise _UsageError("--t is required, e.g. --t 2 or --t 2,3")
-    text = str(value).replace(" ", "")
-    if not text:
-        raise _UsageError("--t is empty")
-    try:
-        # an empty component is refused, not skipped, as in --sig
-        return tuple(sorted({int(x) for x in text.split(",")}))
-    except ValueError:
-        raise _UsageError(f"cannot parse --t value {value!r}") from None
-
-
-def cmd_openprob(args, cfg: RunConfig) -> Outcome:
+def cmd_openprob(args, cfg: RunConfig) -> Run:
     has_sig = args.sig is not None or args.n is not None
     ts = _parse_t(args.t)
     if has_sig and args.max_n is not None:
         raise _UsageError("give a signature or --max-n sweep bounds, not both")
+    if has_sig and args.max_exp is not None:
+        raise _UsageError("--max-exp bounds a sweep, not a single cell")
     if not has_sig and args.max_n is None:
         raise _UsageError("openprob needs --sig/--n or --max-n")
     if args.list and not has_sig:
         raise _UsageError("--list prints a single cell's witnesses, not a sweep")
-    letter = "m" if args.mode == "omega" else "M"
 
     if has_sig:
         if len(ts) != 1:
@@ -430,17 +302,6 @@ def cmd_openprob(args, cfg: RunConfig) -> Outcome:
             materialize_cap=cfg.materialize_cap,
             allow_t1=args.allow_t1,
         )
-        text = _sig_notice(sig)
-        head = f"{letter}({sig}; t={t}, {args.maximality})"
-        if res.status == "ok":
-            text.append(
-                f"{head} = {res.value}; {res.attaining_count} attaining "
-                f"families; universe size {res.universe_size}"
-            )
-        else:
-            text.append(f"{head}: {res.status}")
-        if res.note:
-            text.append(f"note: {res.note}")
         results = {
             "signature": report.signature_obj(sig),
             "mode": res.mode, "t": res.t, "maximality": res.maximality,
@@ -450,81 +311,34 @@ def cmd_openprob(args, cfg: RunConfig) -> Outcome:
             "note": res.note,
         }
         if args.list:
-            witnesses = _listed(res.witnesses, cfg)
-            results["witnesses"] = [
-                report.family_obj(w, primes) for w in witnesses
-            ]
-            for i, w in enumerate(witnesses, start=1):
-                text.append(f"  [{i}] {_brace(_values(w, primes))}")
-        row = restricted.cell_row(sig, args.mode, t, args.maximality, res)
-        return Outcome(
-            parameters={"sig": str(sig), "mode": args.mode, "t": t,
-                        "maximality": args.maximality,
-                        "allow_t1": bool(args.allow_t1),
-                        "list": bool(args.list)},
-            results=results, text=text, rows=[row],
-            fields=list(restricted.ROW_FIELDS),
-        )
+            results["witnesses"] = [report.family_obj(w, primes)
+                                    for w in _listed(res.witnesses, cfg)]
+        return ({"sig": str(sig), "mode": args.mode, "t": t,
+                 "maximality": args.maximality,
+                 "allow_t1": bool(args.allow_t1), "list": bool(args.list)},
+                results, primes)
 
-    if args.max_n < 1 or args.max_exp < 1:
+    max_exp = 2 if args.max_exp is None else args.max_exp
+    if args.max_n < 1 or max_exp < 1:
         raise _UsageError("--max-n and --max-exp must be positive")
     rows = restricted.sweep_tables(
-        args.max_n, args.max_exp, ts, args.mode,
+        args.max_n, max_exp, ts, args.mode,
         maximality=args.maximality, universe_cap=cfg.universe_cap,
         allow_t1=args.allow_t1,
     )
-    text = [
-        f"{letter}(N, t) sweep: n <= {args.max_n}, exponents <= "
-        f"{args.max_exp}, t in {list(ts)}, {args.maximality} maximality"
-    ]
-    for r in rows:
-        if r["status"] == "ok":
-            text.append(
-                f"  {r['signature']:<12} t={r['t']}: {letter}={r['value']} "
-                f"({r['attaining_count']} attaining, universe "
-                f"{r['universe_size']})"
-            )
-        else:
-            text.append(f"  {r['signature']:<12} t={r['t']}: {r['status']}")
-    return Outcome(
-        parameters={"max_n": args.max_n, "max_exp": args.max_exp,
-                    "mode": args.mode, "t": list(ts),
-                    "maximality": args.maximality},
-        results={"mode": args.mode, "maximality": args.maximality,
-                 "t": list(ts), "rows": rows},
-        text=text, rows=rows, fields=list(restricted.ROW_FIELDS),
-    )
+    return ({"max_n": args.max_n, "max_exp": max_exp, "mode": args.mode,
+             "t": list(ts), "maximality": args.maximality},
+            {"mode": args.mode, "maximality": args.maximality,
+             "t": list(ts), "rows": rows}, None)
 
 
-def cmd_verify(args, cfg: RunConfig) -> Outcome:
+def cmd_verify(args, cfg: RunConfig) -> Run:
     if args.max_n < 1 or args.max_exp < 1:
         raise _UsageError("--max-n and --max-exp must be positive")
     rep = verify_mod.run_verify(args.max_n, args.max_exp)
-    text = []
-    rows = []
-    failures = 0
-    for r in rep.rows:
-        if r["status"] == "pass":
-            text.append(f"PASS {r['claim']} [{r['subject']}]")
-        else:
-            failures += 1
-            text.append(
-                f"FAIL {r['claim']} [{r['subject']}]: "
-                f"{json.dumps(r.get('counterexample'), sort_keys=True)}"
-            )
-        rows.append({"claim": r["claim"], "subject": r["subject"],
-                     "status": r["status"]})
-    text.append(
-        f"verify: {len(rep.rows)} checks, {len(rep.rows) - failures} passed, "
-        f"{failures} failed"
-    )
-    return Outcome(
-        parameters={"max_n": args.max_n, "max_exp": args.max_exp},
-        results={"max_n": rep.max_n, "max_exp": rep.max_exp,
-                 "passed": rep.passed, "rows": list(rep.rows)},
-        text=text, rows=rows, fields=["claim", "subject", "status"],
-        exit_code=0 if rep.passed else 4,
-    )
+    return ({"max_n": args.max_n, "max_exp": args.max_exp},
+            {"max_n": rep.max_n, "max_exp": rep.max_exp,
+             "passed": rep.passed, "rows": list(rep.rows)}, None)
 
 
 _DISPATCH = {
@@ -539,14 +353,191 @@ _DISPATCH = {
 }
 
 
-def _emit(outcome: Outcome, command: str, cfg: RunConfig) -> None:
+def _values(fam: dict) -> list[int]:
+    """Member values of a `report.family_obj` under its prime labels."""
+    return [m["value"] for m in fam["members"]]
+
+
+def _brace(values) -> str:
+    return "{" + ", ".join(str(v) for v in values) + "}"
+
+
+def _symbol_value(symbol: str, primes: tuple[int, ...]) -> int:
+    """The value of a divisor symbol such as 'p1^2*p3' under `primes`."""
+    value = 1
+    for factor in symbol.split("*"):
+        index, _, exp = factor[1:].partition("^")
+        value *= primes[int(index) - 1] ** int(exp or 1)
+    return value
+
+
+def _size_histogram(sizes) -> str:
+    from collections import Counter
+
+    parts = []
+    for size, mult in sorted(Counter(sizes).items()):
+        parts.append(f"{size}x{mult}" if mult > 1 else str(size))
+    return " ".join(parts)
+
+
+def _text(command: str, parameters: dict, results: dict,
+          primes: Optional[tuple[int, ...]]) -> list[str]:
+    """The text view of a command's results, line by line."""
+    sig = parameters.get("sig")
+    lines = []
+    normalized = results.get("signature", {}).get("normalized_from")
+    if normalized is not None:
+        orig = ",".join(str(a) for a in normalized)
+        lines.append(f"note: signature normalized from {orig} to {sig}")
+
+    if command in ("bound", "count"):
+        key = "min_size" if command == "bound" else "count"
+        lines.append(str(results[key]))
+    elif command == "extremal":
+        lines.append(
+            f"signature {sig}: {results['regime']} regime, minimum size "
+            f"{results['min_size']}, {results['count']} minimum-size maximal "
+            f"families")
+        for label, fams in (("generators", results["generators"]),
+                            ("closure", results.get("families", []))):
+            lines.extend(f"  [{i}] {label} {_brace(_values(f))}"
+                         for i, f in enumerate(fams, start=1))
+    elif command == "antichains":
+        lines.append(f"{results['count']} generating antichains on "
+                     f"{results['k']} primes")
+        if parameters["list"]:
+            lines.extend(f"  [{i}] {', '.join(symbols)}"
+                         for i, symbols in enumerate(results["antichains"],
+                                                   start=1))
+    elif command == "oracle":
+        lines.append(
+            f"signature {sig}: {results['total_maximal']} maximal families "
+            f"({results['method']}); min size {results['min_size']} attained "
+            f"by {results['min_count']}; sizes: "
+            f"{_size_histogram(results['sizes'])}")
+        lines.extend(f"  [{i}] size {f['size']}: {_brace(_values(f))}"
+                     for i, f in enumerate(results.get("families", []),
+                                           start=1))
+    elif command == "matching" and "ground" in results:
+        lines.append(
+            f"ground of {results['ground']} primes: {results['count']} "
+            f"upward-closed families, all with certified complement "
+            f"permutations")
+        if parameters["list"]:
+            lines.extend(
+                f"  [{i}] {{{', '.join(f['members'])}}} "
+                f"sigma={tuple(f['sigma'])}"
+                for i, f in enumerate(results["families"], start=1))
+    elif command == "matching":
+        lines.append(f"signature {sig}: weight-preserving pairings on all "
+                     f"{len(results['pairings'])} minimum-size families")
+        for p in results["pairings"] if parameters["list"] else ():
+            values = (_symbol_value(s, primes) for s in p["generators"])
+            lines.append(f"  [{p['family_index']}] generators "
+                         f"{_brace(values)}")
+            lines.extend(f"       {e['position']} <- complement of "
+                         f"{e['source']} (alpha {e['alpha']})"
+                         for e in p["entries"])
+    elif command == "openprob" and "rows" in results:
+        letter = "m" if results["mode"] == "omega" else "M"
+        lines.append(
+            f"{letter}(N, t) sweep: n <= {parameters['max_n']}, exponents <= "
+            f"{parameters['max_exp']}, t in {results['t']}, "
+            f"{results['maximality']} maximality")
+        for r in results["rows"]:
+            if r["status"] == "ok":
+                lines.append(
+                    f"  {r['signature']:<12} t={r['t']}: "
+                    f"{letter}={r['value']} ({r['attaining_count']} "
+                    f"attaining, universe {r['universe_size']})")
+            else:
+                lines.append(f"  {r['signature']:<12} t={r['t']}: "
+                             f"{r['status']}")
+    elif command == "openprob":
+        letter = "m" if results["mode"] == "omega" else "M"
+        head = f"{letter}({sig}; t={results['t']}, {results['maximality']})"
+        if results["status"] == "ok":
+            lines.append(
+                f"{head} = {results['value']}; {results['attaining_count']} "
+                f"attaining families; universe size "
+                f"{results['universe_size']}")
+        else:
+            lines.append(f"{head}: {results['status']}")
+        if results["note"]:
+            lines.append(f"note: {results['note']}")
+        lines.extend(f"  [{i}] {_brace(_values(w))}"
+                     for i, w in enumerate(results.get("witnesses", []),
+                                         start=1))
+    elif command == "verify":
+        rows = results["rows"]
+        lines.extend(
+            f"PASS {r['claim']} [{r['subject']}]" if r["status"] == "pass"
+            else f"FAIL {r['claim']} [{r['subject']}]: "
+                 f"{json.dumps(r.get('counterexample'), sort_keys=True)}"
+            for r in rows)
+        failed = sum(r["status"] != "pass" for r in rows)
+        lines.append(f"verify: {len(rows)} checks, {len(rows) - failed} "
+                     f"passed, {failed} failed")
+    return lines
+
+
+def _csv(command: str, parameters: dict,
+         results: dict) -> tuple[list[dict], list[str]]:
+    """The CSV view of a command's results: its rows and its columns.
+
+    A row may hold keys beyond the columns; `report.csv_dumps` writes only
+    the columns.
+    """
+    sig = parameters.get("sig")
+    if command == "bound":
+        return [{**results, "signature": sig}], ["signature", "min_size"]
+    if command == "count":
+        return [{**results, "signature": sig}], ["signature", "count"]
+    if command == "oracle":
+        return [{**results, "signature": sig}], [
+            "signature", "method", "total_maximal", "min_size", "min_count"]
+    if command == "extremal":
+        return [{
+            "signature": sig, "regime": results["regime"], "index": i,
+            "generators": " ".join(str(v) for v in _values(gen)),
+            "closure_size": results["min_size"],
+        } for i, gen in enumerate(results["generators"], start=1)], [
+            "signature", "regime", "index", "generators", "closure_size"]
+    if command == "antichains":
+        return [{"k": results["k"], "index": i, "antichain": " ".join(ac)}
+                for i, ac in enumerate(results["antichains"], start=1)], [
+            "k", "index", "antichain"]
+    if command == "matching" and "ground" in results:
+        return [{
+            "ground": results["ground"], "index": i,
+            "size": len(f["members"]),
+            "sigma": " ".join(str(s) for s in f["sigma"]),
+        } for i, f in enumerate(results["families"], start=1)], [
+            "ground", "index", "size", "sigma"]
+    if command == "matching":
+        return [{
+            "signature": sig, "family_index": p["family_index"],
+            "paired_members": len(p["entries"]),
+            "sigma": " ".join(str(s) for s in p["sigma"]),
+        } for p in results["pairings"]], [
+            "signature", "family_index", "paired_members", "sigma"]
+    if command == "openprob":
+        rows = results.get("rows") or [
+            {**results, "signature": sig, "n": results["signature"]["n"]}]
+        return rows, list(restricted.ROW_FIELDS)
+    return results["rows"], ["claim", "subject", "status"]  # verify
+
+
+def _emit(command: str, cfg: RunConfig, parameters: dict, results: dict,
+          primes: Optional[tuple[int, ...]]) -> None:
+    """Write the one form of the results that `cfg.format` asks for."""
     if cfg.format == "json":
-        doc = report.document(command, outcome.parameters, outcome.results)
+        doc = report.document(command, parameters, results)
         sys.stdout.write(report.json_dumps(doc))
     elif cfg.format == "csv":
-        sys.stdout.write(report.csv_dumps(outcome.rows, outcome.fields))
+        sys.stdout.write(report.csv_dumps(*_csv(command, parameters, results)))
     else:
-        for line in outcome.text:
+        for line in _text(command, parameters, results, primes):
             print(line)
 
 
@@ -558,7 +549,7 @@ def main(argv=None) -> int:
             "threads": args.threads,
             "format": args.format,
         })
-        outcome = _DISPATCH[args.command](args, cfg)
+        parameters, results, primes = _DISPATCH[args.command](args, cfg)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -574,9 +565,9 @@ def main(argv=None) -> int:
     except DivintError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 4
-    _emit(outcome, args.command, cfg)
+    _emit(args.command, cfg, parameters, results, primes)
     print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
-    return outcome.exit_code
+    return 0 if results.get("passed", True) else 4
 
 
 if __name__ == "__main__":

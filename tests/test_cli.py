@@ -227,6 +227,15 @@ def test_empty_t_is_a_usage_error(env, capsys, text):
     assert "error: --t is empty" in err
 
 
+@pytest.mark.parametrize("text", ["1 2", "1_2", "+2", "2,3 4"])
+def test_t_joins_no_numbers(env, capsys, text):
+    """A space or an underscore inside a value does not join two numbers."""
+    code, out, err = run(["openprob", "--mode", "omega", "--max-n", "2",
+                          "--max-exp", "1", "--t", text], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: cannot parse --t value {text!r}" in err
+
+
 def test_t_ignores_spaces(env, capsys):
     args = ["openprob", "--mode", "omega", "--max-n", "2", "--max-exp", "1"]
     assert run(args + ["--t", " 3 , 2 "], capsys)[:2] == \
@@ -248,6 +257,19 @@ def test_empty_signature_component_is_a_usage_error(env, capsys, text):
     code, out, err = run(["bound", "--sig", text], capsys)
     assert (code, out) == (2, "")
     assert f"error: cannot parse signature {text!r}" in err
+
+
+@pytest.mark.parametrize("text", ["2 1", "1_0", "1,1 1", "+2", "-1", "\uff12"])
+def test_signature_joins_no_numbers(env, capsys, text):
+    """`--sig "2 1"` is refused, not read as the signature 21, and only
+    ASCII digits make a number."""
+    code, out, err = run(["bound", "--sig", text], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: cannot parse signature {text!r}" in err
+
+
+def test_signature_components_may_carry_spaces(env, capsys):
+    assert run(["bound", "--sig", " 2 , 1 "], capsys)[:2] == (0, "3\n")
 
 
 @pytest.mark.parametrize("bad", [{"format": "xml"}, {"threads": 0},
@@ -674,12 +696,29 @@ def test_verify_text_and_exit(env, capsys):
     assert lines[-1].endswith("0 failed")
 
 
-def test_verify_failure_exits_4(env, capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_failure_exits_4(env, capsys, monkeypatch, fmt):
     real = lattice.min_size_bound
     monkeypatch.setattr(lattice, "min_size_bound", lambda sig: real(sig) + 1)
-    code, out, _ = run(["verify", "--max-n", "2", "--max-exp", "1"], capsys)
+    code, out, _ = run(["verify", "--max-n", "2", "--max-exp", "1",
+                        "--format", fmt], capsys)
     assert code == 4
-    assert "FAIL min-size-equality" in out
+    assert {"text": "FAIL min-size-equality [1]",
+            "json": '"status": "fail"',
+            "csv": "min-size-equality,1,fail"}[fmt] in out
+
+
+def test_openprob_max_exp_refuses_a_single_cell(env, capsys):
+    """--max-exp bounds a sweep; a single cell refuses it, as it refuses
+    --max-n, instead of ignoring it."""
+    code, out, err = run(["openprob", "--mode", "omega", "--sig", "1,1,1",
+                          "--t", "2", "--max-exp", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert "error: --max-exp bounds a sweep, not a single cell" in err
+    code, out, _ = run(["openprob", "--mode", "omega", "--max-n", "1",
+                        "--t", "2", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["parameters"]["max_exp"] == 2
 
 
 def test_openprob_list_refuses_sweeps(env, capsys):
@@ -711,28 +750,40 @@ def test_lattice_cap_refuses_before_any_closure(env, capsys, monkeypatch):
     assert errors[0] == errors[1]
 
 
-def test_json_listings_lift_closures_and_build_no_text(env, capsys,
-                                                     monkeypatch):
-    """At 1^6 the JSON listings take every minimum family from its radical
-    set, not from `families.upward_closure`, and build no text line and no
-    CSV row."""
+def test_json_runs_lift_closures_and_build_no_view(env, capsys, monkeypatch):
+    """A JSON run of every command builds no text line and no CSV row: the
+    text and CSV views are never called.  At 1^6 the JSON listings take
+    every minimum family from its radical set, not from
+    `families.upward_closure`."""
     from divint import families
 
     calls = []
     closure = families.upward_closure
     monkeypatch.setattr(families, "upward_closure",
                         lambda gens, sig: calls.append(1) or closure(gens, sig))
-    emitted = []
-    emit = cli._emit
-    monkeypatch.setattr(cli, "_emit", lambda outcome, command, cfg: (
-        emitted.append(outcome), emit(outcome, command, cfg)))
-    for argv in (["extremal", "--sig", "1,1,1,1,1,1", "--list"],
-                 ["matching", "--sig", "1,1,1,1,1,1"]):
+
+    def refuse(*args):
+        raise AssertionError("a JSON run called a text or CSV view")
+
+    monkeypatch.setattr(cli, "_text", refuse)
+    monkeypatch.setattr(cli, "_csv", refuse)
+    for argv in (["bound", "--sig", "2,1"],
+                 ["count", "--sig", "1,1,1"],
+                 ["extremal", "--sig", "1,1,1,1,1,1", "--list"],
+                 ["antichains", "--k", "3", "--list"],
+                 ["oracle", "--sig", "2,1,1", "--list"],
+                 ["matching", "--k", "3", "--list"],
+                 ["matching", "--sig", "1,1,1,1,1,1", "--list"],
+                 ["openprob", "--mode", "omega", "--sig", "1,1,1", "--t", "2",
+                  "--list"],
+                 ["openprob", "--mode", "omega", "--max-n", "2", "--t", "2"],
+                 ["verify", "--max-n", "2", "--max-exp", "1"]):
+        calls.clear()
         code, out, _ = run(argv + ["--format", "json"], capsys)
         assert code == 0
-        assert len(json.loads(out)["results"]) > 1
-    assert calls == []
-    assert [(o.text, o.rows) for o in emitted] == [([], [])] * 2
+        assert json.loads(out)["command"] == argv[0]
+        if "1,1,1,1,1,1" in argv:
+            assert calls == []
 
 
 def test_openprob_sweep_honours_allow_t1(env, capsys):
