@@ -117,11 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _numbers(text: str, what: str) -> list[int]:
-    """Comma-separated numbers, each ASCII digits with spaces around it.
-
-    A space inside a number, an underscore or a sign is refused, not read
-    as part of a number, and so is an empty component: `2,,1` is a typo.
-    """
+    """Comma-separated numbers of ASCII digits; whitespace around each is
+    dropped.  A space inside a number, an underscore or a sign is refused,
+    not read as part of a number, and so is an empty component: `2,,1` is
+    a typo."""
     parts = [part.strip() for part in text.split(",")]
     if not all(part.isascii() and part.isdigit() for part in parts):
         raise _UsageError(f"cannot parse {what} {text!r}")

@@ -750,7 +750,8 @@ def test_lattice_cap_refuses_before_any_closure(env, capsys, monkeypatch):
     assert errors[0] == errors[1]
 
 
-def test_json_runs_lift_closures_and_build_no_view(env, capsys, monkeypatch):
+def test_json_listings_lift_closures_and_build_no_text(env, capsys,
+                                                     monkeypatch):
     """A JSON run of every command builds no text line and no CSV row: the
     text and CSV views are never called.  At 1^6 the JSON listings take
     every minimum family from its radical set, not from
