@@ -23,7 +23,7 @@ import time
 from functools import lru_cache
 from typing import Optional
 
-from . import antichains, extremal, lattice, matching, oracle
+from . import antichains, extremal, families, lattice, matching, oracle
 from . import report, restricted, verify as verify_mod
 from ._version import __version__
 from .config import FORMATS, RunConfig, resolve_config
@@ -172,12 +172,12 @@ def _sig_value(sig: Signature, key: str, value: int) -> Run:
             {"signature": report.signature_obj(sig), key: value}, None)
 
 
-def cmd_bound(args, cfg: RunConfig) -> Run:
+def cmd_bound(args) -> Run:
     sig, _ = _parse_signature(args)
     return _sig_value(sig, "min_size", lattice.min_size_bound(sig))
 
 
-def cmd_extremal(args, cfg: RunConfig) -> Run:
+def cmd_extremal(args) -> Run:
     sig, primes = _parse_signature(args)
     rep = extremal.extremal_families(sig)
     results = {
@@ -193,12 +193,12 @@ def cmd_extremal(args, cfg: RunConfig) -> Run:
     return {"sig": str(sig), "list": bool(args.list)}, results, primes
 
 
-def cmd_count(args, cfg: RunConfig) -> Run:
+def cmd_count(args) -> Run:
     sig, _ = _parse_signature(args)
     return _sig_value(sig, "count", extremal.count_minimum_families(sig))
 
 
-def cmd_antichains(args, cfg: RunConfig) -> Run:
+def cmd_antichains(args) -> Run:
     if args.k is None or args.k < 1:
         raise _UsageError("--k must be a positive integer")
     chains = antichains.enumerate_antichains(args.k)
@@ -207,20 +207,20 @@ def cmd_antichains(args, cfg: RunConfig) -> Run:
             {"k": args.k, "count": len(chains), "antichains": listed}, None)
 
 
-def _listed(fams, cfg: RunConfig):
-    """Families asked for by --list; None means the cap dropped them."""
+def _listed(fams, total: int):
+    """Families asked for by --list, `total` members in all; None means the
+    cap dropped them."""
     if fams is None:
-        raise limit_error("the member count of the families to list", None,
-                          cfg.materialize_cap, "materialize_cap")
+        raise limit_error("the member count of the families to list", total,
+                          families.MEMBER_CAP, "families.MEMBER_CAP")
     return fams
 
 
-def cmd_oracle(args, cfg: RunConfig) -> Run:
+def cmd_oracle(args) -> Run:
     sig, primes = _parse_signature(args)
     rep = oracle.enumerate_maximal_families(
-        sig, args.method, divisor_cap=cfg.divisor_cap,
-        materialize_cap=cfg.materialize_cap if args.list else 0,
-    )
+        sig, args.method,
+        materialize_cap=families.MEMBER_CAP if args.list else 0)
     results = {
         "signature": report.signature_obj(sig),
         "method": rep.method,
@@ -231,7 +231,8 @@ def cmd_oracle(args, cfg: RunConfig) -> Run:
     }
     if args.list:
         results["families"] = [report.family_obj(f, primes)
-                               for f in _listed(rep.families, cfg)]
+                               for f in _listed(rep.families,
+                                                sum(rep.sizes))]
     return ({"sig": str(sig), "method": args.method, "list": bool(args.list)},
             results, primes)
 
@@ -267,7 +268,7 @@ def _cmd_matching_sig(args) -> Run:
             primes)
 
 
-def cmd_matching(args, cfg: RunConfig) -> Run:
+def cmd_matching(args) -> Run:
     has_sig = args.sig is not None or args.n is not None
     if args.k is not None and has_sig:
         raise _UsageError("give --k or a signature, not both")
@@ -278,7 +279,7 @@ def cmd_matching(args, cfg: RunConfig) -> Run:
     raise _UsageError("matching needs --k (ground sweep) or --sig/--n (pairing)")
 
 
-def cmd_openprob(args, cfg: RunConfig) -> Run:
+def cmd_openprob(args) -> Run:
     has_sig = args.sig is not None or args.n is not None
     ts = _parse_t(args.t)
     if has_sig and args.max_n is not None:
@@ -297,8 +298,7 @@ def cmd_openprob(args, cfg: RunConfig) -> Run:
         sig, primes = _parse_signature(args)
         res = restricted.solve_restricted(
             sig, args.mode, t, maximality=args.maximality,
-            universe_cap=cfg.universe_cap,
-            materialize_cap=cfg.materialize_cap,
+            materialize_cap=families.MEMBER_CAP if args.list else 0,
             allow_t1=args.allow_t1,
         )
         results = {
@@ -310,8 +310,9 @@ def cmd_openprob(args, cfg: RunConfig) -> Run:
             "note": res.note,
         }
         if args.list:
-            results["witnesses"] = [report.family_obj(w, primes)
-                                    for w in _listed(res.witnesses, cfg)]
+            results["witnesses"] = [
+                report.family_obj(w, primes) for w in
+                _listed(res.witnesses, res.attaining_count * res.value)]
         return ({"sig": str(sig), "mode": args.mode, "t": t,
                  "maximality": args.maximality,
                  "allow_t1": bool(args.allow_t1), "list": bool(args.list)},
@@ -322,8 +323,7 @@ def cmd_openprob(args, cfg: RunConfig) -> Run:
         raise _UsageError("--max-n and --max-exp must be positive")
     rows = restricted.sweep_tables(
         args.max_n, max_exp, ts, args.mode,
-        maximality=args.maximality, universe_cap=cfg.universe_cap,
-        allow_t1=args.allow_t1,
+        maximality=args.maximality, allow_t1=args.allow_t1,
     )
     return ({"max_n": args.max_n, "max_exp": max_exp, "mode": args.mode,
              "t": list(ts), "maximality": args.maximality},
@@ -331,7 +331,7 @@ def cmd_openprob(args, cfg: RunConfig) -> Run:
              "t": list(ts), "rows": rows}, None)
 
 
-def cmd_verify(args, cfg: RunConfig) -> Run:
+def cmd_verify(args) -> Run:
     if args.max_n < 1 or args.max_exp < 1:
         raise _UsageError("--max-n and --max-exp must be positive")
     rep = verify_mod.run_verify(args.max_n, args.max_exp)
@@ -548,7 +548,7 @@ def main(argv=None) -> int:
             "threads": args.threads,
             "format": args.format,
         })
-        parameters, results, primes = _DISPATCH[args.command](args, cfg)
+        parameters, results, primes = _DISPATCH[args.command](args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

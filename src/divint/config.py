@@ -13,9 +13,6 @@ import os
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .oracle import DIRECT_DIVISOR_CAP, MATERIALIZE_CAP
-from .restricted import UNIVERSE_CAP
-
 CONFIG_FILENAME = "divisor-intersect.toml"
 ENV_PREFIX = "DIVINT_"
 FORMATS = ("text", "json", "csv")
@@ -26,9 +23,6 @@ class _Settings(NamedTuple):
     # working; every engine is sequential, so it changes nothing.
     threads: int = 1
     format: str = "text"
-    divisor_cap: int = DIRECT_DIVISOR_CAP
-    materialize_cap: int = MATERIALIZE_CAP
-    universe_cap: int = UNIVERSE_CAP
 
 
 class RunConfig(_Settings):
@@ -44,9 +38,6 @@ class RunConfig(_Settings):
             )
         if self.threads < 1:
             raise ValueError(f"threads must be positive, got {self.threads}")
-        for name, value in zip(self._fields, self):
-            if name.endswith("_cap") and value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
         return self
 
     @classmethod

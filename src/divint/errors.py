@@ -7,7 +7,7 @@ class DivintError(Exception):
 
 class ResourceLimitError(DivintError):
     """A cap would be exceeded; built only by `limit_error`, whose message
-    names the cap and how, if at all, it can be raised."""
+    names the cap."""
 
 
 def limit_error(what: str, value: int | None, limit: int,
@@ -15,16 +15,12 @@ def limit_error(what: str, value: int | None, limit: int,
     """The refusal for `what`, which came to `value` against `limit`.
 
     `value` is None when a walk stops at the cap without knowing its total.
-    `name` is either a `RunConfig` field, which the message tells how to
-    raise, or a dotted module constant such as `oracle.CLIQUE_CAP`.
+    `name` is the dotted module constant that holds the cap, such as
+    `oracle.CLIQUE_CAP`.
     """
-    if "." not in name:
-        how = (f"raise {name} via DIVINT_{name.upper()} or {name} in "
-               f"divisor-intersect.toml")
-    else:
-        how = f"{name}, a fixed constant"
     amount = "exceeds" if value is None else f"is {value}, above"
-    return ResourceLimitError(f"{what} {amount} the cap of {limit} ({how})")
+    return ResourceLimitError(
+        f"{what} {amount} the cap of {limit} ({name}, a fixed constant)")
 
 
 class TheoremViolationError(DivintError):

@@ -24,12 +24,6 @@ from .errors import limit_error
 from .families import DivisorFamily
 from .lattice import Signature
 
-# Most members, summed over all minimum families, that one listing may
-# build.  The largest listing of the tests and the README builds 84672
-# (2646 families of 32, at 1^6); 2,1,1,1,1,1,1 builds 254016.
-MEMBER_CAP = 300_000
-
-
 class ExtremalReport(NamedTuple):
     """Minimum size, count of minimum families, and their generators."""
 
@@ -91,11 +85,11 @@ def minimum_families(sig: Signature) -> list[DivisorFamily]:
     intersecting family on primes u..n-1, each mask joined with every mask
     on the first u primes.
     """
-    lattice.check_divisor_cap(sig)  # before any radical set is built
+    lattice.check_lattice_size(sig)  # before any radical set is built
     total = count_minimum_families(sig) * lattice.min_size_bound(sig)
-    if total > MEMBER_CAP:
+    if total > families.MEMBER_CAP:
         raise limit_error("the member count of the minimum families", total,
-                          MEMBER_CAP, "extremal.MEMBER_CAP")
+                          families.MEMBER_CAP, "families.MEMBER_CAP")
     n, u = sig.n, sig.u
     if sig.alphas[-1] >= 2:
         radical_sets = [[m for m in range(1 << n) if m >> v & 1]

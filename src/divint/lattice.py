@@ -104,7 +104,7 @@ divisor_key: Callable[[Divisor], tuple[int, ...]] = \
     operator.itemgetter(slice(None, None, -1))
 
 
-def check_divisor_cap(sig: Signature) -> None:
+def check_lattice_size(sig: Signature) -> None:
     """Refuse a lattice above MAX_DIVISORS divisors before any walk."""
     count = sig.divisor_count()
     if count > MAX_DIVISORS:
@@ -114,7 +114,7 @@ def check_divisor_cap(sig: Signature) -> None:
 
 def enumerate_divisors(sig: Signature) -> list[Divisor]:
     """All exponent vectors of the lattice (including divisor 1), canonically ordered."""
-    check_divisor_cap(sig)
+    check_lattice_size(sig)
     axes = [range(a + 1) for a in reversed(sig.alphas)]
     return [t[::-1] for t in itertools.product(*axes)]
 
@@ -237,9 +237,11 @@ def signature_grid(max_n: int, max_exp: int) -> list[Signature]:
 
 # --- display helpers (human-readable output only; never used in the math) ---
 #
-# The per-divisor helpers are cached tables: a listing formats each divisor of
-# the lattice once, however many families it belongs to.  The cached values
-# are immutable, and the cache holds at most one full lattice.
+# `format_divisor` is a cached table: a listing formats each divisor of the
+# lattice once, however many families it belongs to.  The cached values are
+# immutable, and the cache holds at most one full lattice.  `display_value`
+# needs no cache of its own: its one caller, `report.divisor_obj`, is cached
+# on the same arguments.
 
 def first_primes(n: int) -> tuple[int, ...]:
     """The n smallest primes, for labeling abstract prime indices."""
@@ -252,7 +254,6 @@ def first_primes(n: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-@lru_cache(maxsize=MAX_DIVISORS)
 def display_value(d: Divisor, primes: tuple[int, ...]) -> int:
     """Integer value of a divisor under a concrete prime labeling."""
     return prod(p ** e for p, e in zip(primes, d))

@@ -28,11 +28,11 @@ from typing import NamedTuple, Optional
 
 from . import antichains, lattice
 from .errors import limit_error
-from .families import DivisorFamily
+from .families import MEMBER_CAP, DivisorFamily
 from .lattice import Mask, Signature
 
+# Most divisors > 1 the direct-clique graph may hold.
 DIRECT_DIVISOR_CAP = 500
-MATERIALIZE_CAP = 10_000
 # Most maximal cliques one Bron-Kerbosch search may list; past it the search
 # stops with exit 3.  The largest search of the test suite and the benchmark
 # lists 2646 (oracle --sig 1^6 --method direct-clique).
@@ -45,8 +45,8 @@ class OracleReport(NamedTuple):
     """Census of every maximal family for one signature.
 
     `sizes` is ascending, one entry per maximal family.  `families` is None
-    when the total member count across all families exceeds the
-    materialization cap; counts and sizes are always present.
+    when the total member count across all families exceeds
+    `materialize_cap`; counts and sizes are always present.
     """
 
     signature: Signature
@@ -66,7 +66,7 @@ def family_sort_key(fam: DivisorFamily):
 def _finish(sig: Signature, method: str, sizes: list[int],
             built: Optional[list[DivisorFamily]]) -> OracleReport:
     """Report for one engine; `built` is in canonical order, or None above
-    the materialization cap."""
+    `materialize_cap`."""
     sizes = tuple(sorted(sizes))
     return OracleReport(
         signature=sig,
@@ -138,12 +138,12 @@ def maximal_cliques(rads: list[Mask]) -> list[int]:
     return cliques
 
 
-def _enumerate_direct(sig: Signature, divisor_cap: int,
-                      materialize_cap: int) -> OracleReport:
+def _enumerate_direct(sig: Signature, materialize_cap: int) -> OracleReport:
     count = sig.divisor_count() - 1
-    if count > divisor_cap:
+    if count > DIRECT_DIVISOR_CAP:
         raise limit_error("the number of divisors > 1 for direct-clique",
-                          count, divisor_cap, "divisor_cap")
+                          count, DIRECT_DIVISOR_CAP,
+                          "oracle.DIRECT_DIVISOR_CAP")
     divisors = [d for d in lattice.enumerate_divisors(sig) if any(d)]
     cliques = maximal_cliques([lattice.radical(d) for d in divisors])
     sizes = [c.bit_count() for c in cliques]
@@ -160,13 +160,12 @@ def enumerate_maximal_families(
     sig: Signature,
     method: str = "radical-lift",
     *,
-    divisor_cap: int = DIRECT_DIVISOR_CAP,
-    materialize_cap: int = MATERIALIZE_CAP,
+    materialize_cap: int = MEMBER_CAP,
 ) -> OracleReport:
     """Census of every maximal family of divisors of the given signature."""
     if method == "radical-lift":
         return _enumerate_radical_lift(sig, materialize_cap)
     if method == "direct-clique":
-        return _enumerate_direct(sig, divisor_cap, materialize_cap)
+        return _enumerate_direct(sig, materialize_cap)
     raise ValueError(f"unknown method {method!r}: expected one of {METHODS}")
 

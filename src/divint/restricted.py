@@ -31,7 +31,8 @@ and reversed vertex orders, and the two runs must find the same weight and the
 same minimum sets in each component, and every minimum set is re-checked on
 the radicals themselves.  Radicals in different components always meet, so
 the per-component check is exact for the whole family, also when there are
-too many families to list.
+too many families to list.  `RADICAL_CAP` bounds the distinct radicals, the
+vertices of the graph, before it is built.
 
 Maximality defaults to the restricted reading (no divisor from the same
 universe can be added).  The global reading (no divisor of N at all can be
@@ -59,7 +60,10 @@ from .errors import DivintError, ResourceLimitError, limit_error
 from .families import DivisorFamily
 from .lattice import Divisor, Mask, Signature
 
-UNIVERSE_CAP = 300
+# Most distinct radicals one cell's coprimality graph may hold.  On a
+# squarefree N every radical is one divisor; the largest graph of the test
+# suite and the benchmark has 252 (1^10, t=5).
+RADICAL_CAP = 300
 # Most search nodes one cell may visit, over both vertex orders and every
 # component; past it the cell exits 3.  The largest search of the test suite
 # visits 29763 nodes (openprob 1^9, t=3); the benchmark's, 10544 (1^8, t=3).
@@ -78,8 +82,8 @@ class OpenProblemResult(NamedTuple):
     status is "ok", "empty-universe" (no divisor has the requested count), or
     "no-maximal-family" (global maximality only: no subset of the universe is
     maximal among all divisors).  value and attaining_count are 0 outside
-    "ok".  witnesses holds the minimum-size families, or None above the
-    materialization cap.  nodes counts the search nodes the cell visited.
+    "ok".  witnesses holds the minimum-size families, or None above
+    `materialize_cap`.  nodes counts the search nodes the cell visited.
     """
 
     signature: Signature
@@ -276,8 +280,7 @@ def solve_restricted(
     t: int,
     *,
     maximality: str = "restricted",
-    universe_cap: int = UNIVERSE_CAP,
-    materialize_cap: int = oracle.MATERIALIZE_CAP,
+    materialize_cap: int = families.MEMBER_CAP,
     allow_t1: bool = False,
 ) -> OpenProblemResult:
     """Minimum maximal-family size within one restricted universe."""
@@ -289,9 +292,6 @@ def solve_restricted(
     if not universe:
         return OpenProblemResult(sig, mode, t, maximality, "empty-universe",
                                  0, 0, 0, (), note)
-    if len(universe) > universe_cap:
-        raise limit_error("the number of divisors in the universe",
-                          len(universe), universe_cap, "universe_cap")
     spent = 0
     if maximality == "global":
         # the radical-lift argument of the module docstring
@@ -310,6 +310,10 @@ def solve_restricted(
         # none of it.  The search runs on the distinct radicals; a set weighs
         # the sizes of its classes and lifts to the divisors class by class.
         rads, classes = _twin_classes(universe)
+        if len(rads) > RADICAL_CAP:
+            raise limit_error("the number of distinct radicals in the "
+                              "universe", len(rads), RADICAL_CAP,
+                              "restricted.RADICAL_CAP")
         weights = [len(c) for c in classes]
         rows = _coprime_rows(rads)
         flipped = [_flip(row, len(rows)) for row in reversed(rows)]
@@ -352,12 +356,11 @@ def cell_row(sig: Signature, mode: str, t: int, maximality: str,
 
 
 def _cell(sig: Signature, mode: str, t: int, maximality: str,
-          universe_cap: int, allow_t1: bool) -> dict:
+          allow_t1: bool) -> dict:
     # a row carries counts only, so no witness family is built
     try:
         res = solve_restricted(sig, mode, t, maximality=maximality,
-                               universe_cap=universe_cap, materialize_cap=0,
-                               allow_t1=allow_t1)
+                               materialize_cap=0, allow_t1=allow_t1)
     except ResourceLimitError as exc:
         return cell_row(sig, mode, t, maximality, error=str(exc))
     return cell_row(sig, mode, t, maximality, res)
@@ -370,7 +373,6 @@ def sweep_tables(
     mode: str,
     *,
     maximality: str = "restricted",
-    universe_cap: int = UNIVERSE_CAP,
     allow_t1: bool = False,
 ) -> list[dict]:
     """One row per (signature, t) over the grid, in deterministic order.
@@ -380,7 +382,7 @@ def sweep_tables(
     """
     _validate(mode, min(t_values, default=2), maximality, allow_t1)
     return [
-        _cell(sig, mode, t, maximality, universe_cap, allow_t1)
+        _cell(sig, mode, t, maximality, allow_t1)
         for sig in lattice.signature_grid(max_n, max_exp)
         for t in sorted(set(t_values))
     ]

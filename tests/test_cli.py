@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from divint import cli, config, errors, lattice
+from divint import cli, config, errors, families, lattice, restricted
 from divint._version import __version__
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -273,7 +273,7 @@ def test_signature_components_may_carry_spaces(env, capsys):
 
 
 @pytest.mark.parametrize("bad", [{"format": "xml"}, {"threads": 0},
-                                 {"universe_cap": 0}])
+                                 {"format": ""}])
 def test_run_config_refuses_bad_values(bad):
     with pytest.raises(ValueError):
         config.RunConfig(**bad)
@@ -282,8 +282,7 @@ def test_run_config_refuses_bad_values(bad):
 
 
 def test_config_keys_are_the_run_config_fields():
-    assert config.KEYS == {"threads", "format", "divisor_cap",
-                           "materialize_cap", "universe_cap"}
+    assert config.KEYS == {"threads", "format"}
     assert config._INT_KEYS == config.KEYS - {"format"}
 
 
@@ -317,36 +316,108 @@ def test_resource_exit_codes(env, capsys):
 
 
 def test_universe_cap_via_env(env, capsys, monkeypatch):
+    """The knob is gone: DIVINT_UNIVERSE_CAP is ignored like any unknown
+    variable, and the cell answers."""
     monkeypatch.setenv("DIVINT_UNIVERSE_CAP", "1")
-    code, _, err = run(["openprob", "--mode", "omega", "--t", "2",
+    code, out, _ = run(["openprob", "--mode", "omega", "--t", "2",
                         "--sig", "1,1,1"], capsys)
-    assert code == 3
-    assert "universe" in err
+    assert code == 0
+    assert out.startswith("m(1,1,1; t=2, restricted) = 3;")
 
 
-def test_universe_cap_via_env_bounds_sweeps(env, capsys, monkeypatch):
-    monkeypatch.setenv("DIVINT_UNIVERSE_CAP", "2")
+def test_radical_cap_bounds_sweeps(env, capsys, monkeypatch):
+    monkeypatch.setattr(restricted, "RADICAL_CAP", 2)
     code, out, _ = run(["openprob", "--mode", "omega", "--max-n", "3",
                         "--max-exp", "2", "--t", "2", "--format", "json"],
                        capsys)
     assert code == 0
     rows = {r["signature"]: r for r in json.loads(out)["results"]["rows"]}
     assert rows["2,1"]["status"] == "ok"
+    assert rows["2,2"]["status"] == "ok"  # 4 divisors on one radical
     assert rows["2,2,2"]["status"] == "error"
-    assert "universe_cap" in rows["2,2,2"]["error"]
+    assert "restricted.RADICAL_CAP" in rows["2,2,2"]["error"]
 
 
 def test_list_above_materialize_cap_exits_3(env, capsys, monkeypatch):
-    monkeypatch.setenv("DIVINT_MATERIALIZE_CAP", "1")
+    """Both listings are held against the one member cap, and the refusal
+    states the member total: 1 family of 3 for the cell, 4 of 4 for the
+    census."""
+    monkeypatch.setattr(families, "MEMBER_CAP", 1)
     cell = ["openprob", "--mode", "omega", "--sig", "1,1,1", "--t", "2"]
     assert run(cell, capsys)[0] == 0
     code, out, err = run(cell + ["--list"], capsys)
     assert (code, out) == (3, "")
-    assert "materialize_cap" in err
-    code, out, oracle_err = run(["oracle", "--sig", "1,1,1", "--list"],
-                                capsys)
+    assert ("the member count of the families to list is 3, above the cap "
+            "of 1 (families.MEMBER_CAP, a fixed constant)") in err
+    code, out, err = run(["oracle", "--sig", "1,1,1", "--list"], capsys)
     assert (code, out) == (3, "")
-    assert oracle_err == err
+    assert "is 16, above the cap of 1 (families.MEMBER_CAP" in err
+
+
+def test_every_listing_shares_one_member_cap(env, capsys):
+    """The census of 1^6 lists the same 84672 members as its minimum
+    families; 2,2,2,1,1,1 would list 368838, past the cap."""
+    for command in ("oracle", "extremal"):
+        code, out, _ = run([command, "--sig", "1,1,1,1,1,1", "--list",
+                            "--format", "json"], capsys)
+        fams = json.loads(out)["results"]["families"]
+        assert (code, sum(f["size"] for f in fams)) == (0, 84672)
+    code, out, err = run(["oracle", "--sig", "2,2,2,1,1,1", "--list"],
+                         capsys)
+    assert (code, out) == (3, "")
+    assert ("is 368838, above the cap of 300000 (families.MEMBER_CAP, a "
+            "fixed constant)") in err
+
+
+def test_openprob_cell_builds_no_witness_without_list(env, capsys,
+                                                      monkeypatch):
+    """A single cell prints counts only, so it builds and sorts no witness
+    family unless --list asks for them."""
+    from divint import oracle
+
+    calls = []
+    real = oracle.family_sort_key
+    monkeypatch.setattr(oracle, "family_sort_key",
+                        lambda fam: calls.append(1) or real(fam))
+    cell = ["openprob", "--mode", "omega", "--sig", "1,1,1,1,1,1,1,1",
+            "--t", "3"]
+    for fmt in ("text", "json", "csv"):
+        assert run(cell + ["--format", fmt], capsys)[0] == 0
+    assert calls == []
+    assert run(cell + ["--list"], capsys)[0] == 0
+    assert len(calls) == 240
+
+
+@pytest.mark.parametrize("sig,t,answer", [
+    ("3,3,3,3,3,3", 3, "270; 1024 attaining families; universe size 540"),
+    ("2,2,2,2,2,2,2,2", 4,
+     "560; 34359738368 attaining families; universe size 1120"),
+    ("20,20", 2, "400; 1 attaining families; universe size 400"),
+])
+def test_cells_with_many_divisors_per_radical_answer(env, capsys, sig, t,
+                                                     answer):
+    """Closed forms: 10 complementary pairs of 3-sets with 27 divisors on
+    each radical; 35 pairs of 4-sets with 16; one radical with 400."""
+    start = time.perf_counter()
+    code, out, _ = run(["openprob", "--mode", "omega", "--sig", sig,
+                        "--t", str(t)], capsys)
+    assert (code, out.split(" = ")[1]) == (0, answer + "\n")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_radical_cap_refuses_before_the_graph(env, capsys, monkeypatch):
+    """1^11 at t=5: 462 radicals, one per divisor, past RADICAL_CAP."""
+    def boom(rads):
+        raise AssertionError("the coprimality graph was built")
+
+    monkeypatch.setattr(restricted, "_coprime_rows", boom)
+    start = time.perf_counter()
+    code, out, err = run(["openprob", "--mode", "omega", "--sig",
+                          ",".join("1" * 11), "--t", "5"], capsys)
+    assert (code, out) == (3, "")
+    assert ("the number of distinct radicals in the universe is 462, above "
+            "the cap of 300 (restricted.RADICAL_CAP, a fixed constant)") in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_fixed_lattice_caps_name_their_constants(env, capsys):
@@ -363,11 +434,13 @@ def test_divisor_cap_default_refuses_large_lattice(env, capsys):
     args = ["oracle", "--sig", "25,19", "--method", "direct-clique"]
     code, _, err = run(args, capsys)
     assert code == 3
-    assert "divisor_cap" in err
+    assert "(oracle.DIRECT_DIVISOR_CAP, a fixed constant)" in err
 
 
 def test_divisor_cap_can_be_raised(env, capsys, monkeypatch):
-    monkeypatch.setenv("DIVINT_DIVISOR_CAP", "600")
+    from divint import oracle
+
+    monkeypatch.setattr(oracle, "DIRECT_DIVISOR_CAP", 600)
     code, out, _ = run(["oracle", "--sig", "25,19", "--method",
                         "direct-clique", "--format", "json"], capsys)
     assert code == 0
@@ -409,7 +482,7 @@ def test_listing_member_cap_refuses_at_once(env, capsys, argv):
     start = time.perf_counter()
     code, out, err = run(argv + ["--sig", "2,2,2,2,2,2,1,1,1,1,1,1"], capsys)
     assert (code, out) == (3, "")
-    assert "extremal.MEMBER_CAP" in err
+    assert "families.MEMBER_CAP" in err
     assert time.perf_counter() - start < 1.0
 
 
@@ -457,9 +530,9 @@ def test_listing_walk_cap_refuses_at_once(env, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # 191 divisors, under divisor_cap; more maximal cliques than CLIQUE_CAP
+    # 191 divisors, under DIRECT_DIVISOR_CAP; more cliques than CLIQUE_CAP
     ["oracle", "--method", "direct-clique", "--sig", "2," + ",".join("1" * 6)],
-    # 127 divisors, under divisor_cap; 1422564 maximal cliques
+    # 127 divisors, under DIRECT_DIVISOR_CAP; 1422564 maximal cliques
     ["oracle", "--method", "direct-clique", "--sig", ",".join("1" * 7)],
 ])
 def test_clique_cap_stops_a_runaway_search(env, capsys, argv):
@@ -522,10 +595,10 @@ def test_readme_config_example_loads(tmp_path):
     intro = text.index("`divisor-intersect.toml`")
     start = text.index("```\n", intro) + len("```\n")
     example = text[start:text.index("```", start)]
-    assert "divisor_cap" in example
     (tmp_path / config.CONFIG_FILENAME).write_text(example)
     # parse_config_file raises on an unknown key, RunConfig on a bad value
-    config.parse_config_file(tmp_path / config.CONFIG_FILENAME)
+    assert set(config.parse_config_file(tmp_path / config.CONFIG_FILENAME)) \
+        == config.KEYS
     config.resolve_config(cwd=tmp_path, env={})
 
 
@@ -648,7 +721,7 @@ def test_config_file_env_flag_precedence(env, capsys, monkeypatch):
 def test_config_file_comment_after_a_quoted_value(env, capsys):
     (env / "divisor-intersect.toml").write_text(
         'format = "json"   # machine-readable\n'
-        "universe_cap = '300'  # restricted-universe size cap\n")
+        "threads = '3'  # accepted; changes nothing\n")
     code, out, _ = run(["bound", "--sig", "1,1"], capsys)
     assert code == 0
     assert json.loads(out)["results"]["min_size"] == 2
@@ -675,10 +748,20 @@ def test_integer_knob_from_env_names_the_knob(env, capsys, monkeypatch):
 
 
 def test_integer_knob_from_file_names_the_knob(env, capsys):
-    (env / "divisor-intersect.toml").write_text("universe_cap = x\n")
+    (env / "divisor-intersect.toml").write_text("threads = x\n")
     code, out, err = run(["bound", "--sig", "1"], capsys)
     assert (code, out) == (2, "")
-    assert "universe_cap must be an integer, got 'x'" in err
+    assert "threads must be an integer, got 'x'" in err
+
+
+@pytest.mark.parametrize("key", ["divisor_cap", "materialize_cap",
+                                 "universe_cap"])
+def test_removed_cap_keys_are_unknown(env, capsys, key):
+    """The cap knobs are gone: a file key is refused like any unknown key."""
+    (env / "divisor-intersect.toml").write_text(f"{key} = 1\n")
+    code, out, err = run(["bound", "--sig", "1,1"], capsys)
+    assert (code, out) == (2, "")
+    assert f"unknown key {key!r}" in err
 
 
 def test_bad_config_file_is_a_usage_error(env, capsys):
@@ -798,7 +881,8 @@ def test_openprob_sweep_honours_allow_t1(env, capsys):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "divint"
-CAP_NOTE = re.compile(r"the cap of (\d+) \((?:raise (\w+) via|([a-z]+)\.(\w+),)")
+CAP_NOTE = re.compile(
+    r"the cap of (\d+) \(([a-z]+)\.(\w+), a fixed constant\)")
 
 
 def _calls(name):
@@ -827,9 +911,7 @@ def _cap_names():
 
 
 def _cap_value(name):
-    """The default of a knob or the value of a `module.CONST`."""
-    if "." not in name:
-        return getattr(config.RunConfig(), name)
+    """The value of a `module.CONST`."""
     module, const = name.split(".")
     return getattr(importlib.import_module(f"divint.{module}"), const)
 
@@ -841,27 +923,17 @@ def test_one_place_builds_a_resource_limit_error():
 
 def test_limit_error_words_each_kind_of_cap():
     for name in _cap_names():
-        msg = str(errors.limit_error("the count", 9, 8, name))
-        assert msg.startswith("the count is 9, above the cap of 8 (")
-        if "." in name:
-            assert isinstance(_cap_value(name), int)
-            assert "raise" not in msg
-        else:
-            assert name in config.KEYS
-            env_var = config.ENV_PREFIX + name.upper()
-            assert (f"raise {name} via {env_var} or {name} in "
-                    f"{config.CONFIG_FILENAME})") in msg
+        assert isinstance(_cap_value(name), int)
+        assert str(errors.limit_error("the count", 9, 8, name)) == (
+            f"the count is 9, above the cap of 8 ({name}, a fixed constant)")
     assert str(errors.limit_error("the count", None, 8, "oracle.CLIQUE_CAP")) \
         == ("the count exceeds the cap of 8 "
             "(oracle.CLIQUE_CAP, a fixed constant)")
-    assert str(errors.limit_error("the count", 9, 8, "lattice.MAX_PRIMES")) \
-        == ("the count is 9, above the cap of 8 "
-            "(lattice.MAX_PRIMES, a fixed constant)")
 
 
 def test_readme_cap_table_matches_the_code():
-    """Each cap in the README's table is a knob or a constant with the
-    default shown, and every cap a refusal can name has a row."""
+    """Each cap in the README's table is a constant with the default shown,
+    and every cap a refusal can name has a row."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = readme.read_text(encoding="utf-8")
     start = text.index("| walk | commands | cap | default |")
@@ -870,19 +942,16 @@ def test_readme_cap_table_matches_the_code():
         if not line.startswith("|"):
             break
         rows.append([cell.strip() for cell in line.strip("|").split("|")])
-    table = {}
-    for _, _, cap, default, how in rows:
+    table = set()
+    for _, _, cap, default in rows:
         name = cap.strip("`")
         assert _cap_value(name) == int(default), name
-        if "." not in name:
-            assert name in config.KEYS
-            assert f"`{config.ENV_PREFIX}{name.upper()}`" in how
-        table[name] = how
-    assert _cap_names() <= set(table)
+        table.add(name)
+    assert _cap_names() <= table
 
 
 # Between them these commands reach every refusal site of the package.
-# `setup` holds DIVINT_* variables and `module.CONST` values to patch first.
+# `setup` holds `module.CONST` values to patch first.
 REFUSALS = [
     (["antichains", "--k", "7"], {}),
     (["oracle", "--sig", ",".join("1" * 7)], {}),
@@ -890,13 +959,14 @@ REFUSALS = [
     (["verify", "--max-n", "7", "--max-exp", "1"], {}),
     (["matching", "--k", "6"], {}),
     (["oracle", "--sig", "25,19", "--method", "direct-clique"], {}),
-    (["openprob", "--mode", "omega", "--sig", "20,20", "--t", "2"], {}),
+    (["openprob", "--mode", "omega", "--sig", ",".join("1" * 11), "--t", "5"],
+     {}),
     (["openprob", "--mode", "omega", "--t", "5", "--sig", ",".join("1" * 10)],
      {"restricted.NODE_CAP": 100}),
     (["oracle", "--method", "direct-clique", "--sig", ",".join("1" * 7)], {}),
-    (["oracle", "--sig", "1,1", "--list"], {"DIVINT_MATERIALIZE_CAP": "1"}),
+    (["oracle", "--sig", "1,1", "--list"], {"families.MEMBER_CAP": 1}),
     (["openprob", "--mode", "omega", "--sig", "1,1,1", "--t", "2", "--list"],
-     {"DIVINT_MATERIALIZE_CAP": "1"}),
+     {"families.MEMBER_CAP": 1}),
     (["extremal", "--sig", "30,30,30,30", "--list"], {}),
     (["matching", "--sig", "2,2,2,2,2,2,1,1,1,1,1,1"], {}),
     (["bound", "--sig", ",".join("1" * 17)], {}),
@@ -909,24 +979,14 @@ REFUSALS = [
 def test_no_refusal_points_at_a_knob_that_cannot_help(env, capsys,
                                                       monkeypatch, argv,
                                                       setup):
+    """Every refusal names a fixed constant and its value, and advises
+    raising nothing."""
     for key, value in setup.items():
-        if "." in key:
-            module, const = key.split(".")
-            monkeypatch.setattr(importlib.import_module(f"divint.{module}"),
-                                const, value)
-        else:
-            monkeypatch.setenv(key, value)
+        module, const = key.split(".")
+        monkeypatch.setattr(importlib.import_module(f"divint.{module}"),
+                            const, value)
     code, out, err = run(argv, capsys)
     assert (code, out) == (3, "")
-    stated, knob, module, const = CAP_NOTE.search(err).groups()
-    if knob is None:
-        assert _cap_value(f"{module}.{const}") == int(stated)
-        assert "raise" not in err
-        return
-    env_var = config.ENV_PREFIX + knob.upper()
-    assert knob in config.KEYS and env_var in err
-    assert getattr(config.resolve_config(), knob) == int(stated)
-    # Raising the knob it names must let the run through.  A second
-    # refusal on a fixed cap would mean the advice could not help.
-    monkeypatch.setenv(env_var, str(10**6))
-    assert run(argv, capsys)[0] == 0
+    stated, module, const = CAP_NOTE.search(err).groups()
+    assert _cap_value(f"{module}.{const}") == int(stated)
+    assert "raise" not in err

@@ -45,9 +45,9 @@ def test_minimum_families_refuses_past_member_cap(monkeypatch):
     sig = Signature((2,) * 6 + (1,) * 6)  # 2646 families of 23328
     with pytest.raises(ResourceLimitError,
                        match="is 61725888, above the cap of 300000 "
-                             r"\(extremal.MEMBER_CAP"):
+                             r"\(families.MEMBER_CAP"):
         extremal.minimum_families(sig)
-    assert 2646 * 32 <= extremal.MEMBER_CAP  # the 1^6 listing still runs
+    assert 2646 * 32 <= families.MEMBER_CAP  # the 1^6 listing still runs
 
 
 def test_deep_regime_report():

@@ -89,7 +89,7 @@ def test_enumerate_divisors_cap():
     # 10^6 divisors, above MAX_DIVISORS; the refusal comes before any is built
     sig = Signature((9,) * 6)
     assert sig.divisor_count() > lattice.MAX_DIVISORS
-    for build in (lattice.enumerate_divisors, lattice.check_divisor_cap):
+    for build in (lattice.enumerate_divisors, lattice.check_lattice_size):
         with pytest.raises(ResourceLimitError,
                            match=r"is 1000000, .*lattice\.MAX_DIVISORS"):
             build(sig)

@@ -91,7 +91,7 @@ def test_methods_agree(alphas):
 
 def test_methods_agree_at_the_largest_n6_signature_within_divisor_cap():
     """2,2,2,2,2,1 has 485 divisors > 1, the most of any n = 6 signature
-    within the default divisor_cap; every family is compared."""
+    within DIRECT_DIVISOR_CAP; every family is compared."""
     sig = Signature((2, 2, 2, 2, 2, 1))
     assert sig.divisor_count() - 1 == 485 <= oracle.DIRECT_DIVISOR_CAP
     lift = enumerate_maximal_families(sig, "radical-lift",
@@ -132,20 +132,22 @@ def test_radical_lift_prime_cap():
         enumerate_maximal_families(Signature((1,) * 7))
 
 
-def test_direct_clique_divisor_cap():
-    with pytest.raises(ResourceLimitError, match="divisor_cap"):
-        enumerate_maximal_families(
-            Signature((2, 1, 1, 1)), "direct-clique", divisor_cap=10)
+def test_direct_clique_divisor_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "DIRECT_DIVISOR_CAP", 10)
+    with pytest.raises(ResourceLimitError,
+                       match=r"is 23, above the cap of 10 "
+                             r"\(oracle\.DIRECT_DIVISOR_CAP, a fixed"):
+        enumerate_maximal_families(Signature((2, 1, 1, 1)), "direct-clique")
 
 
 def test_direct_clique_refuses_before_building_the_lattice(monkeypatch):
     def boom(*args, **kwargs):
-        raise AssertionError("lattice built before the divisor_cap check")
+        raise AssertionError("lattice built before the divisor cap check")
 
     monkeypatch.setattr(lattice, "enumerate_divisors", boom)
-    with pytest.raises(ResourceLimitError, match="divisor_cap"):
-        enumerate_maximal_families(
-            Signature((2, 1, 1, 1)), "direct-clique", divisor_cap=10)
+    monkeypatch.setattr(oracle, "DIRECT_DIVISOR_CAP", 10)
+    with pytest.raises(ResourceLimitError, match="DIRECT_DIVISOR_CAP"):
+        enumerate_maximal_families(Signature((2, 1, 1, 1)), "direct-clique")
 
 
 def _brute_force_cliques(rads):

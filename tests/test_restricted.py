@@ -131,7 +131,7 @@ def test_global_maximality_runs_no_search():
         for mode in restricted.MODES:
             for t in range(1, min(sum(sig.alphas), 9) + 1):
                 res = solve_restricted(sig, mode, t, maximality="global",
-                                       universe_cap=10**6, allow_t1=True)
+                                       allow_t1=True)
                 assert res.nodes == 0, (sig, mode, t)
                 assert (res.status == "ok") == (
                     res.universe_size == sig.divisor_count() - 1), \
@@ -150,9 +150,17 @@ def test_global_maximality_can_succeed():
     assert res.attaining_count == 1
 
 
-def test_universe_cap():
-    with pytest.raises(ResourceLimitError, match="universe"):
-        solve_restricted(Signature((2, 2, 1)), "omega", 2, universe_cap=3)
+def test_universe_cap(monkeypatch):
+    """The cap counts the universe's distinct radicals, not its divisors:
+    2,2,1 at t=2 has 8 divisors on 3 radicals."""
+    sig = Signature((2, 2, 1))
+    monkeypatch.setattr(restricted, "RADICAL_CAP", 3)
+    assert solve_restricted(sig, "omega", 2).universe_size == 8
+    monkeypatch.setattr(restricted, "RADICAL_CAP", 2)
+    with pytest.raises(ResourceLimitError,
+                       match=r"distinct radicals in the universe is 3, above "
+                             r"the cap of 2 \(restricted\.RADICAL_CAP"):
+        solve_restricted(sig, "omega", 2)
 
 
 def test_materialize_cap_hides_witnesses_only():
@@ -250,31 +258,28 @@ def test_sweep_builds_no_witness_families(monkeypatch):
 
 
 def test_sweep_records_resource_errors(monkeypatch):
-    real = restricted.solve_restricted
-
-    def capped(sig, mode, t, **kw):
-        kw["universe_cap"] = 1
-        return real(sig, mode, t, **kw)
-
-    monkeypatch.setattr(restricted, "solve_restricted", capped)
-    rows = sweep_tables(2, 2, [2], "omega")
-    by_sig = {r["signature"]: r for r in rows}
-    assert by_sig["2,2"]["status"] == "error"
-    assert "universe" in by_sig["2,2"]["error"]
-    assert by_sig["2,2"]["value"] is None
+    monkeypatch.setattr(restricted, "RADICAL_CAP", 1)
+    rows = sweep_tables(3, 1, [2, 3], "omega")
+    cells = {(r["signature"], r["t"]): r for r in rows}
+    failed = cells["1,1,1", 2]  # three radicals
+    assert failed["status"] == "error"
+    assert "radicals" in failed["error"]
+    assert failed["value"] is None
     # the sweep keeps going past the failed cell
-    assert by_sig["1,1"]["status"] == "ok"
-    assert len(rows) == 5
+    assert cells["1,1,1", 3]["status"] == "ok"
+    assert len(rows) == 6
 
 
-def test_sweep_honours_universe_cap():
-    rows = sweep_tables(3, 2, [2], "omega", universe_cap=2)
+def test_sweep_honours_universe_cap(monkeypatch):
+    monkeypatch.setattr(restricted, "RADICAL_CAP", 2)
+    rows = sweep_tables(3, 2, [2], "omega")
     by_sig = {r["signature"]: r for r in rows}
     assert by_sig["2,1"]["status"] == "ok"  # universe of 2
+    assert by_sig["2,2"]["status"] == "ok"  # 4 divisors on one radical
     refused = [r for r in rows if r["status"] == "error"]
     assert {r["signature"] for r in refused} == {
-        "2,2", "1,1,1", "2,1,1", "2,2,1", "2,2,2"}
-    assert all("universe_cap" in r["error"] for r in refused)
+        "1,1,1", "2,1,1", "2,2,1", "2,2,2"}
+    assert all("restricted.RADICAL_CAP" in r["error"] for r in refused)
     assert all(r["universe_size"] is None for r in refused)
 
 
@@ -369,7 +374,8 @@ def test_squarefree_at_twice_t_is_one_of_each_complementary_pair(t):
     pairs = comb(2 * t - 1, t - 1)
     res = solve_restricted(Signature((1,) * (2 * t)), "omega", t)
     assert (res.value, res.attaining_count) == (pairs, 2 ** pairs)
-    assert (res.witnesses is None) == (pairs * 2 ** pairs > 10_000)
+    assert (res.witnesses is None) == \
+        (pairs * 2 ** pairs > families.MEMBER_CAP)
 
 
 @pytest.mark.parametrize("n,count", [(7, 30), (9, 1080)])
@@ -381,14 +387,12 @@ def test_fano_planes_are_the_t3_minimum(n, count):
 
 
 def test_squares_at_twice_t_weigh_each_radical():
-    """2^8, t = 4: the squarefree answer with each radical weighing 2^4."""
-    sig = Signature((2,) * 8)
-    with pytest.raises(ResourceLimitError, match="universe_cap"):
-        solve_restricted(sig, "omega", 4)
-    res = solve_restricted(sig, "omega", 4, universe_cap=1120)
+    """2^8, t = 4: the squarefree answer with each radical weighing 2^4.
+    Its 1120 divisors lie on 70 radicals, within RADICAL_CAP."""
+    res = solve_restricted(Signature((2,) * 8), "omega", 4)
     assert (res.value, res.attaining_count, res.universe_size) == \
         (35 * 16, 2 ** 35, 1120)
-    assert res.witnesses is None
+    assert res.witnesses is None  # 2^35 families, far above the cap
 
 
 def is_coprime(a, b):
