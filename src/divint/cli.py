@@ -5,9 +5,10 @@ verify.  Each command computes one thing, the `results` of its JSON
 document.  Every command accepts --format text|json|csv, and text and CSV
 are views of those results (`_text`, `_csv`), so the three forms cannot
 disagree; a run builds only the form it prints, and a JSON run formats no
-text line and no CSV row.  JSON output is fully deterministic (sorted keys,
-canonical arrays, no timestamps and no echo of performance knobs), so
-identical inputs give byte-identical documents whatever the thread count.
+text line and no CSV row; the CSV rows show no family, so under CSV --list
+builds none.  JSON output is fully deterministic (sorted keys, canonical
+arrays, no timestamps and no echo of --threads, which changes nothing).  The
+flags are the only settings: no environment variable or file is read.
 Elapsed time goes to stderr only.
 
 Exit codes: 0 success, 2 usage error, 3 resource limit exceeded,
@@ -26,7 +27,6 @@ from typing import Optional
 from . import antichains, extremal, families, lattice, matching, oracle
 from . import report, restricted, verify as verify_mod
 from ._version import __version__
-from .config import FORMATS, RunConfig, resolve_config
 from .errors import (DivintError, ResourceLimitError, TheoremViolationError,
                      limit_error)
 from .lattice import Signature
@@ -36,6 +36,8 @@ from .lattice import Signature
 # `matching --sig --list` reads the labels: a pairing names its generators
 # by symbol, not by value.
 Run = tuple[dict, dict, Optional[tuple[int, ...]]]
+
+FORMATS = ("text", "json", "csv")
 
 
 class _UsageError(Exception):
@@ -51,9 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default=None,
+    common.add_argument("--format", choices=FORMATS, default="text",
                         help="output format (default text)")
-    common.add_argument("--threads", type=int, default=None,
+    common.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; every engine is "
                              "sequential, so it changes nothing")
 
@@ -166,6 +168,12 @@ def _entry_obj(e: matching.PairingEntry, k: int) -> dict:
     }
 
 
+def _lists(args) -> bool:
+    """Whether the run builds the families that --list asks for.  The CSV
+    rows never show them, so under CSV it builds none."""
+    return args.list and args.format != "csv"
+
+
 def _sig_value(sig: Signature, key: str, value: int) -> Run:
     """One number about one signature, e.g. its bound or its family count."""
     return ({"sig": str(sig)},
@@ -187,7 +195,7 @@ def cmd_extremal(args) -> Run:
         "count": rep.h_count,
         "generators": [report.family_obj(g, primes) for g in rep.generators],
     }
-    if args.list:
+    if _lists(args):
         results["families"] = [report.family_obj(c, primes)
                                for c in extremal.minimum_families(sig)]
     return {"sig": str(sig), "list": bool(args.list)}, results, primes
@@ -218,9 +226,10 @@ def _listed(fams, total: int):
 
 def cmd_oracle(args) -> Run:
     sig, primes = _parse_signature(args)
+    listing = _lists(args)
     rep = oracle.enumerate_maximal_families(
         sig, args.method,
-        materialize_cap=families.MEMBER_CAP if args.list else 0)
+        materialize_cap=families.MEMBER_CAP if listing else 0)
     results = {
         "signature": report.signature_obj(sig),
         "method": rep.method,
@@ -229,7 +238,7 @@ def cmd_oracle(args) -> Run:
         "min_count": rep.min_count,
         "sizes": list(rep.sizes),
     }
-    if args.list:
+    if listing:
         results["families"] = [report.family_obj(f, primes)
                                for f in _listed(rep.families,
                                                 sum(rep.sizes))]
@@ -256,7 +265,8 @@ def _cmd_matching_sig(args) -> Run:
     closures = extremal.minimum_families(sig)
     listed = []
     for i, (gen, fam) in enumerate(zip(rep.generators, closures), start=1):
-        pairing = matching.alpha_pairing(fam, sig)
+        # a lifted closure is maximal and of minimum size by construction
+        pairing = matching._weight_pairing(fam, sig)
         listed.append({
             "family_index": i,
             "generators": [lattice.format_divisor(d) for d in gen.members],
@@ -296,9 +306,10 @@ def cmd_openprob(args) -> Run:
             raise _UsageError("a single cell takes exactly one --t value")
         t = ts[0]
         sig, primes = _parse_signature(args)
+        listing = _lists(args)
         res = restricted.solve_restricted(
             sig, args.mode, t, maximality=args.maximality,
-            materialize_cap=families.MEMBER_CAP if args.list else 0,
+            materialize_cap=families.MEMBER_CAP if listing else 0,
             allow_t1=args.allow_t1,
         )
         results = {
@@ -309,7 +320,7 @@ def cmd_openprob(args) -> Run:
             "universe_size": res.universe_size,
             "note": res.note,
         }
-        if args.list:
+        if listing:
             results["witnesses"] = [
                 report.family_obj(w, primes) for w in
                 _listed(res.witnesses, res.attaining_count * res.value)]
@@ -527,13 +538,13 @@ def _csv(command: str, parameters: dict,
     return results["rows"], ["claim", "subject", "status"]  # verify
 
 
-def _emit(command: str, cfg: RunConfig, parameters: dict, results: dict,
+def _emit(command: str, fmt: str, parameters: dict, results: dict,
           primes: Optional[tuple[int, ...]]) -> None:
-    """Write the one form of the results that `cfg.format` asks for."""
-    if cfg.format == "json":
+    """Write the one form of the results that `fmt` names."""
+    if fmt == "json":
         doc = report.document(command, parameters, results)
         sys.stdout.write(report.json_dumps(doc))
-    elif cfg.format == "csv":
+    elif fmt == "csv":
         sys.stdout.write(report.csv_dumps(*_csv(command, parameters, results)))
     else:
         for line in _text(command, parameters, results, primes):
@@ -544,10 +555,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        cfg = resolve_config({
-            "threads": args.threads,
-            "format": args.format,
-        })
+        if args.threads < 1:
+            raise _UsageError(f"threads must be positive, got {args.threads}")
         parameters, results, primes = _DISPATCH[args.command](args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -564,7 +573,7 @@ def main(argv=None) -> int:
     except DivintError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 4
-    _emit(args.command, cfg, parameters, results, primes)
+    _emit(args.command, args.format, parameters, results, primes)
     print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0 if results.get("passed", True) else 4
 

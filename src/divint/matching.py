@@ -247,6 +247,13 @@ def alpha_pairing(family: DivisorFamily, sig: Signature) -> PairingReport:
         raise PreconditionError(
             f"pairing requires a minimum-size family: got {len(family)}, minimum {bound}"
         )
+    return _weight_pairing(family, sig)
+
+
+def _weight_pairing(family: DivisorFamily, sig: Signature) -> PairingReport:
+    """`alpha_pairing` without its preconditions, for a family known to be
+    maximal and of minimum size; the permutation is still certified and the
+    weight equality still checked."""
     n = sig.n
     last = 1 << (n - 1)
     # the radical set of a maximal family is its squarefree part

@@ -153,8 +153,10 @@ def _check_sig_claims(sig: Signature) -> dict[str, dict]:
     for fam in rep.families:
         rads = set(fam.squarefree_part())
 
+        extremal_fam = False
         try:
             verdict = extremal.classify(fam, sig)
+            extremal_fam = verdict.is_extremal
             if len(verdict.matched) not in (0, 3):
                 fail("classification-equivalence", {
                     "signature": sig_json, "family": _fam_json(fam),
@@ -204,8 +206,11 @@ def _check_sig_claims(sig: Signature) -> dict[str, dict]:
             })
 
         if len(fam) == rep.min_size:
+            # classify has checked the preconditions of an extremal family
+            pair = (matching._weight_pairing if extremal_fam
+                    else matching.alpha_pairing)
             try:
-                pairing = matching.alpha_pairing(fam, sig)
+                pairing = pair(fam, sig)
                 bad = next(
                     (e for e in pairing.entries
                      if e.alpha_excess != sig.alphas[-1]), None)

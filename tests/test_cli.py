@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from divint import cli, config, errors, families, lattice, restricted
+from divint import cli, errors, families, lattice, report, restricted
 from divint._version import __version__
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -272,18 +273,18 @@ def test_signature_components_may_carry_spaces(env, capsys):
     assert run(["bound", "--sig", " 2 , 1 "], capsys)[:2] == (0, "3\n")
 
 
-@pytest.mark.parametrize("bad", [{"format": "xml"}, {"threads": 0},
-                                 {"format": ""}])
-def test_run_config_refuses_bad_values(bad):
-    with pytest.raises(ValueError):
-        config.RunConfig(**bad)
-    with pytest.raises(ValueError):
-        config.RunConfig()._replace(**bad)
-
-
-def test_config_keys_are_the_run_config_fields():
-    assert config.KEYS == {"threads", "format"}
-    assert config._INT_KEYS == config.KEYS - {"format"}
+@pytest.mark.parametrize("bad", [["--format", "xml"], ["--threads", "0"],
+                                 ["--format", ""]])
+def test_run_config_refuses_bad_values(env, capsys, bad):
+    """A bad setting is a usage error that names it: the parser refuses a
+    format outside its choices, and `main` a thread count below 1."""
+    try:
+        code = cli.main(["bound", "--sig", "1,1", *bad])
+    except SystemExit as exc:  # argparse's own refusal
+        code = exc.code
+    cap = capsys.readouterr()
+    assert (code, cap.out) == (2, "")
+    assert bad[0].lstrip("-") in cap.err
 
 
 def test_importing_the_cli_loads_every_layer_and_no_heavy_module():
@@ -588,20 +589,6 @@ def test_threads_key_in_config_file_still_loads(env, capsys):
     assert out == "2\n"
 
 
-def test_readme_config_example_loads(tmp_path):
-    """Every key in the README's divisor-intersect.toml example exists."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    text = readme.read_text(encoding="utf-8")
-    intro = text.index("`divisor-intersect.toml`")
-    start = text.index("```\n", intro) + len("```\n")
-    example = text[start:text.index("```", start)]
-    (tmp_path / config.CONFIG_FILENAME).write_text(example)
-    # parse_config_file raises on an unknown key, RunConfig on a bad value
-    assert set(config.parse_config_file(tmp_path / config.CONFIG_FILENAME)) \
-        == config.KEYS
-    config.resolve_config(cwd=tmp_path, env={})
-
-
 def _readme_examples():
     """Every `$ divint ...` line in the README's code blocks, with the lines
     printed under it: (line, environment, argv, tail, expected lines).
@@ -707,68 +694,90 @@ def test_thread_count_never_changes_json(env, capsys):
     assert "threads" not in doc["parameters"]
 
 
-def test_config_file_env_flag_precedence(env, capsys, monkeypatch):
-    (env / "divisor-intersect.toml").write_text('format = "json"\n')
-    _, out, _ = run(["bound", "--sig", "1,1"], capsys)
-    assert out.startswith("{")  # config file applied
-    monkeypatch.setenv("DIVINT_FORMAT", "csv")
-    _, out, _ = run(["bound", "--sig", "1,1"], capsys)
-    assert out.splitlines()[0] == "signature,min_size"  # env beats file
-    _, out, _ = run(["bound", "--sig", "1,1", "--format", "text"], capsys)
-    assert out == "2\n"  # flag beats env
-
-
-def test_config_file_comment_after_a_quoted_value(env, capsys):
-    (env / "divisor-intersect.toml").write_text(
-        'format = "json"   # machine-readable\n'
-        "threads = '3'  # accepted; changes nothing\n")
-    code, out, _ = run(["bound", "--sig", "1,1"], capsys)
-    assert code == 0
-    assert json.loads(out)["results"]["min_size"] == 2
-
-
 def test_k_cap_key_in_config_file_is_unknown(env, capsys, monkeypatch):
-    """The knob is gone: its file key is refused like any unknown key, and
-    its environment variable is ignored like any unknown variable."""
+    """The knob is gone, and no file or variable is read: neither its old
+    file key nor its environment variable changes anything."""
     (env / "divisor-intersect.toml").write_text("k_cap = 7\n")
-    code, out, err = run(["bound", "--sig", "1,1"], capsys)
-    assert (code, out) == (2, "")
-    assert "unknown key 'k_cap'" in err
+    assert run(["bound", "--sig", "1,1"], capsys)[:2] == (0, "2\n")
     (env / "divisor-intersect.toml").unlink()
     monkeypatch.setenv("DIVINT_K_CAP", "3")
     code, out, _ = run(["count", "--sig", "1,1,1,1,1,1,1"], capsys)
     assert (code, out) == (0, "1422564\n")
 
 
-def test_integer_knob_from_env_names_the_knob(env, capsys, monkeypatch):
+def test_settings_are_read_from_flags_only(env, capsys, monkeypatch):
+    """No variable and no file in the working directory is read: not the
+    old settings, nor a value or key that the old file layer refused."""
+    monkeypatch.setenv("DIVINT_FORMAT", "json")
     monkeypatch.setenv("DIVINT_THREADS", "abc")
-    code, out, err = run(["bound", "--sig", "1"], capsys)
-    assert (code, out) == (2, "")
-    assert "threads must be an integer, got 'abc'" in err
+    (env / "divisor-intersect.toml").write_text(
+        'format = "json"\nsurprise = 1\n')
+    assert run(["bound", "--sig", "1,1"], capsys)[:2] == (0, "2\n")
 
 
-def test_integer_knob_from_file_names_the_knob(env, capsys):
-    (env / "divisor-intersect.toml").write_text("threads = x\n")
-    code, out, err = run(["bound", "--sig", "1"], capsys)
-    assert (code, out) == (2, "")
-    assert "threads must be an integer, got 'x'" in err
+def _common_options() -> set[str]:
+    """The options every subcommand takes: those of the shared parent."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return set.intersection(*(
+        {o for a in p._actions for o in a.option_strings}
+        for p in sub.choices.values())) - {"-h", "--help"}
 
 
-@pytest.mark.parametrize("key", ["divisor_cap", "materialize_cap",
-                                 "universe_cap"])
-def test_removed_cap_keys_are_unknown(env, capsys, key):
-    """The cap knobs are gone: a file key is refused like any unknown key."""
-    (env / "divisor-intersect.toml").write_text(f"{key} = 1\n")
-    code, out, err = run(["bound", "--sig", "1,1"], capsys)
-    assert (code, out) == (2, "")
-    assert f"unknown key {key!r}" in err
+def test_readme_options_are_the_common_options():
+    """The README's options paragraph names exactly the options that every
+    subcommand shares, so a setting cannot be documented and missing, nor
+    added and undocumented."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("## Options\n\n") + len("## Options\n\n")
+    paragraph = text[start:text.index("\n\n", start)]
+    named = set(re.findall(r"`(--[a-z][a-z-]*)`", paragraph))
+    assert named == _common_options() == {"--format", "--threads"}
 
 
-def test_bad_config_file_is_a_usage_error(env, capsys):
-    (env / "divisor-intersect.toml").write_text("surprise = 1\n")
-    code, _, err = run(["bound", "--sig", "1,1"], capsys)
-    assert code == 2
-    assert "surprise" in err
+@pytest.mark.parametrize("argv", [
+    ["extremal", "--sig", "1,1,1,1,1,1"],
+    ["oracle", "--sig", "1,1,1,1,1,1"],
+    ["openprob", "--mode", "omega", "--sig", "1,1,1,1,1,1", "--t", "3"],
+    # with --list these listings used to pass families.MEMBER_CAP, and the
+    # extremal one lattice.MAX_DIVISORS
+    ["oracle", "--sig", "3,3,3,3,3,3"],
+    ["extremal", "--sig", "30,30,30,30"],
+    ["openprob", "--mode", "omega", "--sig", "1,1,1,1,1,1,1,1", "--t", "4"],
+])
+def test_csv_list_changes_nothing(env, capsys, argv):
+    """The CSV rows never show families, so under CSV --list gives the bytes
+    and the exit code of the same run without it."""
+    plain = run(argv + ["--format", "csv"], capsys)[:2]
+    assert plain[0] == 0
+    assert run(argv + ["--list", "--format", "csv"], capsys)[:2] == plain
+
+
+def test_csv_list_lifts_no_family(env, capsys, monkeypatch):
+    """Under CSV, extremal --list lifts none of the 2646 minimum families of
+    1^6 and shapes none of them: report.family_obj serves only the 2646
+    generators that the rows show, as it does without --list."""
+    calls = {"lift": 0, "family_obj": 0}
+    lift = families.DivisorFamily.lift
+    family_obj = report.family_obj
+
+    def counted_lift(cls, sig, masks):
+        calls["lift"] += 1
+        return lift(sig, masks)
+
+    def counted_family_obj(fam, primes=None):
+        calls["family_obj"] += 1
+        return family_obj(fam, primes)
+
+    monkeypatch.setattr(families.DivisorFamily, "lift",
+                        classmethod(counted_lift))
+    monkeypatch.setattr(report, "family_obj", counted_family_obj)
+    argv = ["extremal", "--sig", "1,1,1,1,1,1", "--format", "csv"]
+    assert run(argv + ["--list"], capsys)[0] == 0
+    assert calls == {"lift": 0, "family_obj": 2646}
+    assert run(argv, capsys)[0] == 0
+    assert calls == {"lift": 0, "family_obj": 2 * 2646}
 
 
 def test_verify_text_and_exit(env, capsys):

@@ -319,3 +319,27 @@ def test_half_split_law_flat_regime():
             for v in range(sig.u):
                 hit = sum(1 for m in members if m >> v & 1)
                 assert 2 * hit == len(members)
+
+
+def test_lifted_and_classified_families_skip_the_maximality_recheck(
+        monkeypatch, tmp_path, capsys):
+    """matching --sig pairs the closures it lifts, and verify the families
+    that classify found extremal, without calling check_maximal again:
+    none for the 2646 families of 1^6, and in run_verify(5, 2) only the
+    570 of classify, one per maximal family."""
+    calls = 0
+    check_maximal = families.check_maximal
+
+    def counted(fam, sig):
+        nonlocal calls
+        calls += 1
+        return check_maximal(fam, sig)
+
+    monkeypatch.setattr(families, "check_maximal", counted)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["matching", "--sig", "1,1,1,1,1,1",
+                     "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert calls == 0
+    assert verify.run_verify(5, 2).passed
+    assert calls == 570
