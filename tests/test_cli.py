@@ -715,6 +715,69 @@ def test_settings_are_read_from_flags_only(env, capsys, monkeypatch):
     assert run(["bound", "--sig", "1,1"], capsys)[:2] == (0, "2\n")
 
 
+def test_bad_config_file_is_a_usage_error(env, capsys):
+    """A divisor-intersect.toml with bad values once exited 2. No file is
+    read now, so the run answers as if it were absent; only a flag can make
+    a usage error."""
+    (env / "divisor-intersect.toml").write_text('format = "xml"\nthreads = 0\n')
+    code, out, err = run(["bound", "--sig", "1,1"], capsys)
+    assert (code, out) == (0, "2\n")
+    assert "xml" not in err and "threads" not in err
+    with pytest.raises(SystemExit) as exc:  # argparse's own refusal
+        cli.main(["bound", "--sig", "1,1", "--format", "xml"])
+    assert exc.value.code == 2
+
+
+def test_config_file_env_flag_precedence(env, capsys, monkeypatch):
+    """The flag is the only layer: a file and a variable that name other
+    formats change neither the default nor what the flag picks."""
+    (env / "divisor-intersect.toml").write_text('format = "json"\n')
+    monkeypatch.setenv("DIVINT_FORMAT", "csv")
+    _, out, _ = run(["bound", "--sig", "1,1"], capsys)
+    assert out == "2\n"
+    _, out, _ = run(["bound", "--sig", "1,1", "--format", "csv"], capsys)
+    assert out.splitlines()[0] == "signature,min_size"
+    _, out, _ = run(["bound", "--sig", "1,1", "--format", "json"], capsys)
+    assert out.startswith("{")
+
+
+def test_config_keys_are_the_run_config_fields():
+    """The settings are the two options of the shared parser, with the
+    defaults and the choices that the README states."""
+    assert _common_options() == {"--format", "--threads"}
+    args = cli._build_parser().parse_args(["bound", "--sig", "1"])
+    assert (args.format, args.threads) == ("text", 1)
+    assert cli.FORMATS == ("text", "json", "csv")
+
+
+def test_integer_knob_from_env_names_the_knob(env, capsys, monkeypatch):
+    """DIVINT_THREADS is not read, so a non-integer there changes nothing;
+    the same value given by flag is refused with the knob's name."""
+    monkeypatch.setenv("DIVINT_THREADS", "abc")
+    assert run(["bound", "--sig", "1"], capsys)[:2] == (0, "1\n")
+    try:
+        code = cli.main(["bound", "--sig", "1", "--threads", "abc"])
+    except SystemExit as exc:  # argparse's own refusal
+        code = exc.code
+    cap = capsys.readouterr()
+    assert (code, cap.out) == (2, "")
+    assert "--threads" in cap.err and "'abc'" in cap.err
+
+
+def test_readme_config_example_loads(env, capsys):
+    """Every value that the README's options paragraph documents is taken
+    by a run: each named format, and a positive thread count."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("## Options\n\n") + len("## Options\n\n")
+    paragraph = text[start:text.index("\n\n", start)]
+    formats = re.findall(r"`([a-z]+)`", paragraph)
+    assert formats == list(cli.FORMATS)
+    for fmt in formats:
+        code, out, _ = run(["bound", "--sig", "1,1", "--format", fmt,
+                            "--threads", "2"], capsys)
+        assert code == 0 and out
+
+
 def _common_options() -> set[str]:
     """The options every subcommand takes: those of the shared parent."""
     parser = cli._build_parser()
