@@ -44,58 +44,66 @@ class _UsageError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Unselected:
+    """Takes the options of a command that argv does not select, and drops
+    them: its subparser then costs no `add_argument` call."""
+
+    @staticmethod
+    def add_argument(*args, **kwargs) -> None:
+        pass
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser; given a `command`, only its subparser gets its
+    options.  The others keep their names and help lines, which are all that
+    `divint --help` and the parser's own refusals show of them."""
     parser = argparse.ArgumentParser(
         prog="divint",
         description="maximal pairwise-non-coprime divisor families: bounds, "
                     "classification, exhaustive enumeration",
     )
     parser.add_argument("--version", action="version", version=__version__)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="text",
-                        help="output format (default text)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; every engine is "
-                             "sequential, so it changes nothing")
-
-    sig_args = argparse.ArgumentParser(add_help=False)
-    sig_args.add_argument("--sig", default=None,
-                          help="comma-separated exponents, e.g. 2,1,1,1")
-    sig_args.add_argument("--n", type=int, default=None,
-                          help="integer to factor instead of --sig, e.g. 420")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("bound", parents=[common, sig_args],
-                   help="closed-form minimum size of a maximal family")
+    def add(name: str, help_line: str, takes_sig: bool = True):
+        p = sub.add_parser(name, help=help_line)
+        if command not in (None, name):
+            return _Unselected
+        p.add_argument("--format", choices=FORMATS, default="text",
+                       help="output format (default text)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; every engine is "
+                            "sequential, so it changes nothing")
+        if takes_sig:
+            p.add_argument("--sig", default=None,
+                           help="comma-separated exponents, e.g. 2,1,1,1")
+            p.add_argument("--n", type=int, default=None,
+                           help="integer to factor instead of --sig, e.g. 420")
+        return p
 
-    p = sub.add_parser("extremal", parents=[common, sig_args],
-                       help="all minimum-size maximal families, by generators")
+    add("bound", "closed-form minimum size of a maximal family")
+
+    p = add("extremal", "all minimum-size maximal families, by generators")
     p.add_argument("--list", action="store_true",
                    help="print full family memberships, not just generators")
 
-    sub.add_parser("count", parents=[common, sig_args],
-                   help="number of minimum-size maximal families")
+    add("count", "number of minimum-size maximal families")
 
-    p = sub.add_parser("antichains", parents=[common],
-                       help="generating antichains on k squarefree primes")
+    p = add("antichains", "generating antichains on k squarefree primes",
+            takes_sig=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--list", action="store_true")
 
-    p = sub.add_parser("oracle", parents=[common, sig_args],
-                       help="brute-force census of every maximal family")
+    p = add("oracle", "brute-force census of every maximal family")
     p.add_argument("--method", choices=oracle.METHODS, default="radical-lift")
     p.add_argument("--list", action="store_true")
 
-    p = sub.add_parser("matching", parents=[common, sig_args],
-                       help="certified complement pairings")
+    p = add("matching", "certified complement pairings")
     p.add_argument("--k", type=int, default=None,
                    help="check every upward-closed family on a k-prime ground")
     p.add_argument("--list", action="store_true")
 
-    p = sub.add_parser("openprob", parents=[common, sig_args],
-                       help="minimum maximal-family sizes in restricted universes")
+    p = add("openprob", "minimum maximal-family sizes in restricted universes")
     p.add_argument("--mode", choices=restricted.MODES, required=True,
                    help="omega: distinct primes; bigomega: with multiplicity")
     p.add_argument("--t", default=None,
@@ -111,11 +119,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true",
                    help="print witness families (single cell only)")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="re-derive every structural law over a grid")
+    p = add("verify", "re-derive every structural law over a grid",
+            takes_sig=False)
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--max-exp", type=int, default=2)
     return parser
+
+
+def _command_in(argv: list[str]) -> Optional[str]:
+    """The first word of `argv` that is not an option.  The top-level
+    parser has no option that takes a value, so whenever argparse dispatches
+    to a command, it is the one this word names."""
+    return next((a for a in argv if not a.startswith("-")), None)
 
 
 def _numbers(text: str, what: str) -> list[int]:
@@ -158,7 +173,8 @@ def _mask_symbol(m: int, k: int) -> str:
 @lru_cache(maxsize=lattice.MAX_DIVISORS)
 def _entry_obj(e: matching.PairingEntry, k: int) -> dict:
     """JSON shape of one pairing entry.  Cached: the families of one lattice
-    share their repeated entries, so `report.json_dumps` encodes each once.
+    share their repeated entries, so `report.iter_json` encodes each once
+    per indent.
     The dict is shared and must never be mutated."""
     return {
         "position": _mask_symbol(e.position, k),
@@ -262,11 +278,13 @@ def _cmd_matching_ground(args) -> Run:
 def _cmd_matching_sig(args) -> Run:
     sig, primes = _parse_signature(args)
     rep = extremal.extremal_families(sig)
-    closures = extremal.minimum_families(sig)
+    radical_sets = extremal.minimum_radical_sets(sig)
     listed = []
-    for i, (gen, fam) in enumerate(zip(rep.generators, closures), start=1):
-        # a lifted closure is maximal and of minimum size by construction
-        pairing = matching._weight_pairing(fam, sig)
+    for i, (gen, rads) in enumerate(zip(rep.generators, radical_sets),
+                                    start=1):
+        # a generator's closure is maximal and of minimum size, and it is
+        # fixed by its radical set, so the pairing needs no lifted family
+        pairing = matching._weight_pairing(rads, sig)
         listed.append({
             "family_index": i,
             "generators": [lattice.format_divisor(d) for d in gen.members],
@@ -543,7 +561,8 @@ def _emit(command: str, fmt: str, parameters: dict, results: dict,
     """Write the one form of the results that `fmt` names."""
     if fmt == "json":
         doc = report.document(command, parameters, results)
-        sys.stdout.write(report.json_dumps(doc))
+        for chunk in report.iter_json(doc):
+            sys.stdout.write(chunk)
     elif fmt == "csv":
         sys.stdout.write(report.csv_dumps(*_csv(command, parameters, results)))
     else:
@@ -552,7 +571,9 @@ def _emit(command: str, fmt: str, parameters: dict, results: dict,
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(_command_in(argv)).parse_args(argv)
     start = time.perf_counter()
     try:
         if args.threads < 1:

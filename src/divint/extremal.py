@@ -75,30 +75,36 @@ def _generator_set(sig: Signature) -> frozenset[MaskFamily]:
     return frozenset(_generator_masks(sig))
 
 
-def minimum_families(sig: Signature) -> list[DivisorFamily]:
-    """The closures of `extremal_families(sig).generators`, in that order.
+def minimum_radical_sets(sig: Signature) -> list[tuple[int, ...]]:
+    """The sorted radical sets of the closures of
+    `extremal_families(sig).generators`, in that order.
 
-    A maximal family is fixed by its radical set, so each closure is lifted
-    from that set through the cached divisor table, and no multiple of a
+    A maximal family is fixed by its radical set, so no multiple of a
     generator is enumerated.  In the deep regime the set is the masks
     holding bit v.  In the flat regime it is the generator's maximal
     intersecting family on primes u..n-1, each mask joined with every mask
-    on the first u primes.
+    on the first u primes.  The lattice and the member total of the
+    families are held against their caps before any set is built.
     """
-    lattice.check_lattice_size(sig)  # before any radical set is built
+    lattice.check_lattice_size(sig)
     total = count_minimum_families(sig) * lattice.min_size_bound(sig)
     if total > families.MEMBER_CAP:
         raise limit_error("the member count of the minimum families", total,
                           families.MEMBER_CAP, "families.MEMBER_CAP")
     n, u = sig.n, sig.u
     if sig.alphas[-1] >= 2:
-        radical_sets = [[m for m in range(1 << n) if m >> v & 1]
-                        for v in range(u, n)]
-    else:
-        lows = range(1 << u)
-        radical_sets = [[h << u | low for h in fam for low in lows]
-                        for fam in antichains.enumerate_families(n - u)]
-    return [DivisorFamily.lift(sig, masks) for masks in radical_sets]
+        return [tuple(m for m in range(1 << n) if m >> v & 1)
+                for v in range(u, n)]
+    lows = range(1 << u)
+    return [tuple(h << u | low for h in fam for low in lows)
+            for fam in antichains.enumerate_families(n - u)]
+
+
+def minimum_families(sig: Signature) -> list[DivisorFamily]:
+    """The closures of `extremal_families(sig).generators`, in that order,
+    each lifted from its radical set through the cached divisor table."""
+    return [DivisorFamily.lift(sig, masks)
+            for masks in minimum_radical_sets(sig)]
 
 
 def count_minimum_families(sig: Signature) -> int:

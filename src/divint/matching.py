@@ -19,6 +19,7 @@ sweep and the `--sig` pairings take their permutation from
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import antichains, families, lattice
@@ -87,57 +88,99 @@ class PermutationWitness(NamedTuple):
                    for m, i in zip(members, self.sigma))
 
 
+@lru_cache(maxsize=16)
+def _supersets(ground: Mask) -> tuple[int, ...]:
+    """Bit y of entry x is set when x <= y <= ground as sets, for x in ground.
+
+    Entries of x outside the ground are 0.  The sets above x are those above
+    x | b, together with them less b, for any b in the ground but not in x.
+    """
+    table = [0] * (ground + 1)
+    table[ground] = 1 << ground
+    for x in range(ground - 1, -1, -1):
+        if x & ~ground:
+            continue
+        free = ground & ~x
+        low = free & -free  # the lowest element of the ground outside x
+        above = table[x | low]
+        table[x] = above | above >> low
+    return tuple(table)
+
+
+def _bitset(masks) -> int:
+    """The distinct `masks` as the set bits of one int."""
+    return sum(1 << m for m in masks)
+
+
 def validate_upward_closed(family: UpwardClosedFamily) -> None:
-    """Raise with a violating (member, missing superset) pair if not closed."""
-    member_set = set(family.members)
+    """Raise with a violating (member, missing superset) pair if not closed.
+
+    One `_supersets` lookup per member settles a closed family; only one
+    that is not closed is scanned cover by cover, for its first member with
+    a missing cover.
+    """
+    bits = _bitset(family.members)
+    supersets = _supersets(family.ground)
+    if all(supersets[m] & bits == supersets[m] for m in family.members):
+        return
     for m in family.members:
         free = family.ground ^ m
         for b in lattice.iter_bits(free):
             q = m | (1 << b)
-            if q not in member_set:
+            if not bits >> q & 1:
                 raise PreconditionError(
                     f"family is not upward closed: {m:#b} is a member but {q:#b} is not",
                     witness=(m, q),
                 )
 
 
-def _max_matching(n_left: int, n_right: int, adj: list[list[int]]):
+def _max_matching(members: tuple[Mask, ...], adj: list[int]):
     """Augmenting-path maximum bipartite matching with deterministic scan order.
 
-    Returns (match_left, match_right) with -1 for unmatched vertices.  The
-    right vertices one search has visited are the set bits of `seen`.
+    Both sides are the members, masks in ascending order; the neighbours of
+    left position j are the members whose masks are the set bits of adj[j],
+    scanned lowest first, that is in ascending position.  Returns
+    (match_left, match_right): match_left[j] is the position matched to j,
+    and match_right[m] the left position matched to the member of mask m,
+    -1 for unmatched vertices.  The right masks one search has visited are
+    the set bits of `seen`.
     """
-    match_left = [-1] * n_left
-    match_right = [-1] * n_right
+    match_right = [-1] * (max(members, default=0) + 1)
+    match_left = [-1] * len(members)
     seen = 0
 
     def augment(j: int) -> bool:
         nonlocal seen
-        for i in adj[j]:
-            if not seen >> i & 1:
-                seen |= 1 << i
-                if match_right[i] == -1 or augment(match_right[i]):
-                    match_left[j] = i
-                    match_right[i] = j
-                    return True
+        neighbours = adj[j]
+        todo = neighbours & ~seen
+        while todo:
+            low = todo & -todo
+            seen |= low
+            i = low.bit_length() - 1
+            if match_right[i] == -1 or augment(match_right[i]):
+                match_left[j] = i
+                match_right[i] = j
+                return True
+            todo = neighbours & ~seen
         return False
 
-    for j in range(n_left):
+    for j in range(len(members)):
         seen = 0
         augment(j)
-    return match_left, match_right
+    position = {m: i for i, m in enumerate(members)}
+    position[-1] = -1
+    return [position[m] for m in match_left], match_right
 
 
-def _hall_violator(adj: list[list[int]], match_left: list[int],
+def _hall_violator(adj: list[int], match_left: list[int],
                    match_right: list[int]) -> list[int]:
-    """Left vertex set whose joint neighborhood is smaller than itself."""
-    n_left = len(match_left)
-    start = [j for j in range(n_left) if match_left[j] == -1]
+    """Left positions whose joint neighborhood is smaller than themselves."""
+    start = [j for j in range(len(match_left)) if match_left[j] == -1]
     reach = set(start)
     frontier = list(start)
     while frontier:
         j = frontier.pop()
-        for i in adj[j]:
+        for i in lattice.iter_bits(adj[j]):
             j2 = match_right[i]
             if j2 != -1 and j2 not in reach:
                 reach.add(j2)
@@ -152,15 +195,17 @@ def complement_permutation(family: UpwardClosedFamily) -> PermutationWitness:
     always exists.  A non-perfect matching is raised as a diagnostic carrying
     the offending member subset, and so is a permutation that fails
     `PermutationWitness.verify`: no caller gets an uncertified one.
+
+    The family is one int over mask values, and the members whose
+    complement divides member m are `bits & supersets[ground ^ m]`.
     """
     validate_upward_closed(family)
-    members = family.members
-    s = len(members)
-    complements = [family.ground ^ m for m in members]
-    adj = [[i for i, c in enumerate(complements) if c & m == c]
-           for m in members]
-    match_left, match_right = _max_matching(s, s, adj)
-    if any(i == -1 for i in match_left):
+    members, ground = family.members, family.ground
+    bits = _bitset(members)
+    supersets = _supersets(ground)
+    adj = [bits & supersets[ground ^ m] for m in members]
+    match_left, match_right = _max_matching(members, adj)
+    if -1 in match_left:
         violator = _hall_violator(adj, match_left, match_right)
         raise TheoremViolationError(
             "no perfect complement matching on an upward-closed family",
@@ -247,17 +292,18 @@ def alpha_pairing(family: DivisorFamily, sig: Signature) -> PairingReport:
         raise PreconditionError(
             f"pairing requires a minimum-size family: got {len(family)}, minimum {bound}"
         )
-    return _weight_pairing(family, sig)
+    return _weight_pairing(family.radical_set, sig)
 
 
-def _weight_pairing(family: DivisorFamily, sig: Signature) -> PairingReport:
-    """`alpha_pairing` without its preconditions, for a family known to be
-    maximal and of minimum size; the permutation is still certified and the
-    weight equality still checked."""
+def _weight_pairing(radical_set: tuple[Mask, ...],
+                    sig: Signature) -> PairingReport:
+    """`alpha_pairing` without its preconditions, on the sorted radical set
+    of a family known to be maximal and of minimum size; the permutation is
+    still certified and the weight equality still checked."""
     n = sig.n
     last = 1 << (n - 1)
     # the radical set of a maximal family is its squarefree part
-    without_last = tuple(m for m in family.radical_set if not m & last)
+    without_last = tuple(m for m in radical_set if not m & last)
     ground = (1 << (n - 1)) - 1
     witness = complement_permutation(UpwardClosedFamily(ground, without_last))
     full = (1 << n) - 1

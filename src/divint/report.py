@@ -9,6 +9,7 @@ stderr concern, not part of any document.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._version import __version__
@@ -27,29 +28,43 @@ def document(command: str, parameters: dict, results: dict) -> dict:
     }
 
 
-# Containers nested less deeply than this write their pieces straight into
-# the document's one list of parts; deeper subtrees are each joined into one
-# string first, which keeps that list short.
+# Containers nested less deeply than this are streamed piece by piece;
+# deeper subtrees, such as one listed family, are each encoded as one string.
 _STREAMED_DEPTH = 3
 
+# `iter_json` joins and yields its waiting pieces once this many wait.
+_CHUNK_PARTS = 64
 
-def json_dumps(doc) -> str:
-    """The document as `json.dumps(doc, sort_keys=True, indent=2)` plus a newline.
+# A container's text is memoized only when shorter than this, which the
+# shared `divisor_obj` and `cli._entry_obj` texts are; a whole family's is
+# not, so the memo never holds a second copy of the document.
+_MEMO_MAX = 512
+
+
+def iter_json(doc) -> Iterator[str]:
+    """The document as `json.dumps(doc, sort_keys=True, indent=2)` plus a
+    newline, in chunks: one is yielded as soon as `_CHUNK_PARTS` pieces
+    wait, so a listing is written as it is encoded.
 
     The output is byte-identical to that call and ASCII-only.  Only what
     divint emits is accepted: dicts with str keys, lists, tuples, str, bool,
     int and None; anything else raises TypeError.
 
-    A container that appears several times in the document, such as the
-    shared `divisor_obj` dicts, is encoded once per indent: its text is
-    memoized by `(id(o), indent)` for the length of the call.  The document
-    keeps every subtree alive until the call returns, so no id is reused
-    within it; the memo is dropped on return.
+    A short container that appears several times in the document, such as
+    the shared `divisor_obj` dicts, is encoded once per indent: its text is
+    memoized by `id` in a dict per indent for the length of the walk.  The
+    document keeps every subtree alive until the walk ends, so no id is
+    reused within it; the memo is dropped with the generator.
     """
     parts: list[str] = []
-    _stream(doc, "\n", 0, parts, {})
+    yield from _stream(doc, "\n", 0, parts, {})
     parts.append("\n")
-    return "".join(parts)
+    yield "".join(parts)
+
+
+def json_dumps(doc) -> str:
+    """The whole document of `iter_json` as one string."""
+    return "".join(iter_json(doc))
 
 
 # Encoders of the scalar types, looked up by exact type: bool is not int here.
@@ -74,40 +89,53 @@ def _container(o) -> tuple[str, str, list, list]:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _encode(o, indent: str, memo: dict) -> str:
+def _encode(o, indent: str, memos: dict) -> str:
     """One value as a string; `indent` is the newline and indent of its line.
 
-    `memo` maps `(id(container), indent)` to the text already encoded.
+    `memos` maps an indent to the memo of texts at that indent, keyed by the
+    `id` of their container.  A memoized child is read inline.
     """
     scalar = _SCALARS.get(type(o))
     if scalar is not None:
         return scalar(o)
-    key = (id(o), indent)
-    text = memo.get(key)
-    if text is None:
-        opening, closing, labels, values = _container(o)
-        if values:
-            inner = indent + "  "
-            body = ("," + inner).join([label + _encode(v, inner, memo)
-                                       for label, v in zip(labels, values)])
-            text = opening + inner + body + indent + closing
+    opening, closing, labels, values = _container(o)
+    if not values:
+        return opening + closing
+    inner = indent + "  "
+    memo = memos.get(inner)
+    if memo is None:
+        memo = memos[inner] = {}
+    pieces = []
+    for label, v in zip(labels, values):
+        scalar = _SCALARS.get(type(v))
+        if scalar is not None:
+            text = scalar(v)
         else:
-            text = opening + closing
-        memo[key] = text
-    return text
+            text = memo.get(id(v))
+            if text is None:
+                text = _encode(v, inner, memos)
+                if len(text) < _MEMO_MAX:
+                    memo[id(v)] = text
+        pieces.append(label + text)
+    return opening + inner + ("," + inner).join(pieces) + indent + closing
 
 
-def _stream(o, indent: str, depth: int, parts: list[str], memo: dict) -> None:
-    """Append the pieces of `o` to `parts`, joining subtrees from a depth on."""
+def _stream(o, indent: str, depth: int, parts: list[str],
+            memos: dict) -> Iterator[str]:
+    """Append the pieces of `o` to `parts`, joining subtrees from a depth
+    on, and yield the joined pieces whenever `_CHUNK_PARTS` are waiting."""
     if depth == _STREAMED_DEPTH or type(o) in _SCALARS or not o:
-        parts.append(_encode(o, indent, memo))
+        parts.append(_encode(o, indent, memos))
         return
     opening, closing, labels, values = _container(o)
     inner = indent + "  "
     sep = opening + inner
     for label, v in zip(labels, values):
         parts.append(sep + label)
-        _stream(v, inner, depth + 1, parts, memo)
+        yield from _stream(v, inner, depth + 1, parts, memos)
+        if len(parts) >= _CHUNK_PARTS:
+            yield "".join(parts)
+            parts.clear()
         sep = "," + inner
     parts.append(indent + closing)
 
@@ -130,7 +158,7 @@ def divisor_obj(d: Divisor, primes=None) -> dict:
     """JSON shape of one divisor; `value` only under a concrete prime labeling.
 
     Cached: equal arguments get the same dict, so a listing holds one object
-    per divisor and `json_dumps` encodes it once.  The dict is shared and
+    per divisor and `iter_json` encodes it once per indent.  The dict is shared and
     must never be mutated.
     """
     obj = {"exponents": list(d), "symbol": format_divisor(d)}

@@ -207,10 +207,10 @@ def _check_sig_claims(sig: Signature) -> dict[str, dict]:
 
         if len(fam) == rep.min_size:
             # classify has checked the preconditions of an extremal family
-            pair = (matching._weight_pairing if extremal_fam
-                    else matching.alpha_pairing)
             try:
-                pairing = pair(fam, sig)
+                pairing = (
+                    matching._weight_pairing(fam.radical_set, sig)
+                    if extremal_fam else matching.alpha_pairing(fam, sig))
                 bad = next(
                     (e for e in pairing.entries
                      if e.alpha_excess != sig.alphas[-1]), None)

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -1062,3 +1063,147 @@ def test_no_refusal_points_at_a_knob_that_cannot_help(env, capsys,
     stated, module, const = CAP_NOTE.search(err).groups()
     assert _cap_value(f"{module}.{const}") == int(stated)
     assert "raise" not in err
+
+
+# Runs that the argument parser answers: help, --version and its refusals,
+# with COLUMNS=80.  Each maps to its exit code and the SHA-256 of its stdout,
+# a NUL and its stderr, as recorded when every run built the whole parser,
+# on CPython 3.11; argparse words its output differently in other versions.
+PARSER_RUNS = {
+    "":
+        (2, "296566d4271e1dbb47532da5179468ba444e508a29ab055d411864d23e9eaa90"),
+    "--help":
+        (0, "566352549010e184d1468d6d486b40c080631a9a58fe566aa4aacf98378b06d7"),
+    "-h":
+        (0, "566352549010e184d1468d6d486b40c080631a9a58fe566aa4aacf98378b06d7"),
+    "--version":
+        (0, "be13e7c9b587f7dd5846e33bc98c04eebd9ebb0cbacf620b4252b9cdccb55a07"),
+    "bogus":
+        (2, "0836290fbdd68e9df67d174ba08ce478e989df48c33b47471789968942db6f37"),
+    "--bogus":
+        (2, "296566d4271e1dbb47532da5179468ba444e508a29ab055d411864d23e9eaa90"),
+    "--format json bound":
+        (2, "440c4bbbfdd74a2755370eb8771e7f872c06c9c54ba74377c4bc6b1838b5396a"),
+    "bound extremal":
+        (2, "00fc3d818454728acd76a19d90066fb46d3be3a597da1a641c344dd73a659594"),
+    "bound --help":
+        (0, "a37a06c872b51bc53287475491ccec30d8bf53e8c28dacd52ed88e210cdf9221"),
+    "extremal --help":
+        (0, "8af558eca1b77a18dafd78457f2deb216d2485a6a571443b088d8a0317a5d8c4"),
+    "count --help":
+        (0, "c0e5c4c0c811c424346e0f7c03eff15d768592af7584a257a75e8ae63c1391c0"),
+    "antichains --help":
+        (0, "40e959a884c6e3dc30e160cf00eedb21fd2f7354d173012ee5d1cfbd46c36c84"),
+    "oracle --help":
+        (0, "a16f78d294ea3481bb869f5ecb22c6cf9b38dea3de0173461668a2199c871025"),
+    "matching --help":
+        (0, "d9546fccf38b40ba72bc87e579604a1bc553aa5990823c110a8523728969bbd6"),
+    "openprob --help":
+        (0, "b550346f448fbf5aad7472db138c9188e7ebe4da3bce087929fbf15ce445805a"),
+    "verify --help":
+        (0, "63ed288c77b6110e829831cfccf185857c000ff3c6b6fce95787a4f26ef8f6c1"),
+    "bound --bogus":
+        (2, "a7dca016b905bea1c42bba026e2c75752d342446af15543d8c7b02b90ebb6661"),
+    "extremal --bogus":
+        (2, "a7dca016b905bea1c42bba026e2c75752d342446af15543d8c7b02b90ebb6661"),
+    "count --bogus":
+        (2, "a7dca016b905bea1c42bba026e2c75752d342446af15543d8c7b02b90ebb6661"),
+    "antichains --bogus":
+        (2, "f81639e1316a2b5c144f97fc986c10e0afb47feb3b19f295e3d4ca78677df550"),
+    "oracle --bogus":
+        (2, "a7dca016b905bea1c42bba026e2c75752d342446af15543d8c7b02b90ebb6661"),
+    "matching --bogus":
+        (2, "a7dca016b905bea1c42bba026e2c75752d342446af15543d8c7b02b90ebb6661"),
+    "openprob --bogus":
+        (2, "e08138117fc1368b5ae1c7010c0716cd8c2a82c754ca16dd62d88954da13ad55"),
+    "verify --bogus":
+        (2, "a7dca016b905bea1c42bba026e2c75752d342446af15543d8c7b02b90ebb6661"),
+    "bound --format xml":
+        (2, "0e53f87b475e6786bcc6f129be1e4c26327148ee3d93d07c4e1cd500f28c7fc8"),
+    "extremal --format xml":
+        (2, "456e32f9fc25cb2009e5fc07f7488e49ff06706cae2aa6865cd8685bae0da0e4"),
+    "count --format xml":
+        (2, "86be707355992512e71423a922459f6ef5776bde5cf0860e81015752f9ada1b0"),
+    "antichains --format xml":
+        (2, "c6a7cf2dff69af3d3c02be27db23dd2291bbfdaee8033c6c7dc6525685b1efb1"),
+    "oracle --format xml":
+        (2, "b655c5c40eb99fcb603cfb56eb49ccd5fc580e7933ec1c128a3c091994d28b59"),
+    "matching --format xml":
+        (2, "5022a71c69ac083b6240b1db6d652ab0ad7bcff61db8806fd195833a66dcebb6"),
+    "openprob --format xml":
+        (2, "f5bd0c3e415b9b321f98e623fa2a39ba02d6070cf819fa2b47dc42adc3104b49"),
+    "verify --format xml":
+        (2, "68e36ac3d724aa646f1685a89042a900cf4b07692ab7bc4e1db679bd51c3b107"),
+    "bound --sig":
+        (2, "7843dd6c7521d6a8fa75cd4c4e7d34b576909013715305c54d11227a8d256ea8"),
+    "count --n":
+        (2, "c35e002ce0da9d720a8dac43fc5570a92609fe71801de4e90e53c5d26fa65b02"),
+    "count --n x":
+        (2, "51e0ee0bc7f0110757fe6fb9514954bade861b721ad4d13e5e0d4151b02ea953"),
+    "bound --threads abc":
+        (2, "a22da1dedf9f81e73b4e47ccff686ac2d85931caf426e61cb8ed49472717d695"),
+    "antichains":
+        (2, "f81639e1316a2b5c144f97fc986c10e0afb47feb3b19f295e3d4ca78677df550"),
+    "antichains --k x":
+        (2, "c0d18214d6499272809387a0e71f592596c8459942dfb50af2c4df4ecbe92539"),
+    "oracle --sig 1 --method x":
+        (2, "c6ba0a36d6eef7d824ee1b5324a1dd69764bed35662fc9c3187035a68ec65bf9"),
+    "openprob --sig 1":
+        (2, "e08138117fc1368b5ae1c7010c0716cd8c2a82c754ca16dd62d88954da13ad55"),
+    "openprob --mode x":
+        (2, "1e0e148936f00697a7a8015fd4021947bf0ccd8adf5f48e8fc237227d1cbfa96"),
+    "verify --max-n x":
+        (2, "b98abf8030d5455992971c5f6c2c24090cac0f72ce7aca358a22652474ff6178"),
+    "verify --max 2":
+        (2, "e4e7775a5ce26e0624d26d80231b0c2fb2669229f9ea039f75aea94dd02c8825"),
+    "openprob --m omega":
+        (2, "5be112a215127ce24b3d89b521f9bea41c8c3a12d7260aa073df0e0b28898032"),
+    "matching --k x":
+        (2, "b81144b6efe4c5b47dc0aeeb26bc82ddf2cd426a91ea743d4365a383e27817e9"),
+    "extremal --list x":
+        (2, "dcb21831c059fbc826b8f492777408964a725516891e7f4d90c336dee957ec40"),
+    "openprob --mode omega --maximality y":
+        (2, "bd5e5425908c3423cb2cef013e60216e456b6ab6010c156fa165e38f20e3ae93"),
+}
+
+
+def _parser_run(line, capsys):
+    try:
+        code = cli.main(line.split())
+    except SystemExit as exc:
+        code = exc.code
+    cap = capsys.readouterr()
+    return code, cap.out + "\0" + cap.err
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="recorded on CPython 3.11")
+@pytest.mark.parametrize("line", sorted(PARSER_RUNS))
+def test_parser_runs_keep_their_output(env, capsys, monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, text = _parser_run(line, capsys)
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == \
+        PARSER_RUNS[line]
+
+
+@pytest.mark.parametrize("line", sorted(PARSER_RUNS))
+def test_command_parser_answers_as_the_whole_tree(env, capsys, monkeypatch,
+                                                  line):
+    """Building only the options of the command that argv names changes
+    no help, version or refusal, on any Python version."""
+    monkeypatch.setenv("COLUMNS", "80")
+    lazy = _parser_run(line, capsys)
+    monkeypatch.setattr(cli, "_command_in", lambda argv: None)
+    assert _parser_run(line, capsys) == lazy
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["bound", "--sig", "1"], "bound"),
+    (["-x", "verify", "--max-n", "2"], "verify"),
+    (["--format", "json", "verify"], "json"),  # refused as a command
+    (["bogus", "bound"], "bogus"),
+    (["--help"], None),
+    ([], None),
+])
+def test_command_in(argv, command):
+    assert cli._command_in(argv) == command

@@ -35,6 +35,23 @@ def test_minimum_families_are_the_generator_closures(sig):
         families.upward_closure(g, sig) for g in gens]
 
 
+@pytest.mark.parametrize("sig", lattice.signature_grid(4, 3) + [
+    Signature((1,) * 6)], ids=str)
+def test_minimum_radical_sets_are_those_of_the_closures(sig):
+    """The radical sets come sorted, one per generator and in its order."""
+    sets = extremal.minimum_radical_sets(sig)
+    assert all(list(rads) == sorted(set(rads)) for rads in sets)
+    gens = extremal.extremal_families(sig).generators
+    assert sets == [families.upward_closure(g, sig).radical_set
+                    for g in gens]
+
+
+def test_minimum_radical_sets_refuse_past_member_cap():
+    sig = Signature((2,) * 6 + (1,) * 6)
+    with pytest.raises(ResourceLimitError, match="families.MEMBER_CAP"):
+        extremal.minimum_radical_sets(sig)
+
+
 def test_minimum_families_refuses_past_member_cap(monkeypatch):
     """The member total comes from the closed forms, so a listing past
     MEMBER_CAP is refused before any radical set is lifted."""

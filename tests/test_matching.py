@@ -1,5 +1,10 @@
+import hashlib
+import io
 import itertools
+import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +175,52 @@ def test_sigma_matches_the_list_based_matcher():
             _sigma_by_lists(fam)
 
 
+def test_sigma_matches_the_list_based_matcher_on_minimum_families():
+    """The squarefree parts that `matching --sig 1,1,1,1,1,1` pairs: each
+    radical set less the masks holding the last prime, on the first five."""
+    sig = Signature((1,) * 6)
+    parts = [UpwardClosedFamily(0b11111, [m for m in rads if m < 0b100000])
+             for rads in extremal.minimum_radical_sets(sig)]
+    assert len(parts) == 2646
+    for fam in parts:
+        assert matching.complement_permutation(fam).sigma == \
+            _sigma_by_lists(fam)
+
+
+def test_supersets_table():
+    for ground in (0, 0b1, 0b101, 0b1111, 0b10110):
+        table = matching._supersets(ground)
+        assert len(table) == ground + 1
+        for x in range(ground + 1):
+            want = sum(1 << y for y in range(ground + 1)
+                       if not x & ~ground and x & y == x and not y & ~ground)
+            assert table[x] == want
+
+
+def test_sig_pairings_lift_no_family(monkeypatch, tmp_path):
+    """matching --sig pairs the radical sets of the 2646 minimum families of
+    1^6 without lifting any of them, and prints the golden bytes."""
+    golden = json.loads((Path(__file__).resolve().parents[1] / "divbench"
+                         / "golden.json").read_text())
+    argv = ["matching", "--sig", "1,1,1,1,1,1", "--format", "json"]
+    lifts = 0
+    lift = DivisorFamily.lift
+
+    def counted(cls, sig, masks):
+        nonlocal lifts
+        lifts += 1
+        return lift(sig, masks)
+
+    monkeypatch.setattr(DivisorFamily, "lift", classmethod(counted))
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(argv) == golden[" ".join(argv)]["exit"]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        golden[" ".join(argv)]["sha256"]
+    assert lifts == 0
+
+
 def test_hall_violator_on_forced_failure(monkeypatch):
     """Disable validation to reach the matcher's diagnostic path.
 
@@ -189,8 +240,8 @@ def test_hall_violator_on_forced_failure(monkeypatch):
 @pytest.fixture
 def identity_matching(monkeypatch):
     """A matcher that pairs every position with itself, right or wrong."""
-    def identity(n_left, n_right, adj):
-        return list(range(n_left)), list(range(n_right))
+    def identity(members, adj):
+        return list(range(len(members))), list(range(len(members)))
     monkeypatch.setattr(matching, "_max_matching", identity)
 
 

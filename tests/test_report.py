@@ -1,11 +1,20 @@
 """The JSON encoder against the standard library's indented encoder."""
 
+import hashlib
 import json
+import sys
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from divint import report
+from divint import cli, report
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "divbench"
+                     / "golden.json").read_text())
+LISTING = ["extremal", "--sig", "1,1,1,1,1,1", "--list", "--format", "json"]
 
 ESCAPES = st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f é €😀ab', max_size=8)
 SCALARS = (st.none() | st.booleans() | st.integers()
@@ -27,6 +36,17 @@ def stdlib(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def streamed(doc) -> str:
+    """The joined chunks of `iter_json`, with a chunk yielded after as few
+    as one waiting piece and as many as the default."""
+    outs = set()
+    for parts in (1, 2, report._CHUNK_PARTS):
+        with mock.patch.object(report, "_CHUNK_PARTS", parts):
+            outs.add("".join(report.iter_json(doc)))
+    assert len(outs) == 1
+    return outs.pop()
+
+
 # Wrappers that push a tree below the depth from which subtrees are joined.
 WRAPS = {
     "list": lambda t: [t, 2],
@@ -43,7 +63,7 @@ def test_json_dumps_matches_stdlib(tree, wraps):
     for w in wraps:
         tree = WRAPS[w](tree)
     out = report.json_dumps(tree)
-    assert out == stdlib(tree)
+    assert out == stdlib(tree) == streamed(tree)
     assert out.isascii()
 
 
@@ -71,8 +91,72 @@ def test_json_dumps_matches_stdlib_on_shared_subtrees(case):
     shared, tree = case
     doc = {"at": [shared, shared], "tree": tree,
            "deep": [[shared, [shared, {"k": shared}]], shared]}
-    assert report.json_dumps(doc) == stdlib(doc)
-    assert report.json_dumps(shared) == stdlib(shared)
+    assert report.json_dumps(doc) == stdlib(doc) == streamed(doc)
+    assert report.json_dumps(shared) == stdlib(shared) == streamed(shared)
+
+
+def test_only_short_texts_are_memoized():
+    """A repeated container is encoded once per indent only while its text
+    is short, so a memo never holds a second copy of a listed family; the
+    bytes are the same either way."""
+    short = {"a": [1, 2]}
+    long = ["x" * report._MEMO_MAX]
+    # below the depth from which subtrees are encoded whole
+    doc = {"d": {"e": {"s": [short, short, [short]],
+                       "l": [long, long, [long]]}}}
+    encoded = []
+    real = report._encode
+
+    def counted(o, indent, memos):
+        encoded.append(o)
+        return real(o, indent, memos)
+
+    with mock.patch.object(report, "_encode", counted):
+        assert report.json_dumps(doc) == stdlib(doc)
+    assert sum(o is short for o in encoded) == 2  # one per indent
+    assert sum(o is long for o in encoded) == 3  # every time
+
+
+class Sink:
+    """A stdout that keeps only the count and the SHA-256 of what it got."""
+
+    def __init__(self):
+        self.writes = 0
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_listing_is_written_as_it_is_built(monkeypatch, tmp_path, capsys):
+    """The 1^6 listing reaches stdout in many chunks, with the golden bytes."""
+    monkeypatch.chdir(tmp_path)
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(LISTING) == GOLDEN[" ".join(LISTING)]["exit"] == 0
+    assert sink.sha.hexdigest() == GOLDEN[" ".join(LISTING)]["sha256"]
+    assert sink.writes > 1
+
+
+def test_listing_peak_memory(monkeypatch, tmp_path, capsys):
+    """Streamed to a null sink, the 1^6 listing allocates at most 20 MB at
+    its peak (about 54 MB when the document was joined before it was
+    written).  tracemalloc counts Python allocations, not the host's pages,
+    so the figure does not depend on the machine."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        assert cli.main(LISTING) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_divisor_obj_is_one_shared_object_per_divisor():
