@@ -1,11 +1,13 @@
 """Tests for the self-check conformance sweep."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
-from divint import extremal, families, lattice, oracle, verify
-from divint.errors import ResourceLimitError
+from divint import extremal, families, lattice, matching, oracle, verify
+from divint.errors import DivintError, ResourceLimitError, TheoremViolationError
 from divint.families import DivisorFamily
 from divint.lattice import Signature
 from divint.verify import CLAIMS, run_verify
@@ -221,3 +223,97 @@ def test_sweep_work_counts(monkeypatch):
     assert rep.passed and len(rep.rows) == 209
     assert calls == {"families": 290, "lifts": 1140, "minimal_members": 0,
                      "divides": 0, "closures": 145}
+
+
+def _raise(*args):
+    raise DivintError("injected fault")
+
+
+def _raise_with_counterexample(*args):
+    raise TheoremViolationError("injected fault", counterexample={"at": 1})
+
+
+def _wrap(monkeypatch, owner, name, change):
+    """Rebind owner.name to the real function with `change` applied to its
+    result."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: change(real(*args)))
+
+
+def _bad_excess(pairing):
+    return pairing._replace(entries=tuple(
+        e._replace(alpha_excess=e.alpha_excess + 1) for e in pairing.entries))
+
+
+# One injected fault per claim path: name -> patch(monkeypatch).
+FAULTS = {
+    "min-size-bound-plus-one": lambda mp: _wrap(
+        mp, lattice, "min_size_bound", lambda b: b + 1),
+    "count-off-by-one": lambda mp: _wrap(
+        mp, extremal, "count_minimum_families", lambda c: c + 1),
+    "count-raises": lambda mp: mp.setattr(
+        extremal, "count_minimum_families", _raise),
+    "extremal-families-raises": lambda mp: mp.setattr(
+        extremal, "extremal_families", _raise),
+    "classify-partial-match": lambda mp: _wrap(
+        mp, extremal, "classify",
+        lambda v: v._replace(matched=v.matched - {"c"})),
+    "classify-raises": lambda mp: mp.setattr(extremal, "classify", _raise),
+    "pairing-raises": lambda mp: mp.setattr(
+        matching, "_weight_pairing", _raise_with_counterexample),
+    "pairing-bad-excess": lambda mp: _wrap(
+        mp, matching, "_weight_pairing", _bad_excess),
+    "squarefree-part-drops-a-mask": lambda mp: _wrap(
+        mp, DivisorFamily, "squarefree_part", lambda masks: masks[:-1]),
+}
+
+GRID_3_2 = ["1", "2", "1,1", "2,1", "2,2", "1,1,1", "2,1,1", "2,2,1", "2,2,2"]
+
+# fault -> (subjects of the failing rows of run_verify(3, 2) per claim,
+# SHA-256 of json.dumps of those rows), recorded before the claims of
+# `_check_sig_claims` moved into generators
+FAULT_PINS = {
+    "min-size-bound-plus-one": (
+        {"min-size-equality": GRID_3_2,
+         "classification-equivalence": GRID_3_2,
+         "pairing-weight-equality": GRID_3_2},
+        "e2c24d7a4a8884d50d2ffa9878663ca53293fa45c3c7713c74f3bee0e204c450"),
+    "count-off-by-one": (
+        {"minimum-count-law": GRID_3_2},
+        "c0bcdeb257bcc4503cad7e61a30d40e870a7994c831971fb7d341c7b7ceb5591"),
+    "count-raises": (
+        {"minimum-count-law": GRID_3_2},
+        "ff546f4da6df40c3373fc3214f1a0a9241aaf38593eaeb9a9f0a8f8c12374fbe"),
+    "extremal-families-raises": (
+        {"extremal-agreement": GRID_3_2},
+        "7b78c2031c8dc4b3b3b85551f738dfe06c931fbf5e99716286362973b979d5b8"),
+    "classify-partial-match": (
+        {"classification-equivalence": GRID_3_2},
+        "64abef88af26950af9802b42235dd545990feaf1ca53958322eb22814daa07e4"),
+    "classify-raises": (
+        {"classification-equivalence": GRID_3_2},
+        "ec399f7d7073baec525ace01cec7537ab0c20427c24bc357974b75e5e3046c4f"),
+    "pairing-raises": (
+        {"pairing-weight-equality": GRID_3_2},
+        "62a7939936efa09f480249d51a89ee44110f72676528ba4ff2cbfad1a44ef2e4"),
+    "pairing-bad-excess": (
+        {"pairing-weight-equality": ["1,1", "2,2", "1,1,1", "2,1,1", "2,2,2"]},
+        "747631cae492a3826f57002b336ab130d1678ae0f1a3a60e790786fd8031fbd1"),
+    "squarefree-part-drops-a-mask": (
+        {"complement-dichotomy": GRID_3_2, "last-prime-partition": GRID_3_2,
+         "radical-determination": GRID_3_2, "weight-identity": GRID_3_2},
+        "9ab12da8b1326fc040f466925164af4ee56ede44a7aa9de4c0f9916d549fcaf7"),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_failing_rows_under_an_injected_fault_keep_their_bytes(monkeypatch,
+                                                                fault):
+    """Goldens cover passing sweeps only; these pin the fail rows, so a
+    change to how a counterexample is assembled shows here."""
+    FAULTS[fault](monkeypatch)
+    rows = [r for r in run_verify(3, 2).rows if r["status"] == "fail"]
+    subjects, digest = FAULT_PINS[fault]
+    assert [(r["claim"], r["subject"]) for r in rows] == [
+        (claim, subject) for claim, grid in subjects.items() for subject in grid]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
