@@ -277,17 +277,17 @@ def _cmd_matching_ground(args) -> Run:
 
 def _cmd_matching_sig(args) -> Run:
     sig, primes = _parse_signature(args)
-    rep = extremal.extremal_families(sig)
+    # generators as radical masks, in extremal_families order; none is built
+    gen_masks = extremal._generator_masks(sig)
     radical_sets = extremal.minimum_radical_sets(sig)
     listed = []
-    for i, (gen, rads) in enumerate(zip(rep.generators, radical_sets),
-                                    start=1):
+    for i, (gen, rads) in enumerate(zip(gen_masks, radical_sets), start=1):
         # a generator's closure is maximal and of minimum size, and it is
         # fixed by its radical set, so the pairing needs no lifted family
         pairing = matching._weight_pairing(rads, sig)
         listed.append({
             "family_index": i,
-            "generators": [lattice.format_divisor(d) for d in gen.members],
+            "generators": [_mask_symbol(m, sig.n) for m in gen],
             "sigma": list(pairing.sigma),
             "entries": [_entry_obj(e, sig.n) for e in pairing.entries],
         })

@@ -14,7 +14,7 @@ import operator
 from typing import Iterable, NamedTuple, Optional
 
 from . import antichains, lattice
-from .errors import TheoremViolationError
+from .errors import PreconditionError, TheoremViolationError
 from .lattice import Divisor, Mask, Signature
 
 # Most members, summed over all its families, that one listing may build:
@@ -143,7 +143,17 @@ def _meeting(mins: tuple[Mask, ...], sig: Signature) -> list[Mask]:
 
 
 def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
-    """Full predicate: intersecting and admitting no further divisor of N."""
+    """Full predicate: intersecting and admitting no further divisor of N.
+
+    A member that is not a divisor of N, being of the wrong length or above
+    `sig.alphas`, is refused with a PreconditionError that names it.
+    """
+    # the keys of the cached lower-cover table are the divisors of N
+    divisors = lattice.predecessors(sig)
+    if not all(map(divisors.__contains__, family)):
+        bad = next(d for d in family if d not in divisors)
+        raise PreconditionError(
+            f"member {bad} does not divide the {sig} lattice", witness=bad)
     mins = antichains.minimal_masks(family.radical_set)
     base = _intersecting(family, mins)
     if not base.is_intersecting:

@@ -28,14 +28,22 @@ relies on is re-checked against it, claim by claim:
 * upward-family-pairing    every upward-closed family on small grounds admits
                            a certified complement permutation
 
-Any failure carries a serialized counterexample; the harness records it and
-keeps sweeping rather than aborting, so one broken claim cannot mask another.
+Where a claim is checked: `_sig_claims` yields the first four claims once per
+signature, from its census as a whole; `_family_claims` yields the next seven
+once per maximal family of that census; `_check_ground_pairing` checks the
+last once per ground.  A check yields its claim with None where the claim
+holds, or with the fields of its counterexample.  `_check_sig_claims` alone
+turns these into rows: a claim passes unless a check of it yields fields, and
+its fail row carries the signature followed by the first fields yielded.  The
+sweep records a failure and goes on rather than aborting, so one broken claim
+cannot mask another.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 from . import antichains, extremal, families, lattice, matching, oracle
 from .errors import DivintError, limit_error
@@ -62,6 +70,10 @@ MATCHING_GROUND_CAP = 4
 MEMBER_CAP = 10**7
 
 
+# A claim's name and its counterexample fields, or None where it holds.
+Claim = tuple[str, Optional[dict]]
+
+
 class VerifyReport(NamedTuple):
     max_n: int
     max_exp: int
@@ -73,79 +85,53 @@ def _fam_json(fam: DivisorFamily) -> list[list[int]]:
     return [list(d) for d in fam.members]
 
 
-def _check_sig_claims(sig: Signature) -> dict[str, dict]:
-    """Evaluate every per-signature claim; returns claim -> row fields."""
-    out: dict[str, dict] = {}
+def _at(fam: DivisorFamily, **fields) -> dict:
+    """Counterexample fields of a claim that fails on `fam`."""
+    return {"family": _fam_json(fam), **fields}
 
-    def fail(claim: str, counterexample) -> None:
-        # keep the first counterexample found for a claim
-        if claim not in out:
-            out[claim] = {"status": "fail", "counterexample": counterexample}
 
-    def ok(claim: str) -> None:
-        out.setdefault(claim, {"status": "pass"})
+def _first_three(fams) -> list[list[list[int]]]:
+    return [_fam_json(f)
+            for f in sorted(fams, key=oracle.family_sort_key)[:3]]
 
-    # run_verify refuses an over-cap grid before the sweep; this refusal
-    # stands for any other caller
-    rep = oracle.enumerate_maximal_families(sig, materialize_cap=MEMBER_CAP)
-    if rep.families is None:
-        raise limit_error(f"the number of family members of {sig}",
-                          sum(rep.sizes), MEMBER_CAP, "verify.MEMBER_CAP")
+
+def _sig_claims(sig: Signature, rep: oracle.OracleReport) -> Iterator[Claim]:
+    """The claims about the census of `sig` as a whole."""
     bound = lattice.min_size_bound(sig)
-    sig_json = list(sig.alphas)
-
-    if rep.min_size == bound:
-        ok("min-size-equality")
-    else:
-        fail("min-size-equality", {
-            "signature": sig_json, "exhaustive_min": rep.min_size,
-            "closed_form": bound,
-        })
+    yield "min-size-equality", None if rep.min_size == bound else {
+        "exhaustive_min": rep.min_size, "closed_form": bound}
 
     if all(a == 1 for a in sig.alphas):
         want = 2 ** (sig.n - 1)
-        bad = [s for s in rep.sizes if s != want]
-        if bad:
-            fail("squarefree-size-law", {
-                "signature": sig_json, "expected_size": want,
-                "observed_sizes": sorted(set(bad)),
-            })
-        else:
-            ok("squarefree-size-law")
+        bad = sorted({s for s in rep.sizes if s != want})
+        yield "squarefree-size-law", None if not bad else {
+            "expected_size": want, "observed_sizes": bad}
 
     try:
         predicted = extremal.count_minimum_families(sig)
-        if predicted == rep.min_count:
-            ok("minimum-count-law")
-        else:
-            fail("minimum-count-law", {
-                "signature": sig_json, "predicted": predicted,
-                "observed": rep.min_count,
-            })
     except DivintError as exc:
-        fail("minimum-count-law", {"signature": sig_json, "error": str(exc)})
+        yield "minimum-count-law", {"error": str(exc)}
+    else:
+        yield "minimum-count-law", None if predicted == rep.min_count else {
+            "predicted": predicted, "observed": rep.min_count}
 
     try:
         ext = extremal.extremal_families(sig)
         closures = {
             families.upward_closure(gen, sig) for gen in ext.generators
         }
-        minimum = {f for f in rep.families if len(f) == rep.min_size}
-        if closures == minimum:
-            ok("extremal-agreement")
-        else:
-            only_oracle = sorted(
-                minimum - closures, key=oracle.family_sort_key)
-            only_extremal = sorted(
-                closures - minimum, key=oracle.family_sort_key)
-            fail("extremal-agreement", {
-                "signature": sig_json,
-                "oracle_only": [_fam_json(f) for f in only_oracle[:3]],
-                "extremal_only": [_fam_json(f) for f in only_extremal[:3]],
-            })
     except DivintError as exc:
-        fail("extremal-agreement", {"signature": sig_json, "error": str(exc)})
+        yield "extremal-agreement", {"error": str(exc)}
+    else:
+        minimum = {f for f in rep.families if len(f) == rep.min_size}
+        yield "extremal-agreement", None if closures == minimum else {
+            "oracle_only": _first_three(minimum - closures),
+            "extremal_only": _first_three(closures - minimum)}
 
+
+def _family_claims(sig: Signature,
+                   rep: oracle.OracleReport) -> Iterator[Claim]:
+    """The claims about each maximal family of the census, family by family."""
     full = (1 << sig.n) - 1
     last = 1 << (sig.n - 1)
     target = {m for m in range(full + 1) if m & last}
@@ -153,87 +139,84 @@ def _check_sig_claims(sig: Signature) -> dict[str, dict]:
     for fam in rep.families:
         rads = set(fam.squarefree_part())
 
-        extremal_fam = False
         try:
             verdict = extremal.classify(fam, sig)
-            extremal_fam = verdict.is_extremal
-            if len(verdict.matched) not in (0, 3):
-                fail("classification-equivalence", {
-                    "signature": sig_json, "family": _fam_json(fam),
-                    "matched": sorted(verdict.matched),
-                })
         except DivintError as exc:
-            fail("classification-equivalence",
-                 {"signature": sig_json, "error": str(exc)})
+            verdict = None
+            yield "classification-equivalence", {"error": str(exc)}
+        else:
+            yield "classification-equivalence", (
+                None if len(verdict.matched) in (0, 3)
+                else _at(fam, matched=sorted(verdict.matched)))
 
         bad_mask = next(
             (m for m in range(full + 1)
              if (m in rads) == ((full ^ m) in rads)), None)
-        if bad_mask is not None:
-            fail("complement-dichotomy", {
-                "signature": sig_json, "family": _fam_json(fam),
-                "mask": bad_mask,
-            })
+        yield "complement-dichotomy", (
+            None if bad_mask is None else _at(fam, mask=bad_mask))
 
         with_last = {m for m in rads if m & last}
         lifted = {full ^ m for m in rads if not m & last}
-        if with_last | lifted != target or with_last & lifted:
-            fail("last-prime-partition", {
-                "signature": sig_json, "family": _fam_json(fam),
-                "with_last": sorted(with_last), "lifted": sorted(lifted),
-            })
+        yield "last-prime-partition", (
+            None if with_last | lifted == target and not with_last & lifted
+            else _at(fam, with_last=sorted(with_last), lifted=sorted(lifted)))
 
         closure = families.closure_members(
             families.predecessor_minima(fam, sig), sig)
-        if closure != fam.member_set:
-            fail("minimal-closure-identity", {
-                "signature": sig_json, "family": _fam_json(fam),
-                "closure": _fam_json(DivisorFamily(closure)),
-            })
+        yield "minimal-closure-identity", (
+            None if closure == fam.member_set
+            else _at(fam, closure=_fam_json(DivisorFamily(closure))))
 
         rebuilt = DivisorFamily.lift(sig, rads)
-        if rebuilt != fam:
-            fail("radical-determination", {
-                "signature": sig_json, "family": _fam_json(fam),
-                "rebuilt": _fam_json(rebuilt),
-            })
+        yield "radical-determination", (
+            None if rebuilt == fam else _at(fam, rebuilt=_fam_json(rebuilt)))
 
         weight = sum(map(weights.__getitem__, rads))
-        if weight != len(fam):
-            fail("weight-identity", {
-                "signature": sig_json, "family": _fam_json(fam),
-                "weight_sum": weight, "size": len(fam),
-            })
+        yield "weight-identity", (
+            None if weight == len(fam)
+            else _at(fam, weight_sum=weight, size=len(fam)))
 
-        if len(fam) == rep.min_size:
+        if len(fam) != rep.min_size:
+            continue
+        try:
             # classify has checked the preconditions of an extremal family
-            try:
-                pairing = (
-                    matching._weight_pairing(fam.radical_set, sig)
-                    if extremal_fam else matching.alpha_pairing(fam, sig))
-                bad = next(
-                    (e for e in pairing.entries
-                     if e.alpha_excess != sig.alphas[-1]), None)
-                if bad is not None:
-                    fail("pairing-weight-equality", {
-                        "signature": sig_json, "family": _fam_json(fam),
-                        "position": bad.position,
-                        "alpha_excess": bad.alpha_excess,
-                    })
-            except DivintError as exc:
-                ce = getattr(exc, "counterexample", None)
-                fail("pairing-weight-equality", {
-                    "signature": sig_json,
-                    "error": str(exc),
-                    "counterexample": ce,
-                })
+            pairing = (
+                matching._weight_pairing(fam.radical_set, sig)
+                if verdict is not None and verdict.is_extremal
+                else matching.alpha_pairing(fam, sig))
+        except DivintError as exc:
+            yield "pairing-weight-equality", {
+                "error": str(exc),
+                "counterexample": getattr(exc, "counterexample", None)}
+            continue
+        bad = next((e for e in pairing.entries
+                    if e.alpha_excess != sig.alphas[-1]), None)
+        yield "pairing-weight-equality", None if bad is None else _at(
+            fam, position=bad.position, alpha_excess=bad.alpha_excess)
 
-    for claim in ("classification-equivalence", "complement-dichotomy",
-                  "last-prime-partition", "minimal-closure-identity",
-                  "radical-determination", "weight-identity",
-                  "pairing-weight-equality"):
-        ok(claim)
-    return out
+
+def _check_sig_claims(sig: Signature) -> dict[str, dict]:
+    """Evaluate every per-signature claim; returns claim -> row fields.
+
+    A claim passes unless some check of it yields counterexample fields; the
+    first such fields, after the signature, are its counterexample.
+    """
+    # run_verify refuses an over-cap grid before the sweep; this refusal
+    # stands for any other caller
+    rep = oracle.enumerate_maximal_families(sig, materialize_cap=MEMBER_CAP)
+    if rep.families is None:
+        raise limit_error(f"the number of family members of {sig}",
+                          sum(rep.sizes), MEMBER_CAP, "verify.MEMBER_CAP")
+    first: dict[str, Optional[dict]] = {}
+    for claim, fields in itertools.chain(_sig_claims(sig, rep),
+                                         _family_claims(sig, rep)):
+        if fields is not None and first.get(claim) is None:
+            first[claim] = {"signature": list(sig.alphas), **fields}
+        else:
+            first.setdefault(claim, None)
+    return {claim: {"status": "pass"} if ce is None
+            else {"status": "fail", "counterexample": ce}
+            for claim, ce in first.items()}
 
 
 def _check_ground_pairing(k: int) -> dict:

@@ -1,7 +1,7 @@
 import pytest
 
 from divint import antichains, extremal, families, lattice, oracle
-from divint.errors import ResourceLimitError
+from divint.errors import PreconditionError, ResourceLimitError
 from divint.families import DivisorFamily
 from divint.lattice import Signature
 
@@ -134,6 +134,13 @@ def test_classify_maximal_not_extremal():
     assert verdict.is_maximal and not verdict.is_extremal
     assert verdict.matched == frozenset()
     assert verdict.failure_witness == "size-above-minimum"
+
+
+def test_classify_refuses_a_member_that_does_not_divide_n():
+    """{p1, p1^3} under N = p1^2 has the size of a minimum family, yet p1^3
+    is no divisor of N: no characterization may match it."""
+    with pytest.raises(PreconditionError, match=r"member \(3,\) does not"):
+        extremal.classify(DivisorFamily([(1,), (3,)]), Signature((2,)))
 
 
 def test_classify_flat():

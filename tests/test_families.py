@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divint import antichains, families, lattice
+from divint.errors import PreconditionError
 from divint.families import DivisorFamily
 from divint.lattice import Signature
 
@@ -117,6 +118,25 @@ def test_maximal_check_420_prime_family():
     )
     assert len(fam) == 12
     assert families.check_maximal(fam, sig).is_maximal
+
+
+# p1^3 is not a divisor of p1^2; nor is the 2-prime p1 of the 1-prime lattice
+NOT_DIVISORS = [
+    (DivisorFamily([(1,), (3,)]), Signature((2,)), (3,)),
+    (DivisorFamily([(1,), (2,)]), Signature((2, 1)), (1,)),
+    (DivisorFamily([(1, 0), (1, 1)]), Signature((1,)), (1, 0)),
+]
+
+
+@pytest.mark.parametrize("fam, sig, member", NOT_DIVISORS)
+def test_maximal_check_refuses_a_member_that_does_not_divide_n(fam, sig,
+                                                                member):
+    """Maximality compares the family's size with a weight sum, so a member
+    outside the lattice must be refused before that count is trusted."""
+    with pytest.raises(PreconditionError, match="does not divide") as exc:
+        families.check_maximal(fam, sig)
+    assert exc.value.witness == member
+    assert str(member) in str(exc.value)
 
 
 def test_empty_family_report():

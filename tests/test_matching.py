@@ -199,19 +199,27 @@ def test_supersets_table():
 
 def test_sig_pairings_lift_no_family(monkeypatch, tmp_path):
     """matching --sig pairs the radical sets of the 2646 minimum families of
-    1^6 without lifting any of them, and prints the golden bytes."""
+    1^6 without lifting any of them, builds no generator family, and prints
+    the golden bytes."""
     golden = json.loads((Path(__file__).resolve().parents[1] / "divbench"
                          / "golden.json").read_text())
     argv = ["matching", "--sig", "1,1,1,1,1,1", "--format", "json"]
-    lifts = 0
+    lifts = inits = 0
     lift = DivisorFamily.lift
+    init = DivisorFamily.__init__
 
     def counted(cls, sig, masks):
         nonlocal lifts
         lifts += 1
         return lift(sig, masks)
 
+    def counted_init(self, divisors):
+        nonlocal inits
+        inits += 1
+        init(self, divisors)
+
     monkeypatch.setattr(DivisorFamily, "lift", classmethod(counted))
+    monkeypatch.setattr(DivisorFamily, "__init__", counted_init)
     monkeypatch.chdir(tmp_path)
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
@@ -219,6 +227,8 @@ def test_sig_pairings_lift_no_family(monkeypatch, tmp_path):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
         golden[" ".join(argv)]["sha256"]
     assert lifts == 0
+    # the generators are printed from their radical masks
+    assert inits == 0
 
 
 def test_hall_violator_on_forced_failure(monkeypatch):
@@ -301,6 +311,11 @@ def test_pairing_records_are_tuples():
     assert matching.PairingEntry._fields == (
         "position", "source", "bar_source", "excess", "alpha_position",
         "alpha_bar_source", "alpha_excess")
+
+
+def test_alpha_pairing_refuses_a_member_that_does_not_divide_n():
+    with pytest.raises(PreconditionError, match=r"member \(3,\) does not"):
+        matching.alpha_pairing(DivisorFamily([(1,), (3,)]), Signature((2,)))
 
 
 def test_alpha_pairing_on_triangle_closure():

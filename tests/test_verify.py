@@ -20,6 +20,14 @@ def test_default_grid_passes():
     assert all(r["status"] == "pass" for r in rep.rows)
 
 
+def test_module_docstring_lists_the_claims_in_row_order():
+    """The claim list of verify's docstring is CLAIMS, in order, so a new
+    claim cannot leave the documentation behind."""
+    listed = [line.split()[1] for line in verify.__doc__.splitlines()
+              if line.startswith("* ")]
+    assert listed == list(CLAIMS)
+
+
 def test_rows_are_claim_major():
     rep = run_verify(2, 2)
     seen = [r["claim"] for r in rep.rows]
@@ -270,8 +278,7 @@ FAULTS = {
 GRID_3_2 = ["1", "2", "1,1", "2,1", "2,2", "1,1,1", "2,1,1", "2,2,1", "2,2,2"]
 
 # fault -> (subjects of the failing rows of run_verify(3, 2) per claim,
-# SHA-256 of json.dumps of those rows), recorded before the claims of
-# `_check_sig_claims` moved into generators
+# SHA-256 of json.dumps of those rows)
 FAULT_PINS = {
     "min-size-bound-plus-one": (
         {"min-size-equality": GRID_3_2,
