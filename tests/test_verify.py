@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from divint import extremal, families, lattice, matching, oracle, verify
+from divint import (antichains, extremal, families, lattice, matching, oracle,
+                    verify)
 from divint.errors import DivintError, ResourceLimitError, TheoremViolationError
 from divint.families import DivisorFamily
 from divint.lattice import Signature
@@ -183,6 +184,68 @@ def test_squarefree_part_is_read_from_the_members(monkeypatch):
         },
     }
     assert rows["complement-dichotomy", "2,2"]["status"] == "pass"
+
+
+def _pinned_fail_rows(rows, claims):
+    """The fail rows of `claims`: their (claim, subject) pairs, and the
+    SHA-256 of their JSON."""
+    bad = [r for r in rows if r["status"] == "fail" and r["claim"] in claims]
+    return ([(r["claim"], r["subject"]) for r in bad],
+            hashlib.sha256(json.dumps(bad).encode()).hexdigest())
+
+
+def test_a_lifted_member_altered_fails_the_rebuild_and_the_closure(monkeypatch):
+    """p1^2 of the first 2,2,1 family, the multiples of p1, becomes p2^2.
+    The squarefree part is unchanged, so the rebuild from it and the closure
+    of the minima, which now include p2^2, both differ from the family; the
+    size and the squarefree part still pass."""
+    real = oracle.enumerate_maximal_families
+    sig = Signature((2, 2, 1))
+
+    def altered(s, *args, **kwargs):
+        rep = real(s, *args, **kwargs)
+        if s != sig:
+            return rep
+        first = DivisorFamily(
+            (0, 2, 0) if d == (2, 0, 0) else d for d in rep.families[0])
+        return rep._replace(families=(first,) + rep.families[1:])
+
+    monkeypatch.setattr(oracle, "enumerate_maximal_families", altered)
+    rows = run_verify(3, 2).rows
+    assert [(r["claim"], r["subject"]) for r in rows
+            if r["status"] == "fail"] == [
+        ("minimal-closure-identity", "2,2,1"),
+        ("radical-determination", "2,2,1")]
+    assert _pinned_fail_rows(rows, CLAIMS)[1] == (
+        "4da6bfdee6438fea2aea0892ba9a7e5ca4436289039dc5b61acf3ca7a34eaca3")
+
+
+def test_a_broken_mask_family_fails_at_every_signature_of_its_ground(
+        monkeypatch):
+    """The mask family 3,5,6,7 on [3] loses 3 to 1, the complement of its
+    member 6, so 1 and 6 are both in and neither 3 nor 4 is.  Every 3-prime
+    signature lifts it, and each fails both mask-level claims with its own
+    lifted family.  (Swapping 3 for its own complement 4 would pass both:
+    they ask only that each complement pair keeps exactly one member.)"""
+    real = antichains.enumerate_families
+
+    def broken(k):
+        fams = real(k)
+        if k != 3:
+            return fams
+        return tuple((1, 5, 6, 7) if f == (3, 5, 6, 7) else f for f in fams)
+
+    monkeypatch.setattr(antichains, "enumerate_families", broken)
+    rows = run_verify(3, 2).rows
+    three_primes = ["1,1,1", "2,1,1", "2,2,1", "2,2,2"]
+    pairs, digest = _pinned_fail_rows(
+        rows, {"complement-dichotomy", "last-prime-partition"})
+    assert pairs == [(claim, subject)
+                     for claim in ("complement-dichotomy",
+                                   "last-prime-partition")
+                     for subject in three_primes]
+    assert digest == (
+        "e76e97d379d5df84282eb40e15f02ac13c869d2e5334a0428919056b496b5d95")
 
 
 def test_sweep_work_counts(monkeypatch):
