@@ -203,13 +203,18 @@ def cmd_bound(args) -> Run:
 
 def cmd_extremal(args) -> Run:
     sig, primes = _parse_signature(args)
-    rep = extremal.extremal_families(sig)
+    # generators as radical masks, in extremal_families order; none is built.
+    # Squarefree divisors sort as their masks, so each is in canonical order.
+    gen_masks = extremal._generator_masks(sig)
     results = {
         "signature": report.signature_obj(sig),
-        "regime": rep.regime,
-        "min_size": rep.min_size,
-        "count": rep.h_count,
-        "generators": [report.family_obj(g, primes) for g in rep.generators],
+        "regime": extremal.regime(sig),
+        "min_size": lattice.min_size_bound(sig),
+        "count": len(gen_masks),
+        "generators": [
+            report.family_obj([lattice.mask_to_divisor(m, sig.n) for m in gen],
+                              primes)
+            for gen in gen_masks],
     }
     if _lists(args):
         results["families"] = [report.family_obj(c, primes)

@@ -58,15 +58,19 @@ def _generator_masks(sig: Signature) -> tuple[MaskFamily, ...]:
                  for ac in antichains.enumerate_antichains(n - u))
 
 
+def regime(sig: Signature) -> str:
+    """"deep" when the smallest exponent is at least 2, else "flat"."""
+    return "deep" if sig.alphas[-1] >= 2 else "flat"
+
+
 def extremal_families(sig: Signature) -> ExtremalReport:
     """All minimum-size maximal families, given by their generator antichains."""
     bound = lattice.min_size_bound(sig)
-    regime = "deep" if sig.alphas[-1] >= 2 else "flat"
     gens = tuple(
         DivisorFamily(lattice.mask_to_divisor(m, sig.n) for m in ac)
         for ac in _generator_masks(sig)
     )
-    return ExtremalReport(sig, regime, bound, len(gens), gens)
+    return ExtremalReport(sig, regime(sig), bound, len(gens), gens)
 
 
 @lru_cache

@@ -91,8 +91,9 @@ class DivisorFamily:
         Scans the members, never the radical set a family was lifted from.
         """
         members = self.members
-        return tuple(sorted(map(lattice.radical, itertools.compress(
-            members, map((1).__ge__, map(max, members))))))
+        masks = lattice.squarefree_masks(max(map(len, members), default=0))
+        return tuple(sorted(map(masks.__getitem__,
+                                filter(masks.__contains__, members))))
 
 
 class FamilyReport(NamedTuple):
@@ -117,7 +118,7 @@ def _intersecting(family: DivisorFamily, mins: tuple[Mask, ...]) -> FamilyReport
     prime exactly when the minimal radicals pairwise meet.  Only a family
     that fails is scanned pair by pair, to name its first coprime pair.
     """
-    if all(a & b for a, b in itertools.combinations(mins, 2)):
+    if all(itertools.starmap(operator.and_, itertools.combinations(mins, 2))):
         return FamilyReport(is_intersecting=True)
     rads = tuple(map(lattice.radical, family.members))
     for i in range(len(rads)):
@@ -148,9 +149,8 @@ def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
     A member that is not a divisor of N, being of the wrong length or above
     `sig.alphas`, is refused with a PreconditionError that names it.
     """
-    # the keys of the cached lower-cover table are the divisors of N
-    divisors = lattice.predecessors(sig)
-    if not all(map(divisors.__contains__, family)):
+    divisors = lattice.divisor_set(sig)
+    if not divisors.issuperset(family.members):
         bad = next(d for d in family if d not in divisors)
         raise PreconditionError(
             f"member {bad} does not divide the {sig} lattice", witness=bad)
@@ -160,7 +160,7 @@ def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
         return FamilyReport(False, False, coprime_witness=base.coprime_witness)
     compatible = _meeting(mins, sig)
     weights = lattice.alpha_weights(sig)
-    if len(family) == sum(weights[m] for m in compatible):
+    if len(family) == sum(map(weights.__getitem__, compatible)):
         return FamilyReport(True, True)
     members = family.member_set
     for d in DivisorFamily.lift(sig, compatible):
@@ -181,22 +181,6 @@ def minimal_members(family: DivisorFamily) -> DivisorFamily:
         if not any(lattice.divides(m, d) for m in keep):
             keep.append(d)
     return DivisorFamily(keep)
-
-
-def predecessor_minima(family: DivisorFamily,
-                       sig: Signature) -> tuple[Divisor, ...]:
-    """Minimal members of an upward-closed family of the `sig` lattice.
-
-    In an upward-closed family a member is minimal exactly when none of its
-    lower covers d / p_i is a member, so each member is tested against the
-    cached `lattice.predecessors` table only.  On any other family the result
-    holds every minimal member and maybe more; its upward closure is still
-    that of `minimal_members`.  Members come in canonical order.
-    """
-    members = family.members
-    lower = map(lattice.predecessors(sig).__getitem__, members)
-    return tuple(itertools.compress(
-        members, map(family.member_set.isdisjoint, lower)))
 
 
 def closure_members(generators: Iterable[Divisor],

@@ -124,23 +124,28 @@ def enumerate_divisors(sig: Signature) -> list[Divisor]:
 # signature at a time.
 
 @lru_cache(maxsize=1)
-def radical_table(sig: Signature) -> tuple[tuple[Divisor, ...],
-                                           tuple[Mask, ...]]:
-    """The lattice's divisors in canonical order, and their radicals."""
-    divisors = tuple(enumerate_divisors(sig))
-    return divisors, tuple(map(radical, divisors))
+def divisors(sig: Signature) -> tuple[Divisor, ...]:
+    """`enumerate_divisors` as one shared tuple.
+
+    Both tables below are built from it, each by a direct call rather than
+    through the other, so a member of a lifted family is the very object
+    that `divisor_set` holds, and a lookup stops at identity.
+    """
+    return tuple(enumerate_divisors(sig))
 
 
 @lru_cache(maxsize=1)
-def predecessors(sig: Signature) -> dict[Divisor, tuple[Divisor, ...]]:
-    """Each divisor's lower covers d / p_i, one per prime dividing d.
+def radical_table(sig: Signature) -> tuple[tuple[Divisor, ...],
+                                           tuple[Mask, ...]]:
+    """The lattice's divisors in canonical order, and their radicals."""
+    table = divisors(sig)
+    return table, tuple(map(radical, table))
 
-    Cached; the table is shared by every caller.
-    """
-    return {
-        d: tuple(d[:i] + (e - 1,) + d[i + 1:] for i, e in enumerate(d) if e)
-        for d in enumerate_divisors(sig)
-    }
+
+@lru_cache(maxsize=1)
+def divisor_set(sig: Signature) -> frozenset[Divisor]:
+    """The lattice's divisors, for membership tests."""
+    return frozenset(divisors(sig))
 
 
 def divides(a: Divisor, b: Divisor) -> bool:
@@ -167,6 +172,19 @@ def mask_to_divisor(mask: Mask, n: int) -> Divisor:
     Cached: the generators of one lattice share their squarefree divisors.
     """
     return tuple((mask >> i) & 1 for i in range(n))
+
+
+@lru_cache(maxsize=1)
+def squarefree_masks(n: int) -> dict[Divisor, Mask]:
+    """Every squarefree exponent tuple of length at most n, keyed to its
+    support mask.
+
+    One lookup in it tells a squarefree member from any other and gives its
+    mask, where a scan of the exponents would take longer.  It holds 2^(n+1)
+    - 1 tuples, so only the last n asked for is kept.
+    """
+    return {tuple((m >> i) & 1 for i in range(k)): m
+            for k in range(n + 1) for m in range(1 << k)}
 
 
 def alpha_weight(mask: Mask, sig: Signature) -> int:

@@ -9,11 +9,10 @@ stderr concern, not part of any document.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Collection, Iterator
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._version import __version__
-from .families import DivisorFamily
 from .lattice import (MAX_DIVISORS, Divisor, Signature, display_value,
                       format_divisor)
 
@@ -167,10 +166,12 @@ def divisor_obj(d: Divisor, primes=None) -> dict:
     return obj
 
 
-def family_obj(fam: DivisorFamily, primes=None) -> dict:
+def family_obj(members: Collection[Divisor], primes=None) -> dict:
+    """JSON shape of a family, given as a DivisorFamily or as its members in
+    canonical order."""
     return {
-        "size": len(fam),
-        "members": [divisor_obj(d, primes) for d in fam.members],
+        "size": len(members),
+        "members": [divisor_obj(d, primes) for d in members],
     }
 
 

@@ -31,7 +31,10 @@ relies on is re-checked against it, claim by claim:
 Where a claim is checked: `_sig_claims` yields the first four claims once per
 signature, from its census as a whole; `_family_claims` yields the next seven
 once per maximal family of that census; `_check_ground_pairing` checks the
-last once per ground.  A check yields its claim with None where the claim
+last once per ground.  `_family_claims` holds each family as one int over
+the canonical divisor index, and decides complement-dichotomy and
+last-prime-partition, which read only the squarefree part, once per part
+and prime count.  A check yields its claim with None where the claim
 holds, or with the fields of its counterexample.  `_check_sig_claims` alone
 turns these into rows: a claim passes unless a check of it yields fields, and
 its fail row carries the signature followed by the first fields yielded.  The
@@ -129,15 +132,97 @@ def _sig_claims(sig: Signature, rep: oracle.OracleReport) -> Iterator[Claim]:
             "extremal_only": _first_three(closures - minimum)}
 
 
-def _family_claims(sig: Signature,
-                   rep: oracle.OracleReport) -> Iterator[Claim]:
-    """The claims about each maximal family of the census, family by family."""
-    full = (1 << sig.n) - 1
-    last = 1 << (sig.n - 1)
-    target = {m for m in range(full + 1) if m & last}
+def _bit_tables(sig: Signature):
+    """The `sig` lattice over its canonical divisor index, as bitsets.
+
+    Divisor d has index sum(d_i * stride_i), d_0 the least significant
+    digit, which is the canonical order.  Returns each divisor's bit keyed
+    by the divisor; the (stride, below) pair of each prime, `below` holding
+    the divisors under that prime's top exponent; and the divisors on each
+    radical, indexed by mask.  All of it comes from the exponents, none from
+    the lift's `lattice.radical_table`.
+    """
+    strides = list(itertools.accumulate(
+        (a + 1 for a in sig.alphas[:-1]), operator.mul, initial=1))
+    everything = (1 << sig.divisor_count()) - 1
+    steps = []
+    on_radical = [1]  # the empty radical: divisor 1, index 0
+    for a, stride in zip(sig.alphas, strides):
+        block = stride * (a + 1)
+        # the low a * stride bits of every block of the next stride
+        steps.append((stride, ((1 << a * stride) - 1)
+                      * (everything // ((1 << block) - 1))))
+        # a radical without prime i lies below bit `stride`, so no shift of
+        # it by e * stride overlaps another
+        axis = sum(1 << e * stride for e in range(1, a + 1))
+        on_radical += [x * axis for x in on_radical]
+    bit = {d: 1 << sum(map(operator.mul, d, strides))
+           for d in lattice.divisors(sig)}
+    return bit, steps, on_radical
+
+
+def _minima_closure(b: int, steps, alphas: tuple[int, ...]) -> int:
+    """The upward closure of the members of `b` that have no lower cover in
+    `b`, over the (stride, below) `steps` of `_bit_tables`.
+
+    On an upward-closed family those members are its minima.  On any family
+    they include its minima and lie in their closure, so the closure is that
+    of the minimal members.  It grows one exponent step at a time, alphas[k]
+    steps up prime k, which reaches its fixpoint.
+    """
+    covered = 0
+    for stride, below in steps:
+        covered |= (b & below) << stride
+    closure = b & ~covered
+    for (stride, below), a in zip(steps, alphas):
+        for _ in range(a):
+            closure |= (closure & below) << stride
+    return closure
+
+
+def _bits_json(bits: int, sig: Signature) -> list[list[int]]:
+    """The divisors on the set bits of `bits`, in canonical order."""
+    divisors = lattice.divisors(sig)
+    return [list(divisors[i]) for i in lattice.iter_bits(bits)]
+
+
+def _mask_claims(n: int, rads: tuple[int, ...]) -> tuple[Claim, Claim]:
+    """complement-dichotomy and last-prime-partition on the squarefree part
+    `rads` of a family on n primes, without the family's fields.
+
+    Both read the squarefree part alone, so the sweep decides them once per
+    part and n, and words a failure with each family that has the part.
+    """
+    full = (1 << n) - 1
+    last = 1 << (n - 1)
+    rads = set(rads)
+    bad_mask = next(
+        (m for m in range(full + 1)
+         if (m in rads) == ((full ^ m) in rads)), None)
+    with_last = {m for m in rads if m & last}
+    lifted = {full ^ m for m in rads if not m & last}
+    partition = (with_last | lifted == set(range(last, full + 1))
+                 and not with_last & lifted)
+    return (
+        ("complement-dichotomy",
+         None if bad_mask is None else {"mask": bad_mask}),
+        ("last-prime-partition", None if partition else {
+            "with_last": sorted(with_last), "lifted": sorted(lifted)}))
+
+
+def _family_claims(sig: Signature, rep: oracle.OracleReport,
+                   memo: dict) -> Iterator[Claim]:
+    """The claims about each maximal family of the census, family by family.
+
+    A family is one int over `_bit_tables`: `_minima_closure` re-closes
+    its minima, its rebuild is an OR of radical bitsets, and its size is
+    the bit count.  `memo` holds `_mask_claims` of each squarefree part met
+    so far on sig.n primes.
+    """
+    bit, steps, on_radical = _bit_tables(sig)
     weights = lattice.alpha_weights(sig)
     for fam in rep.families:
-        rads = set(fam.squarefree_part())
+        rads = fam.squarefree_part()
 
         try:
             verdict = extremal.classify(fam, sig)
@@ -149,31 +234,26 @@ def _family_claims(sig: Signature,
                 None if len(verdict.matched) in (0, 3)
                 else _at(fam, matched=sorted(verdict.matched)))
 
-        bad_mask = next(
-            (m for m in range(full + 1)
-             if (m in rads) == ((full ^ m) in rads)), None)
-        yield "complement-dichotomy", (
-            None if bad_mask is None else _at(fam, mask=bad_mask))
+        mask_claims = memo.get(rads)
+        if mask_claims is None:
+            mask_claims = memo[rads] = _mask_claims(sig.n, rads)
+        for claim, fields in mask_claims:
+            yield claim, None if fields is None else _at(fam, **fields)
 
-        with_last = {m for m in rads if m & last}
-        lifted = {full ^ m for m in rads if not m & last}
-        yield "last-prime-partition", (
-            None if with_last | lifted == target and not with_last & lifted
-            else _at(fam, with_last=sorted(with_last), lifted=sorted(lifted)))
-
-        closure = families.closure_members(
-            families.predecessor_minima(fam, sig), sig)
+        b = sum(map(bit.__getitem__, fam.members))
+        closure = _minima_closure(b, steps, sig.alphas)
         yield "minimal-closure-identity", (
-            None if closure == fam.member_set
-            else _at(fam, closure=_fam_json(DivisorFamily(closure))))
+            None if closure == b
+            else _at(fam, closure=_bits_json(closure, sig)))
 
-        rebuilt = DivisorFamily.lift(sig, rads)
+        rebuilt = sum(map(on_radical.__getitem__, rads))
         yield "radical-determination", (
-            None if rebuilt == fam else _at(fam, rebuilt=_fam_json(rebuilt)))
+            None if rebuilt == b
+            else _at(fam, rebuilt=_bits_json(rebuilt, sig)))
 
         weight = sum(map(weights.__getitem__, rads))
         yield "weight-identity", (
-            None if weight == len(fam)
+            None if weight == b.bit_count()
             else _at(fam, weight_sum=weight, size=len(fam)))
 
         if len(fam) != rep.min_size:
@@ -195,11 +275,13 @@ def _family_claims(sig: Signature,
             fam, position=bad.position, alpha_excess=bad.alpha_excess)
 
 
-def _check_sig_claims(sig: Signature) -> dict[str, dict]:
+def _check_sig_claims(sig: Signature,
+                      memo: Optional[dict] = None) -> dict[str, dict]:
     """Evaluate every per-signature claim; returns claim -> row fields.
 
     A claim passes unless some check of it yields counterexample fields; the
-    first such fields, after the signature, are its counterexample.
+    first such fields, after the signature, are its counterexample.  `memo`
+    is that of `_family_claims`, shared by the signatures on sig.n primes.
     """
     # run_verify refuses an over-cap grid before the sweep; this refusal
     # stands for any other caller
@@ -207,9 +289,11 @@ def _check_sig_claims(sig: Signature) -> dict[str, dict]:
     if rep.families is None:
         raise limit_error(f"the number of family members of {sig}",
                           sum(rep.sizes), MEMBER_CAP, "verify.MEMBER_CAP")
+    claims = itertools.chain(
+        _sig_claims(sig, rep),
+        _family_claims(sig, rep, {} if memo is None else memo))
     first: dict[str, Optional[dict]] = {}
-    for claim, fields in itertools.chain(_sig_claims(sig, rep),
-                                         _family_claims(sig, rep)):
+    for claim, fields in claims:
         if fields is not None and first.get(claim) is None:
             first[claim] = {"signature": list(sig.alphas), **fields}
         else:
@@ -257,9 +341,10 @@ def run_verify(max_n: int = 3, max_exp: int = 2) -> VerifyReport:
         if total > MEMBER_CAP:
             raise limit_error(f"the number of family members of {sig}",
                               total, MEMBER_CAP, "verify.MEMBER_CAP")
+    memos: dict[int, dict] = {n: {} for n in counts}
     per_sig: dict[str, dict[str, dict]] = {}
     for sig in grid:
-        per_sig[str(sig)] = _check_sig_claims(sig)
+        per_sig[str(sig)] = _check_sig_claims(sig, memos[sig.n])
 
     rows: list[dict] = []
     for claim in CLAIMS:

@@ -844,6 +844,28 @@ def test_csv_list_lifts_no_family(env, capsys, monkeypatch):
     assert calls == {"lift": 0, "family_obj": 2 * 2646}
 
 
+def test_extremal_builds_no_generator_family(env, capsys, monkeypatch):
+    """extremal --sig prints its generators from their radical masks: the
+    listing of 1^6 builds no DivisorFamily through its constructor (2646,
+    one per generator, when they were built) and keeps its golden bytes."""
+    golden = json.loads((ROOT / "divbench" / "golden.json").read_text())
+    argv = ["extremal", "--sig", "1,1,1,1,1,1", "--list", "--format", "json"]
+    inits = 0
+    init = families.DivisorFamily.__init__
+
+    def counted_init(self, divisors):
+        nonlocal inits
+        inits += 1
+        init(self, divisors)
+
+    monkeypatch.setattr(families.DivisorFamily, "__init__", counted_init)
+    code, out, _ = run(argv, capsys)
+    assert code == golden[" ".join(argv)]["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        golden[" ".join(argv)]["sha256"]
+    assert inits == 0
+
+
 def test_verify_text_and_exit(env, capsys):
     code, out, _ = run(["verify", "--max-n", "2", "--max-exp", "1"], capsys)
     assert code == 0

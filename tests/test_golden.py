@@ -6,7 +6,7 @@ and the recorded SHA-256 of its stdout.  The global reading of `openprob`
 runs in no benchmark workload, so its output is pinned here as well, and so
 are the text and CSV forms of the listings, whose benchmark runs are JSON,
 the ground sweep `matching --k` in all three formats, and oracle
-listings in both engines' family order, with the one n = 6 sweep cheap
+listings in both engines' family order, with the two n = 6 sweeps cheap
 enough to run here.  `VIEWS` pins a text or CSV form of every command.
 """
 
@@ -112,6 +112,11 @@ ORACLE_LISTINGS = {
         "exit": 0,
         "sha256": "dbcf8a37723c2717da4fd1027d5c0e5a"
                   "cc61259f27df0f2c1c07dd8436250a3a",
+    },
+    "verify --max-n 6 --max-exp 2 --format json": {
+        "exit": 0,
+        "sha256": "e8eadb191a4fd541e8260c794e47a8e5"
+                  "873de9fe54ffe6b8d16e6f384b5f7448",
     },
 }
 

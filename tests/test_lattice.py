@@ -95,6 +95,28 @@ def test_enumerate_divisors_cap():
             build(sig)
 
 
+def test_divisor_tables_share_one_tuple_of_divisors(monkeypatch):
+    """The lifts and the membership set hold the same divisor objects, and
+    the set is built without `radical_table`, so a patched `radical_table`
+    cannot leave it corrupted in its cache."""
+    sig = Signature((2, 1, 1))
+    table, _ = lattice.radical_table(sig)
+    assert table is lattice.divisors(sig)
+    held = {id(d) for d in lattice.divisor_set(sig)}
+    assert len(held) == len(table) and all(id(d) in held for d in table)
+    lattice.divisor_set.cache_clear()
+    monkeypatch.setattr(lattice, "radical_table", lambda s: ((), ()))
+    assert lattice.divisor_set(sig) == set(lattice.enumerate_divisors(sig))
+
+
+def test_squarefree_masks():
+    """Every 0/1 tuple of each length up to n, keyed to its support mask."""
+    masks = lattice.squarefree_masks(3)
+    assert len(masks) == 1 + 2 + 4 + 8
+    for d, m in masks.items():
+        assert set(d) <= {0, 1} and lattice.radical(d) == m
+
+
 def test_radical():
     assert lattice.radical((2, 0, 1)) == 0b101
     assert lattice.radical((0, 0, 0)) == 0

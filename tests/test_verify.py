@@ -5,6 +5,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divint import (antichains, extremal, families, lattice, matching, oracle,
                     verify)
@@ -250,12 +251,12 @@ def test_a_broken_mask_family_fails_at_every_signature_of_its_ground(
 
 def test_sweep_work_counts(monkeypatch):
     """run_verify(5, 2) takes no minimal members through the tuple-level
-    referee and tests no divisibility.  It lifts 1140 families: each of the
-    570 maximal families, and once more each one's rebuild for
-    radical-determination.  Its constructor builds 290 more: the 145
-    generators and their 145 closures for extremal-agreement.
-    classification-equivalence looks the generators up by their radical
-    masks and builds none of them."""
+    referee and tests no divisibility.  It lifts 570 families, each maximal
+    family once: radical-determination rebuilds a family on bitsets and
+    lifts nothing.  Its constructor builds 290 more: the 145 generators and
+    their 145 closures for extremal-agreement.  classification-equivalence
+    looks the generators up by their radical masks and builds none of
+    them."""
     calls = {"families": 0, "lifts": 0, "minimal_members": 0, "divides": 0,
              "closures": 0}
     init = DivisorFamily.__init__
@@ -292,8 +293,73 @@ def test_sweep_work_counts(monkeypatch):
     extremal._generator_set.cache_clear()
     rep = run_verify(5, 2)
     assert rep.passed and len(rep.rows) == 209
-    assert calls == {"families": 290, "lifts": 1140, "minimal_members": 0,
+    assert calls == {"families": 290, "lifts": 570, "minimal_members": 0,
                      "divides": 0, "closures": 145}
+
+
+def test_mask_level_claims_are_decided_once_per_squarefree_part(monkeypatch):
+    """complement-dichotomy and last-prime-partition of run_verify(5, 2) are
+    decided 100 times, once per maximal intersecting family on [n] for
+    n <= 5 (1 + 2 + 4 + 12 + 81), not once for each of the 570 lifts."""
+    calls = 0
+    mask_claims = verify._mask_claims
+
+    def counted(n, rads):
+        nonlocal calls
+        calls += 1
+        return mask_claims(n, rads)
+
+    monkeypatch.setattr(verify, "_mask_claims", counted)
+    assert run_verify(5, 2).passed
+    assert calls == 100 == sum(len(antichains.enumerate_families(n))
+                               for n in range(1, 6))
+
+
+def test_bit_tables_follow_the_canonical_order():
+    """Bit i is the i-th divisor of `lattice.enumerate_divisors`; `below`
+    holds the divisors under a prime's top exponent, one step up a prime is
+    a shift by its stride, and each radical's bitset holds the divisors on
+    it."""
+    for sig in lattice.signature_grid(4, 3):
+        bit, steps, on_radical = verify._bit_tables(sig)
+        divisors = lattice.enumerate_divisors(sig)
+        assert [bit[d] for d in divisors] == [
+            1 << i for i in range(len(divisors))]
+        for p, (stride, below) in enumerate(steps):
+            up = [d for d in divisors if d[p] < sig.alphas[p]]
+            assert below == sum(map(bit.__getitem__, up))
+            assert all(bit[d] << stride == bit[d[:p] + (d[p] + 1,) + d[p + 1:]]
+                       for d in up)
+        assert on_radical == [
+            sum(bit[d] for d in divisors if lattice.radical(d) == m)
+            for m in range(1 << sig.n)]
+        assert verify._bits_json(sum(bit.values()), sig) == [
+            list(d) for d in divisors]
+
+
+@st.composite
+def lattice_families(draw):
+    """Any family of divisors > 1 in a lattice of up to 4 primes, exponents
+    <= 3, with that family's bitset over `verify._bit_tables`."""
+    sig = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)
+               .map(Signature))
+    divs = [d for d in lattice.enumerate_divisors(sig) if any(d)]
+    fam = DivisorFamily(draw(st.lists(st.sampled_from(divs), max_size=12)))
+    bit, steps, _ = verify._bit_tables(sig)
+    return sig, fam, sum(map(bit.__getitem__, fam.members)), steps
+
+
+@given(lattice_families())
+@settings(deadline=None, max_examples=200)
+def test_bitset_closure_is_that_of_the_minimal_members(case):
+    """The members with no lower cover in the family include its minima and
+    lie in their closure, so on any family the re-closure is the closure of
+    `families.minimal_members`, and on an upward-closed one it is the family."""
+    sig, fam, b, steps = case
+    closure = verify._minima_closure(b, steps, sig.alphas)
+    want = families.upward_closure(families.minimal_members(fam), sig)
+    assert verify._bits_json(closure, sig) == [list(d) for d in want]
+    assert verify._minima_closure(closure, steps, sig.alphas) == closure
 
 
 def _raise(*args):
