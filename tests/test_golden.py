@@ -71,6 +71,28 @@ LISTING_FORMATS = {
         "sha256": "0a98c2904fa54a64b9f5793911414814"
                   "731d776e7834ae356ece1c0f008a1f1d",
     },
+    # JSON listings of the shapes the benchmark's 1^6 runs do not reach:
+    # flat with u = 1 and u = 2, and deep
+    "extremal --sig 2,1,1,1,1,1 --list --format json": {
+        "exit": 0,
+        "sha256": "d5d6f53333911d2f3ec97e485040de44"
+                  "8570d50236b0561b2cce3668f9fc01a4",
+    },
+    "extremal --sig 3,2,2 --list --format json": {
+        "exit": 0,
+        "sha256": "3d95ca11538d117016b3ea5ba7ed1c7b"
+                  "b9c02b65cab70316f03f09101c422338",
+    },
+    "matching --sig 2,2,1,1,1,1 --format json": {
+        "exit": 0,
+        "sha256": "790f8069ebe1e7633c5b0216bc6ed417"
+                  "b0067c8c2a5b0cba0752ab87a9276a3b",
+    },
+    "matching --sig 3,2,2 --format json": {
+        "exit": 0,
+        "sha256": "aab17dc8b4c6e0356d4263335d1e8999"
+                  "bdeac40a21ca445c232ccc80ec86bf02",
+    },
 }
 
 GROUND_PAIRINGS = {
