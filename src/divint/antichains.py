@@ -84,19 +84,32 @@ def _intervals(ups: list[int], j: int) -> Iterator[tuple[int, int]]:
 def _families_cached(k: int) -> tuple[tuple[MaskFamily, ...],
                                       tuple[MaskFamily, ...]]:
     """The families on [k] and their generating antichains, in the order of
-    `antichain_key`; each antichain is taken once, for the sort."""
+    `antichain_key`.  Each family is one int over the 2^k masks, and its
+    members and its minima are both read off such an int."""
     # F is fixed by G, its members without element k-1, an intersecting upset
-    # on [k-1]: a mask m with element k-1 is in F exactly when full ^ m is not.
-    half, full = 1 << (k - 1), (1 << k) - 1
+    # on [k-1]: a mask m with element k-1 is in F exactly when full ^ m is
+    # not.  As one int over the 2^k masks, F is G below bit 2^(k-1) and,
+    # above it, the complement of G read backwards, since full ^ m is the
+    # reflection of m - 2^(k-1) in [0, 2^(k-1)).
+    half = 1 << (k - 1)
+    low = (1 << half) - 1
     ups = upsets(max(k - 2, 0))
     gs = [0] if k == 1 else [f0 | ups[i] << (half >> 1)
                              for f0, choices in _intervals(ups, k - 2)
                              for i in lattice.iter_bits(choices)]
-    out = [tuple(m for m in range(1, full + 1)
-                 if (g >> m if m < half else ~g >> (full ^ m)) & 1)
-           for g in gs]
-    keyed = sorted((len(mins), mins, f)
-                   for f in out for mins in [minimal_masks(f)])
+    # the masks without element i as a bitset, and 2^i: F's part there,
+    # shifted up by 2^i, lands on the masks one element above a member
+    shifts = [(sum(1 << m for m in range(1 << k) if not m >> i & 1), 1 << i)
+              for i in range(k)]
+    keyed = []
+    for g in gs:
+        f = g | (low ^ int(f"{g:0{half}b}"[::-1], 2)) << half
+        above = 0
+        for without, shift in shifts:
+            above |= (f & without) << shift
+        mins = lattice.set_bits(f & ~above)
+        keyed.append((len(mins), mins, lattice.set_bits(f)))
+    keyed.sort()
     return tuple(f for _, _, f in keyed), tuple(mins for _, mins, _ in keyed)
 
 

@@ -206,19 +206,27 @@ def cmd_extremal(args) -> Run:
     # generators as radical masks, in extremal_families order; none is built.
     # Squarefree divisors sort as their masks, so each is in canonical order.
     gen_masks = extremal._generator_masks(sig)
+    n = sig.n
     results = {
         "signature": report.signature_obj(sig),
         "regime": extremal.regime(sig),
         "min_size": lattice.min_size_bound(sig),
         "count": len(gen_masks),
         "generators": [
-            report.family_obj([lattice.mask_to_divisor(m, sig.n) for m in gen],
+            report.family_obj([lattice.mask_to_divisor(m, n) for m in gen],
                               primes)
             for gen in gen_masks],
     }
     if _lists(args):
-        results["families"] = [report.family_obj(c, primes)
-                               for c in extremal.minimum_families(sig)]
+        radical_sets = extremal.minimum_radical_sets(sig)  # caps checked here
+        # each family's members, selected by radical as a lift selects them,
+        # from the shared divisor_obj dicts of the lattice
+        divisors, _ = lattice.radical_table(sig)
+        objs = [report.divisor_obj(d, primes) for d in divisors]
+        results["families"] = [
+            report.family_obj(lattice.on_radicals(sig, frozenset(rads), objs),
+                              shaped=True)
+            for rads in radical_sets]
     return {"sig": str(sig), "list": bool(args.list)}, results, primes
 
 
@@ -285,6 +293,7 @@ def _cmd_matching_sig(args) -> Run:
     # generators as radical masks, in extremal_families order; none is built
     gen_masks = extremal._generator_masks(sig)
     radical_sets = extremal.minimum_radical_sets(sig)
+    n = sig.n
     listed = []
     for i, (gen, rads) in enumerate(zip(gen_masks, radical_sets), start=1):
         # a generator's closure is maximal and of minimum size, and it is
@@ -292,9 +301,9 @@ def _cmd_matching_sig(args) -> Run:
         pairing = matching._weight_pairing(rads, sig)
         listed.append({
             "family_index": i,
-            "generators": [_mask_symbol(m, sig.n) for m in gen],
+            "generators": [_mask_symbol(m, n) for m in gen],
             "sigma": list(pairing.sigma),
-            "entries": [_entry_obj(e, sig.n) for e in pairing.entries],
+            "entries": [_entry_obj(e, n) for e in pairing.entries],
         })
     return ({"sig": str(sig), "list": bool(args.list)},
             {"signature": report.signature_obj(sig), "pairings": listed},
@@ -392,7 +401,7 @@ def _values(fam: dict) -> list[int]:
 
 
 def _brace(values) -> str:
-    return "{" + ", ".join(str(v) for v in values) + "}"
+    return "{" + ", ".join(map(str, values)) + "}"
 
 
 def _symbol_value(symbol: str, primes: tuple[int, ...]) -> int:

@@ -16,7 +16,7 @@ an * prod(ai + 1, i < n).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from . import antichains, families, lattice
 from .antichains import MaskFamily
@@ -79,7 +79,7 @@ def _generator_set(sig: Signature) -> frozenset[MaskFamily]:
     return frozenset(_generator_masks(sig))
 
 
-def minimum_radical_sets(sig: Signature) -> list[tuple[int, ...]]:
+def minimum_radical_sets(sig: Signature) -> Sequence[MaskFamily]:
     """The sorted radical sets of the closures of
     `extremal_families(sig).generators`, in that order.
 
@@ -87,8 +87,10 @@ def minimum_radical_sets(sig: Signature) -> list[tuple[int, ...]]:
     generator is enumerated.  In the deep regime the set is the masks
     holding bit v.  In the flat regime it is the generator's maximal
     intersecting family on primes u..n-1, each mask joined with every mask
-    on the first u primes.  The lattice and the member total of the
-    families are held against their caps before any set is built.
+    on the first u primes; with u = 0 these are the families of
+    `antichains.enumerate_families(n)` as they are.  The lattice and the
+    member total of the families are held against their caps before any set
+    is built.
     """
     lattice.check_lattice_size(sig)
     total = count_minimum_families(sig) * lattice.min_size_bound(sig)
@@ -99,6 +101,8 @@ def minimum_radical_sets(sig: Signature) -> list[tuple[int, ...]]:
     if sig.alphas[-1] >= 2:
         return [tuple(m for m in range(1 << n) if m >> v & 1)
                 for v in range(u, n)]
+    if not u:
+        return list(antichains.enumerate_families(n))
     lows = range(1 << u)
     return [tuple(h << u | low for h in fam for low in lows)
             for fam in antichains.enumerate_families(n - u)]
@@ -140,8 +144,8 @@ def classify(family: DivisorFamily, sig: Signature) -> ClassificationVerdict:
     # squarefree and are exactly the squarefree divisors on the minimal masks
     # of that set.  It is also upward closed and closure is injective on
     # antichains, so it is a generator closure exactly when those masks are
-    # that generator's radicals.
-    mins = antichains.minimal_masks(family.radical_set)
+    # that generator's radicals.  check_maximal has just taken those masks.
+    mins = families._minimal_radicals(family.radical_set)
     if _condition_b(mins, sig):
         matched.add("b")
     if mins in _generator_set(sig):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from . import antichains, lattice
@@ -51,9 +52,7 @@ class DivisorFamily:
         if not all(0 < m < top for m in masks):
             raise ValueError(f"masks {sorted(masks)} are not all non-empty "
                              f"subsets of the {sig.n} primes")
-        divisors, radicals = lattice.radical_table(sig)
-        members = tuple(itertools.compress(
-            divisors, map(masks.__contains__, radicals)))
+        members = lattice.on_radicals(sig, masks)
         fam = object.__new__(cls)
         object.__setattr__(fam, "members", members)
         object.__setattr__(fam, "radical_set", tuple(sorted(masks)))
@@ -133,14 +132,33 @@ def _intersecting(family: DivisorFamily, mins: tuple[Mask, ...]) -> FamilyReport
 
 def check_intersecting(family: DivisorFamily) -> FamilyReport:
     """Do all member pairs share a prime?  Witness: first violating pair."""
-    return _intersecting(family, antichains.minimal_masks(family.radical_set))
+    return _intersecting(family, _minimal_radicals(family.radical_set))
+
+
+@lru_cache(maxsize=1)
+def _minimal_radicals(radical_set: tuple[Mask, ...]) -> tuple[Mask, ...]:
+    """`antichains.minimal_masks` of a family's radical set.  Cached for the
+    last radical set: `extremal.classify` asks for it after `check_maximal`
+    has, on the same family."""
+    return antichains.minimal_masks(radical_set)
 
 
 def _meeting(mins: tuple[Mask, ...], sig: Signature) -> list[Mask]:
-    masks = range(1, 1 << sig.n)
+    """The non-empty masks meeting every mask of `mins`, ascending.
+
+    As a bitset over the masks: all of them, less the empty one and, for
+    each r of `mins`, the subsets of its complement.
+    """
+    full = (1 << sig.n) - 1
+    missed = 1
     for r in mins:
-        masks = [m for m in masks if m & r]
-    return list(masks)
+        rest, below = full ^ r, 1
+        while rest:
+            low = rest & -rest  # 2^i for the lowest element i of rest
+            below |= below << low
+            rest ^= low
+        missed |= below
+    return list(lattice.set_bits(~missed & ((2 << full) - 1)))
 
 
 def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
@@ -154,7 +172,7 @@ def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
         bad = next(d for d in family if d not in divisors)
         raise PreconditionError(
             f"member {bad} does not divide the {sig} lattice", witness=bad)
-    mins = antichains.minimal_masks(family.radical_set)
+    mins = _minimal_radicals(family.radical_set)
     base = _intersecting(family, mins)
     if not base.is_intersecting:
         return FamilyReport(False, False, coprime_witness=base.coprime_witness)

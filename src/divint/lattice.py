@@ -142,6 +142,15 @@ def radical_table(sig: Signature) -> tuple[tuple[Divisor, ...],
     return table, tuple(map(radical, table))
 
 
+def on_radicals(sig: Signature, masks: frozenset[Mask], items=None) -> tuple:
+    """The divisors of `radical_table(sig)` whose radical lies in `masks`, in
+    canonical order; given `items`, one per divisor of that table, the
+    items of those divisors instead."""
+    divisors, radicals = radical_table(sig)
+    return tuple(itertools.compress(divisors if items is None else items,
+                                    map(masks.__contains__, radicals)))
+
+
 @lru_cache(maxsize=1)
 def divisor_set(sig: Signature) -> frozenset[Divisor]:
     """The lattice's divisors, for membership tests."""
@@ -235,6 +244,13 @@ def iter_bits(mask: Mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def set_bits(x: int) -> tuple[int, ...]:
+    """Indices of the set bits of x >= 0, ascending, as `iter_bits` gives
+    them, but read in one pass over the binary digits of x."""
+    digits = bin(x)[:1:-1].encode().replace(b"0", b"\0")  # digit i is bit i
+    return tuple(itertools.compress(itertools.count(), digits))
 
 
 def signature_grid(max_n: int, max_exp: int) -> list[Signature]:

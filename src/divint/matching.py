@@ -4,7 +4,7 @@ For an upward-closed family F of divisors of a squarefree M there is always a
 permutation sigma of F pairing each member d_j with a member d_sigma(j) whose
 complement M/d_sigma(j) divides d_j.  The permutation is found by maximum
 bipartite matching on the divisibility graph, and sigma is the whole
-witness: `complement_permutation` checks it against the family where it is
+witness: `_certified_sigma` checks it against the family where it is
 built, once, and raises rather than return a failing permutation.  A
 non-perfect matching would be a counterexample to the underlying
 combinatorial fact and is raised as a diagnostic, never silently absorbed.
@@ -14,11 +14,13 @@ the squarefree members not divisible by the last prime, additionally
 preserves the exponent-product weight of each member; that equality is what
 forces the extremal structure and is re-verified here.  Both the `--k`
 sweep and the `--sig` pairings take their permutation from
-`complement_permutation`, so both are certified by the same check.
+`_certified_sigma`, which works on the family as one int over its masks,
+so both are checked for upward closure and certified by the same code.
 """
 
 from __future__ import annotations
 
+import bisect
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -81,11 +83,15 @@ class PermutationWitness(NamedTuple):
     sigma: tuple[int, ...]
 
     def verify(self, family: UpwardClosedFamily) -> bool:
-        members = family.members
-        if sorted(self.sigma) != list(range(len(members))):
-            return False
-        return all(not (family.ground ^ members[i]) & ~m
-                   for m, i in zip(members, self.sigma))
+        return _certifies(self.sigma, family.ground, family.members)
+
+
+def _certifies(sigma, ground: Mask, members: tuple[Mask, ...]) -> bool:
+    """Whether `sigma` is a permutation of the positions of `members` with
+    the complement of members[sigma[j]] in `ground` below members[j]."""
+    if sorted(sigma) != list(range(len(members))):
+        return False
+    return all(not (ground ^ members[i]) & ~m for m, i in zip(members, sigma))
 
 
 @lru_cache(maxsize=16)
@@ -112,18 +118,24 @@ def _bitset(masks) -> int:
     return sum(1 << m for m in masks)
 
 
+def _closed(ground: Mask, members: tuple[Mask, ...], bits: int) -> bool:
+    """Whether the `members` of `ground`, whose bitset is `bits`, are upward
+    closed in it: one `_supersets` lookup per member."""
+    supersets = _supersets(ground)
+    return all(supersets[m] & bits == supersets[m] for m in members)
+
+
 def validate_upward_closed(family: UpwardClosedFamily) -> None:
     """Raise with a violating (member, missing superset) pair if not closed.
 
-    One `_supersets` lookup per member settles a closed family; only one
-    that is not closed is scanned cover by cover, for its first member with
-    a missing cover.
+    Only a family that `_closed` refuses is scanned cover by cover, for its
+    first member with a missing cover.
     """
-    bits = _bitset(family.members)
-    supersets = _supersets(family.ground)
-    if all(supersets[m] & bits == supersets[m] for m in family.members):
+    members = family.members
+    bits = _bitset(members)
+    if _closed(family.ground, members, bits):
         return
-    for m in family.members:
+    for m in members:
         free = family.ground ^ m
         for b in lattice.iter_bits(free):
             q = m | (1 << b)
@@ -143,7 +155,9 @@ def _max_matching(members: tuple[Mask, ...], adj: list[int]):
     (match_left, match_right): match_left[j] is the position matched to j,
     and match_right[m] the left position matched to the member of mask m,
     -1 for unmatched vertices.  The right masks one search has visited are
-    the set bits of `seen`.
+    the set bits of `seen`.  A left vertex whose lowest neighbour is still
+    free takes it at once, as the search's first step would; only the
+    others are searched.
     """
     match_right = [-1] * (max(members, default=0) + 1)
     match_left = [-1] * len(members)
@@ -164,9 +178,16 @@ def _max_matching(members: tuple[Mask, ...], adj: list[int]):
             todo = neighbours & ~seen
         return False
 
-    for j in range(len(members)):
-        seen = 0
-        augment(j)
+    for j, neighbours in enumerate(adj):
+        if not neighbours:
+            continue
+        i = (neighbours & -neighbours).bit_length() - 1
+        if match_right[i] == -1:
+            match_left[j] = i
+            match_right[i] = j
+        else:
+            seen = 0
+            augment(j)
     position = {m: i for i, m in enumerate(members)}
     position[-1] = -1
     return [position[m] for m in match_left], match_right
@@ -188,21 +209,18 @@ def _hall_violator(adj: list[int], match_left: list[int],
     return sorted(reach)
 
 
-def complement_permutation(family: UpwardClosedFamily) -> PermutationWitness:
-    """Permutation sigma with complement(members[sigma[j]]) | members[j] for all j.
+def _certified_sigma(ground: Mask, members: tuple[Mask, ...],
+                     bits: int) -> tuple[int, ...]:
+    """The complement permutation of the ascending `members` of `ground`,
+    whose bitset is `bits`, checked as `complement_permutation` promises.
 
-    The input must be upward closed within its ground; a perfect matching then
-    always exists.  A non-perfect matching is raised as a diagnostic carrying
-    the offending member subset, and so is a permutation that fails
-    `PermutationWitness.verify`: no caller gets an uncertified one.
-
-    The family is one int over mask values, and the members whose
-    complement divides member m are `bits & supersets[ground ^ m]`.
+    A family that `_closed` refuses goes to `validate_upward_closed`, which
+    names its first missing cover.  The members whose complement divides
+    member m are `bits & supersets[ground ^ m]`.
     """
-    validate_upward_closed(family)
-    members, ground = family.members, family.ground
-    bits = _bitset(members)
     supersets = _supersets(ground)
+    if not _closed(ground, members, bits):
+        validate_upward_closed(UpwardClosedFamily(ground, members))
     adj = [bits & supersets[ground ^ m] for m in members]
     match_left, match_right = _max_matching(members, adj)
     if -1 in match_left:
@@ -210,23 +228,37 @@ def complement_permutation(family: UpwardClosedFamily) -> PermutationWitness:
         raise TheoremViolationError(
             "no perfect complement matching on an upward-closed family",
             counterexample={
-                "ground": family.ground,
+                "ground": ground,
                 "members": list(members),
                 "violator_positions": violator,
                 "violator_members": [members[j] for j in violator],
             },
         )
-    witness = PermutationWitness(tuple(match_left))
-    if not witness.verify(family):
+    sigma = tuple(match_left)
+    if not _certifies(sigma, ground, members):
         raise TheoremViolationError(
             "complement permutation failed its certificate check",
             counterexample={
-                "ground": family.ground,
+                "ground": ground,
                 "members": list(members),
-                "sigma": list(witness.sigma),
+                "sigma": list(sigma),
             },
         )
-    return witness
+    return sigma
+
+
+def complement_permutation(family: UpwardClosedFamily) -> PermutationWitness:
+    """Permutation sigma with complement(members[sigma[j]]) | members[j] for all j.
+
+    The input must be upward closed within its ground; a perfect matching then
+    always exists.  A non-perfect matching is raised as a diagnostic carrying
+    the offending member subset, and so is a permutation that fails
+    `PermutationWitness.verify`: no caller gets an uncertified one.  The
+    pairings of `alpha_pairing` come from the same `_certified_sigma`.
+    """
+    members = family.members
+    return PermutationWitness(
+        _certified_sigma(family.ground, members, _bitset(members)))
 
 
 def all_upward_closed_families(k: int) -> list[UpwardClosedFamily]:
@@ -300,38 +332,54 @@ def _weight_pairing(radical_set: tuple[Mask, ...],
     """`alpha_pairing` without its preconditions, on the sorted radical set
     of a family known to be maximal and of minimum size; the permutation is
     still certified and the weight equality still checked."""
-    n = sig.n
-    last = 1 << (n - 1)
-    # the radical set of a maximal family is its squarefree part
-    without_last = tuple(m for m in radical_set if not m & last)
-    ground = (1 << (n - 1)) - 1
-    witness = complement_permutation(UpwardClosedFamily(ground, without_last))
-    full = (1 << n) - 1
-    weights = lattice.alpha_weights(sig)
+    last = 1 << (sig.n - 1)
+    # the radical set of a maximal family is its squarefree part, and sorted
+    # it holds the masks without the last prime first
+    members = radical_set[:bisect.bisect_left(radical_set, last)]
+    sigma = _certified_sigma(last - 1, members, _bitset(members))
+    built = _entries_built(sig)
     entries = []
-    for j, pos in enumerate(without_last):
-        src = without_last[witness.sigma[j]]
-        bar_src = full ^ src
-        excess = (pos | last) & ~bar_src
-        entry = PairingEntry(
-            position=pos,
-            source=src,
-            bar_source=bar_src,
-            excess=excess,
-            alpha_position=weights[pos],
-            alpha_bar_source=weights[bar_src],
-            alpha_excess=weights[excess],
-        )
-        if entry.alpha_position != entry.alpha_bar_source:
-            raise TheoremViolationError(
-                "weight equality failed on a minimum-size family",
-                counterexample={
-                    "signature": list(sig.alphas),
-                    "position": pos,
-                    "source": src,
-                    "alpha_position": entry.alpha_position,
-                    "alpha_bar_source": entry.alpha_bar_source,
-                },
-            )
+    for pos, i in zip(members, sigma):
+        src = members[i]
+        entry = built.get((pos, src))
+        if entry is None:
+            entry = built[pos, src] = _pairing_entry(pos, src, sig)
         entries.append(entry)
-    return PairingReport(without_last, witness.sigma, tuple(entries))
+    return PairingReport(members, sigma, tuple(entries))
+
+
+@lru_cache(maxsize=1)
+def _entries_built(sig: Signature) -> dict[tuple[Mask, Mask], PairingEntry]:
+    """The pairing entries of `sig` built so far, by (position, source):
+    the families of one signature share most of theirs."""
+    return {}
+
+
+def _pairing_entry(pos: Mask, src: Mask, sig: Signature) -> PairingEntry:
+    """The certificate of position `pos` paired with `source` on `sig`, its
+    weight equality checked."""
+    n = sig.n
+    bar_src = ((1 << n) - 1) ^ src
+    excess = (pos | 1 << (n - 1)) & ~bar_src
+    weights = lattice.alpha_weights(sig)
+    entry = PairingEntry(
+        position=pos,
+        source=src,
+        bar_source=bar_src,
+        excess=excess,
+        alpha_position=weights[pos],
+        alpha_bar_source=weights[bar_src],
+        alpha_excess=weights[excess],
+    )
+    if entry.alpha_position != entry.alpha_bar_source:
+        raise TheoremViolationError(
+            "weight equality failed on a minimum-size family",
+            counterexample={
+                "signature": list(sig.alphas),
+                "position": pos,
+                "source": src,
+                "alpha_position": entry.alpha_position,
+                "alpha_bar_source": entry.alpha_bar_source,
+            },
+        )
+    return entry

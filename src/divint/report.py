@@ -166,13 +166,15 @@ def divisor_obj(d: Divisor, primes=None) -> dict:
     return obj
 
 
-def family_obj(members: Collection[Divisor], primes=None) -> dict:
+def family_obj(members: Collection[Divisor], primes=None, *,
+               shaped: bool = False) -> dict:
     """JSON shape of a family, given as a DivisorFamily or as its members in
-    canonical order."""
-    return {
-        "size": len(members),
-        "members": [divisor_obj(d, primes) for d in members],
-    }
+    canonical order.  With `shaped` the members come as their `divisor_obj`
+    dicts already, as a listing selects them from one list per lattice, and
+    are kept as given."""
+    if not shaped:
+        members = [divisor_obj(d, primes) for d in members]
+    return {"size": len(members), "members": members}
 
 
 def signature_obj(sig: Signature) -> dict:

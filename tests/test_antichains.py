@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divint import antichains
+from divint import antichains, lattice
 from divint.errors import ResourceLimitError
 
 # family counts for k = 1..6; equivalently the number of self-dual monotone
@@ -201,8 +201,9 @@ def test_listing_walk_has_its_own_cap():
 
 
 def test_each_antichain_is_taken_once(monkeypatch):
-    """The listing walk keeps each family's antichain from its sort, so the
-    families and the antichains on [6] take 2646 antichains, one each."""
+    """The listing walk reads every family and its antichain off one bitset
+    and calls `minimal_masks` for none of them; each of the 2646 antichains
+    on [6] is still that of its family."""
     calls = [0]
     minimal_masks = antichains.minimal_masks
 
@@ -214,8 +215,32 @@ def test_each_antichain_is_taken_once(monkeypatch):
     antichains._families_cached.cache_clear()
     fams = antichains.enumerate_families(6)
     chains = antichains.enumerate_antichains(6)
-    assert calls[0] == len(fams) == len(chains) == 2646
-    assert chains[:5] == tuple(minimal_masks(f) for f in fams[:5])
+    assert calls[0] == 0
+    assert len(fams) == len(chains) == 2646
+    assert chains == tuple(map(minimal_masks, fams))
+
+
+def _families_by_comprehension(k):
+    """Reference: each family listed mask by mask from G, its members without
+    element k-1, then its antichain taken by `minimal_masks`, then sorted."""
+    half, full = 1 << (k - 1), (1 << k) - 1
+    ups = antichains.upsets(max(k - 2, 0))
+    gs = [0] if k == 1 else [f0 | ups[i] << (half >> 1)
+                             for f0, choices in antichains._intervals(ups, k - 2)
+                             for i in lattice.iter_bits(choices)]
+    out = [tuple(m for m in range(1, full + 1)
+                 if (g >> m if m < half else ~g >> (full ^ m)) & 1)
+           for g in gs]
+    keyed = sorted((len(mins), mins, f)
+                   for f in out for mins in [antichains.minimal_masks(f)])
+    return tuple(f for _, _, f in keyed), tuple(mins for _, mins, _ in keyed)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_bitset_walk_matches_the_comprehension(k):
+    """k = 1 and 2 reach the one-bit and two-bit reflections of G."""
+    antichains._families_cached.cache_clear()
+    assert antichains._families_cached(k) == _families_by_comprehension(k)
 
 
 def _all_pairs_minimal_masks(family):

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from divint import cli, errors, families, lattice, report, restricted
+from divint import (antichains, cli, errors, families, lattice, report,
+                    restricted)
 from divint._version import __version__
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -864,6 +865,37 @@ def test_extremal_builds_no_generator_family(env, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == \
         golden[" ".join(argv)]["sha256"]
     assert inits == 0
+
+
+def test_extremal_listing_lifts_no_family(env, capsys, monkeypatch):
+    """extremal --list selects each family's members from one list of
+    divisor_obj dicts per lattice: the 2646 families of 1^6 take no
+    DivisorFamily.lift (2646 when each was lifted) and no divisor_obj
+    lookup beyond the 64 of that list and the generators' own, and the
+    listing keeps its golden bytes."""
+    golden = json.loads((ROOT / "divbench" / "golden.json").read_text())
+    argv = ["extremal", "--sig", "1,1,1,1,1,1", "--list", "--format", "json"]
+    calls = {"lift": 0, "divisor_obj": 0}
+    lift = families.DivisorFamily.lift
+    divisor_obj = report.divisor_obj
+
+    def counted_lift(cls, sig, masks):
+        calls["lift"] += 1
+        return lift(sig, masks)
+
+    def counted_divisor_obj(d, primes=None):
+        calls["divisor_obj"] += 1
+        return divisor_obj(d, primes)
+
+    monkeypatch.setattr(families.DivisorFamily, "lift",
+                        classmethod(counted_lift))
+    monkeypatch.setattr(report, "divisor_obj", counted_divisor_obj)
+    code, out, _ = run(argv, capsys)
+    assert code == golden[" ".join(argv)]["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        golden[" ".join(argv)]["sha256"]
+    members = sum(len(ac) for ac in antichains.enumerate_antichains(6))
+    assert calls == {"lift": 0, "divisor_obj": 64 + members}
 
 
 def test_verify_text_and_exit(env, capsys):

@@ -321,3 +321,8 @@ def test_factor_int_on_large_primes():
 def test_factor_int_refuses_two_large_distinct_primes():
     with pytest.raises(ValueError, match="--sig"):
         lattice.factor_int(2147483629 * 2147483647)
+
+
+@given(st.integers(0, 1 << 300))
+def test_set_bits_are_those_of_iter_bits(x):
+    assert lattice.set_bits(x) == tuple(lattice.iter_bits(x))

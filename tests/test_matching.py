@@ -187,6 +187,71 @@ def test_sigma_matches_the_list_based_matcher_on_minimum_families():
             _sigma_by_lists(fam)
 
 
+def test_sigma_matches_the_list_based_matcher_on_two_free_primes():
+    """The squarefree parts that `matching --sig 2,2,1,1,1,1` pairs: with
+    u = 2 each radical set is a family on the last four primes, each mask
+    joined with every mask of the first two."""
+    sig = Signature((2, 2, 1, 1, 1, 1))
+    parts = [UpwardClosedFamily(0b11111, [m for m in rads if m < 0b100000])
+             for rads in extremal.minimum_radical_sets(sig)]
+    assert len(parts) == 12
+    for fam in parts:
+        assert matching.complement_permutation(fam).sigma == \
+            _sigma_by_lists(fam)
+
+
+def test_sig_pairings_build_no_upward_closed_family(monkeypatch, capsys,
+                                                    tmp_path):
+    """matching --sig pairs each radical set on its bitset: the 2646
+    families of 1^6 build no UpwardClosedFamily (one each when every
+    pairing went through complement_permutation)."""
+    inits = 0
+    init = UpwardClosedFamily.__init__
+
+    def counted_init(self, ground, members):
+        nonlocal inits
+        inits += 1
+        init(self, ground, members)
+
+    monkeypatch.setattr(UpwardClosedFamily, "__init__", counted_init)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["matching", "--sig", "1,1,1,1,1,1"]) == 0
+    assert "all 2646 minimum-size families" in capsys.readouterr().out
+    assert inits == 0
+
+
+def test_weight_pairing_names_the_missing_cover():
+    """A radical set whose part without the last prime is not upward
+    closed is refused with the witness that complement_permutation gives
+    that part: 0b01 is in, its cover 0b11 is not."""
+    sig = Signature((1, 1, 1))
+    with pytest.raises(PreconditionError) as exc:
+        matching._weight_pairing((0b001, 0b010, 0b111), sig)
+    assert exc.value.witness == (0b01, 0b11)
+    with pytest.raises(PreconditionError) as part:
+        matching.complement_permutation(UpwardClosedFamily(0b11, (1, 2)))
+    assert part.value.witness == exc.value.witness
+    assert str(part.value) == str(exc.value)
+
+
+def test_pairing_entries_are_built_once_per_signature():
+    """The 2646 pairings of 1^6 share one entry object per distinct
+    (position, source), and each one's weight equality is checked where it
+    is built."""
+    sig = Signature((1,) * 6)
+    entries = [e for rads in extremal.minimum_radical_sets(sig)
+               for e in matching._weight_pairing(rads, sig).entries]
+    pairs = {(e.position, e.source) for e in entries}
+    assert len({id(e) for e in entries}) == len(pairs) < len(entries)
+    with pytest.raises(TheoremViolationError) as exc:
+        # p1 against the complement of p1 on 2,1,1: weights 2 and 1
+        matching._pairing_entry(0b001, 0b001, Signature((2, 1, 1)))
+    assert exc.value.counterexample == {
+        "signature": [2, 1, 1], "position": 0b001, "source": 0b001,
+        "alpha_position": 2, "alpha_bar_source": 1,
+    }
+
+
 def test_supersets_table():
     for ground in (0, 0b1, 0b101, 0b1111, 0b10110):
         table = matching._supersets(ground)
