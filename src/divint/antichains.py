@@ -80,12 +80,26 @@ def _intervals(ups: list[int], j: int) -> Iterator[tuple[int, int]]:
         yield f0, choices
 
 
+def order_by_antichain(bitsets, k: int) -> tuple[tuple[MaskFamily, ...],
+                                                 tuple[MaskFamily, ...]]:
+    """The upsets of non-empty masks on [k] in `bitsets`, each one int over
+    the 2^k masks, and their generating antichains, both as mask tuples in
+    the order of `antichain_key`.  The minima are read off each int through
+    `lattice.covers`."""
+    full = (1 << k) - 1
+    keyed = []
+    for f in bitsets:
+        mins = lattice.set_bits(f & ~lattice.covers(f, full))
+        keyed.append((len(mins), mins, lattice.set_bits(f)))
+    keyed.sort()
+    return tuple(f for _, _, f in keyed), tuple(mins for _, mins, _ in keyed)
+
+
 @lru_cache(maxsize=None)
 def _families_cached(k: int) -> tuple[tuple[MaskFamily, ...],
                                       tuple[MaskFamily, ...]]:
     """The families on [k] and their generating antichains, in the order of
-    `antichain_key`.  Each family is one int over the 2^k masks, and its
-    members and its minima are both read off such an int."""
+    `antichain_key`, each family built as one int over the 2^k masks."""
     # F is fixed by G, its members without element k-1, an intersecting upset
     # on [k-1]: a mask m with element k-1 is in F exactly when full ^ m is
     # not.  As one int over the 2^k masks, F is G below bit 2^(k-1) and,
@@ -97,20 +111,8 @@ def _families_cached(k: int) -> tuple[tuple[MaskFamily, ...],
     gs = [0] if k == 1 else [f0 | ups[i] << (half >> 1)
                              for f0, choices in _intervals(ups, k - 2)
                              for i in lattice.iter_bits(choices)]
-    # the masks without element i as a bitset, and 2^i: F's part there,
-    # shifted up by 2^i, lands on the masks one element above a member
-    shifts = [(sum(1 << m for m in range(1 << k) if not m >> i & 1), 1 << i)
-              for i in range(k)]
-    keyed = []
-    for g in gs:
-        f = g | (low ^ int(f"{g:0{half}b}"[::-1], 2)) << half
-        above = 0
-        for without, shift in shifts:
-            above |= (f & without) << shift
-        mins = lattice.set_bits(f & ~above)
-        keyed.append((len(mins), mins, lattice.set_bits(f)))
-    keyed.sort()
-    return tuple(f for _, _, f in keyed), tuple(mins for _, mins, _ in keyed)
+    return order_by_antichain(
+        (g | (low ^ lattice.reverse_bits(g, half)) << half for g in gs), k)
 
 
 def count_families(k: int) -> int:

@@ -108,13 +108,6 @@ def minimum_radical_sets(sig: Signature) -> Sequence[MaskFamily]:
             for fam in antichains.enumerate_families(n - u)]
 
 
-def minimum_families(sig: Signature) -> list[DivisorFamily]:
-    """The closures of `extremal_families(sig).generators`, in that order,
-    each lifted from its radical set through the cached divisor table."""
-    return [DivisorFamily.lift(sig, masks)
-            for masks in minimum_radical_sets(sig)]
-
-
 def count_minimum_families(sig: Signature) -> int:
     """Number of minimum-size maximal families, without materializing them."""
     if sig.alphas[-1] >= 2:

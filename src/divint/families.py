@@ -152,12 +152,7 @@ def _meeting(mins: tuple[Mask, ...], sig: Signature) -> list[Mask]:
     full = (1 << sig.n) - 1
     missed = 1
     for r in mins:
-        rest, below = full ^ r, 1
-        while rest:
-            low = rest & -rest  # 2^i for the lowest element i of rest
-            below |= below << low
-            rest ^= low
-        missed |= below
+        missed |= lattice.subsets(full ^ r)
     return list(lattice.set_bits(~missed & ((2 << full) - 1)))
 
 
@@ -201,25 +196,18 @@ def minimal_members(family: DivisorFamily) -> DivisorFamily:
     return DivisorFamily(keep)
 
 
-def closure_members(generators: Iterable[Divisor],
-                    sig: Signature) -> set[Divisor]:
-    """The members of `upward_closure`, as a set.
+def upward_closure(generators: DivisorFamily, sig: Signature) -> DivisorFamily:
+    """All divisors of N divisible by at least one generator.
 
     Each generator's multiples are enumerated directly as a product of
     exponent ranges, so no divisibility test runs.
     """
-    generators = list(generators)
-    for t in generators:
+    for t in generators.members:
         if len(t) != sig.n or not all(map(operator.le, t, sig.alphas)):
             raise ValueError(f"generator {t} does not divide the {sig} lattice")
     lattice.check_lattice_size(sig)
     tops = [a + 1 for a in sig.alphas]
     multiples: set[Divisor] = set()
-    for t in generators:
+    for t in generators.members:
         multiples.update(itertools.product(*map(range, t, tops)))
-    return multiples
-
-
-def upward_closure(generators: DivisorFamily, sig: Signature) -> DivisorFamily:
-    """All divisors of N divisible by at least one generator."""
-    return DivisorFamily(closure_members(generators.members, sig))
+    return DivisorFamily(multiples)

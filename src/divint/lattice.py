@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from math import isqrt, prod
+from math import comb, isqrt, prod
 from typing import Callable
 
 from .errors import limit_error
@@ -253,15 +253,90 @@ def set_bits(x: int) -> tuple[int, ...]:
     return tuple(itertools.compress(itertools.count(), digits))
 
 
+def reverse_bits(x: int, width: int) -> int:
+    """The low `width` bits of x >= 0 read backwards: bit i becomes bit
+    width-1-i."""
+    return int(format(x, f"0{width}b")[::-1], 2)
+
+
+# The subsets of a mask on at most 16 primes take at most 8 KB as one int,
+# so this cache holds at most 8 MB, where a table over all 2^16 masks would
+# take 512 MB.
+@lru_cache(maxsize=1024)
+def subsets(mask: Mask) -> int:
+    """The subsets of `mask` as one int: bit y is set when y & ~mask == 0.
+
+    The subsets of a mask with element i are those without it, together
+    with them shifted up by 2^i.  The supersets of x within a ground g
+    are `subsets(g ^ x) << x`.
+    """
+    below = 1
+    for i in iter_bits(mask):
+        below |= below << (1 << i)
+    return below
+
+
+def covers(bits: int, ground: Mask) -> int:
+    """The masks one element of `ground` above a member of `bits`, as one
+    int over the masks, for members within `ground`.
+
+    The members without element i, shifted up by 2^i, gain i.  So `bits` is
+    upward closed in the ground when `covers(bits, ground) & ~bits` is 0,
+    and its minimal members are `bits & ~covers(bits, ground)`.
+    """
+    above = 0
+    for without, step in _cover_steps(ground):
+        above |= (bits & without) << step
+    return above
+
+
+@lru_cache(maxsize=16)
+def _cover_steps(ground: Mask) -> tuple[tuple[int, int], ...]:
+    """For each element i of `ground`, the subsets of the ground without i
+    and the shift 2^i that adds i to them."""
+    return tuple((subsets(ground ^ 1 << i), 1 << i) for i in iter_bits(ground))
+
+
+def meet_rows(rads: list[Mask]) -> list[int]:
+    """Rows of the graph joining the vertices whose masks meet: bit j of
+    row i is set when i != j and rads[i] & rads[j].
+
+    The vertices holding element e are gathered once per element, and a
+    row is the union of those of its mask's elements.
+    """
+    holding = [0] * max(rads, default=0).bit_length()
+    for v, r in enumerate(rads):
+        for e in iter_bits(r):
+            holding[e] |= 1 << v
+    rows = []
+    for v, r in enumerate(rads):
+        row = 0
+        for e in iter_bits(r):
+            row |= holding[e]
+        rows.append(row & ~(1 << v))
+    return rows
+
+
+# Most signatures one grid may hold: C(max_n + max_exp, max_n) - 1.  The
+# largest grid of the tests and the benchmark has 18563 (6 primes, exponents
+# up to 12); 6 primes up to 24 would have 593774.
+GRID_CAP = 50_000
+
+
 def signature_grid(max_n: int, max_exp: int) -> list[Signature]:
     """Every normalized signature with n <= max_n primes and exponents <= max_exp.
 
     Deterministic order: by prime count, then lexicographically on the
     exponent vector.  Only non-increasing vectors are built, one per
-    multiset of exponents, so each signature appears exactly once.
+    multiset of exponents, so each signature appears exactly once.  A grid
+    of more than GRID_CAP signatures is refused before any is built.
     """
     if max_n < 1 or max_exp < 1:
         raise ValueError("signature grid needs max_n >= 1 and max_exp >= 1")
+    size = comb(max_n + max_exp, max_n) - 1
+    if size > GRID_CAP:
+        raise limit_error("the number of signatures in the grid", size,
+                          GRID_CAP, "lattice.GRID_CAP")
     out = [Signature(alphas) for n in range(1, max_n + 1)
            for alphas in itertools.combinations_with_replacement(
                range(max_exp, 0, -1), n)]

@@ -94,35 +94,15 @@ def _certifies(sigma, ground: Mask, members: tuple[Mask, ...]) -> bool:
     return all(not (ground ^ members[i]) & ~m for m, i in zip(members, sigma))
 
 
-@lru_cache(maxsize=16)
-def _supersets(ground: Mask) -> tuple[int, ...]:
-    """Bit y of entry x is set when x <= y <= ground as sets, for x in ground.
-
-    Entries of x outside the ground are 0.  The sets above x are those above
-    x | b, together with them less b, for any b in the ground but not in x.
-    """
-    table = [0] * (ground + 1)
-    table[ground] = 1 << ground
-    for x in range(ground - 1, -1, -1):
-        if x & ~ground:
-            continue
-        free = ground & ~x
-        low = free & -free  # the lowest element of the ground outside x
-        above = table[x | low]
-        table[x] = above | above >> low
-    return tuple(table)
-
-
 def _bitset(masks) -> int:
     """The distinct `masks` as the set bits of one int."""
     return sum(1 << m for m in masks)
 
 
-def _closed(ground: Mask, members: tuple[Mask, ...], bits: int) -> bool:
-    """Whether the `members` of `ground`, whose bitset is `bits`, are upward
-    closed in it: one `_supersets` lookup per member."""
-    supersets = _supersets(ground)
-    return all(supersets[m] & bits == supersets[m] for m in members)
+def _closed(ground: Mask, bits: int) -> bool:
+    """Whether the members of `ground` whose bitset is `bits` are upward
+    closed in it: no mask one element above a member is missing."""
+    return not lattice.covers(bits, ground) & ~bits
 
 
 def validate_upward_closed(family: UpwardClosedFamily) -> None:
@@ -133,7 +113,7 @@ def validate_upward_closed(family: UpwardClosedFamily) -> None:
     """
     members = family.members
     bits = _bitset(members)
-    if _closed(family.ground, members, bits):
+    if _closed(family.ground, bits):
         return
     for m in members:
         free = family.ground ^ m
@@ -216,12 +196,12 @@ def _certified_sigma(ground: Mask, members: tuple[Mask, ...],
 
     A family that `_closed` refuses goes to `validate_upward_closed`, which
     names its first missing cover.  The members whose complement divides
-    member m are `bits & supersets[ground ^ m]`.
+    member m are the members above ground ^ m, the subsets of m shifted up
+    by ground ^ m.
     """
-    supersets = _supersets(ground)
-    if not _closed(ground, members, bits):
+    if not _closed(ground, bits):
         validate_upward_closed(UpwardClosedFamily(ground, members))
-    adj = [bits & supersets[ground ^ m] for m in members]
+    adj = [bits & lattice.subsets(m) << (ground ^ m) for m in members]
     match_left, match_right = _max_matching(members, adj)
     if -1 in match_left:
         violator = _hall_violator(adj, match_left, match_right)
@@ -271,12 +251,11 @@ def all_upward_closed_families(k: int) -> list[UpwardClosedFamily]:
     if k > GROUND_CAP:
         raise limit_error("the ground size k", k, GROUND_CAP,
                           "matching.GROUND_CAP")
+    upsets = (bits for bits in antichains.upsets(k)
+              if bits and not bits & 1)  # holding the empty set, it holds all
     full = (1 << k) - 1
-    out = [tuple(m for m in range(1, full + 1) if bits >> m & 1)
-           for bits in antichains.upsets(k)
-           if bits and not bits & 1]  # holding the empty set, it holds all
-    out.sort(key=antichains.antichain_key)
-    return [UpwardClosedFamily(full, members) for members in out]
+    return [UpwardClosedFamily(full, members)
+            for members in antichains.order_by_antichain(upsets, k)[0]]
 
 
 class PairingEntry(NamedTuple):

@@ -103,12 +103,7 @@ def maximal_cliques(rads: list[Mask]) -> list[int]:
     nv = len(rads)
     if not nv:
         return []
-    adj = [0] * nv
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if rads[i] & rads[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = lattice.meet_rows(rads)
     cliques: list[int] = []
     stack = [(0, (1 << nv) - 1, 0)]
     while stack:

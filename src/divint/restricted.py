@@ -135,18 +135,6 @@ def _twin_classes(universe: tuple[Divisor, ...]
     return list(classes), [tuple(c) for c in classes.values()]
 
 
-def _coprime_rows(rads: list[Mask]) -> list[int]:
-    """Adjacency rows of the coprimality graph, as vertex bitmasks: two
-    radicals are joined when they are disjoint."""
-    rows = [0] * len(rads)
-    for i, r in enumerate(rads):
-        for j in range(i + 1, len(rads)):
-            if not r & rads[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
-
-
 def _components(rows: list[int]) -> list[int]:
     """Connected components as vertex bitmasks, ordered by lowest vertex."""
     comps = []
@@ -229,23 +217,19 @@ def _lightest(rows: list[int], weights: list[int], within: int,
     return best, found, spent
 
 
-def _flip(mask: int, nv: int) -> int:
-    """The mask with vertex v renamed nv-1-v."""
-    return int(format(mask, f"0{nv}b")[::-1], 2)
-
-
 def _both_orders(rows: list[int], flipped: list[int], weights: list[int],
                  within: int, spent: int) -> tuple[int, list[int], int]:
     """`_lightest` under ascending and reversed vertex orders; `flipped` is
-    the graph with its vertices renamed by `_flip`.  The two runs must agree
-    on the weight and on the whole collection of minimum sets, each found
-    once; a mismatch means the search itself is broken and is raised rather
-    than reported as data."""
+    the graph with vertex v renamed nv-1-v, by `lattice.reverse_bits`.  The
+    two runs must agree on the weight and on the whole collection of minimum
+    sets, each found once; a mismatch means the search itself is broken and
+    is raised rather than reported as data."""
     nv = len(rows)
     value, sets, spent = _lightest(rows, weights, within, spent)
     rev_value, rev_sets, spent = _lightest(flipped, weights[::-1],
-                                           _flip(within, nv), spent)
-    mirrored = [_flip(s, nv) for s in rev_sets]
+                                           lattice.reverse_bits(within, nv),
+                                           spent)
+    mirrored = [lattice.reverse_bits(s, nv) for s in rev_sets]
     if (rev_value != value or len(set(sets)) != len(sets)
             or sorted(mirrored) != sorted(sets)):
         raise DivintError(
@@ -315,8 +299,13 @@ def solve_restricted(
                               "universe", len(rads), RADICAL_CAP,
                               "restricted.RADICAL_CAP")
         weights = [len(c) for c in classes]
-        rows = _coprime_rows(rads)
-        flipped = [_flip(row, len(rows)) for row in reversed(rows)]
+        # two radicals are joined when they are disjoint: the complement
+        # of the meet graph
+        every = (1 << len(rads)) - 1
+        rows = [every & ~row & ~(1 << v)
+                for v, row in enumerate(lattice.meet_rows(rads))]
+        flipped = [lattice.reverse_bits(row, len(rows))
+                   for row in reversed(rows)]
         parts = []
         for comp in _components(rows):
             weight, sets, spent = _both_orders(rows, flipped, weights, comp,

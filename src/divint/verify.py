@@ -328,13 +328,14 @@ def run_verify(max_n: int = 3, max_exp: int = 2) -> VerifyReport:
     """Run every claim over the grid; never raises on claim failure.
 
     Every limit is checked before the first signature is swept: the caps of
-    the Dedekind walk on each ground, then each signature's member total,
-    which the mask families fix before any lift, against MEMBER_CAP in grid
-    order.
+    the Dedekind walk on each ground, then the grid's size, then each
+    signature's member total, which the mask families fix before any lift,
+    against MEMBER_CAP in grid order.
     """
-    grid = lattice.signature_grid(max_n, max_exp)
-    # largest ground first: a walk past its cap is refused before any runs
+    # largest ground first: a walk past its cap is refused before any runs,
+    # and before the grid is built
     counts = {n: _member_counts(n) for n in range(max_n, 0, -1)}
+    grid = lattice.signature_grid(max_n, max_exp)
     for sig in grid:
         total = sum(map(operator.mul, counts[sig.n],
                         lattice.alpha_weights(sig)))

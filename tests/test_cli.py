@@ -413,7 +413,7 @@ def test_radical_cap_refuses_before_the_graph(env, capsys, monkeypatch):
     def boom(rads):
         raise AssertionError("the coprimality graph was built")
 
-    monkeypatch.setattr(restricted, "_coprime_rows", boom)
+    monkeypatch.setattr(lattice, "meet_rows", boom)
     start = time.perf_counter()
     code, out, err = run(["openprob", "--mode", "omega", "--sig",
                           ",".join("1" * 11), "--t", "5"], capsys)
@@ -576,6 +576,27 @@ def test_verify_honours_k_cap(env, capsys):
     code, out, err = run(["verify", "--max-n", "7", "--max-exp", "1"], capsys)
     assert (code, out) == (3, "")
     assert "antichains.LIST_CAP" in err
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["verify", "--max-n", "7", "--max-exp", "24"], "antichains.LIST_CAP"),
+    (["verify", "--max-n", "6", "--max-exp", "24"], "lattice.GRID_CAP"),
+    (["openprob", "--mode", "omega", "--max-n", "6", "--max-exp", "24",
+      "--t", "2"], "lattice.GRID_CAP"),
+], ids=["verify 7/24", "verify 6/24", "openprob 6/24"])
+def test_sweep_refusals_come_before_the_grid(env, capsys, monkeypatch, argv,
+                                             cap):
+    """A sweep past the ground cap or the grid cap exits 3 at once, and no
+    signature of its grid is built."""
+    def boom(*args):
+        raise AssertionError("a signature of the grid was built")
+
+    monkeypatch.setattr(lattice, "Signature", boom)
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert f"({cap}, a fixed constant)" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_threads_zero_is_a_usage_error(env, capsys):
@@ -1098,6 +1119,8 @@ REFUSALS = [
     (["matching", "--sig", "2,2,2,2,2,2,1,1,1,1,1,1"], {}),
     (["bound", "--sig", ",".join("1" * 17)], {}),
     (["verify", "--max-n", "2", "--max-exp", "1"], {"verify.MEMBER_CAP": 1}),
+    (["openprob", "--mode", "omega", "--max-n", "6", "--max-exp", "24",
+      "--t", "2"], {}),
 ]
 
 

@@ -31,7 +31,8 @@ def test_420_report():
 def test_minimum_families_are_the_generator_closures(sig):
     """The radical lift gives each generator's upward closure, in order."""
     gens = extremal.extremal_families(sig).generators
-    assert extremal.minimum_families(sig) == [
+    assert [DivisorFamily.lift(sig, rads)
+            for rads in extremal.minimum_radical_sets(sig)] == [
         families.upward_closure(g, sig) for g in gens]
 
 
@@ -63,7 +64,8 @@ def test_minimum_families_refuses_past_member_cap(monkeypatch):
     with pytest.raises(ResourceLimitError,
                        match="is 61725888, above the cap of 300000 "
                              r"\(families.MEMBER_CAP"):
-        extremal.minimum_families(sig)
+        [DivisorFamily.lift(sig, rads)
+         for rads in extremal.minimum_radical_sets(sig)]
     assert 2646 * 32 <= families.MEMBER_CAP  # the 1^6 listing still runs
 
 

@@ -4,7 +4,7 @@ import time
 from math import comb, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from divint import lattice
 from divint.errors import ResourceLimitError
@@ -326,3 +326,72 @@ def test_factor_int_refuses_two_large_distinct_primes():
 @given(st.integers(0, 1 << 300))
 def test_set_bits_are_those_of_iter_bits(x):
     assert lattice.set_bits(x) == tuple(lattice.iter_bits(x))
+
+
+@given(st.integers(0, 1 << 300), st.integers(0, 320))
+def test_reverse_bits_reads_the_low_bits_backwards(x, width):
+    x &= (1 << width) - 1
+    assert lattice.reverse_bits(x, width) == sum(
+        1 << (width - 1 - i) for i in range(width) if x >> i & 1)
+
+
+@given(st.integers(0, (1 << 10) - 1))
+@example(0b101)
+@example(0b10110)
+def test_subsets_are_those_of_the_comprehension(mask):
+    assert lattice.subsets(mask) == sum(
+        1 << y for y in range(mask + 1) if not y & ~mask)
+
+
+@st.composite
+def grounds_and_families(draw):
+    """A ground mask on at most 7 elements, contiguous or not, and any
+    family of its subsets as one int over the masks."""
+    ground = draw(st.sampled_from([0b101, 0b10110]) | st.integers(0, 127))
+    subs = [y for y in range(ground + 1) if not y & ~ground]
+    members = draw(st.sets(st.sampled_from(subs)))
+    return ground, sum(1 << m for m in members)
+
+
+@given(grounds_and_families())
+def test_covers_are_those_of_the_comprehension(case):
+    ground, bits = case
+    assert lattice.covers(bits, ground) == sum({
+        1 << (m | 1 << i) for m in range(ground + 1) if bits >> m & 1
+        for i in range(ground.bit_length())
+        if ground >> i & 1 and not m >> i & 1})
+
+
+def _meet_rows_pairwise(rads):
+    """Reference: the meet graph with every pair of vertices tested."""
+    rows = [0] * len(rads)
+    for i in range(len(rads)):
+        for j in range(i + 1, len(rads)):
+            if rads[i] & rads[j]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+@given(st.lists(st.integers(0, 255), max_size=40))
+@example([])
+@example([0, 0, 1])
+def test_meet_rows_are_those_of_the_pairwise_loop(rads):
+    assert lattice.meet_rows(rads) == _meet_rows_pairwise(rads)
+
+
+def test_signature_grid_refuses_past_its_cap_before_building(monkeypatch):
+    """C(6 + 24, 6) - 1 = 593774 signatures: refused from the closed form
+    alone, with no signature built."""
+    def boom(*args):
+        raise AssertionError("a signature of the grid was built")
+
+    monkeypatch.setattr(lattice, "Signature", boom)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as exc:
+        lattice.signature_grid(6, 24)
+    assert str(exc.value) == (
+        "the number of signatures in the grid is 593774, above the cap of "
+        "50000 (lattice.GRID_CAP, a fixed constant)")
+    assert time.perf_counter() - start < 1.0
+    assert comb(6 + 12, 6) - 1 == 18563 <= lattice.GRID_CAP
