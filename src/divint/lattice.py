@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from math import comb, isqrt, prod
+from math import isqrt, prod
 from typing import Callable
 
 from .errors import limit_error
@@ -319,7 +319,8 @@ def meet_rows(rads: list[Mask]) -> list[int]:
 
 # Most signatures one grid may hold: C(max_n + max_exp, max_n) - 1.  The
 # largest grid of the tests and the benchmark has 18563 (6 primes, exponents
-# up to 12); 6 primes up to 24 would have 593774.
+# up to 12); 6 primes up to 24 would have 593774.  It bounds the number of
+# cells of a sweep, not the time each cell takes.
 GRID_CAP = 50_000
 
 
@@ -329,14 +330,18 @@ def signature_grid(max_n: int, max_exp: int) -> list[Signature]:
     Deterministic order: by prime count, then lexicographically on the
     exponent vector.  Only non-increasing vectors are built, one per
     multiset of exponents, so each signature appears exactly once.  A grid
-    of more than GRID_CAP signatures is refused before any is built.
+    of more than GRID_CAP signatures is refused before any is built.  Its
+    size is counted one factor of C(max_n + max_exp, max_n) at a time,
+    C(max_exp + i, i) growing with i, and the count stops at the cap.
     """
     if max_n < 1 or max_exp < 1:
         raise ValueError("signature grid needs max_n >= 1 and max_exp >= 1")
-    size = comb(max_n + max_exp, max_n) - 1
-    if size > GRID_CAP:
-        raise limit_error("the number of signatures in the grid", size,
-                          GRID_CAP, "lattice.GRID_CAP")
+    size = 1
+    for i in range(1, max_n + 1):
+        size = size * (max_exp + i) // i
+        if size - 1 > GRID_CAP:
+            raise limit_error("the number of signatures in the grid", None,
+                              GRID_CAP, "lattice.GRID_CAP")
     out = [Signature(alphas) for n in range(1, max_n + 1)
            for alphas in itertools.combinations_with_replacement(
                range(max_exp, 0, -1), n)]

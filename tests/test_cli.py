@@ -1121,6 +1121,8 @@ REFUSALS = [
     (["verify", "--max-n", "2", "--max-exp", "1"], {"verify.MEMBER_CAP": 1}),
     (["openprob", "--mode", "omega", "--max-n", "6", "--max-exp", "24",
       "--t", "2"], {}),
+    (["openprob", "--mode", "omega", "--max-n", "8000", "--max-exp", "8000",
+      "--t", "2"], {}),
 ]
 
 

@@ -380,18 +380,30 @@ def test_meet_rows_are_those_of_the_pairwise_loop(rads):
     assert lattice.meet_rows(rads) == _meet_rows_pairwise(rads)
 
 
-def test_signature_grid_refuses_past_its_cap_before_building(monkeypatch):
-    """C(6 + 24, 6) - 1 = 593774 signatures: refused from the closed form
-    alone, with no signature built."""
+@pytest.mark.parametrize("max_n,max_exp", [
+    (6, 24), (8000, 8000), (10 ** 6, 1), (1, 50001), (10 ** 6, 10 ** 6)])
+def test_signature_grid_refuses_past_its_cap_before_building(
+        monkeypatch, max_n, max_exp):
+    """C(6 + 24, 6) - 1 = 593774 signatures, and grids whose size has
+    thousands of digits: refused at once, with no signature built and the
+    size never written out."""
     def boom(*args):
         raise AssertionError("a signature of the grid was built")
 
     monkeypatch.setattr(lattice, "Signature", boom)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError) as exc:
-        lattice.signature_grid(6, 24)
+        lattice.signature_grid(max_n, max_exp)
     assert str(exc.value) == (
-        "the number of signatures in the grid is 593774, above the cap of "
+        "the number of signatures in the grid exceeds the cap of "
         "50000 (lattice.GRID_CAP, a fixed constant)")
     assert time.perf_counter() - start < 1.0
-    assert comb(6 + 12, 6) - 1 == 18563 <= lattice.GRID_CAP
+    assert comb(max_n + max_exp, max_n) - 1 > lattice.GRID_CAP
+
+
+@pytest.mark.parametrize("max_n,max_exp", [(6, 12), (1, 50000)])
+def test_signature_grid_admits_grids_at_or_under_its_cap(max_n, max_exp):
+    """The largest grid of the tests and the benchmark, and a grid of
+    exactly GRID_CAP signatures."""
+    assert len(lattice.signature_grid(max_n, max_exp)) == (
+        comb(max_n + max_exp, max_n) - 1) <= lattice.GRID_CAP

@@ -1,8 +1,7 @@
-"""Print each module's physical lines and code lines.
+"""Print each module's physical lines and code lines in src/divint.
 
-    python3 tools/code_lines.py [PATH ...]
+    python3 tools/code_lines.py
 
-PATH is a Python file or a directory of them; the default is src/divint.
 A code line holds a token of a statement: blank lines, comment-only lines
 and the lines of docstrings (the leading string of a module, class or
 function body, found with `ast`) are left out.  Physical lines are the
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -45,21 +43,17 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
-def main(argv: list[str]) -> int:
-    paths = [Path(p) for p in argv] or [Path(__file__).resolve().parents[1]
-                                        / "src" / "divint"]
-    files = sorted(f for p in paths
-                   for f in (p.glob("*.py") if p.is_dir() else [p]))
+def main() -> None:
+    src = Path(__file__).resolve().parents[1] / "src" / "divint"
     total = [0, 0]
     print(f"{'module':<24}{'physical':>10}{'code':>8}")
-    for f in files:
+    for f in sorted(src.glob("*.py")):
         physical, code = count(f.read_text())
         total[0] += physical
         total[1] += code
         print(f"{f.name:<24}{physical:>10}{code:>8}")
     print(f"{'total':<24}{total[0]:>10}{total[1]:>8}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
