@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import time
-from functools import lru_cache
 from typing import Optional
 
 from . import antichains, extremal, families, lattice, matching, oracle
@@ -165,21 +164,16 @@ def _parse_t(value) -> tuple[int, ...]:
     return tuple(sorted(set(_numbers(value, "--t value"))))
 
 
-@lru_cache(maxsize=lattice.MAX_DIVISORS)
 def _mask_symbol(m: int, k: int) -> str:
     return lattice.format_divisor(lattice.mask_to_divisor(m, k))
 
 
-@lru_cache(maxsize=lattice.MAX_DIVISORS)
-def _entry_obj(e: matching.PairingEntry, k: int) -> dict:
-    """JSON shape of one pairing entry.  Cached: the families of one lattice
-    share their repeated entries, so `report.iter_json` encodes each once
-    per indent.
-    The dict is shared and must never be mutated."""
+def _entry_obj(e: matching.PairingEntry, symbols: report.Table) -> dict:
+    """JSON shape of one pairing entry, its masks named from `symbols`."""
     return {
-        "position": _mask_symbol(e.position, k),
-        "source": _mask_symbol(e.source, k),
-        "source_complement": _mask_symbol(e.bar_source, k),
+        "position": symbols[e.position],
+        "source": symbols[e.source],
+        "source_complement": symbols[e.bar_source],
         "alpha": e.alpha_position,
     }
 
@@ -207,25 +201,24 @@ def cmd_extremal(args) -> Run:
     # Squarefree divisors sort as their masks, so each is in canonical order.
     gen_masks = extremal._generator_masks(sig)
     n = sig.n
+    table = report.Table(report.divisor_obj, primes)
+    # a generator member's object by its mask, each mask's divisor built once
+    squarefree = report.Table(lambda m: table[lattice.mask_to_divisor(m, n)])
     results = {
         "signature": report.signature_obj(sig),
         "regime": extremal.regime(sig),
         "min_size": lattice.min_size_bound(sig),
         "count": len(gen_masks),
-        "generators": [
-            report.family_obj([lattice.mask_to_divisor(m, n) for m in gen],
-                              primes)
-            for gen in gen_masks],
+        "generators": [report.family_obj([squarefree[m] for m in gen])
+                       for gen in gen_masks],
     }
     if _lists(args):
         radical_sets = extremal.minimum_radical_sets(sig)  # caps checked here
         # each family's members, selected by radical as a lift selects them,
-        # from the shared divisor_obj dicts of the lattice
-        divisors, _ = lattice.radical_table(sig)
-        objs = [report.divisor_obj(d, primes) for d in divisors]
+        # from the lattice's divisor objects in canonical order
+        objs = [table[d] for d in lattice.divisors(sig)]
         results["families"] = [
-            report.family_obj(lattice.on_radicals(sig, frozenset(rads), objs),
-                              shaped=True)
+            report.family_obj(lattice.on_radicals(sig, frozenset(rads), objs))
             for rads in radical_sets]
     return {"sig": str(sig), "list": bool(args.list)}, results, primes
 
@@ -239,18 +232,21 @@ def cmd_antichains(args) -> Run:
     if args.k is None or args.k < 1:
         raise _UsageError("--k must be a positive integer")
     chains = antichains.enumerate_antichains(args.k)
-    listed = [[_mask_symbol(m, args.k) for m in ac] for ac in chains]
+    symbols = report.Table(_mask_symbol, args.k)
+    listed = [[symbols[m] for m in ac] for ac in chains]
     return ({"k": args.k, "list": bool(args.list)},
             {"k": args.k, "count": len(chains), "antichains": listed}, None)
 
 
-def _listed(fams, total: int):
-    """Families asked for by --list, `total` members in all; None means the
-    cap dropped them."""
+def _listed(fams, total: int, primes: tuple[int, ...]) -> list[dict]:
+    """The `report.family_obj` shapes of the families asked for by --list,
+    `total` members in all, with one object per divisor; None means the cap
+    dropped them."""
     if fams is None:
         raise limit_error("the member count of the families to list", total,
                           families.MEMBER_CAP, "families.MEMBER_CAP")
-    return fams
+    objs = report.Table(report.divisor_obj, primes)
+    return [report.family_obj([objs[d] for d in f.members]) for f in fams]
 
 
 def cmd_oracle(args) -> Run:
@@ -268,9 +264,7 @@ def cmd_oracle(args) -> Run:
         "sizes": list(rep.sizes),
     }
     if listing:
-        results["families"] = [report.family_obj(f, primes)
-                               for f in _listed(rep.families,
-                                                sum(rep.sizes))]
+        results["families"] = _listed(rep.families, sum(rep.sizes), primes)
     return ({"sig": str(sig), "method": args.method, "list": bool(args.list)},
             results, primes)
 
@@ -280,8 +274,9 @@ def _cmd_matching_ground(args) -> Run:
     if k < 1:
         raise _UsageError("--k must be a positive integer")
     fams = matching.all_upward_closed_families(k)
+    symbols = report.Table(_mask_symbol, k)
     listed = [{
-        "members": [_mask_symbol(m, k) for m in fam.members],
+        "members": [symbols[m] for m in fam.members],
         "sigma": list(matching.complement_permutation(fam).sigma),
     } for fam in fams]
     return ({"k": k, "list": bool(args.list)},
@@ -293,17 +288,19 @@ def _cmd_matching_sig(args) -> Run:
     # generators as radical masks, in extremal_families order; none is built
     gen_masks = extremal._generator_masks(sig)
     radical_sets = extremal.minimum_radical_sets(sig)
-    n = sig.n
+    built: dict = {}  # the pairing entries of sig, shared by its families
+    symbols = report.Table(_mask_symbol, sig.n)
+    entry_objs = report.Table(_entry_obj, symbols)
     listed = []
     for i, (gen, rads) in enumerate(zip(gen_masks, radical_sets), start=1):
         # a generator's closure is maximal and of minimum size, and it is
         # fixed by its radical set, so the pairing needs no lifted family
-        pairing = matching._weight_pairing(rads, sig)
+        pairing = matching._weight_pairing(rads, sig, built)
         listed.append({
             "family_index": i,
-            "generators": [_mask_symbol(m, n) for m in gen],
+            "generators": [symbols[m] for m in gen],
             "sigma": list(pairing.sigma),
-            "entries": [_entry_obj(e, n) for e in pairing.entries],
+            "entries": [entry_objs[e] for e in pairing.entries],
         })
     return ({"sig": str(sig), "list": bool(args.list)},
             {"signature": report.signature_obj(sig), "pairings": listed},
@@ -353,9 +350,8 @@ def cmd_openprob(args) -> Run:
             "note": res.note,
         }
         if listing:
-            results["witnesses"] = [
-                report.family_obj(w, primes) for w in
-                _listed(res.witnesses, res.attaining_count * res.value)]
+            results["witnesses"] = _listed(
+                res.witnesses, res.attaining_count * res.value, primes)
         return ({"sig": str(sig), "mode": args.mode, "t": t,
                  "maximality": args.maximality,
                  "allow_t1": bool(args.allow_t1), "list": bool(args.list)},
@@ -395,13 +391,14 @@ _DISPATCH = {
 }
 
 
-def _values(fam: dict) -> list[int]:
-    """Member values of a `report.family_obj` under its prime labels."""
-    return [m["value"] for m in fam["members"]]
+def _brace(texts) -> str:
+    return "{" + ", ".join(texts) + "}"
 
 
-def _brace(values) -> str:
-    return "{" + ", ".join(map(str, values)) + "}"
+def _members(fam: dict, texts: report.Table) -> str:
+    """The member values of a `report.family_obj`, braced; `texts` formats
+    each distinct value once for the whole view."""
+    return _brace([texts[m["value"]] for m in fam["members"]])
 
 
 def _symbol_value(symbol: str, primes: tuple[int, ...]) -> int:
@@ -426,6 +423,7 @@ def _text(command: str, parameters: dict, results: dict,
           primes: Optional[tuple[int, ...]]) -> list[str]:
     """The text view of a command's results, line by line."""
     sig = parameters.get("sig")
+    texts = report.Table(str)
     lines = []
     normalized = results.get("signature", {}).get("normalized_from")
     if normalized is not None:
@@ -442,7 +440,7 @@ def _text(command: str, parameters: dict, results: dict,
             f"families")
         for label, fams in (("generators", results["generators"]),
                             ("closure", results.get("families", []))):
-            lines.extend(f"  [{i}] {label} {_brace(_values(f))}"
+            lines.extend(f"  [{i}] {label} {_members(f, texts)}"
                          for i, f in enumerate(fams, start=1))
     elif command == "antichains":
         lines.append(f"{results['count']} generating antichains on "
@@ -457,7 +455,7 @@ def _text(command: str, parameters: dict, results: dict,
             f"({results['method']}); min size {results['min_size']} attained "
             f"by {results['min_count']}; sizes: "
             f"{_size_histogram(results['sizes'])}")
-        lines.extend(f"  [{i}] size {f['size']}: {_brace(_values(f))}"
+        lines.extend(f"  [{i}] size {f['size']}: {_members(f, texts)}"
                      for i, f in enumerate(results.get("families", []),
                                            start=1))
     elif command == "matching" and "ground" in results:
@@ -474,7 +472,7 @@ def _text(command: str, parameters: dict, results: dict,
         lines.append(f"signature {sig}: weight-preserving pairings on all "
                      f"{len(results['pairings'])} minimum-size families")
         for p in results["pairings"] if parameters["list"] else ():
-            values = (_symbol_value(s, primes) for s in p["generators"])
+            values = (str(_symbol_value(s, primes)) for s in p["generators"])
             lines.append(f"  [{p['family_index']}] generators "
                          f"{_brace(values)}")
             lines.extend(f"       {e['position']} <- complement of "
@@ -507,7 +505,7 @@ def _text(command: str, parameters: dict, results: dict,
             lines.append(f"{head}: {results['status']}")
         if results["note"]:
             lines.append(f"note: {results['note']}")
-        lines.extend(f"  [{i}] {_brace(_values(w))}"
+        lines.extend(f"  [{i}] {_members(w, texts)}"
                      for i, w in enumerate(results.get("witnesses", []),
                                          start=1))
     elif command == "verify":
@@ -541,7 +539,7 @@ def _csv(command: str, parameters: dict,
     if command == "extremal":
         return [{
             "signature": sig, "regime": results["regime"], "index": i,
-            "generators": " ".join(str(v) for v in _values(gen)),
+            "generators": " ".join(str(m["value"]) for m in gen["members"]),
             "closure_size": results["min_size"],
         } for i, gen in enumerate(results["generators"], start=1)], [
             "signature", "regime", "index", "generators", "closure_size"]

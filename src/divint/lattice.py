@@ -174,12 +174,8 @@ def radical(d: Divisor) -> Mask:
     return m
 
 
-@lru_cache(maxsize=MAX_DIVISORS)
 def mask_to_divisor(mask: Mask, n: int) -> Divisor:
-    """The squarefree divisor with the given support.
-
-    Cached: the generators of one lattice share their squarefree divisors.
-    """
+    """The squarefree divisor with the given support."""
     return tuple((mask >> i) & 1 for i in range(n))
 
 
@@ -351,11 +347,8 @@ def signature_grid(max_n: int, max_exp: int) -> list[Signature]:
 
 # --- display helpers (human-readable output only; never used in the math) ---
 #
-# `format_divisor` is a cached table: a listing formats each divisor of the
-# lattice once, however many families it belongs to.  The cached values are
-# immutable, and the cache holds at most one full lattice.  `display_value`
-# needs no cache of its own: its one caller, `report.divisor_obj`, is cached
-# on the same arguments.
+# None of them keeps a cache: a listing calls them once per divisor or mask,
+# through the display tables (`report.Table`) that its command holds.
 
 def first_primes(n: int) -> tuple[int, ...]:
     """The n smallest primes, for labeling abstract prime indices."""
@@ -373,7 +366,6 @@ def display_value(d: Divisor, primes: tuple[int, ...]) -> int:
     return prod(p ** e for p, e in zip(primes, d))
 
 
-@lru_cache(maxsize=MAX_DIVISORS)
 def format_divisor(d: Divisor) -> str:
     """Symbolic form like 'p1^2*p3'; '1' for the empty divisor."""
     parts = []

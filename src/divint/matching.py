@@ -21,7 +21,6 @@ so both are checked for upward closure and certified by the same code.
 from __future__ import annotations
 
 import bisect
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import antichains, families, lattice
@@ -303,20 +302,24 @@ def alpha_pairing(family: DivisorFamily, sig: Signature) -> PairingReport:
         raise PreconditionError(
             f"pairing requires a minimum-size family: got {len(family)}, minimum {bound}"
         )
-    return _weight_pairing(family.radical_set, sig)
+    return _weight_pairing(family.radical_set, sig, {})
 
 
-def _weight_pairing(radical_set: tuple[Mask, ...],
-                    sig: Signature) -> PairingReport:
+def _weight_pairing(radical_set: tuple[Mask, ...], sig: Signature,
+                    built: dict[tuple[Mask, Mask], PairingEntry]
+                    ) -> PairingReport:
     """`alpha_pairing` without its preconditions, on the sorted radical set
     of a family known to be maximal and of minimum size; the permutation is
-    still certified and the weight equality still checked."""
+    still certified and the weight equality still checked.
+
+    `built` holds the entries of `sig` built so far, by (position, source),
+    and takes the new ones: the caller keeps it across the families of one
+    signature, which share most of their entries."""
     last = 1 << (sig.n - 1)
     # the radical set of a maximal family is its squarefree part, and sorted
     # it holds the masks without the last prime first
     members = radical_set[:bisect.bisect_left(radical_set, last)]
     sigma = _certified_sigma(last - 1, members, _bitset(members))
-    built = _entries_built(sig)
     entries = []
     for pos, i in zip(members, sigma):
         src = members[i]
@@ -325,13 +328,6 @@ def _weight_pairing(radical_set: tuple[Mask, ...],
             entry = built[pos, src] = _pairing_entry(pos, src, sig)
         entries.append(entry)
     return PairingReport(members, sigma, tuple(entries))
-
-
-@lru_cache(maxsize=1)
-def _entries_built(sig: Signature) -> dict[tuple[Mask, Mask], PairingEntry]:
-    """The pairing entries of `sig` built so far, by (position, source):
-    the families of one signature share most of theirs."""
-    return {}
 
 
 def _pairing_entry(pos: Mask, src: Mask, sig: Signature) -> PairingEntry:

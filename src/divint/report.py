@@ -8,13 +8,11 @@ stderr concern, not part of any document.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Collection, Iterator
+from typing import Callable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._version import __version__
-from .lattice import (MAX_DIVISORS, Divisor, Signature, display_value,
-                      format_divisor)
+from .lattice import Divisor, Signature, display_value, format_divisor
 
 
 def document(command: str, parameters: dict, results: dict) -> dict:
@@ -35,8 +33,8 @@ _STREAMED_DEPTH = 3
 _CHUNK_PARTS = 64
 
 # A container's text is memoized only when shorter than this, which the
-# shared `divisor_obj` and `cli._entry_obj` texts are; a whole family's is
-# not, so the memo never holds a second copy of the document.
+# texts of a command's shared divisor and pairing-entry objects are; a whole
+# family's is not, so the memo never holds a second copy of the document.
 _MEMO_MAX = 512
 
 
@@ -50,8 +48,8 @@ def iter_json(doc) -> Iterator[str]:
     int and None; anything else raises TypeError.
 
     A short container that appears several times in the document, such as
-    the shared `divisor_obj` dicts, is encoded once per indent: its text is
-    memoized by `id` in a dict per indent for the length of the walk.  The
+    a listing's shared divisor objects, is encoded once per indent: its text
+    is memoized by `id` in a dict per indent for the length of the walk.  The
     document keeps every subtree alive until the walk ends, so no id is
     reused within it; the memo is dropped with the generator.
     """
@@ -152,13 +150,33 @@ def csv_dumps(rows: list[dict], fieldnames: list[str]) -> str:
     return buf.getvalue()
 
 
-@lru_cache(maxsize=MAX_DIVISORS)
+class Table(dict):
+    """A dict that builds a missing key's value as `build(key, *args)` and
+    keeps it.
+
+    A command keeps its display objects in tables of its own, so every
+    listed family, generator and pairing holds the one object of each
+    divisor, mask or entry, and `iter_json` encodes it once per indent.
+    The objects are shared and must never be mutated; the tables go with
+    the command's results.
+    """
+
+    __slots__ = ("build", "args")
+
+    def __init__(self, build: Callable, *args):
+        super().__init__()
+        self.build = build
+        self.args = args
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key, *self.args)
+        return value
+
+
 def divisor_obj(d: Divisor, primes=None) -> dict:
     """JSON shape of one divisor; `value` only under a concrete prime labeling.
 
-    Cached: equal arguments get the same dict, so a listing holds one object
-    per divisor and `iter_json` encodes it once per indent.  The dict is shared and
-    must never be mutated.
+    A listing builds one per divisor, in a `Table` it keeps for the command.
     """
     obj = {"exponents": list(d), "symbol": format_divisor(d)}
     if primes is not None:
@@ -166,14 +184,9 @@ def divisor_obj(d: Divisor, primes=None) -> dict:
     return obj
 
 
-def family_obj(members: Collection[Divisor], primes=None, *,
-               shaped: bool = False) -> dict:
-    """JSON shape of a family, given as a DivisorFamily or as its members in
-    canonical order.  With `shaped` the members come as their `divisor_obj`
-    dicts already, as a listing selects them from one list per lattice, and
-    are kept as given."""
-    if not shaped:
-        members = [divisor_obj(d, primes) for d in members]
+def family_obj(members: Sequence[dict]) -> dict:
+    """JSON shape of a family, given as its members' `divisor_obj` dicts in
+    canonical order."""
     return {"size": len(members), "members": members}
 
 

@@ -68,6 +68,12 @@ RADICAL_CAP = 300
 # component; past it the cell exits 3.  The largest search of the test suite
 # visits 29763 nodes (openprob 1^9, t=3); the benchmark's, 10544 (1^8, t=3).
 NODE_CAP = 1_000_000
+# Most divisors one sweep may walk: its grid's divisor counts, summed, times
+# the number of t values, since each cell enumerates its whole lattice.  The
+# benchmark's sweep (5/3 at t = 2,3) walks 15538.  On 2 vCPUs the admitted
+# 7/4 at t = 3 (1379399) takes about 3.3 s in bigomega mode; 6/6 at one t
+# (5715423) took 4.5 s, and 6/12 (2.9 billion) had not finished after 90 s.
+SWEEP_CAP = 2_000_000
 MODES = ("omega", "bigomega")
 MAXIMALITIES = ("restricted", "global")
 ROW_FIELDS = ("signature", "n", "mode", "t", "maximality", "universe_size",
@@ -366,12 +372,16 @@ def sweep_tables(
 ) -> list[dict]:
     """One row per (signature, t) over the grid, in deterministic order.
 
-    Per-cell resource exhaustion is recorded in the row and the sweep
-    continues; only malformed arguments abort.
+    A grid past `lattice.GRID_CAP` or `SWEEP_CAP` is refused before the
+    first cell.  Per-cell resource exhaustion is recorded in the row and the
+    sweep continues; only malformed arguments abort.
     """
     _validate(mode, min(t_values, default=2), maximality, allow_t1)
-    return [
-        _cell(sig, mode, t, maximality, allow_t1)
-        for sig in lattice.signature_grid(max_n, max_exp)
-        for t in sorted(set(t_values))
-    ]
+    grid = lattice.signature_grid(max_n, max_exp)
+    ts = sorted(set(t_values))
+    walked = sum(sig.divisor_count() for sig in grid) * len(ts)
+    if walked > SWEEP_CAP:
+        raise limit_error("the number of divisors the sweep's cells walk",
+                          walked, SWEEP_CAP, "restricted.SWEEP_CAP")
+    return [_cell(sig, mode, t, maximality, allow_t1)
+            for sig in grid for t in ts]

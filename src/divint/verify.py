@@ -221,6 +221,7 @@ def _family_claims(sig: Signature, rep: oracle.OracleReport,
     """
     bit, steps, on_radical = _bit_tables(sig)
     weights = lattice.alpha_weights(sig)
+    built: dict = {}  # the pairing entries of sig built so far
     for fam in rep.families:
         rads = fam.squarefree_part()
 
@@ -261,7 +262,7 @@ def _family_claims(sig: Signature, rep: oracle.OracleReport,
         try:
             # classify has checked the preconditions of an extremal family
             pairing = (
-                matching._weight_pairing(fam.radical_set, sig)
+                matching._weight_pairing(fam.radical_set, sig, built)
                 if verdict is not None and verdict.is_extremal
                 else matching.alpha_pairing(fam, sig))
         except DivintError as exc:

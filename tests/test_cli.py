@@ -15,8 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from divint import (antichains, cli, errors, families, lattice, report,
-                    restricted)
+from divint import cli, errors, families, lattice, report, restricted
 from divint._version import __version__
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -852,9 +851,9 @@ def test_csv_list_lifts_no_family(env, capsys, monkeypatch):
         calls["lift"] += 1
         return lift(sig, masks)
 
-    def counted_family_obj(fam, primes=None):
+    def counted_family_obj(members):
         calls["family_obj"] += 1
-        return family_obj(fam, primes)
+        return family_obj(members)
 
     monkeypatch.setattr(families.DivisorFamily, "lift",
                         classmethod(counted_lift))
@@ -891,9 +890,10 @@ def test_extremal_builds_no_generator_family(env, capsys, monkeypatch):
 def test_extremal_listing_lifts_no_family(env, capsys, monkeypatch):
     """extremal --list selects each family's members from one list of
     divisor_obj dicts per lattice: the 2646 families of 1^6 take no
-    DivisorFamily.lift (2646 when each was lifted) and no divisor_obj
-    lookup beyond the 64 of that list and the generators' own, and the
-    listing keeps its golden bytes."""
+    DivisorFamily.lift (2646 when each was lifted), and the generators
+    take their objects from the same table, so divisor_obj builds one
+    object per divisor of the lattice, 64 (64 + 22552 when each generator
+    member was looked up), and the listing keeps its golden bytes."""
     golden = json.loads((ROOT / "divbench" / "golden.json").read_text())
     argv = ["extremal", "--sig", "1,1,1,1,1,1", "--list", "--format", "json"]
     calls = {"lift": 0, "divisor_obj": 0}
@@ -915,8 +915,28 @@ def test_extremal_listing_lifts_no_family(env, capsys, monkeypatch):
     assert code == golden[" ".join(argv)]["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == \
         golden[" ".join(argv)]["sha256"]
-    members = sum(len(ac) for ac in antichains.enumerate_antichains(6))
-    assert calls == {"lift": 0, "divisor_obj": 64 + members}
+    assert calls == {"lift": 0, "divisor_obj": 64}
+
+
+@pytest.mark.parametrize("command", ["extremal", "matching"])
+def test_no_display_state_outlives_a_command(env, capsys, command):
+    """A listing on the primes 3 to 13 and then one on 2 to 11, run in one
+    process, each print the bytes of a fresh process: the display objects
+    of a command live in tables of its own, and no display helper caches."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    for target in (["--n", "15015"], ["--sig", "1,1,1,1,1"]):
+        argv = [command, *target, "--list", "--format", "json"]
+        code, out, _ = run(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "divint", *argv],
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": path})
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        assert code == 0
+    for owner, name in ((report, "divisor_obj"), (cli, "_mask_symbol"),
+                        (cli, "_entry_obj"), (lattice, "format_divisor"),
+                        (lattice, "mask_to_divisor")):
+        assert not hasattr(getattr(owner, name), "cache_info"), name
 
 
 def test_verify_text_and_exit(env, capsys):
@@ -1098,6 +1118,36 @@ def test_readme_cap_table_matches_the_code():
     assert _cap_names() <= table
 
 
+@pytest.mark.parametrize("argv,walked", [
+    (["--max-n", "6", "--max-exp", "12", "--t", "2"], 2892439159),
+    (["--max-n", "6", "--max-exp", "5", "--t", "2,3"], 2 * 1323651),
+], ids=["6/12", "6/5 t=2,3"])
+def test_sweep_cap_refuses_before_the_first_cell(env, capsys, monkeypatch,
+                                                 argv, walked):
+    """A sweep whose cells would walk more than restricted.SWEEP_CAP
+    divisors, summed over the grid and the --t values, exits 3 at once,
+    before any cell is solved."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a cell was solved")
+
+    monkeypatch.setattr(restricted, "solve_restricted", boom)
+    start = time.perf_counter()
+    code, out, err = run(["openprob", "--mode", "omega", *argv], capsys)
+    assert (code, out) == (3, "")
+    assert (f"walk is {walked}, above the cap of {restricted.SWEEP_CAP} "
+            f"(restricted.SWEEP_CAP, a fixed constant)") in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sweep_cap_admits_the_benchmark_sweep():
+    """The benchmark's sweep, 5/3 at t = 2,3, walks 15538 divisors, and
+    6/5 at one t value, 1323651, is still admitted."""
+    assert 2 * sum(s.divisor_count() for s in lattice.signature_grid(5, 3)) \
+        == 15538
+    assert sum(s.divisor_count() for s in lattice.signature_grid(6, 5)) \
+        == 1323651 <= restricted.SWEEP_CAP
+
+
 # Between them these commands reach every refusal site of the package.
 # `setup` holds `module.CONST` values to patch first.
 REFUSALS = [
@@ -1123,6 +1173,8 @@ REFUSALS = [
       "--t", "2"], {}),
     (["openprob", "--mode", "omega", "--max-n", "8000", "--max-exp", "8000",
       "--t", "2"], {}),
+    (["openprob", "--mode", "omega", "--t", "2", "--max-n", "6",
+      "--max-exp", "12"], {}),
 ]
 
 

@@ -226,7 +226,7 @@ def test_weight_pairing_names_the_missing_cover():
     that part: 0b01 is in, its cover 0b11 is not."""
     sig = Signature((1, 1, 1))
     with pytest.raises(PreconditionError) as exc:
-        matching._weight_pairing((0b001, 0b010, 0b111), sig)
+        matching._weight_pairing((0b001, 0b010, 0b111), sig, {})
     assert exc.value.witness == (0b01, 0b11)
     with pytest.raises(PreconditionError) as part:
         matching.complement_permutation(UpwardClosedFamily(0b11, (1, 2)))
@@ -235,14 +235,17 @@ def test_weight_pairing_names_the_missing_cover():
 
 
 def test_pairing_entries_are_built_once_per_signature():
-    """The 2646 pairings of 1^6 share one entry object per distinct
-    (position, source), and each one's weight equality is checked where it
-    is built."""
+    """The 2646 pairings of 1^6, given one dict of built entries, share one
+    entry object per distinct (position, source), the one the dict holds,
+    and each one's weight equality is checked where it is built."""
     sig = Signature((1,) * 6)
+    built = {}
     entries = [e for rads in extremal.minimum_radical_sets(sig)
-               for e in matching._weight_pairing(rads, sig).entries]
+               for e in matching._weight_pairing(rads, sig, built).entries]
     pairs = {(e.position, e.source) for e in entries}
     assert len({id(e) for e in entries}) == len(pairs) < len(entries)
+    assert set(built) == pairs
+    assert all(built[e.position, e.source] is e for e in entries)
     with pytest.raises(TheoremViolationError) as exc:
         # p1 against the complement of p1 on 2,1,1: weights 2 and 1
         matching._pairing_entry(0b001, 0b001, Signature((2, 1, 1)))

@@ -160,13 +160,25 @@ def test_listing_peak_memory(monkeypatch, tmp_path, capsys):
 
 
 def test_divisor_obj_is_one_shared_object_per_divisor():
-    obj = report.divisor_obj((2, 0, 1), (2, 3, 5))
-    assert obj == {"exponents": [2, 0, 1], "symbol": "p1^2*p3", "value": 20}
-    assert report.divisor_obj((2, 0, 1), (2, 3, 5)) is obj
+    """Within one listing, the generators and the families hold one shared
+    object per divisor, the `divisor_obj` shape under the listing's primes."""
+    assert report.divisor_obj((2, 0, 1), (2, 3, 5)) == {
+        "exponents": [2, 0, 1], "symbol": "p1^2*p3", "value": 20}
     assert report.divisor_obj((2, 0, 1), (3, 5, 7))["value"] == 63
     assert report.divisor_obj((2, 0, 1)) == {"exponents": [2, 0, 1],
                                              "symbol": "p1^2*p3"}
-    assert report.divisor_obj((2, 0, 1)) is report.divisor_obj((2, 0, 1))
+    args = cli._build_parser("extremal").parse_args(
+        ["extremal", "--n", "420", "--list"])
+    _, results, primes = cli.cmd_extremal(args)
+    generators = [m for fam in results["generators"] for m in fam["members"]]
+    members = [m for fam in results["families"] for m in fam["members"]]
+    shared = {}
+    for m in generators + members:
+        d = tuple(m["exponents"])
+        assert shared.setdefault(d, m) is m
+        assert m == report.divisor_obj(d, primes)
+    assert {id(m) for m in generators} <= {id(m) for m in members}
+    assert len(shared) < len(members)
 
 
 def test_json_dumps_document():
