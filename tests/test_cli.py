@@ -1338,3 +1338,46 @@ def test_command_parser_answers_as_the_whole_tree(env, capsys, monkeypatch,
 ])
 def test_command_in(argv, command):
     assert cli._command_in(argv) == command
+
+
+# Every refusal that `main` answers with exit 2 before any output: argv and
+# the one stderr line it prints.
+USAGE_REFUSALS = [
+    (["matching"],
+     "matching needs --k (ground sweep) or --sig/--n (pairing)"),
+    (["matching", "--k", "3", "--sig", "1"],
+     "give --k or a signature, not both"),
+    (["matching", "--k", "0", "--sig", "1"],
+     "give --k or a signature, not both"),
+    (["matching", "--k", "0"], "--k must be a positive integer"),
+    (["antichains", "--k", "0"], "--k must be a positive integer"),
+    (["openprob", "--mode", "omega"],
+     "--t is required, e.g. --t 2 or --t 2,3"),
+    (["openprob", "--mode", "omega", "--sig", "1", "--max-n", "2", "--t", "2"],
+     "give a signature or --max-n sweep bounds, not both"),
+    (["openprob", "--mode", "omega", "--t", "2"],
+     "openprob needs --sig/--n or --max-n"),
+    (["openprob", "--mode", "omega", "--max-n", "2", "--t", "2", "--list"],
+     "--list prints a single cell's witnesses, not a sweep"),
+    (["openprob", "--mode", "omega", "--sig", "1,1", "--t", "2,3"],
+     "a single cell takes exactly one --t value"),
+    (["openprob", "--mode", "omega", "--max-n", "0", "--t", "2"],
+     "--max-n and --max-exp must be positive"),
+    (["verify", "--max-n", "0"], "--max-n and --max-exp must be positive"),
+    (["bound", "--sig", "1", "--n", "6"], "give either --sig or --n, not both"),
+    (["bound", "--sig", " "], "signature is empty"),
+    (["bound"], "one of --sig or --n is required"),
+    (["bound", "--sig", "1", "--threads", "0"],
+     "threads must be positive, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_REFUSALS,
+                         ids=[" ".join(a) for a, _ in USAGE_REFUSALS])
+def test_usage_refusals_print_one_line(env, capsys, argv, message):
+    """Each usage refusal exits 2 with no output and one stderr line, and
+    none of them advises a flag."""
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
+    assert "allow" not in err
