@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Subcommands: bound, extremal, count, antichains, oracle, matching, openprob,
-verify.  Each command computes one thing, the `results` of its JSON
-document.  Every command accepts --format text|json|csv, and text and CSV
-are views of those results (`_text`, `_csv`), so the three forms cannot
-disagree; a run builds only the form it prints, and a JSON run formats no
-text line and no CSV row; the CSV rows show no family, so under CSV --list
-builds none.  JSON output is fully deterministic (sorted keys, canonical
-arrays, no timestamps and no echo of --threads, which changes nothing).  The
-flags are the only settings: no environment variable or file is read.
-Elapsed time goes to stderr only.
+verify.  `COMMANDS` holds one `Command` record per subcommand: its help
+line, its options, the function that computes the `results` of its JSON
+document, and its text and CSV views of those results.  The parser, `main`,
+`_text` and `_csv` read the record, so a command is declared in one place.
+Every command accepts --format text|json|csv, and as text and CSV are views
+of the results, the three forms cannot disagree; a run builds only the form
+it prints, and a JSON run formats no text line and no CSV row; the CSV rows
+show no family, so under CSV --list builds none.  JSON output is fully
+deterministic (sorted keys, canonical arrays, no timestamps and no echo of
+--threads, which changes nothing).  The flags are the only settings: no
+environment variable or file is read.  Elapsed time goes to stderr only.
 
 Exit codes: 0 success, 2 usage error, 3 resource limit exceeded,
 4 theorem-violation diagnostic or internal consistency failure.
@@ -21,7 +23,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import antichains, extremal, families, lattice, matching, oracle
 from . import report, restricted, verify as verify_mod
@@ -38,18 +40,37 @@ Run = tuple[dict, dict, Optional[tuple[int, ...]]]
 
 FORMATS = ("text", "json", "csv")
 
+# Options as (flag, `add_argument` keywords): those every command takes,
+# then those of the commands that read a signature.
+_SHARED = (
+    ("--format", dict(choices=FORMATS, default="text",
+                      help="output format (default text)")),
+    ("--threads", dict(type=int, default=1,
+                       help="accepted for compatibility; every engine is "
+                            "sequential, so it changes nothing")),
+)
+_SIG = (
+    ("--sig", dict(help="comma-separated exponents, e.g. 2,1,1,1")),
+    ("--n", dict(type=int,
+                 help="integer to factor instead of --sig, e.g. 420")),
+)
+_LIST = ("--list", dict(action="store_true"))
+
+
+class Command(NamedTuple):
+    """One subcommand.  `options` follow the shared ones; `run` computes
+    the command's document from the parsed arguments; `text(parameters,
+    results, primes)` gives its text lines and `csv(parameters, results)`
+    its CSV rows and columns."""
+    help: str
+    options: tuple
+    run: Callable[[argparse.Namespace], Run]
+    text: Callable[[dict, dict, Optional[tuple[int, ...]]], list[str]]
+    csv: Callable[[dict, dict], tuple[list[dict], list[str]]]
+
 
 class _UsageError(Exception):
     pass
-
-
-class _Unselected:
-    """Takes the options of a command that argv does not select, and drops
-    them: its subparser then costs no `add_argument` call."""
-
-    @staticmethod
-    def add_argument(*args, **kwargs) -> None:
-        pass
 
 
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -63,65 +84,11 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_line: str, takes_sig: bool = True):
-        p = sub.add_parser(name, help=help_line)
-        if command not in (None, name):
-            return _Unselected
-        p.add_argument("--format", choices=FORMATS, default="text",
-                       help="output format (default text)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; every engine is "
-                            "sequential, so it changes nothing")
-        if takes_sig:
-            p.add_argument("--sig", default=None,
-                           help="comma-separated exponents, e.g. 2,1,1,1")
-            p.add_argument("--n", type=int, default=None,
-                           help="integer to factor instead of --sig, e.g. 420")
-        return p
-
-    add("bound", "closed-form minimum size of a maximal family")
-
-    p = add("extremal", "all minimum-size maximal families, by generators")
-    p.add_argument("--list", action="store_true",
-                   help="print full family memberships, not just generators")
-
-    add("count", "number of minimum-size maximal families")
-
-    p = add("antichains", "generating antichains on k squarefree primes",
-            takes_sig=False)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--list", action="store_true")
-
-    p = add("oracle", "brute-force census of every maximal family")
-    p.add_argument("--method", choices=oracle.METHODS, default="radical-lift")
-    p.add_argument("--list", action="store_true")
-
-    p = add("matching", "certified complement pairings")
-    p.add_argument("--k", type=int, default=None,
-                   help="check every upward-closed family on a k-prime ground")
-    p.add_argument("--list", action="store_true")
-
-    p = add("openprob", "minimum maximal-family sizes in restricted universes")
-    p.add_argument("--mode", choices=restricted.MODES, required=True,
-                   help="omega: distinct primes; bigomega: with multiplicity")
-    p.add_argument("--t", default=None,
-                   help="factor count, or comma list for sweeps, e.g. 2,3")
-    p.add_argument("--maximality", choices=restricted.MAXIMALITIES,
-                   default="restricted")
-    p.add_argument("--allow-t1", action="store_true",
-                   help="permit t=1 (outside the stated problem range)")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="sweep signatures with up to this many primes")
-    p.add_argument("--max-exp", type=int, default=None,
-                   help="sweep exponent bound (default 2)")
-    p.add_argument("--list", action="store_true",
-                   help="print witness families (single cell only)")
-
-    p = add("verify", "re-derive every structural law over a grid",
-            takes_sig=False)
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--max-exp", type=int, default=2)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if command in (None, name):
+            for flag, keywords in _SHARED + cmd.options:
+                p.add_argument(flag, **keywords)
     return parser
 
 
@@ -184,15 +151,16 @@ def _lists(args) -> bool:
     return args.list and args.format != "csv"
 
 
-def _sig_value(sig: Signature, key: str, value: int) -> Run:
-    """One number about one signature, e.g. its bound or its family count."""
+def _sig_value(args, key: str, value: Callable[[Signature], int]) -> Run:
+    """One number about the signature of `args`, e.g. its bound or its
+    family count: `value` maps the signature to it."""
+    sig, _ = _parse_signature(args)
     return ({"sig": str(sig)},
-            {"signature": report.signature_obj(sig), key: value}, None)
+            {"signature": report.signature_obj(sig), key: value(sig)}, None)
 
 
 def cmd_bound(args) -> Run:
-    sig, _ = _parse_signature(args)
-    return _sig_value(sig, "min_size", lattice.min_size_bound(sig))
+    return _sig_value(args, "min_size", lattice.min_size_bound)
 
 
 def cmd_extremal(args) -> Run:
@@ -224,8 +192,7 @@ def cmd_extremal(args) -> Run:
 
 
 def cmd_count(args) -> Run:
-    sig, _ = _parse_signature(args)
-    return _sig_value(sig, "count", extremal.count_minimum_families(sig))
+    return _sig_value(args, "count", extremal.count_minimum_families)
 
 
 def cmd_antichains(args) -> Run:
@@ -269,21 +236,28 @@ def cmd_oracle(args) -> Run:
             results, primes)
 
 
-def _cmd_matching_ground(args) -> Run:
-    k = args.k
-    if k < 1:
-        raise _UsageError("--k must be a positive integer")
-    fams = matching.all_upward_closed_families(k)
-    symbols = report.Table(_mask_symbol, k)
-    listed = [{
-        "members": [symbols[m] for m in fam.members],
-        "sigma": list(matching.complement_permutation(fam).sigma),
-    } for fam in fams]
-    return ({"k": k, "list": bool(args.list)},
-            {"ground": k, "count": len(fams), "families": listed}, None)
-
-
-def _cmd_matching_sig(args) -> Run:
+def cmd_matching(args) -> Run:
+    """Every upward-closed family on a ground of --k primes with its
+    certified complement permutation, or the weight pairing of each
+    minimum family of a signature."""
+    has_sig = args.sig is not None or args.n is not None
+    if args.k is not None and has_sig:
+        raise _UsageError("give --k or a signature, not both")
+    if args.k is not None:
+        if args.k < 1:
+            raise _UsageError("--k must be a positive integer")
+        fams = matching.all_upward_closed_families(args.k)
+        symbols = report.Table(_mask_symbol, args.k)
+        listed = [{
+            "members": [symbols[m] for m in fam.members],
+            "sigma": list(matching.complement_permutation(fam).sigma),
+        } for fam in fams]
+        return ({"k": args.k, "list": bool(args.list)},
+                {"ground": args.k, "count": len(fams), "families": listed},
+                None)
+    if not has_sig:
+        raise _UsageError(
+            "matching needs --k (ground sweep) or --sig/--n (pairing)")
     sig, primes = _parse_signature(args)
     # generators as radical masks, in extremal_families order; none is built
     gen_masks = extremal._generator_masks(sig)
@@ -305,17 +279,6 @@ def _cmd_matching_sig(args) -> Run:
     return ({"sig": str(sig), "list": bool(args.list)},
             {"signature": report.signature_obj(sig), "pairings": listed},
             primes)
-
-
-def cmd_matching(args) -> Run:
-    has_sig = args.sig is not None or args.n is not None
-    if args.k is not None and has_sig:
-        raise _UsageError("give --k or a signature, not both")
-    if args.k is not None:
-        return _cmd_matching_ground(args)
-    if has_sig:
-        return _cmd_matching_sig(args)
-    raise _UsageError("matching needs --k (ground sweep) or --sig/--n (pairing)")
 
 
 def cmd_openprob(args) -> Run:
@@ -379,17 +342,8 @@ def cmd_verify(args) -> Run:
              "passed": rep.passed, "rows": list(rep.rows)}, None)
 
 
-_DISPATCH = {
-    "bound": cmd_bound,
-    "extremal": cmd_extremal,
-    "count": cmd_count,
-    "antichains": cmd_antichains,
-    "oracle": cmd_oracle,
-    "matching": cmd_matching,
-    "openprob": cmd_openprob,
-    "verify": cmd_verify,
-}
-
+# The text and CSV views below name a command's parameters `p` and its
+# results `r`.
 
 def _brace(texts) -> str:
     return "{" + ", ".join(texts) + "}"
@@ -413,112 +367,195 @@ def _symbol_value(symbol: str, primes: tuple[int, ...]) -> int:
 def _size_histogram(sizes) -> str:
     from collections import Counter
 
-    parts = []
-    for size, mult in sorted(Counter(sizes).items()):
-        parts.append(f"{size}x{mult}" if mult > 1 else str(size))
-    return " ".join(parts)
+    return " ".join(f"{size}x{mult}" if mult > 1 else str(size)
+                    for size, mult in sorted(Counter(sizes).items()))
+
+
+def _one_row(*columns: str):
+    """The CSV view of a command whose results are one row, under the
+    signature the run was given."""
+    return lambda p, r: ([{**r, "signature": p["sig"]}],
+                         ["signature", *columns])
+
+
+def _extremal_text(p: dict, r: dict, primes) -> list[str]:
+    texts = report.Table(str)
+    lines = [f"signature {p['sig']}: {r['regime']} regime, minimum size "
+             f"{r['min_size']}, {r['count']} minimum-size maximal families"]
+    for label, fams in (("generators", r["generators"]),
+                        ("closure", r.get("families", []))):
+        lines.extend(f"  [{i}] {label} {_members(f, texts)}"
+                     for i, f in enumerate(fams, start=1))
+    return lines
+
+
+def _extremal_csv(p: dict, r: dict) -> tuple[list[dict], list[str]]:
+    return [{
+        "signature": p["sig"], "regime": r["regime"], "index": i,
+        "generators": " ".join(str(m["value"]) for m in gen["members"]),
+        "closure_size": r["min_size"],
+    } for i, gen in enumerate(r["generators"], start=1)], [
+        "signature", "regime", "index", "generators", "closure_size"]
+
+
+def _antichains_text(p: dict, r: dict, primes) -> list[str]:
+    listed = enumerate(r["antichains"], start=1) if p["list"] else ()
+    return [f"{r['count']} generating antichains on {r['k']} primes",
+            *(f"  [{i}] {', '.join(symbols)}" for i, symbols in listed)]
+
+
+def _oracle_text(p: dict, r: dict, primes) -> list[str]:
+    texts = report.Table(str)
+    lines = [f"signature {p['sig']}: {r['total_maximal']} maximal families "
+             f"({r['method']}); min size {r['min_size']} attained by "
+             f"{r['min_count']}; sizes: {_size_histogram(r['sizes'])}"]
+    lines.extend(f"  [{i}] size {f['size']}: {_members(f, texts)}"
+                 for i, f in enumerate(r.get("families", []), start=1))
+    return lines
+
+
+def _matching_text(p: dict, r: dict, primes) -> list[str]:
+    if "ground" in r:
+        listed = enumerate(r["families"], start=1) if p["list"] else ()
+        return [f"ground of {r['ground']} primes: {r['count']} upward-closed "
+                f"families, all with certified complement permutations",
+                *(f"  [{i}] {_brace(f['members'])} sigma={tuple(f['sigma'])}"
+                  for i, f in listed)]
+    lines = [f"signature {p['sig']}: weight-preserving pairings on all "
+             f"{len(r['pairings'])} minimum-size families"]
+    for pairing in r["pairings"] if p["list"] else ():
+        values = (str(_symbol_value(s, primes)) for s in pairing["generators"])
+        lines.append(f"  [{pairing['family_index']}] generators "
+                     f"{_brace(values)}")
+        lines.extend(f"       {e['position']} <- complement of "
+                     f"{e['source']} (alpha {e['alpha']})"
+                     for e in pairing["entries"])
+    return lines
+
+
+def _matching_csv(p: dict, r: dict) -> tuple[list[dict], list[str]]:
+    if "ground" in r:
+        return [{
+            "ground": r["ground"], "index": i, "size": len(f["members"]),
+            "sigma": " ".join(str(s) for s in f["sigma"]),
+        } for i, f in enumerate(r["families"], start=1)], [
+            "ground", "index", "size", "sigma"]
+    return [{
+        "signature": p["sig"], "family_index": q["family_index"],
+        "paired_members": len(q["entries"]),
+        "sigma": " ".join(str(s) for s in q["sigma"]),
+    } for q in r["pairings"]], [
+        "signature", "family_index", "paired_members", "sigma"]
+
+
+def _openprob_text(p: dict, r: dict, primes) -> list[str]:
+    letter = "m" if r["mode"] == "omega" else "M"
+    if "rows" in r:
+        lines = [f"{letter}(N, t) sweep: n <= {p['max_n']}, exponents <= "
+                 f"{p['max_exp']}, t in {r['t']}, {r['maximality']} "
+                 f"maximality"]
+        for row in r["rows"]:
+            head = f"  {row['signature']:<12} t={row['t']}"
+            lines.append(
+                f"{head}: {letter}={row['value']} ({row['attaining_count']} "
+                f"attaining, universe {row['universe_size']})"
+                if row["status"] == "ok" else f"{head}: {row['status']}")
+        return lines
+    head = f"{letter}({p['sig']}; t={r['t']}, {r['maximality']})"
+    lines = [f"{head} = {r['value']}; {r['attaining_count']} attaining "
+             f"families; universe size {r['universe_size']}"
+             if r["status"] == "ok" else f"{head}: {r['status']}"]
+    if r["note"]:
+        lines.append(f"note: {r['note']}")
+    texts = report.Table(str)
+    lines.extend(f"  [{i}] {_members(w, texts)}"
+                 for i, w in enumerate(r.get("witnesses", []), start=1))
+    return lines
+
+
+def _verify_text(p: dict, r: dict, primes) -> list[str]:
+    lines = [f"PASS {row['claim']} [{row['subject']}]"
+             if row["status"] == "pass"
+             else f"FAIL {row['claim']} [{row['subject']}]: "
+                  f"{json.dumps(row.get('counterexample'), sort_keys=True)}"
+             for row in r["rows"]]
+    failed = sum(row["status"] != "pass" for row in r["rows"])
+    lines.append(f"verify: {len(lines)} checks, {len(lines) - failed} "
+                 f"passed, {failed} failed")
+    return lines
+
+
+COMMANDS = {
+    "bound": Command(
+        "closed-form minimum size of a maximal family", _SIG, cmd_bound,
+        lambda p, r, primes: [str(r["min_size"])], _one_row("min_size")),
+    "extremal": Command(
+        "all minimum-size maximal families, by generators", _SIG + (
+            ("--list", dict(action="store_true", help=(
+                "print full family memberships, not just generators"))),),
+        cmd_extremal, _extremal_text, _extremal_csv),
+    "count": Command(
+        "number of minimum-size maximal families", _SIG, cmd_count,
+        lambda p, r, primes: [str(r["count"])], _one_row("count")),
+    "antichains": Command(
+        "generating antichains on k squarefree primes",
+        (("--k", dict(type=int, required=True)), _LIST),
+        cmd_antichains, _antichains_text,
+        lambda p, r: ([{"k": r["k"], "index": i, "antichain": " ".join(ac)}
+                       for i, ac in enumerate(r["antichains"], start=1)],
+                      ["k", "index", "antichain"])),
+    "oracle": Command(
+        "brute-force census of every maximal family", _SIG + (
+            ("--method", dict(choices=oracle.METHODS, default="radical-lift")),
+            _LIST),
+        cmd_oracle, _oracle_text,
+        _one_row("method", "total_maximal", "min_size", "min_count")),
+    "matching": Command(
+        "certified complement pairings", _SIG + (
+            ("--k", dict(type=int, help=(
+                "check every upward-closed family on a k-prime ground"))),
+            _LIST),
+        cmd_matching, _matching_text, _matching_csv),
+    "openprob": Command(
+        "minimum maximal-family sizes in restricted universes", _SIG + (
+            ("--mode", dict(choices=restricted.MODES, required=True, help=(
+                "omega: distinct primes; bigomega: with multiplicity"))),
+            ("--t", dict(help="factor count, or comma list for sweeps, "
+                              "e.g. 2,3")),
+            ("--maximality", dict(choices=restricted.MAXIMALITIES,
+                                  default="restricted")),
+            ("--allow-t1", dict(action="store_true", help=(
+                "permit t=1 (outside the stated problem range)"))),
+            ("--max-n", dict(type=int, help=(
+                "sweep signatures with up to this many primes"))),
+            ("--max-exp", dict(type=int,
+                               help="sweep exponent bound (default 2)")),
+            ("--list", dict(action="store_true", help=(
+                "print witness families (single cell only)")))),
+        cmd_openprob, _openprob_text,
+        lambda p, r: (r.get("rows") or [{**r, "signature": p["sig"],
+                                         "n": r["signature"]["n"]}],
+                      list(restricted.ROW_FIELDS))),
+    "verify": Command(
+        "re-derive every structural law over a grid",
+        (("--max-n", dict(type=int, default=3)),
+         ("--max-exp", dict(type=int, default=2))),
+        cmd_verify, _verify_text,
+        lambda p, r: (r["rows"], ["claim", "subject", "status"])),
+}
 
 
 def _text(command: str, parameters: dict, results: dict,
           primes: Optional[tuple[int, ...]]) -> list[str]:
-    """The text view of a command's results, line by line."""
-    sig = parameters.get("sig")
-    texts = report.Table(str)
+    """The text view of a command's results, line by line: a note when the
+    signature was normalized, then the lines of the command's record."""
     lines = []
     normalized = results.get("signature", {}).get("normalized_from")
     if normalized is not None:
         orig = ",".join(str(a) for a in normalized)
-        lines.append(f"note: signature normalized from {orig} to {sig}")
-
-    if command in ("bound", "count"):
-        key = "min_size" if command == "bound" else "count"
-        lines.append(str(results[key]))
-    elif command == "extremal":
-        lines.append(
-            f"signature {sig}: {results['regime']} regime, minimum size "
-            f"{results['min_size']}, {results['count']} minimum-size maximal "
-            f"families")
-        for label, fams in (("generators", results["generators"]),
-                            ("closure", results.get("families", []))):
-            lines.extend(f"  [{i}] {label} {_members(f, texts)}"
-                         for i, f in enumerate(fams, start=1))
-    elif command == "antichains":
-        lines.append(f"{results['count']} generating antichains on "
-                     f"{results['k']} primes")
-        if parameters["list"]:
-            lines.extend(f"  [{i}] {', '.join(symbols)}"
-                         for i, symbols in enumerate(results["antichains"],
-                                                   start=1))
-    elif command == "oracle":
-        lines.append(
-            f"signature {sig}: {results['total_maximal']} maximal families "
-            f"({results['method']}); min size {results['min_size']} attained "
-            f"by {results['min_count']}; sizes: "
-            f"{_size_histogram(results['sizes'])}")
-        lines.extend(f"  [{i}] size {f['size']}: {_members(f, texts)}"
-                     for i, f in enumerate(results.get("families", []),
-                                           start=1))
-    elif command == "matching" and "ground" in results:
-        lines.append(
-            f"ground of {results['ground']} primes: {results['count']} "
-            f"upward-closed families, all with certified complement "
-            f"permutations")
-        if parameters["list"]:
-            lines.extend(
-                f"  [{i}] {{{', '.join(f['members'])}}} "
-                f"sigma={tuple(f['sigma'])}"
-                for i, f in enumerate(results["families"], start=1))
-    elif command == "matching":
-        lines.append(f"signature {sig}: weight-preserving pairings on all "
-                     f"{len(results['pairings'])} minimum-size families")
-        for p in results["pairings"] if parameters["list"] else ():
-            values = (str(_symbol_value(s, primes)) for s in p["generators"])
-            lines.append(f"  [{p['family_index']}] generators "
-                         f"{_brace(values)}")
-            lines.extend(f"       {e['position']} <- complement of "
-                         f"{e['source']} (alpha {e['alpha']})"
-                         for e in p["entries"])
-    elif command == "openprob" and "rows" in results:
-        letter = "m" if results["mode"] == "omega" else "M"
-        lines.append(
-            f"{letter}(N, t) sweep: n <= {parameters['max_n']}, exponents <= "
-            f"{parameters['max_exp']}, t in {results['t']}, "
-            f"{results['maximality']} maximality")
-        for r in results["rows"]:
-            if r["status"] == "ok":
-                lines.append(
-                    f"  {r['signature']:<12} t={r['t']}: "
-                    f"{letter}={r['value']} ({r['attaining_count']} "
-                    f"attaining, universe {r['universe_size']})")
-            else:
-                lines.append(f"  {r['signature']:<12} t={r['t']}: "
-                             f"{r['status']}")
-    elif command == "openprob":
-        letter = "m" if results["mode"] == "omega" else "M"
-        head = f"{letter}({sig}; t={results['t']}, {results['maximality']})"
-        if results["status"] == "ok":
-            lines.append(
-                f"{head} = {results['value']}; {results['attaining_count']} "
-                f"attaining families; universe size "
-                f"{results['universe_size']}")
-        else:
-            lines.append(f"{head}: {results['status']}")
-        if results["note"]:
-            lines.append(f"note: {results['note']}")
-        lines.extend(f"  [{i}] {_members(w, texts)}"
-                     for i, w in enumerate(results.get("witnesses", []),
-                                         start=1))
-    elif command == "verify":
-        rows = results["rows"]
-        lines.extend(
-            f"PASS {r['claim']} [{r['subject']}]" if r["status"] == "pass"
-            else f"FAIL {r['claim']} [{r['subject']}]: "
-                 f"{json.dumps(r.get('counterexample'), sort_keys=True)}"
-            for r in rows)
-        failed = sum(r["status"] != "pass" for r in rows)
-        lines.append(f"verify: {len(rows)} checks, {len(rows) - failed} "
-                     f"passed, {failed} failed")
-    return lines
+        lines.append(f"note: signature normalized from {orig} to "
+                     f"{parameters['sig']}")
+    return lines + COMMANDS[command].text(parameters, results, primes)
 
 
 def _csv(command: str, parameters: dict,
@@ -528,44 +565,7 @@ def _csv(command: str, parameters: dict,
     A row may hold keys beyond the columns; `report.csv_dumps` writes only
     the columns.
     """
-    sig = parameters.get("sig")
-    if command == "bound":
-        return [{**results, "signature": sig}], ["signature", "min_size"]
-    if command == "count":
-        return [{**results, "signature": sig}], ["signature", "count"]
-    if command == "oracle":
-        return [{**results, "signature": sig}], [
-            "signature", "method", "total_maximal", "min_size", "min_count"]
-    if command == "extremal":
-        return [{
-            "signature": sig, "regime": results["regime"], "index": i,
-            "generators": " ".join(str(m["value"]) for m in gen["members"]),
-            "closure_size": results["min_size"],
-        } for i, gen in enumerate(results["generators"], start=1)], [
-            "signature", "regime", "index", "generators", "closure_size"]
-    if command == "antichains":
-        return [{"k": results["k"], "index": i, "antichain": " ".join(ac)}
-                for i, ac in enumerate(results["antichains"], start=1)], [
-            "k", "index", "antichain"]
-    if command == "matching" and "ground" in results:
-        return [{
-            "ground": results["ground"], "index": i,
-            "size": len(f["members"]),
-            "sigma": " ".join(str(s) for s in f["sigma"]),
-        } for i, f in enumerate(results["families"], start=1)], [
-            "ground", "index", "size", "sigma"]
-    if command == "matching":
-        return [{
-            "signature": sig, "family_index": p["family_index"],
-            "paired_members": len(p["entries"]),
-            "sigma": " ".join(str(s) for s in p["sigma"]),
-        } for p in results["pairings"]], [
-            "signature", "family_index", "paired_members", "sigma"]
-    if command == "openprob":
-        rows = results.get("rows") or [
-            {**results, "signature": sig, "n": results["signature"]["n"]}]
-        return rows, list(restricted.ROW_FIELDS)
-    return results["rows"], ["claim", "subject", "status"]  # verify
+    return COMMANDS[command].csv(parameters, results)
 
 
 def _emit(command: str, fmt: str, parameters: dict, results: dict,
@@ -590,7 +590,7 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise _UsageError(f"threads must be positive, got {args.threads}")
-        parameters, results, primes = _DISPATCH[args.command](args)
+        parameters, results, primes = COMMANDS[args.command].run(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,7 +112,9 @@ def _validate(mode: str, t: int, maximality: str, allow_t1: bool) -> None:
         raise ValueError(
             f"unknown maximality {maximality!r}: expected one of {MAXIMALITIES}"
         )
-    if t < 1 or (t == 1 and not allow_t1):
+    if t < 1:
+        raise ValueError(f"t must be a positive integer (got {t})")
+    if t == 1 and not allow_t1:
         raise ValueError(
             f"t must be at least 2 (got {t}); pass allow_t1 / --allow-t1 to "
             f"explore t=1 anyway"

@@ -1369,6 +1369,15 @@ USAGE_REFUSALS = [
     (["bound"], "one of --sig or --n is required"),
     (["bound", "--sig", "1", "--threads", "0"],
      "threads must be positive, got 0"),
+    # t = 0 is refused as out of range; --allow-t1 admits only t = 1
+    (["openprob", "--mode", "omega", "--sig", "1", "--t", "0"],
+     "t must be a positive integer (got 0)"),
+    (["openprob", "--mode", "omega", "--sig", "1", "--t", "0", "--allow-t1"],
+     "t must be a positive integer (got 0)"),
+    (["openprob", "--mode", "omega", "--max-n", "2", "--t", "0,2"],
+     "t must be a positive integer (got 0)"),
+    (["openprob", "--mode", "omega", "--max-n", "2", "--t", "0,2",
+      "--allow-t1"], "t must be a positive integer (got 0)"),
 ]
 
 
