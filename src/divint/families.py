@@ -25,7 +25,7 @@ from .lattice import Divisor, Mask, Signature
 MEMBER_CAP = 300_000
 
 
-class DivisorFamily:
+class DivisorFamily(lattice.Frozen):
     """Immutable, canonically sorted set of divisors > 1 and its radical set."""
 
     __slots__ = ("members", "radical_set")
@@ -58,9 +58,6 @@ class DivisorFamily:
         object.__setattr__(fam, "radical_set", tuple(sorted(masks)))
         return fam
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DivisorFamily is immutable")
-
     @property
     def member_set(self) -> frozenset[Divisor]:
         """The members as a frozenset, built anew on each call."""
@@ -75,11 +72,8 @@ class DivisorFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DivisorFamily) and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
+    def _key(self) -> tuple[Divisor, ...]:
+        return self.members
 
     def __repr__(self) -> str:
         return f"DivisorFamily({[lattice.format_divisor(d) for d in self.members]})"
@@ -203,7 +197,7 @@ def upward_closure(generators: DivisorFamily, sig: Signature) -> DivisorFamily:
     exponent ranges, so no divisibility test runs.
     """
     for t in generators.members:
-        if len(t) != sig.n or not all(map(operator.le, t, sig.alphas)):
+        if len(t) != sig.n or not all(0 <= e <= a for e, a in zip(t, sig.alphas)):
             raise ValueError(f"generator {t} does not divide the {sig} lattice")
     lattice.check_lattice_size(sig)
     tops = [a + 1 for a in sig.alphas]

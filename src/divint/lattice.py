@@ -27,7 +27,34 @@ MAX_PRIMES = 16
 MAX_DIVISORS = 100_000
 
 
-class Signature:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass declares its own `__slots__`, sets them in `__init__` through
+    `object.__setattr__`, and defines `_key()`: the tuple of its state that
+    equality and hashing read.  Setting or deleting an attribute raises
+    AttributeError; a value equals only a value of its own class with the
+    same key, and hashes as its key does.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Signature(Frozen):
     """Exponent vector of the ambient integer, sorted descending.
 
     `alphas` is the normalized (descending) vector; `original` preserves the
@@ -56,19 +83,8 @@ class Signature:
         object.__setattr__(self, "original", orig)
         object.__setattr__(self, "perm", perm)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Signature is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Signature is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.alphas == other.alphas
-
-    def __hash__(self) -> int:
-        return hash(self.alphas)
+    def _key(self) -> tuple[int, ...]:
+        return self.alphas
 
     def __repr__(self) -> str:
         return f"Signature(alphas={self.alphas!r})"

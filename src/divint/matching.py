@@ -35,7 +35,7 @@ from .lattice import Mask, Signature
 GROUND_CAP = 5
 
 
-class UpwardClosedFamily:
+class UpwardClosedFamily(lattice.Frozen):
     """Masks `members` within `ground`, expected upward closed in the ground.
 
     Immutable; the members are kept sorted and without repeats.
@@ -54,19 +54,8 @@ class UpwardClosedFamily:
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "members", members)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UpwardClosedFamily is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("UpwardClosedFamily is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ground, self.members) == (other.ground, other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.members))
+    def _key(self) -> tuple[Mask, tuple[Mask, ...]]:
+        return self.ground, self.members
 
     def __repr__(self) -> str:
         return f"UpwardClosedFamily(ground={self.ground!r}, members={self.members!r})"
@@ -134,9 +123,7 @@ def _max_matching(members: tuple[Mask, ...], adj: list[int]):
     (match_left, match_right): match_left[j] is the position matched to j,
     and match_right[m] the left position matched to the member of mask m,
     -1 for unmatched vertices.  The right masks one search has visited are
-    the set bits of `seen`.  A left vertex whose lowest neighbour is still
-    free takes it at once, as the search's first step would; only the
-    others are searched.
+    the set bits of `seen`, cleared before each left vertex is searched.
     """
     match_right = [-1] * (max(members, default=0) + 1)
     match_left = [-1] * len(members)
@@ -157,16 +144,9 @@ def _max_matching(members: tuple[Mask, ...], adj: list[int]):
             todo = neighbours & ~seen
         return False
 
-    for j, neighbours in enumerate(adj):
-        if not neighbours:
-            continue
-        i = (neighbours & -neighbours).bit_length() - 1
-        if match_right[i] == -1:
-            match_left[j] = i
-            match_right[i] = j
-        else:
-            seen = 0
-            augment(j)
+    for j in range(len(adj)):
+        seen = 0
+        augment(j)
     position = {m: i for i, m in enumerate(members)}
     position[-1] = -1
     return [position[m] for m in match_left], match_right

@@ -692,6 +692,19 @@ def test_readme_names_exist():
             obj = getattr(obj, attr)
 
 
+def test_readme_names_every_frozen_value_type():
+    """The README's list of immutable slotted classes is exactly the set of
+    `lattice.Frozen` subclasses, so none of them hand-writes its guards."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"The value types\s+(.*?)\s+are\s+immutable\s+"
+                       r"slotted\s+classes,\s+and\s+each\s+derives\s+from\s+"
+                       r"`lattice\.Frozen`", text, re.S)
+    assert listed
+    names = re.findall(r"`(?:\w+\.)*(\w+)`", listed.group(1))
+    assert sorted(names) == sorted(
+        cls.__name__ for cls in lattice.Frozen.__subclasses__())
+
+
 def test_version_flag(env, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

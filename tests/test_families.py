@@ -172,6 +172,12 @@ def test_upward_closure_validates_generators():
         families.upward_closure(DivisorFamily([(1,)]), Signature((2, 1)))
 
 
+def test_upward_closure_refuses_a_negative_exponent():
+    """A generator with a negative exponent would close to non-divisors."""
+    with pytest.raises(ValueError, match=r"generator \(-1, 1\) does not divide"):
+        families.upward_closure(DivisorFamily([(-1, 1)]), Signature((1, 1)))
+
+
 @st.composite
 def antichain_families(draw):
     """A random divisibility antichain in a random small lattice."""

@@ -6,7 +6,7 @@ from math import comb, prod
 import pytest
 from hypothesis import example, given, strategies as st
 
-from divint import lattice
+from divint import families, lattice, matching
 from divint.errors import ResourceLimitError
 from divint.lattice import Signature
 
@@ -38,6 +38,35 @@ def test_signature_is_immutable_and_keeps_its_repr():
     assert (sig.alphas, sig.original, sig.perm) == ((2, 1), (1, 2), (1, 0))
     assert repr(sig) == "Signature(alphas=(2, 1))"
     assert sig != (2, 1)
+
+
+FROZEN_VALUES = [
+    (lambda: Signature((1, 2)), lambda v: v.alphas),
+    (lambda: families.DivisorFamily([(1, 0), (1, 1)]), lambda v: v.members),
+    (lambda: matching.UpwardClosedFamily(0b11, (0b01, 0b11)),
+     lambda v: (v.ground, v.members)),
+]
+
+
+@pytest.mark.parametrize("make, key", FROZEN_VALUES,
+                         ids=["Signature", "DivisorFamily", "UpwardClosedFamily"])
+def test_frozen_values_refuse_every_set_and_delete(make, key):
+    """The three value types take immutability, equality and hashing from
+    `lattice.Frozen` alone, and hash as their key does."""
+    value = make()
+    cls = type(value)
+    for method in ("__setattr__", "__delattr__", "__eq__", "__hash__"):
+        assert getattr(cls, method) is getattr(lattice.Frozen, method), method
+    assert hash(value) == hash(key(value))
+    before = hash(value)
+    message = f"{cls.__name__} is immutable"
+    for name in (*cls.__slots__, "other"):
+        with pytest.raises(AttributeError, match=message):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError, match=message):
+            delattr(value, name)
+    assert value == make() and key(value) == key(make())
+    assert hash(value) == before
 
 
 def test_signature_rejects_bad_input():
