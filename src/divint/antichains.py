@@ -11,6 +11,13 @@ enumerating families and enumerating such antichains are the same problem.
 Subsets are int bitmasks; a family or antichain is a sorted tuple of masks.
 An upset on [k] is one int, a bitset over the 2^k masks (bit m is set when
 mask m is a member); every family walk runs on the one builder, `upsets`.
+
+A family on [k] is fixed by its members without element k-1, an
+intersecting upset on [k-1].  `intersecting_upsets` yields those one int at
+a time and holds none: `count_families` counts them, and `oracle` reads each
+family's size off them.  `COUNT_CAP` bounds that walk.  The listing walk,
+`enumerate_families` and `enumerate_antichains`, builds and sorts every
+family, and `LIST_CAP` bounds it one step lower.
 """
 
 from __future__ import annotations
@@ -24,8 +31,9 @@ from .errors import limit_error
 
 MaskFamily = tuple[int, ...]
 
-# Largest ground the count walk answers: k = 8 would build the 7828352
-# upsets on [6], which pure Python does not finish.
+# Largest ground the walk of intersecting upsets answers, for `count` and
+# the `oracle` census: k = 8 would build the 7828352 upsets on [6], which
+# pure Python does not finish.
 COUNT_CAP = 7
 
 # Largest ground the listing walk answers: k = 7 would materialize and sort
@@ -80,39 +88,63 @@ def _intervals(ups: list[int], j: int) -> Iterator[tuple[int, int]]:
         yield f0, choices
 
 
-def order_by_antichain(bitsets, k: int) -> tuple[tuple[MaskFamily, ...],
+def order_by_antichain(bitsets, k: int) -> tuple[tuple[int, ...],
                                                  tuple[MaskFamily, ...]]:
     """The upsets of non-empty masks on [k] in `bitsets`, each one int over
-    the 2^k masks, and their generating antichains, both as mask tuples in
+    the 2^k masks, and their generating antichains as mask tuples, both in
     the order of `antichain_key`.  The minima are read off each int through
-    `lattice.covers`."""
+    `lattice.covers`; no upset is listed mask by mask."""
     full = (1 << k) - 1
-    keyed = []
-    for f in bitsets:
-        mins = lattice.set_bits(f & ~lattice.covers(f, full))
-        keyed.append((len(mins), mins, lattice.set_bits(f)))
-    keyed.sort()
+    keyed = sorted((len(mins), mins, f) for f in bitsets
+                   for mins in [lattice.set_bits(f & ~lattice.covers(f, full))])
     return tuple(f for _, _, f in keyed), tuple(mins for _, mins, _ in keyed)
+
+
+def intersecting_upsets(k: int) -> Iterator[int]:
+    """Each intersecting upset G on [k-1], one int over its 2^(k-1) masks,
+    one at a time: f0 | f1 << 2^(k-2) for each interval of `_intervals`.
+
+    G fixes one maximal intersecting family on [k] (see `_ordered`),
+    so this walk meets each of them once and holds none.  The cap is checked
+    when the walk is asked for, before it starts.
+    """
+    _check_k(k, COUNT_CAP, "antichains.COUNT_CAP")
+    if k == 1:
+        return iter((0,))
+    ups = upsets(k - 2)
+    highs = [f1 << (1 << (k - 2)) for f1 in ups]
+    return (f0 | highs[i] for f0, choices in _intervals(ups, k - 2)
+            for i in lattice.set_bits(choices))
+
+
+@lru_cache(maxsize=None)
+def _ordered(k: int) -> tuple[tuple[int, ...], tuple[MaskFamily, ...]]:
+    """The families on [k], each one int over the 2^k masks, and their
+    generating antichains, in the order of `antichain_key`."""
+    # F is fixed by G, its members without element k-1, an intersecting upset
+    # on [k-1]: a mask m with element k-1 is in F exactly when full ^ m is
+    # not.  As one int over the 2^k masks, F is G below bit 2^(k-1) and,
+    # above it, the complement of G read backwards, since full ^ m is the
+    # reflection of m - 2^(k-1) in [0, 2^(k-1)).  With G = g0 | g1 << q for
+    # upsets g0, g1 on [k-2], that is flip[g1] | flip[g0] << q, where flip[g]
+    # is the complement of g read backwards within its q = 2^(k-2) bits.
+    if k == 1:
+        return order_by_antichain((0b10,), 1)  # F = {[1]}
+    half = 1 << (k - 1)
+    q = half >> 1
+    flip = {g: (1 << q) - 1 ^ lattice.reverse_bits(g, q) for g in upsets(k - 2)}
+    return order_by_antichain(
+        (g | (flip[g >> q] | flip[g & (1 << q) - 1] << q) << half
+         for g in intersecting_upsets(k)), k)
 
 
 @lru_cache(maxsize=None)
 def _families_cached(k: int) -> tuple[tuple[MaskFamily, ...],
                                       tuple[MaskFamily, ...]]:
-    """The families on [k] and their generating antichains, in the order of
-    `antichain_key`, each family built as one int over the 2^k masks."""
-    # F is fixed by G, its members without element k-1, an intersecting upset
-    # on [k-1]: a mask m with element k-1 is in F exactly when full ^ m is
-    # not.  As one int over the 2^k masks, F is G below bit 2^(k-1) and,
-    # above it, the complement of G read backwards, since full ^ m is the
-    # reflection of m - 2^(k-1) in [0, 2^(k-1)).
-    half = 1 << (k - 1)
-    low = (1 << half) - 1
-    ups = upsets(max(k - 2, 0))
-    gs = [0] if k == 1 else [f0 | ups[i] << (half >> 1)
-                             for f0, choices in _intervals(ups, k - 2)
-                             for i in lattice.iter_bits(choices)]
-    return order_by_antichain(
-        (g | (low ^ lattice.reverse_bits(g, half)) << half for g in gs), k)
+    """The families on [k] as mask tuples and their generating antichains,
+    in the order of `antichain_key`."""
+    bitsets, chains = _ordered(k)
+    return tuple(map(lattice.set_bits, bitsets)), chains
 
 
 def count_families(k: int) -> int:
@@ -138,9 +170,10 @@ def enumerate_antichains(k: int) -> tuple[MaskFamily, ...]:
     """Generating antichains of all maximal intersecting families on [k].
 
     Sorted by cardinality, then lexicographically on the sorted mask lists.
+    Each is read off its family's int; no family is listed mask by mask.
     """
     _check_k(k, LIST_CAP, "antichains.LIST_CAP")
-    return _families_cached(k)[1]
+    return _ordered(k)[1]
 
 
 def minimal_masks(family: MaskFamily) -> MaskFamily:

@@ -228,7 +228,7 @@ def cmd_oracle(args) -> Run:
         "total_maximal": rep.total_maximal,
         "min_size": rep.min_size,
         "min_count": rep.min_count,
-        "sizes": list(rep.sizes),
+        "sizes": rep.sizes,
     }
     if listing:
         results["families"] = _listed(rep.families, sum(rep.sizes), primes)

@@ -267,8 +267,8 @@ def set_bits(x: int) -> tuple[int, ...]:
 
 def reverse_bits(x: int, width: int) -> int:
     """The low `width` bits of x >= 0 read backwards: bit i becomes bit
-    width-1-i."""
-    return int(format(x, f"0{width}b")[::-1], 2)
+    width-1-i.  Bits at or above `width` are dropped."""
+    return int(format(x & ((1 << width) - 1), f"0{width}b")[::-1], 2)
 
 
 # The subsets of a mask on at most 16 primes take at most 8 KB as one int,

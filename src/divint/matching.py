@@ -233,8 +233,8 @@ def all_upward_closed_families(k: int) -> list[UpwardClosedFamily]:
     upsets = (bits for bits in antichains.upsets(k)
               if bits and not bits & 1)  # holding the empty set, it holds all
     full = (1 << k) - 1
-    return [UpwardClosedFamily(full, members)
-            for members in antichains.order_by_antichain(upsets, k)[0]]
+    return [UpwardClosedFamily(full, lattice.set_bits(bits))
+            for bits in antichains.order_by_antichain(upsets, k)[0]]
 
 
 class PairingEntry(NamedTuple):

@@ -6,7 +6,12 @@ This is the ground-truth referee for the rest of the package.  Two engines:
   prime indices, then lift each to the divisor lattice by taking every
   divisor whose radical lies in the set family.  Whether a divisor can join a
   family depends only on its radical, so this is complete, and it collapses
-  e.g. a 255-divisor lattice to a 15-vertex problem.  Families are lifted
+  e.g. a 255-divisor lattice to a 15-vertex problem.  The census itself
+  lifts nothing: it streams `antichains.intersecting_upsets`, one int per
+  family, and reads each family's size off that int with one table per
+  byte, so it answers through n = 7 (`antichains.COUNT_CAP`) and holds only
+  the sizes.  Only a listing builds the families, and it stops at
+  `antichains.LIST_CAP`.  Families are lifted
   in lexicographic order of their sorted radical sets, which is the
   canonical member order: distinct maximal families A, B never contain one
   another, so their member sequences first differ at the least divisor of
@@ -24,7 +29,8 @@ This is the ground-truth referee for the rest of the package.  Two engines:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import Counter
+from typing import Iterable, NamedTuple, Optional
 
 from . import antichains, lattice
 from .errors import limit_error
@@ -44,9 +50,10 @@ METHODS = ("radical-lift", "direct-clique")
 class OracleReport(NamedTuple):
     """Census of every maximal family for one signature.
 
-    `sizes` is ascending, one entry per maximal family.  `families` is None
-    when the total member count across all families exceeds
-    `materialize_cap`; counts and sizes are always present.
+    `sizes` is ascending, one entry per maximal family, and holds one int
+    object per distinct size.  `families` is None when the total member
+    count across all families exceeds `materialize_cap`, which a census
+    without a listing sets to 0; counts and sizes are always present.
     """
 
     signature: Signature
@@ -63,31 +70,59 @@ def family_sort_key(fam: DivisorFamily):
     return tuple(map(lattice.divisor_key, fam.members))
 
 
-def _finish(sig: Signature, method: str, sizes: list[int],
-            built: Optional[list[DivisorFamily]]) -> OracleReport:
-    """Report for one engine; `built` is in canonical order, or None above
-    `materialize_cap`."""
-    sizes = tuple(sorted(sizes))
+def _census(sig: Signature, method: str, sizes: Iterable[int]) -> OracleReport:
+    """The report of one engine's family sizes, given in any order, with no
+    family.  The sizes are tallied as they come, so the report holds one
+    int object per distinct size, however many families there are."""
+    counts = Counter(sizes)
+    least = min(counts)
     return OracleReport(
         signature=sig,
         method=method,
-        total_maximal=len(sizes),
-        min_size=sizes[0],
-        min_count=sizes.count(sizes[0]),
-        sizes=sizes,
-        families=None if built is None else tuple(built),
+        total_maximal=counts.total(),
+        min_size=least,
+        min_count=counts[least],
+        sizes=tuple(sorted(counts.elements())),
+        families=None,
     )
+
+
+def _size_tables(sig: Signature) -> list[list[int]]:
+    """One table per byte of an intersecting upset G on [n-1], indexed by
+    that byte, whose entries summed over G's bytes give the size of the
+    family on [n] that G fixes.
+
+    That size is C + sum(d(s) for s in G): C sums the weights w(full ^ s)
+    over every s < 2^(n-1), and d(s) = w(s) - w(full ^ s) trades one member
+    of a complement pair for the other.  Each table is built by doubling
+    over its up to 8 bits of G; the first one starts from C.
+    """
+    w = lattice.alpha_weights(sig)
+    full, half = len(w) - 1, len(w) >> 1
+    tables: list[list[int]] = []
+    for start in range(0, half, 8):
+        t = [0 if tables else sum(w[full ^ s] for s in range(half))]
+        for s in range(start, min(start + 8, half)):
+            d = w[s] - w[full ^ s]
+            t += [x + d for x in t]
+        tables.append(t)
+    return tables
 
 
 def _enumerate_radical_lift(sig: Signature,
                             materialize_cap: int) -> OracleReport:
-    mask_families = antichains.enumerate_families(sig.n)
-    weights = lattice.alpha_weights(sig)
-    sizes = [sum(map(weights.__getitem__, fam)) for fam in mask_families]
-    if sum(sizes) > materialize_cap:
-        return _finish(sig, "radical-lift", sizes, None)
-    built = [DivisorFamily.lift(sig, fam) for fam in sorted(mask_families)]
-    return _finish(sig, "radical-lift", sizes, built)
+    # a listing is refused past antichains.LIST_CAP before the walk starts
+    mask_families = (antichains.enumerate_families(sig.n)
+                     if materialize_cap > 0 else ())
+    walk = antichains.intersecting_upsets(sig.n)
+    tables = _size_tables(sig)
+    rep = _census(sig, "radical-lift", (
+        sum(map(list.__getitem__, tables, g.to_bytes(len(tables), "little")))
+        for g in walk))
+    if sum(rep.sizes) > materialize_cap:
+        return rep
+    return rep._replace(families=tuple(
+        DivisorFamily.lift(sig, fam) for fam in sorted(mask_families)))
 
 
 def maximal_cliques(rads: list[Mask]) -> list[int]:
@@ -141,14 +176,14 @@ def _enumerate_direct(sig: Signature, materialize_cap: int) -> OracleReport:
                           "oracle.DIRECT_DIVISOR_CAP")
     divisors = [d for d in lattice.enumerate_divisors(sig) if any(d)]
     cliques = maximal_cliques([lattice.radical(d) for d in divisors])
-    sizes = [c.bit_count() for c in cliques]
-    if sum(sizes) > materialize_cap:
-        return _finish(sig, "direct-clique", sizes, None)
+    rep = _census(sig, "direct-clique", (c.bit_count() for c in cliques))
+    if sum(rep.sizes) > materialize_cap:
+        return rep
     built = [
         DivisorFamily(divisors[v] for v in lattice.iter_bits(c)) for c in cliques
     ]
     built.sort(key=family_sort_key)
-    return _finish(sig, "direct-clique", sizes, built)
+    return rep._replace(families=tuple(built))
 
 
 def enumerate_maximal_families(
@@ -157,7 +192,12 @@ def enumerate_maximal_families(
     *,
     materialize_cap: int = MEMBER_CAP,
 ) -> OracleReport:
-    """Census of every maximal family of divisors of the given signature."""
+    """Census of every maximal family of divisors of the given signature.
+
+    With `materialize_cap` > 0 a radical-lift census may list its families,
+    so it is refused past `antichains.LIST_CAP` before its walk starts; with
+    0 it lists none and answers through `antichains.COUNT_CAP`.
+    """
     if method == "radical-lift":
         return _enumerate_radical_lift(sig, materialize_cap)
     if method == "direct-clique":

@@ -200,6 +200,22 @@ def test_listing_walk_has_its_own_cap():
     assert antichains.count_families(k) == COUNT_7
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_intersecting_upsets_are_the_families_without_the_last_element(k):
+    half = 1 << (k - 1)
+    lows = [sum(1 << m for m in fam if m < half)
+            for fam in antichains.enumerate_families(k)]
+    assert sorted(antichains.intersecting_upsets(k)) == sorted(lows)
+
+
+def test_intersecting_upset_walk_meets_each_family_on_seven_primes():
+    """A001206(7), one upset at a time; past COUNT_CAP the walk is refused
+    when it is asked for, before it starts."""
+    assert sum(1 for _ in antichains.intersecting_upsets(7)) == COUNT_7
+    with pytest.raises(ResourceLimitError, match="antichains.COUNT_CAP"):
+        antichains.intersecting_upsets(8)
+
+
 def test_each_antichain_is_taken_once(monkeypatch):
     """The listing walk reads every family and its antichain off one bitset
     and calls `minimal_masks` for none of them; each of the 2646 antichains

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from divint import cli, errors, families, lattice, report, restricted
+from divint import (antichains, cli, errors, families, lattice, report,
+                    restricted)
 from divint._version import __version__
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -314,7 +315,7 @@ def test_resource_exit_codes(env, capsys):
     code, _, err = run(["antichains", "--k", "9"], capsys)
     assert code == 3
     assert "resource limit" in err
-    assert run(["oracle", "--sig", "1,1,1,1,1,1,1"], capsys)[0] == 3
+    assert run(["oracle", "--sig", "1,1,1,1,1,1,1", "--list"], capsys)[0] == 3
 
 
 def test_universe_cap_via_env(env, capsys, monkeypatch):
@@ -460,11 +461,30 @@ def test_k_cap_message_names_a_real_knob(env, capsys):
 
 
 def test_radical_lift_refusal_names_k_cap(env, capsys):
-    """The radical lift on 7 primes is refused by the cap on k."""
-    code, _, err = run(["oracle", "--sig", "1,1,1,1,1,1,1"], capsys)
+    """The radical lift's listing on 7 primes is refused by the cap on k."""
+    code, _, err = run(["oracle", "--sig", "1,1,1,1,1,1,1", "--list"], capsys)
     assert code == 3
     assert "antichains.LIST_CAP" in err
     assert "n_cap" not in err
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["oracle", "--sig", "1,1,1,1,1,1,1", "--list"], "antichains.LIST_CAP"),
+    (["oracle", "--sig", "1,1,1,1,1,1,1,1"], "antichains.COUNT_CAP"),
+])
+def test_oracle_refuses_past_its_walk_at_once(env, capsys, monkeypatch,
+                                              argv, cap):
+    """A listing on 7 primes and a census on 8 exit 3 before the walk of
+    intersecting upsets starts."""
+    def boom(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(antichains, "_intervals", boom)
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert cap in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_answers_past_the_listing_cap(env, capsys):
@@ -1165,7 +1185,8 @@ def test_sweep_cap_admits_the_benchmark_sweep():
 # `setup` holds `module.CONST` values to patch first.
 REFUSALS = [
     (["antichains", "--k", "7"], {}),
-    (["oracle", "--sig", ",".join("1" * 7)], {}),
+    (["oracle", "--sig", ",".join("1" * 7), "--list"], {}),
+    (["oracle", "--sig", ",".join("1" * 8)], {}),
     (["count", "--sig", ",".join("1" * 8)], {}),
     (["verify", "--max-n", "7", "--max-exp", "1"], {}),
     (["matching", "--k", "6"], {}),

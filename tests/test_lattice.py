@@ -364,6 +364,15 @@ def test_reverse_bits_reads_the_low_bits_backwards(x, width):
         1 << (width - 1 - i) for i in range(width) if x >> i & 1)
 
 
+@given(st.integers(0, 1 << 300), st.integers(0, 320))
+@example(5, 2)
+def test_reverse_bits_ignores_the_bits_above_the_width(x, width):
+    """x is not masked first: reverse_bits(5, 2) reads the low bits 01 of
+    101 backwards, which is 2."""
+    assert lattice.reverse_bits(x, width) == sum(
+        1 << (width - 1 - i) for i in range(width) if x >> i & 1)
+
+
 @given(st.integers(0, (1 << 10) - 1))
 @example(0b101)
 @example(0b10110)

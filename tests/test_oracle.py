@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divint import lattice, oracle
+from divint import antichains, extremal, lattice, oracle
 from divint.errors import ResourceLimitError
 from divint.families import check_intersecting, check_maximal
 from divint.lattice import Signature, min_size_bound
@@ -130,6 +130,61 @@ def test_minimum_matches_closed_form(alphas):
 def test_radical_lift_prime_cap():
     with pytest.raises(ResourceLimitError, match="antichains.LIST_CAP"):
         enumerate_maximal_families(Signature((1,) * 7))
+
+
+def _clear_walk_caches():
+    for fn in vars(antichains).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+def test_census_lists_no_mask_family(monkeypatch):
+    """Without a listing, each family's size is read off its intersecting
+    upset, so `antichains.enumerate_families` is never called; and the
+    generating antichains are read off each family's int, so no family is
+    listed mask by mask."""
+    calls = []
+    real = antichains.enumerate_families
+    monkeypatch.setattr(antichains, "enumerate_families",
+                        lambda k: calls.append(k) or real(k))
+    _clear_walk_caches()
+    rep = enumerate_maximal_families(Signature((2, 1, 1, 1, 1, 1)),
+                                     materialize_cap=0)
+    assert (rep.total_maximal, rep.families) == (2646, None)
+    assert calls == []
+
+    built = []
+    set_bits = lattice.set_bits
+    monkeypatch.setattr(lattice, "set_bits",
+                        lambda x: built.append(set_bits(x)) or built[-1])
+    _clear_walk_caches()
+    chains = antichains.enumerate_antichains(6)
+    monkeypatch.undo()
+    assert len(chains) == 2646 and set(chains) <= set(built)
+    assert not set(built) & set(antichains.enumerate_families(6))
+
+
+@pytest.mark.parametrize("sig", lattice.signature_grid(6, 3), ids=str)
+def test_census_sizes_are_those_of_the_listed_families(sig):
+    census = enumerate_maximal_families(sig, materialize_cap=0)
+    listed = enumerate_maximal_families(sig, materialize_cap=10 ** 9)
+    assert census.families is None
+    assert census.sizes == tuple(sorted(map(len, listed.families)))
+    assert census == listed._replace(families=None)
+
+
+def test_census_on_seven_primes():
+    """A001206(7) maximal families; the least size is the closed form
+    3 * 3 * 3 * 2^4 = 288, attained as often as `count_minimum_families`
+    says: by the 12 maximal intersecting families on the four primes of
+    exponent 1."""
+    sig = Signature((3, 2, 2, 1, 1, 1, 1))
+    rep = enumerate_maximal_families(sig, materialize_cap=0)
+    assert (rep.total_maximal, rep.min_size, rep.min_count) == \
+        (1422564, 288, 12)
+    assert rep.min_size == min_size_bound(sig)
+    assert rep.min_count == extremal.count_minimum_families(sig)
+    assert len(rep.sizes) == 1422564 and rep.families is None
 
 
 def test_direct_clique_divisor_cap(monkeypatch):
