@@ -199,8 +199,10 @@ def cmd_antichains(args) -> Run:
     if args.k is None or args.k < 1:
         raise _UsageError("--k must be a positive integer")
     chains = antichains.enumerate_antichains(args.k)
+    # JSON and CSV print the antichains either way, text only under --list
     symbols = report.Table(_mask_symbol, args.k)
-    listed = [[symbols[m] for m in ac] for ac in chains]
+    listed = ([[symbols[m] for m in ac] for ac in chains]
+              if args.list or args.format != "text" else None)
     return ({"k": args.k, "list": bool(args.list)},
             {"k": args.k, "count": len(chains), "antichains": listed}, None)
 

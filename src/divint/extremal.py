@@ -137,8 +137,8 @@ def classify(family: DivisorFamily, sig: Signature) -> ClassificationVerdict:
     # squarefree and are exactly the squarefree divisors on the minimal masks
     # of that set.  It is also upward closed and closure is injective on
     # antichains, so it is a generator closure exactly when those masks are
-    # that generator's radicals.  check_maximal has just taken those masks.
-    mins = families._minimal_radicals(family.radical_set)
+    # that generator's radicals.  check_maximal reports those masks.
+    mins = report.minimal_radicals
     if _condition_b(mins, sig):
         matched.add("b")
     if mins in _generator_set(sig):

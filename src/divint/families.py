@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from . import antichains, lattice
@@ -96,12 +95,15 @@ class FamilyReport(NamedTuple):
     family is not intersecting; `extension_witness` is the canonically first
     divisor that could still be added when the family is intersecting but not
     maximal.  `is_maximal` is None when only the intersecting check ran.
+    `minimal_radicals` holds the minimal masks of the family's radical set,
+    ascending, which both checks take first; `extremal.classify` reads them.
     """
 
     is_intersecting: bool
     is_maximal: Optional[bool] = None
     coprime_witness: Optional[tuple[Divisor, Divisor]] = None
     extension_witness: Optional[Divisor] = None
+    minimal_radicals: tuple[Mask, ...] = ()
 
 
 def _intersecting(family: DivisorFamily, mins: tuple[Mask, ...]) -> FamilyReport:
@@ -112,29 +114,20 @@ def _intersecting(family: DivisorFamily, mins: tuple[Mask, ...]) -> FamilyReport
     that fails is scanned pair by pair, to name its first coprime pair.
     """
     if all(itertools.starmap(operator.and_, itertools.combinations(mins, 2))):
-        return FamilyReport(is_intersecting=True)
+        return FamilyReport(True, minimal_radicals=mins)
     rads = tuple(map(lattice.radical, family.members))
     for i in range(len(rads)):
         for j in range(i + 1, len(rads)):
             if not rads[i] & rads[j]:
-                return FamilyReport(
-                    is_intersecting=False,
-                    coprime_witness=(family.members[i], family.members[j]),
-                )
+                pair = (family.members[i], family.members[j])
+                return FamilyReport(False, coprime_witness=pair,
+                                    minimal_radicals=mins)
     raise AssertionError("minimal radicals disjoint, yet no coprime pair")
 
 
 def check_intersecting(family: DivisorFamily) -> FamilyReport:
     """Do all member pairs share a prime?  Witness: first violating pair."""
-    return _intersecting(family, _minimal_radicals(family.radical_set))
-
-
-@lru_cache(maxsize=1)
-def _minimal_radicals(radical_set: tuple[Mask, ...]) -> tuple[Mask, ...]:
-    """`antichains.minimal_masks` of a family's radical set.  Cached for the
-    last radical set: `extremal.classify` asks for it after `check_maximal`
-    has, on the same family."""
-    return antichains.minimal_masks(radical_set)
+    return _intersecting(family, antichains.minimal_masks(family.radical_set))
 
 
 def _meeting(mins: tuple[Mask, ...], sig: Signature) -> list[Mask]:
@@ -161,18 +154,19 @@ def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
         bad = next(d for d in family if d not in divisors)
         raise PreconditionError(
             f"member {bad} does not divide the {sig} lattice", witness=bad)
-    mins = _minimal_radicals(family.radical_set)
+    mins = antichains.minimal_masks(family.radical_set)
     base = _intersecting(family, mins)
     if not base.is_intersecting:
-        return FamilyReport(False, False, coprime_witness=base.coprime_witness)
+        return base._replace(is_maximal=False)
     compatible = _meeting(mins, sig)
     weights = lattice.alpha_weights(sig)
     if len(family) == sum(map(weights.__getitem__, compatible)):
-        return FamilyReport(True, True)
+        return FamilyReport(True, True, minimal_radicals=mins)
     members = family.member_set
     for d in DivisorFamily.lift(sig, compatible):
         if d not in members:
-            return FamilyReport(True, False, extension_witness=d)
+            return FamilyReport(True, False, extension_witness=d,
+                                minimal_radicals=mins)
     raise TheoremViolationError("family differs from its compatible closure")
 
 

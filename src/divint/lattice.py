@@ -60,7 +60,9 @@ class Signature(Frozen):
     `alphas` is the normalized (descending) vector; `original` preserves the
     caller's order and `perm` maps normalized index -> original index, so
     user-facing prime labels can be kept consistent after normalization.
-    Immutable; equality and hashing consider `alphas` only.
+    Immutable; equality and hashing consider `alphas` only.  Each exponent
+    is read with `operator.index`, so a float or a string raises TypeError
+    instead of being truncated or parsed.
     """
 
     __slots__ = ("alphas", "original", "perm")
@@ -70,7 +72,7 @@ class Signature(Frozen):
     perm: tuple[int, ...]
 
     def __init__(self, exponents):
-        orig = tuple(int(a) for a in exponents)
+        orig = tuple(map(operator.index, exponents))
         if not orig:
             raise ValueError("signature needs at least one exponent")
         if any(a < 1 for a in orig):

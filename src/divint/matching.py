@@ -24,7 +24,7 @@ import bisect
 from typing import NamedTuple
 
 from . import antichains, families, lattice
-from .errors import PreconditionError, TheoremViolationError, limit_error
+from .errors import PreconditionError, TheoremViolationError
 from .families import DivisorFamily
 from .lattice import Mask, Signature
 
@@ -227,9 +227,7 @@ def all_upward_closed_families(k: int) -> list[UpwardClosedFamily]:
     and everything including the empty set), ordered by
     `antichains.antichain_key`: antichain size, then the sorted antichain.
     """
-    if k > GROUND_CAP:
-        raise limit_error("the ground size k", k, GROUND_CAP,
-                          "matching.GROUND_CAP")
+    antichains._check_k(k, GROUND_CAP, "matching.GROUND_CAP")
     upsets = (bits for bits in antichains.upsets(k)
               if bits and not bits & 1)  # holding the empty set, it holds all
     full = (1 << k) - 1

@@ -32,9 +32,10 @@ _STREAMED_DEPTH = 3
 # `iter_json` joins and yields its waiting pieces once this many wait.
 _CHUNK_PARTS = 64
 
-# A container's text is memoized only when shorter than this, which the
-# texts of a command's shared divisor and pairing-entry objects are; a whole
-# family's is not, so the memo never holds a second copy of the document.
+# A value's text is memoized only when shorter than this, which the texts
+# of scalars and of a command's shared divisor and pairing-entry objects
+# are; a whole family's is not, so the memo never holds a second copy of
+# the document.
 _MEMO_MAX = 512
 
 
@@ -47,8 +48,8 @@ def iter_json(doc) -> Iterator[str]:
     divint emits is accepted: dicts with str keys, lists, tuples, str, bool,
     int and None; anything else raises TypeError.
 
-    A short container that appears several times in the document, such as
-    a listing's shared divisor objects, is encoded once per indent: its text
+    A short value that appears several times in the document, such as a
+    listing's shared divisor objects, is encoded once per indent: its text
     is memoized by `id` in a dict per indent for the length of the walk.  The
     document keeps every subtree alive until the walk ends, so no id is
     reused within it; the memo is dropped with the generator.
@@ -90,7 +91,8 @@ def _encode(o, indent: str, memos: dict) -> str:
     """One value as a string; `indent` is the newline and indent of its line.
 
     `memos` maps an indent to the memo of texts at that indent, keyed by the
-    `id` of their container.  A memoized child is read inline.
+    `id` of their value.  Every child, scalar or container, is read from
+    that memo or encoded and, when short, added to it.
     """
     scalar = _SCALARS.get(type(o))
     if scalar is not None:
@@ -104,15 +106,11 @@ def _encode(o, indent: str, memos: dict) -> str:
         memo = memos[inner] = {}
     pieces = []
     for label, v in zip(labels, values):
-        scalar = _SCALARS.get(type(v))
-        if scalar is not None:
-            text = scalar(v)
-        else:
-            text = memo.get(id(v))
-            if text is None:
-                text = _encode(v, inner, memos)
-                if len(text) < _MEMO_MAX:
-                    memo[id(v)] = text
+        text = memo.get(id(v))
+        if text is None:
+            text = _encode(v, inner, memos)
+            if len(text) < _MEMO_MAX:
+                memo[id(v)] = text
         pieces.append(label + text)
     return opening + inner + ("," + inner).join(pieces) + indent + closing
 

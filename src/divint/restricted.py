@@ -334,33 +334,25 @@ def solve_restricted(
                              len(universe), witnesses, note, spent)
 
 
-def cell_row(sig: Signature, mode: str, t: int, maximality: str,
-             res: Optional[OpenProblemResult] = None,
-             error: Optional[str] = None) -> dict:
+def _cell(sig: Signature, mode: str, t: int, maximality: str,
+          allow_t1: bool) -> dict:
     """One openprob table row, with the keys of ROW_FIELDS.
 
-    A cell refused by a cap has no result; its row carries the error instead.
+    A row carries counts only, so no witness family is built.  A cell
+    refused by a cap has no result; its row carries the error instead.
     """
     row = dict.fromkeys(ROW_FIELDS)
     row.update(signature=str(sig), n=sig.n, mode=mode, t=t,
                maximality=maximality)
-    if res is None:
-        row.update(status="error", error=error)
-    else:
-        row.update(universe_size=res.universe_size, status=res.status,
-                   value=res.value, attaining_count=res.attaining_count)
-    return row
-
-
-def _cell(sig: Signature, mode: str, t: int, maximality: str,
-          allow_t1: bool) -> dict:
-    # a row carries counts only, so no witness family is built
     try:
         res = solve_restricted(sig, mode, t, maximality=maximality,
                                materialize_cap=0, allow_t1=allow_t1)
     except ResourceLimitError as exc:
-        return cell_row(sig, mode, t, maximality, error=str(exc))
-    return cell_row(sig, mode, t, maximality, res)
+        row.update(status="error", error=str(exc))
+    else:
+        row.update(universe_size=res.universe_size, status=res.status,
+                   value=res.value, attaining_count=res.attaining_count)
+    return row
 
 
 def sweep_tables(

@@ -348,18 +348,14 @@ def run_verify(max_n: int = 3, max_exp: int = 2) -> VerifyReport:
     for sig in grid:
         per_sig[str(sig)] = _check_sig_claims(sig, memos[sig.n])
 
-    rows: list[dict] = []
-    for claim in CLAIMS:
-        if claim == "upward-family-pairing":
-            for k in range(1, min(max_n, MATCHING_GROUND_CAP) + 1):
-                res = _check_ground_pairing(k)
-                rows.append({"claim": claim, "subject": f"ground={k}", **res})
-            continue
-        for sig in grid:
-            key = str(sig)
-            if claim not in per_sig[key]:
-                continue  # claim not applicable (e.g. size law off squarefree)
-            rows.append({"claim": claim, "subject": key, **per_sig[key][claim]})
+    # the grid claims, each over the grid (a claim off its domain, such as
+    # the size law off squarefree, has no row), then the ground claim
+    rows = [{"claim": claim, "subject": key, **claims[claim]}
+            for claim in CLAIMS[:-1]
+            for key, claims in per_sig.items() if claim in claims]
+    rows += ({"claim": CLAIMS[-1], "subject": f"ground={k}",
+              **_check_ground_pairing(k)}
+             for k in range(1, min(max_n, MATCHING_GROUND_CAP) + 1))
 
     passed = all(r["status"] == "pass" for r in rows)
     return VerifyReport(max_n=max_n, max_exp=max_exp, rows=tuple(rows),

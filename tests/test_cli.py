@@ -101,6 +101,22 @@ def test_extremal_text(env, capsys):
     assert lines[4] == "  [4] generators {15, 21, 35}"
 
 
+@pytest.mark.parametrize("fmt, calls", [("text", 0), ("json", 6)])
+def test_antichains_text_builds_no_symbols_without_list(env, capsys,
+                                                        monkeypatch, fmt,
+                                                        calls):
+    """The text view prints only the count unless --list is given, so it
+    names no mask; JSON prints every antichain either way, naming each of
+    the 6 masks on 3 primes once."""
+    real, seen = cli._mask_symbol, []
+    monkeypatch.setattr(cli, "_mask_symbol",
+                        lambda m, k: seen.append(m) or real(m, k))
+    code, out, _ = run(["antichains", "--k", "3", "--format", fmt], capsys)
+    assert code == 0 and len(seen) == calls
+    if fmt == "text":
+        assert out == "4 generating antichains on 3 primes\n"
+
+
 def test_antichains_listing(env, capsys):
     code, out, _ = run(["antichains", "--k", "3", "--list"], capsys)
     assert code == 0
@@ -173,6 +189,25 @@ def test_openprob_single_cell(env, capsys):
     assert code == 0
     assert out.strip() == ("m(1,1,1; t=2, restricted) = 3; 1 attaining "
                            "families; universe size 3")
+
+
+def test_unsound_search_exits_4_as_a_consistency_failure(env, capsys,
+                                                          monkeypatch):
+    """A clique search whose reversed-order run reports a weight one higher
+    is refused as unsound: exit 4, nothing on stdout."""
+    real, calls = restricted._lightest, []
+
+    def heavier_reversed(*args):
+        value, sets, spent = real(*args)
+        calls.append(None)
+        return value + (len(calls) % 2 == 0), sets, spent
+
+    monkeypatch.setattr(restricted, "_lightest", heavier_reversed)
+    code, out, err = run(["openprob", "--mode", "omega", "--sig", "1,1,1",
+                          "--t", "2"], capsys)
+    assert (code, out) == (4, "")
+    assert err == ("consistency failure: searches under two vertex orders "
+                   "disagree or repeat a set; the search is unsound\n")
 
 
 def test_openprob_bigomega_letter(env, capsys):

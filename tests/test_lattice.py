@@ -81,6 +81,14 @@ def test_signature_rejects_bad_input():
     assert Signature((1,) * lattice.MAX_PRIMES).n == lattice.MAX_PRIMES
 
 
+@pytest.mark.parametrize("exponents", [(1.5, 2), (2.0,), ("3",), (2, "1")])
+def test_signature_refuses_exponents_that_are_not_ints(exponents):
+    """Each exponent is read with operator.index: (1.5, 2) is not truncated
+    to the signature 2,1 of another N, nor is "3" parsed as 3."""
+    with pytest.raises(TypeError):
+        Signature(exponents)
+
+
 @pytest.mark.parametrize("alphas,u", [
     ((2, 1, 1, 1), 1),
     ((1, 1), 0),

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divint import cli, extremal, families, lattice, matching, verify
-from divint.errors import PreconditionError, TheoremViolationError
+from divint.errors import (PreconditionError, ResourceLimitError,
+                           TheoremViolationError)
 from divint.families import DivisorFamily
 from divint.lattice import Signature
 from divint.matching import UpwardClosedFamily
@@ -79,6 +80,30 @@ def test_witness_verify_rejects_tampering():
     witness = matching.complement_permutation(fam)
     bad = matching.PermutationWitness((0, 1))
     assert not bad.verify(fam)
+
+
+def test_witness_verify_rejects_a_non_permutation():
+    """A sigma that repeats a position is refused before any subset test,
+    though here every complement it names lies below its member."""
+    fam = UpwardClosedFamily(0b11, (0b01, 0b11))
+    assert not matching.PermutationWitness((0, 0)).verify(fam)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_upward_closed_families_refuse_an_empty_ground(k):
+    """k < 1 is refused as antichains.enumerate_families refuses it, not
+    answered with no families or a shift error."""
+    with pytest.raises(ValueError,
+                       match="ground set must have at least one element"):
+        matching.all_upward_closed_families(k)
+
+
+def test_upward_closed_families_refuse_a_ground_past_their_cap():
+    with pytest.raises(ResourceLimitError) as exc:
+        matching.all_upward_closed_families(6)
+    assert str(exc.value) == (
+        "the ground size k is 6, above the cap of 5 "
+        "(matching.GROUND_CAP, a fixed constant)")
 
 
 def _brute_force_upward_closed(k):

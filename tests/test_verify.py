@@ -453,3 +453,23 @@ def test_failing_rows_under_an_injected_fault_keep_their_bytes(monkeypatch,
     assert [(r["claim"], r["subject"]) for r in rows] == [
         (claim, subject) for claim, grid in subjects.items() for subject in grid]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
+def test_a_census_off_the_squarefree_size_law_fails_that_claim_alone(
+        monkeypatch):
+    """A census of 1,1 that reports a family of size 3 beside one of size 2
+    fails squarefree-size-law at 1,1 and nothing else: its counts, minimum
+    and families are those of the real census."""
+    real = oracle.enumerate_maximal_families
+
+    def off_by_one(sig, *args, **kwargs):
+        rep = real(sig, *args, **kwargs)
+        return rep._replace(sizes=(2, 3)) if sig == Signature((1, 1)) else rep
+
+    monkeypatch.setattr(oracle, "enumerate_maximal_families", off_by_one)
+    rows = [r for r in run_verify(3, 2).rows if r["status"] == "fail"]
+    assert rows == [{"claim": "squarefree-size-law", "subject": "1,1",
+                     "status": "fail",
+                     "counterexample": {"signature": [1, 1],
+                                        "expected_size": 2,
+                                        "observed_sizes": [3]}}]
