@@ -129,20 +129,20 @@ def classify(family: DivisorFamily, sig: Signature) -> ClassificationVerdict:
     if not report.is_maximal:
         witness = report.coprime_witness or report.extension_witness
         return ClassificationVerdict(False, False, frozenset(), witness)
-    matched = set()
-    bound = lattice.min_size_bound(sig)
-    if len(family) == bound:
-        matched.add("a")
+    return verdict(report.minimal_radicals, len(family), sig)
+
+
+def verdict(mins: MaskFamily, size: int,
+            sig: Signature) -> ClassificationVerdict:
+    """`classify` on a maximal family of `size` members whose minimal
+    radicals are `mins`, which `families.check_maximal` reports."""
+    is_extremal = size == lattice.min_size_bound(sig)
     # A maximal family is fixed by its radical set, so its minimal members are
     # squarefree and are exactly the squarefree divisors on the minimal masks
     # of that set.  It is also upward closed and closure is injective on
     # antichains, so it is a generator closure exactly when those masks are
-    # that generator's radicals.  check_maximal reports those masks.
-    mins = report.minimal_radicals
-    if _condition_b(mins, sig):
-        matched.add("b")
-    if mins in _generator_set(sig):
-        matched.add("c")
-    is_extremal = "a" in matched
-    witness = None if is_extremal else "size-above-minimum"
-    return ClassificationVerdict(True, is_extremal, frozenset(matched), witness)
+    # that generator's radicals.
+    met = (is_extremal, _condition_b(mins, sig), mins in _generator_set(sig))
+    return ClassificationVerdict(
+        True, is_extremal, frozenset(c for c, ok in zip("abc", met) if ok),
+        None if is_extremal else "size-above-minimum")

@@ -106,6 +106,11 @@ class FamilyReport(NamedTuple):
     minimal_radicals: tuple[Mask, ...] = ()
 
 
+def _pairwise_meet(mins: tuple[Mask, ...]) -> bool:
+    """Whether the masks of `mins` pairwise meet."""
+    return all(itertools.starmap(operator.and_, itertools.combinations(mins, 2)))
+
+
 def _intersecting(family: DivisorFamily, mins: tuple[Mask, ...]) -> FamilyReport:
     """check_intersecting, given the family's minimal radicals `mins`.
 
@@ -113,7 +118,7 @@ def _intersecting(family: DivisorFamily, mins: tuple[Mask, ...]) -> FamilyReport
     prime exactly when the minimal radicals pairwise meet.  Only a family
     that fails is scanned pair by pair, to name its first coprime pair.
     """
-    if all(itertools.starmap(operator.and_, itertools.combinations(mins, 2))):
+    if _pairwise_meet(mins):
         return FamilyReport(True, minimal_radicals=mins)
     rads = tuple(map(lattice.radical, family.members))
     for i in range(len(rads)):
@@ -143,11 +148,36 @@ def _meeting(mins: tuple[Mask, ...], sig: Signature) -> list[Mask]:
     return list(lattice.set_bits(~missed & ((2 << full) - 1)))
 
 
+def compatible_masks(mins: tuple[Mask, ...],
+                     sig: Signature) -> Optional[list[Mask]]:
+    """`_meeting(mins, sig)` where the masks of `mins` pairwise meet, else
+    None: no family whose minimal radicals they are is intersecting.
+
+    It reads the masks alone, so a caller may keep it for every signature
+    on sig.n primes."""
+    return _meeting(mins, sig) if _pairwise_meet(mins) else None
+
+
+def is_maximal_size(size: int, compatible: Optional[list[Mask]],
+                    weights: tuple[int, ...]) -> bool:
+    """The maximality rule, on a family of `size` distinct divisors > 1 of
+    N whose minimal radicals have the `compatible_masks` given.
+
+    It is maximal exactly when those radicals pairwise meet and `size` is
+    the weight of the compatible masks, by `lattice.alpha_weights`: every
+    member lies on a compatible mask, and every divisor on one meets every
+    member.  `check_maximal` and `verify` both decide maximality here.
+    """
+    return (compatible is not None
+            and size == sum(map(weights.__getitem__, compatible)))
+
+
 def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
     """Full predicate: intersecting and admitting no further divisor of N.
 
     A member that is not a divisor of N, being of the wrong length or above
-    `sig.alphas`, is refused with a PreconditionError that names it.
+    `sig.alphas`, is refused with a PreconditionError that names it.  Only
+    a family that `is_maximal_size` refuses is scanned for its witness.
     """
     divisors = lattice.divisor_set(sig)
     if not divisors.issuperset(family.members):
@@ -155,13 +185,11 @@ def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
         raise PreconditionError(
             f"member {bad} does not divide the {sig} lattice", witness=bad)
     mins = antichains.minimal_masks(family.radical_set)
-    base = _intersecting(family, mins)
-    if not base.is_intersecting:
-        return base._replace(is_maximal=False)
-    compatible = _meeting(mins, sig)
-    weights = lattice.alpha_weights(sig)
-    if len(family) == sum(map(weights.__getitem__, compatible)):
+    compatible = compatible_masks(mins, sig)
+    if is_maximal_size(len(family), compatible, lattice.alpha_weights(sig)):
         return FamilyReport(True, True, minimal_radicals=mins)
+    if compatible is None:
+        return _intersecting(family, mins)._replace(is_maximal=False)
     members = family.member_set
     for d in DivisorFamily.lift(sig, compatible):
         if d not in members:

@@ -187,22 +187,15 @@ def _certified_sigma(ground: Mask, members: tuple[Mask, ...],
         raise TheoremViolationError(
             "no perfect complement matching on an upward-closed family",
             counterexample={
-                "ground": ground,
-                "members": list(members),
+                "ground": ground, "members": list(members),
                 "violator_positions": violator,
-                "violator_members": [members[j] for j in violator],
-            },
-        )
+                "violator_members": [members[j] for j in violator]})
     sigma = tuple(match_left)
     if not _certifies(sigma, ground, members):
         raise TheoremViolationError(
             "complement permutation failed its certificate check",
-            counterexample={
-                "ground": ground,
-                "members": list(members),
-                "sigma": list(sigma),
-            },
-        )
+            counterexample={"ground": ground, "members": list(members),
+                            "sigma": list(sigma)})
     return sigma
 
 
@@ -315,24 +308,13 @@ def _pairing_entry(pos: Mask, src: Mask, sig: Signature) -> PairingEntry:
     bar_src = ((1 << n) - 1) ^ src
     excess = (pos | 1 << (n - 1)) & ~bar_src
     weights = lattice.alpha_weights(sig)
-    entry = PairingEntry(
-        position=pos,
-        source=src,
-        bar_source=bar_src,
-        excess=excess,
-        alpha_position=weights[pos],
-        alpha_bar_source=weights[bar_src],
-        alpha_excess=weights[excess],
-    )
+    entry = PairingEntry(pos, src, bar_src, excess, weights[pos],
+                         weights[bar_src], weights[excess])
     if entry.alpha_position != entry.alpha_bar_source:
         raise TheoremViolationError(
             "weight equality failed on a minimum-size family",
             counterexample={
-                "signature": list(sig.alphas),
-                "position": pos,
-                "source": src,
+                "signature": list(sig.alphas), "position": pos, "source": src,
                 "alpha_position": entry.alpha_position,
-                "alpha_bar_source": entry.alpha_bar_source,
-            },
-        )
+                "alpha_bar_source": entry.alpha_bar_source})
     return entry

@@ -31,14 +31,23 @@ relies on is re-checked against it, claim by claim:
 Where a claim is checked: `_sig_claims` yields the first four claims once per
 signature, from its census as a whole; `_family_claims` yields the next seven
 once per maximal family of that census; `_check_ground_pairing` checks the
-last once per ground.  `_family_claims` holds each family as one int over
-the canonical divisor index, and decides complement-dichotomy and
-last-prime-partition, which read only the squarefree part, once per part
-and prime count.  A check yields its claim with None where the claim
-holds, or with the fields of its counterexample.  `_check_sig_claims` alone
-turns these into rows: a claim passes unless a check of it yields fields, and
-its fail row carries the signature followed by the first fields yielded.  The
-sweep records a failure and goes on rather than aborting, so one broken claim
+last once per ground.  The census lists no family.  Each mask family of
+`antichains.enumerate_families(n)` is held with its lift as one int over
+the canonical divisor index, read from the lift's `lattice.radical_table`
+by `_lifted_bits`.  What the masks alone fix is decided once per mask
+family and prime count, in a memo that lives for one `run_verify` call:
+the minimal radicals, the compatible masks of the maximality rule, and
+complement-dichotomy and last-prime-partition.  Per signature only the
+weights are left: maximality (`families.is_maximal_size`), the verdict of
+`extremal.verdict`, the bit count, the closure, the rebuild and the
+pairing.  The squarefree part is read from the bits, not echoed from the
+masks, and the closure and the rebuild come from `_bit_tables`, which
+reads the exponents only.  A check yields its claim with None where the
+claim holds, or with the fields of its counterexample, whose divisors are
+decoded from the bits only then.  `_check_sig_claims` alone turns these
+into rows: a claim passes unless a check of it yields fields, and its fail
+row carries the signature followed by the first fields yielded.  The sweep
+records a failure and goes on rather than aborting, so one broken claim
 cannot mask another.
 """
 
@@ -49,6 +58,7 @@ import operator
 from typing import Iterator, NamedTuple, Optional
 
 from . import antichains, extremal, families, lattice, matching, oracle
+from .antichains import MaskFamily
 from .errors import DivintError, limit_error
 from .families import DivisorFamily
 from .lattice import Signature
@@ -84,21 +94,14 @@ class VerifyReport(NamedTuple):
     passed: bool
 
 
-def _fam_json(fam: DivisorFamily) -> list[list[int]]:
-    return [list(d) for d in fam.members]
+def _at(b: int, sig: Signature, /, **fields) -> dict:
+    """Counterexample fields of a claim that fails on the family `b`."""
+    return {"family": _bits_json(b, sig), **fields}
 
 
-def _at(fam: DivisorFamily, **fields) -> dict:
-    """Counterexample fields of a claim that fails on `fam`."""
-    return {"family": _fam_json(fam), **fields}
-
-
-def _first_three(fams) -> list[list[list[int]]]:
-    return [_fam_json(f)
-            for f in sorted(fams, key=oracle.family_sort_key)[:3]]
-
-
-def _sig_claims(sig: Signature, rep: oracle.OracleReport) -> Iterator[Claim]:
+def _sig_claims(sig: Signature, rep: oracle.OracleReport,
+                lifted: list[tuple[MaskFamily, int]],
+                bit: dict) -> Iterator[Claim]:
     """The claims about the census of `sig` as a whole."""
     bound = lattice.min_size_bound(sig)
     yield "min-size-equality", None if rep.min_size == bound else {
@@ -119,17 +122,15 @@ def _sig_claims(sig: Signature, rep: oracle.OracleReport) -> Iterator[Claim]:
             "predicted": predicted, "observed": rep.min_count}
 
     try:
-        ext = extremal.extremal_families(sig)
-        closures = {
-            families.upward_closure(gen, sig) for gen in ext.generators
-        }
+        closures = {sum(map(bit.__getitem__, families.upward_closure(gen, sig)))
+                    for gen in extremal.extremal_families(sig).generators}
     except DivintError as exc:
         yield "extremal-agreement", {"error": str(exc)}
     else:
-        minimum = {f for f in rep.families if len(f) == rep.min_size}
+        minimum = {b for _, b in lifted if b.bit_count() == rep.min_size}
         yield "extremal-agreement", None if closures == minimum else {
-            "oracle_only": _first_three(minimum - closures),
-            "extremal_only": _first_three(closures - minimum)}
+            "oracle_only": _first_three(minimum - closures, sig),
+            "extremal_only": _first_three(closures - minimum, sig)}
 
 
 def _bit_tables(sig: Signature):
@@ -186,6 +187,13 @@ def _bits_json(bits: int, sig: Signature) -> list[list[int]]:
     return [list(divisors[i]) for i in lattice.iter_bits(bits)]
 
 
+def _first_three(bitsets, sig: Signature) -> list[list[list[int]]]:
+    """The first three families of `bitsets` in `oracle.family_sort_key`
+    order, which on bitsets is that of their ascending bit indices."""
+    return [_bits_json(b, sig)
+            for b in sorted(bitsets, key=lattice.set_bits)[:3]]
+
+
 def _mask_claims(n: int, rads: tuple[int, ...]) -> tuple[Claim, Claim]:
     """complement-dichotomy and last-prime-partition on the squarefree part
     `rads` of a family on n primes, without the family's fields.
@@ -193,8 +201,7 @@ def _mask_claims(n: int, rads: tuple[int, ...]) -> tuple[Claim, Claim]:
     Both read the squarefree part alone, so the sweep decides them once per
     part and n, and words a failure with each family that has the part.
     """
-    full = (1 << n) - 1
-    last = 1 << (n - 1)
+    full, last = (1 << n) - 1, 1 << (n - 1)
     rads = set(rads)
     bad_mask = next(
         (m for m in range(full + 1)
@@ -210,61 +217,104 @@ def _mask_claims(n: int, rads: tuple[int, ...]) -> tuple[Claim, Claim]:
             "with_last": sorted(with_last), "lifted": sorted(lifted)}))
 
 
+def _mask_facts(memo: dict, rads: MaskFamily, sig: Signature):
+    """What the masks `rads` on sig.n primes fix, from `memo` or decided
+    into it: their `_mask_claims`, their minimal masks and the
+    `families.compatible_masks` of those."""
+    if rads not in memo:
+        mins = antichains.minimal_masks(rads)
+        memo[rads] = (_mask_claims(sig.n, rads), mins,
+                      families.compatible_masks(mins, sig))
+    return memo[rads]
+
+
+def _lifted_bits(sig: Signature, fams,
+                 bit: dict) -> list[tuple[MaskFamily, int]]:
+    """Each mask family of `fams` with its lift as one int over `bit`: the
+    divisors of the lift's `lattice.radical_table` on its masks."""
+    lift = [0] * (1 << sig.n)
+    for d, r in zip(*lattice.radical_table(sig)):
+        lift[r] |= bit[d]
+    return [(masks, sum(map(lift.__getitem__, masks))) for masks in fams]
+
+
+def _squarefree_part(bits: int, predicted: int, masks: MaskFamily,
+                     sig: Signature) -> MaskFamily:
+    """The masks of the squarefree divisors on `bits`, ascending: `masks`,
+    whose squarefree divisors are those on `predicted`, where the two
+    agree, else decoded from `bits`.  Squarefree divisors come in the
+    canonical order as their masks do."""
+    return masks if bits == predicted else tuple(
+        map(lattice.radical, map(lattice.divisors(sig).__getitem__,
+                                 lattice.set_bits(bits))))
+
+
+def _verdict(size: int, facts, weights: tuple[int, ...], sig: Signature
+             ) -> Optional[extremal.ClassificationVerdict]:
+    """`extremal.classify` on a family of `size` members whose mask family
+    has the `_mask_facts` given, read off those facts and the size; None
+    where the family is not maximal."""
+    _, mins, compatible = facts
+    if families.is_maximal_size(size, compatible, weights):
+        return extremal.verdict(mins, size, sig)
+
+
 def _family_claims(sig: Signature, rep: oracle.OracleReport,
+                   lifted: list[tuple[MaskFamily, int]], tables,
                    memo: dict) -> Iterator[Claim]:
     """The claims about each maximal family of the census, family by family.
 
-    A family is one int over `_bit_tables`: `_minima_closure` re-closes
-    its minima, its rebuild is an OR of radical bitsets, and its size is
-    the bit count.  `memo` holds `_mask_claims` of each squarefree part met
-    so far on sig.n primes.
+    A family is its mask family and one int over `_bit_tables`:
+    `_minima_closure` re-closes its minima, its rebuild is an OR of radical
+    bitsets, and its size is the bit count.  What the masks fix is decided
+    once per mask family and n, in `memo`.
     """
-    bit, steps, on_radical = _bit_tables(sig)
+    bit, steps, on_radical = tables
     weights = lattice.alpha_weights(sig)
+    # the least divisor on each radical is its squarefree one
+    squarefree = sum(x & -x for x in on_radical)
     built: dict = {}  # the pairing entries of sig built so far
-    for fam in rep.families:
-        rads = fam.squarefree_part()
-
+    for masks, b in lifted:
+        facts = _mask_facts(memo, masks, sig)
+        size = b.bit_count()
         try:
-            verdict = extremal.classify(fam, sig)
+            verdict = _verdict(size, facts, weights, sig)
         except DivintError as exc:
             verdict = None
             yield "classification-equivalence", {"error": str(exc)}
         else:
             yield "classification-equivalence", (
-                None if len(verdict.matched) in (0, 3)
-                else _at(fam, matched=sorted(verdict.matched)))
+                None if verdict is None or len(verdict.matched) in (0, 3)
+                else _at(b, sig, matched=sorted(verdict.matched)))
 
-        mask_claims = memo.get(rads)
-        if mask_claims is None:
-            mask_claims = memo[rads] = _mask_claims(sig.n, rads)
-        for claim, fields in mask_claims:
-            yield claim, None if fields is None else _at(fam, **fields)
+        # the rebuild from the mask family predicts the squarefree bits
+        rebuilt = sum(map(on_radical.__getitem__, masks))
+        rads = _squarefree_part(b & squarefree, rebuilt & squarefree,
+                                masks, sig)
+        if rads is not masks:
+            facts = _mask_facts(memo, rads, sig)
+            rebuilt = sum(map(on_radical.__getitem__, rads))
+        for claim, fields in facts[0]:
+            yield claim, None if fields is None else _at(b, sig, **fields)
 
-        b = sum(map(bit.__getitem__, fam.members))
         closure = _minima_closure(b, steps, sig.alphas)
-        yield "minimal-closure-identity", (
-            None if closure == b
-            else _at(fam, closure=_bits_json(closure, sig)))
-
-        rebuilt = sum(map(on_radical.__getitem__, rads))
-        yield "radical-determination", (
-            None if rebuilt == b
-            else _at(fam, rebuilt=_bits_json(rebuilt, sig)))
-
+        yield "minimal-closure-identity", None if closure == b else _at(
+            b, sig, closure=_bits_json(closure, sig))
+        yield "radical-determination", None if rebuilt == b else _at(
+            b, sig, rebuilt=_bits_json(rebuilt, sig))
         weight = sum(map(weights.__getitem__, rads))
-        yield "weight-identity", (
-            None if weight == b.bit_count()
-            else _at(fam, weight_sum=weight, size=len(fam)))
+        yield "weight-identity", None if weight == size else _at(
+            b, sig, weight_sum=weight, size=size)
 
-        if len(fam) != rep.min_size:
+        if size != rep.min_size:
             continue
         try:
-            # classify has checked the preconditions of an extremal family
+            # the verdict has checked the preconditions of an extremal family
             pairing = (
-                matching._weight_pairing(fam.radical_set, sig, built)
+                matching._weight_pairing(masks, sig, built)
                 if verdict is not None and verdict.is_extremal
-                else matching.alpha_pairing(fam, sig))
+                else matching.alpha_pairing(DivisorFamily.lift(sig, masks),
+                                            sig))
         except DivintError as exc:
             yield "pairing-weight-equality", {
                 "error": str(exc),
@@ -273,7 +323,7 @@ def _family_claims(sig: Signature, rep: oracle.OracleReport,
         bad = next((e for e in pairing.entries
                     if e.alpha_excess != sig.alphas[-1]), None)
         yield "pairing-weight-equality", None if bad is None else _at(
-            fam, position=bad.position, alpha_excess=bad.alpha_excess)
+            b, sig, position=bad.position, alpha_excess=bad.alpha_excess)
 
 
 def _check_sig_claims(sig: Signature,
@@ -282,17 +332,22 @@ def _check_sig_claims(sig: Signature,
 
     A claim passes unless some check of it yields counterexample fields; the
     first such fields, after the signature, are its counterexample.  `memo`
-    is that of `_family_claims`, shared by the signatures on sig.n primes.
+    is that of `_mask_facts`, shared by the signatures on sig.n primes.
     """
     # run_verify refuses an over-cap grid before the sweep; this refusal
     # stands for any other caller
-    rep = oracle.enumerate_maximal_families(sig, materialize_cap=MEMBER_CAP)
-    if rep.families is None:
+    rep = oracle.enumerate_maximal_families(sig, materialize_cap=0)
+    if sum(rep.sizes) > MEMBER_CAP:
         raise limit_error(f"the number of family members of {sig}",
                           sum(rep.sizes), MEMBER_CAP, "verify.MEMBER_CAP")
+    tables = _bit_tables(sig)
+    # in the census's listing order: lexicographic on the mask families
+    lifted = _lifted_bits(sig, sorted(antichains.enumerate_families(sig.n)),
+                          tables[0])
     claims = itertools.chain(
-        _sig_claims(sig, rep),
-        _family_claims(sig, rep, {} if memo is None else memo))
+        _sig_claims(sig, rep, lifted, tables[0]),
+        _family_claims(sig, rep, lifted, tables,
+                       {} if memo is None else memo))
     first: dict[str, Optional[dict]] = {}
     for claim, fields in claims:
         if fields is not None and first.get(claim) is None:
@@ -311,8 +366,7 @@ def _check_ground_pairing(k: int) -> dict:
     except DivintError as exc:
         return {"status": "fail", "counterexample": {
             "ground": k, "error": str(exc),
-            "detail": getattr(exc, "counterexample", None),
-        }}
+            "detail": getattr(exc, "counterexample", None)}}
     return {"status": "pass"}
 
 

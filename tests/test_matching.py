@@ -485,9 +485,9 @@ def test_half_split_law_flat_regime():
 def test_lifted_and_classified_families_skip_the_maximality_recheck(
         monkeypatch, tmp_path, capsys):
     """matching --sig pairs the closures it lifts, and verify the families
-    that classify found extremal, without calling check_maximal again:
-    none for the 2646 families of 1^6, and in run_verify(5, 2) only the
-    570 of classify, one per maximal family."""
+    that its verdict found extremal, without calling check_maximal: none
+    for the 2646 families of 1^6, and none in run_verify(5, 2), which
+    decides maximality on the mask families' compatible masks."""
     calls = 0
     check_maximal = families.check_maximal
 
@@ -503,4 +503,4 @@ def test_lifted_and_classified_families_skip_the_maximality_recheck(
     capsys.readouterr()
     assert calls == 0
     assert verify.run_verify(5, 2).passed
-    assert calls == 570
+    assert calls == 0

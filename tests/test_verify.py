@@ -3,12 +3,13 @@
 import hashlib
 import itertools
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divint import (antichains, extremal, families, lattice, matching, oracle,
-                    verify)
+from divint import (antichains, cli, extremal, families, lattice, matching,
+                    oracle, verify)
 from divint.errors import DivintError, ResourceLimitError, TheoremViolationError
 from divint.families import DivisorFamily
 from divint.lattice import Signature
@@ -126,15 +127,17 @@ NOT_UPWARD_CLOSED = DivisorFamily([(1, 0), (2, 1)])
 def test_a_family_that_is_not_upward_closed_fails_with_its_counterexamples(monkeypatch):
     """The counterexamples are those of the general definitions: the closure
     of the minimal members, and every divisor on the squarefree radicals."""
-    real = oracle.enumerate_maximal_families
+    real = verify._lifted_bits
 
-    def with_bad_family(sig, *args, **kwargs):
-        rep = real(sig, *args, **kwargs)
+    def with_bad_family(sig, *args):
+        lifted = real(sig, *args)
         if sig != Signature((2, 1)):
-            return rep
-        return rep._replace(families=rep.families + (NOT_UPWARD_CLOSED,))
+            return lifted
+        bit = verify._bit_tables(sig)[0]
+        return lifted + [(NOT_UPWARD_CLOSED.radical_set,
+                          sum(map(bit.__getitem__, NOT_UPWARD_CLOSED)))]
 
-    monkeypatch.setattr(oracle, "enumerate_maximal_families", with_bad_family)
+    monkeypatch.setattr(verify, "_lifted_bits", with_bad_family)
     rows = {(r["claim"], r["subject"]): r for r in run_verify(2, 2).rows}
     fam = [[1, 0], [2, 1]]
     assert rows["minimal-closure-identity", "2,1"] == {
@@ -200,18 +203,18 @@ def test_a_lifted_member_altered_fails_the_rebuild_and_the_closure(monkeypatch):
     The squarefree part is unchanged, so the rebuild from it and the closure
     of the minima, which now include p2^2, both differ from the family; the
     size and the squarefree part still pass."""
-    real = oracle.enumerate_maximal_families
+    real = verify._lifted_bits
     sig = Signature((2, 2, 1))
 
-    def altered(s, *args, **kwargs):
-        rep = real(s, *args, **kwargs)
+    def altered(s, *args):
+        lifted = real(s, *args)
         if s != sig:
-            return rep
-        first = DivisorFamily(
-            (0, 2, 0) if d == (2, 0, 0) else d for d in rep.families[0])
-        return rep._replace(families=(first,) + rep.families[1:])
+            return lifted
+        bit = verify._bit_tables(sig)[0]
+        (masks, first), *rest = lifted
+        return [(masks, first ^ bit[2, 0, 0] ^ bit[0, 2, 0])] + rest
 
-    monkeypatch.setattr(oracle, "enumerate_maximal_families", altered)
+    monkeypatch.setattr(verify, "_lifted_bits", altered)
     rows = run_verify(3, 2).rows
     assert [(r["claim"], r["subject"]) for r in rows
             if r["status"] == "fail"] == [
@@ -251,12 +254,12 @@ def test_a_broken_mask_family_fails_at_every_signature_of_its_ground(
 
 def test_sweep_work_counts(monkeypatch):
     """run_verify(5, 2) takes no minimal members through the tuple-level
-    referee and tests no divisibility.  It lifts 570 families, each maximal
-    family once: radical-determination rebuilds a family on bitsets and
-    lifts nothing.  Its constructor builds 290 more: the 145 generators and
-    their 145 closures for extremal-agreement.  classification-equivalence
-    looks the generators up by their radical masks and builds none of
-    them."""
+    referee and tests no divisibility.  It lifts no family: each of the 570
+    is one int read from the lift's radical table, and radical-determination
+    rebuilds it on bitsets.  The constructor builds 290 families: the 145
+    generators and their 145 closures for extremal-agreement.
+    classification-equivalence looks the generators up by their radical
+    masks and builds none of them."""
     calls = {"families": 0, "lifts": 0, "minimal_members": 0, "divides": 0,
              "closures": 0}
     init = DivisorFamily.__init__
@@ -293,8 +296,46 @@ def test_sweep_work_counts(monkeypatch):
     extremal._generator_set.cache_clear()
     rep = run_verify(5, 2)
     assert rep.passed and len(rep.rows) == 209
-    assert calls == {"families": 290, "lifts": 570, "minimal_members": 0,
+    assert calls == {"families": 290, "lifts": 0, "minimal_members": 0,
                      "divides": 0, "closures": 145}
+
+
+def test_the_sweep_reads_the_lift_and_the_verdict_of_classify():
+    """On every signature of the 4/3 grid, each mask family's bits in the
+    sweep are those of its `DivisorFamily.lift`, and the verdict the sweep
+    reads off the mask facts and the bit count is that of
+    `extremal.classify` on the lift.  Each family less its least mask is
+    checked too: it is not maximal, and the sweep gives it no verdict."""
+    for sig in lattice.signature_grid(4, 3):
+        bit = verify._bit_tables(sig)[0]
+        weights = lattice.alpha_weights(sig)
+        fams = antichains.enumerate_families(sig.n)
+        fams += tuple(f[1:] for f in fams)
+        for masks, b in verify._lifted_bits(sig, fams, bit):
+            lift = DivisorFamily.lift(sig, masks)
+            assert b == sum(map(bit.__getitem__, lift.members))
+            want = extremal.classify(lift, sig)
+            got = verify._verdict(b.bit_count(),
+                                  verify._mask_facts({}, masks, sig),
+                                  weights, sig)
+            assert (got is not None) == want.is_maximal == (
+                len(masks) == 2 ** (sig.n - 1))
+            if got is not None:
+                assert (got.matched, got.is_maximal, got.is_extremal) == (
+                    want.matched, want.is_maximal, want.is_extremal)
+
+
+def test_the_6_3_document_keeps_its_bytes(monkeypatch, tmp_path, capsys):
+    """`verify --max-n 6 --max-exp 3 --format json`, in-process: 83
+    signatures and 76024 families, every claim passing."""
+    for key in list(os.environ):
+        if key.startswith("DIVINT_"):
+            monkeypatch.delenv(key)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", "--max-n", "6", "--max-exp", "3",
+                     "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "9ce175f740ffde40d8ab6024a1412579bc2fa61339842c16f7a1948f4082486d")
 
 
 def test_mask_level_claims_are_decided_once_per_squarefree_part(monkeypatch):
@@ -393,15 +434,15 @@ FAULTS = {
     "extremal-families-raises": lambda mp: mp.setattr(
         extremal, "extremal_families", _raise),
     "classify-partial-match": lambda mp: _wrap(
-        mp, extremal, "classify",
+        mp, extremal, "verdict",
         lambda v: v._replace(matched=v.matched - {"c"})),
-    "classify-raises": lambda mp: mp.setattr(extremal, "classify", _raise),
+    "classify-raises": lambda mp: mp.setattr(extremal, "verdict", _raise),
     "pairing-raises": lambda mp: mp.setattr(
         matching, "_weight_pairing", _raise_with_counterexample),
     "pairing-bad-excess": lambda mp: _wrap(
         mp, matching, "_weight_pairing", _bad_excess),
     "squarefree-part-drops-a-mask": lambda mp: _wrap(
-        mp, DivisorFamily, "squarefree_part", lambda masks: masks[:-1]),
+        mp, verify, "_squarefree_part", lambda masks: masks[:-1]),
 }
 
 GRID_3_2 = ["1", "2", "1,1", "2,1", "2,2", "1,1,1", "2,1,1", "2,2,1", "2,2,2"]
