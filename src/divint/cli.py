@@ -458,10 +458,12 @@ def _openprob_text(p: dict, r: dict, primes) -> list[str]:
                  f"maximality"]
         for row in r["rows"]:
             head = f"  {row['signature']:<12} t={row['t']}"
+            # an error row ends with the refusal that stopped its cell
             lines.append(
                 f"{head}: {letter}={row['value']} ({row['attaining_count']} "
                 f"attaining, universe {row['universe_size']})"
-                if row["status"] == "ok" else f"{head}: {row['status']}")
+                if row["status"] == "ok" else
+                ": ".join(filter(None, (head, row["status"], row["error"]))))
         return lines
     head = f"{letter}({p['sig']}; t={r['t']}, {r['maximality']})"
     lines = [f"{head} = {r['value']}; {r['attaining_count']} attaining "

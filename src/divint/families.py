@@ -78,14 +78,13 @@ class DivisorFamily(lattice.Frozen):
         return f"DivisorFamily({[lattice.format_divisor(d) for d in self.members]})"
 
     def squarefree_part(self) -> tuple[Mask, ...]:
-        """Masks of the squarefree members, ascending.
+        """Masks of the squarefree members, ascending: the radicals of the
+        members whose exponents are all at most 1.
 
         Scans the members, never the radical set a family was lifted from.
         """
-        members = self.members
-        masks = lattice.squarefree_masks(max(map(len, members), default=0))
-        return tuple(sorted(map(masks.__getitem__,
-                                filter(masks.__contains__, members))))
+        return tuple(sorted(lattice.radical(d) for d in self.members
+                            if max(d, default=0) <= 1))
 
 
 class FamilyReport(NamedTuple):

@@ -197,19 +197,6 @@ def mask_to_divisor(mask: Mask, n: int) -> Divisor:
     return tuple((mask >> i) & 1 for i in range(n))
 
 
-@lru_cache(maxsize=1)
-def squarefree_masks(n: int) -> dict[Divisor, Mask]:
-    """Every squarefree exponent tuple of length at most n, keyed to its
-    support mask.
-
-    One lookup in it tells a squarefree member from any other and gives its
-    mask, where a scan of the exponents would take longer.  It holds 2^(n+1)
-    - 1 tuples, so only the last n asked for is kept.
-    """
-    return {tuple((m >> i) & 1 for i in range(k)): m
-            for k in range(n + 1) for m in range(1 << k)}
-
-
 def alpha_weight(mask: Mask, sig: Signature) -> int:
     """Product of the exponents over the primes in `mask`; 1 for the empty mask.
 
@@ -331,34 +318,44 @@ def meet_rows(rads: list[Mask]) -> list[int]:
     return rows
 
 
-# Most signatures one grid may hold: C(max_n + max_exp, max_n) - 1.  The
-# largest grid of the tests and the benchmark has 18563 (6 primes, exponents
-# up to 12); 6 primes up to 24 would have 593774.  It bounds the number of
-# cells of a sweep, not the time each cell takes.
-GRID_CAP = 50_000
+# Most divisors one grid sweep may walk: the divisor counts of the grid's
+# signatures, summed, times the number of passes the caller makes over each
+# lattice.  Every signature has at least two divisors, so this bounds the
+# grid's size as well.  The benchmark's largest sweep, openprob 5/3 at
+# t = 2,3, walks 15538.  On 2 vCPUs the admitted verify 6/4 (246729) takes
+# about 8 s at 52 MB and 6/5 (1323651) about 26 s at 211 MB; openprob 7/4 at
+# t = 3 (1379399) takes about 3.3 s in bigomega mode.
+SWEEP_CAP = 2_000_000
 
 
-def signature_grid(max_n: int, max_exp: int) -> list[Signature]:
+def signature_grid(max_n: int, max_exp: int,
+                   passes: int = 1) -> list[Signature]:
     """Every normalized signature with n <= max_n primes and exponents <= max_exp.
 
     Deterministic order: by prime count, then lexicographically on the
     exponent vector.  Only non-increasing vectors are built, one per
-    multiset of exponents, so each signature appears exactly once.  A grid
-    of more than GRID_CAP signatures is refused before any is built.  Its
-    size is counted one factor of C(max_n + max_exp, max_n) at a time,
-    C(max_exp + i, i) growing with i, and the count stops at the cap.
+    multiset of exponents, so each signature appears exactly once.
+
+    The grid is priced before any signature is built: the divisor counts of
+    its exponent vectors, summed, times `passes`, the number of times the
+    caller walks each lattice.  A grid priced above SWEEP_CAP is refused;
+    the sum stops as soon as it passes the cap, so a grid of any size is
+    refused at once.
     """
-    if max_n < 1 or max_exp < 1:
-        raise ValueError("signature grid needs max_n >= 1 and max_exp >= 1")
-    size = 1
-    for i in range(1, max_n + 1):
-        size = size * (max_exp + i) // i
-        if size - 1 > GRID_CAP:
-            raise limit_error("the number of signatures in the grid", None,
-                              GRID_CAP, "lattice.GRID_CAP")
-    out = [Signature(alphas) for n in range(1, max_n + 1)
-           for alphas in itertools.combinations_with_replacement(
-               range(max_exp, 0, -1), n)]
+    if max_n < 1 or max_exp < 1 or passes < 1:
+        raise ValueError("signature grid needs max_n, max_exp and passes >= 1")
+    vectors = []
+    walked = 0
+    for n in range(1, max_n + 1):
+        for alphas in itertools.combinations_with_replacement(
+                range(max_exp, 0, -1), n):
+            walked += passes * prod(a + 1 for a in alphas)
+            if walked > SWEEP_CAP:
+                raise limit_error("the number of divisors the grid's sweep "
+                                  "walks", None, SWEEP_CAP,
+                                  "lattice.SWEEP_CAP")
+            vectors.append(alphas)
+    out = list(map(Signature, vectors))
     out.sort(key=lambda s: (s.n, s.alphas))
     return out
 

@@ -59,7 +59,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from . import antichains, extremal, families, lattice, matching, oracle
 from .antichains import MaskFamily
-from .errors import DivintError, limit_error
+from .errors import DivintError
 from .families import DivisorFamily
 from .lattice import Signature
 
@@ -79,8 +79,6 @@ CLAIMS = (
 )
 
 MATCHING_GROUND_CAP = 4
-# Most family members of one signature that the sweep holds to check them.
-MEMBER_CAP = 10**7
 
 
 # A claim's name and its counterexample fields, or None where it holds.
@@ -333,13 +331,10 @@ def _check_sig_claims(sig: Signature,
     A claim passes unless some check of it yields counterexample fields; the
     first such fields, after the signature, are its counterexample.  `memo`
     is that of `_mask_facts`, shared by the signatures on sig.n primes.
+    It holds no member, since each family is one int over the lattice;
+    `run_verify` prices the whole grid in divisors before the first check.
     """
-    # run_verify refuses an over-cap grid before the sweep; this refusal
-    # stands for any other caller
     rep = oracle.enumerate_maximal_families(sig, materialize_cap=0)
-    if sum(rep.sizes) > MEMBER_CAP:
-        raise limit_error(f"the number of family members of {sig}",
-                          sum(rep.sizes), MEMBER_CAP, "verify.MEMBER_CAP")
     tables = _bit_tables(sig)
     # in the census's listing order: lexicographic on the mask families
     lifted = _lifted_bits(sig, sorted(antichains.enumerate_families(sig.n)),
@@ -370,34 +365,18 @@ def _check_ground_pairing(k: int) -> dict:
     return {"status": "pass"}
 
 
-def _member_counts(n: int) -> list[int]:
-    """How many maximal intersecting families on [n] hold each mask."""
-    counts = [0] * (1 << n)
-    for fam in antichains.enumerate_families(n):
-        for m in fam:
-            counts[m] += 1
-    return counts
-
-
 def run_verify(max_n: int = 3, max_exp: int = 2) -> VerifyReport:
     """Run every claim over the grid; never raises on claim failure.
 
     Every limit is checked before the first signature is swept: the caps of
-    the Dedekind walk on each ground, then the grid's size, then each
-    signature's member total, which the mask families fix before any lift,
-    against MEMBER_CAP in grid order.
+    the Dedekind walk on the largest ground, then the grid's price in
+    divisors, `lattice.SWEEP_CAP`, at one pass per signature.
     """
-    # largest ground first: a walk past its cap is refused before any runs,
-    # and before the grid is built
-    counts = {n: _member_counts(n) for n in range(max_n, 0, -1)}
+    # largest ground first: a walk past its cap is refused before the grid
+    # is priced
+    antichains.enumerate_families(max_n)
     grid = lattice.signature_grid(max_n, max_exp)
-    for sig in grid:
-        total = sum(map(operator.mul, counts[sig.n],
-                        lattice.alpha_weights(sig)))
-        if total > MEMBER_CAP:
-            raise limit_error(f"the number of family members of {sig}",
-                              total, MEMBER_CAP, "verify.MEMBER_CAP")
-    memos: dict[int, dict] = {n: {} for n in counts}
+    memos: dict[int, dict] = {n: {} for n in range(1, max_n + 1)}
     per_sig: dict[str, dict[str, dict]] = {}
     for sig in grid:
         per_sig[str(sig)] = _check_sig_claims(sig, memos[sig.n])

@@ -376,6 +376,20 @@ def test_radical_cap_bounds_sweeps(env, capsys, monkeypatch):
     assert "restricted.RADICAL_CAP" in rows["2,2,2"]["error"]
 
 
+def test_openprob_sweep_text_names_the_cap_that_refused_a_cell(
+        env, capsys, monkeypatch):
+    """A cell refused by a cap prints its refusal in the text view, as the
+    JSON and CSV rows carry it."""
+    monkeypatch.setattr(restricted, "RADICAL_CAP", 2)
+    code, out, _ = run(["openprob", "--mode", "omega", "--max-n", "3",
+                        "--t", "2"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "  2,2,2        t=2: error: the number of distinct radicals in the "
+        "universe is 3, above the cap of 2 (restricted.RADICAL_CAP, a fixed "
+        "constant)")
+
+
 def test_list_above_materialize_cap_exits_3(env, capsys, monkeypatch):
     """Both listings are held against the one member cap, and the refusal
     states the member total: 1 family of 3 for the cell, 4 of 4 for the
@@ -634,14 +648,14 @@ def test_verify_honours_k_cap(env, capsys):
 
 @pytest.mark.parametrize("argv,cap", [
     (["verify", "--max-n", "7", "--max-exp", "24"], "antichains.LIST_CAP"),
-    (["verify", "--max-n", "6", "--max-exp", "24"], "lattice.GRID_CAP"),
+    (["verify", "--max-n", "6", "--max-exp", "24"], "lattice.SWEEP_CAP"),
     (["openprob", "--mode", "omega", "--max-n", "6", "--max-exp", "24",
-      "--t", "2"], "lattice.GRID_CAP"),
+      "--t", "2"], "lattice.SWEEP_CAP"),
 ], ids=["verify 7/24", "verify 6/24", "openprob 6/24"])
 def test_sweep_refusals_come_before_the_grid(env, capsys, monkeypatch, argv,
                                              cap):
-    """A sweep past the ground cap or the grid cap exits 3 at once, and no
-    signature of its grid is built."""
+    """A sweep past the ground cap or the grid's price exits 3 at once, and
+    no signature of its grid is built."""
     def boom(*args):
         raise AssertionError("a signature of the grid was built")
 
@@ -1186,15 +1200,16 @@ def test_readme_cap_table_matches_the_code():
     assert _cap_names() <= table
 
 
-@pytest.mark.parametrize("argv,walked", [
-    (["--max-n", "6", "--max-exp", "12", "--t", "2"], 2892439159),
-    (["--max-n", "6", "--max-exp", "5", "--t", "2,3"], 2 * 1323651),
+@pytest.mark.parametrize("argv", [
+    ["--max-n", "6", "--max-exp", "12", "--t", "2"],
+    ["--max-n", "6", "--max-exp", "5", "--t", "2,3"],
 ], ids=["6/12", "6/5 t=2,3"])
 def test_sweep_cap_refuses_before_the_first_cell(env, capsys, monkeypatch,
-                                                 argv, walked):
-    """A sweep whose cells would walk more than restricted.SWEEP_CAP
-    divisors, summed over the grid and the --t values, exits 3 at once,
-    before any cell is solved."""
+                                                 argv):
+    """A sweep whose cells would walk more than lattice.SWEEP_CAP divisors,
+    summed over the grid and the --t values, exits 3 at once, before any
+    cell is solved: 6/12 at one t value walks 2892439159, and 6/5 at two,
+    2 * 1323651."""
     def boom(*args, **kwargs):
         raise AssertionError("a cell was solved")
 
@@ -1202,18 +1217,18 @@ def test_sweep_cap_refuses_before_the_first_cell(env, capsys, monkeypatch,
     start = time.perf_counter()
     code, out, err = run(["openprob", "--mode", "omega", *argv], capsys)
     assert (code, out) == (3, "")
-    assert (f"walk is {walked}, above the cap of {restricted.SWEEP_CAP} "
-            f"(restricted.SWEEP_CAP, a fixed constant)") in err
+    assert (f"walks exceeds the cap of {lattice.SWEEP_CAP} "
+            f"(lattice.SWEEP_CAP, a fixed constant)") in err
     assert time.perf_counter() - start < 1.0
 
 
 def test_sweep_cap_admits_the_benchmark_sweep():
     """The benchmark's sweep, 5/3 at t = 2,3, walks 15538 divisors, and
     6/5 at one t value, 1323651, is still admitted."""
-    assert 2 * sum(s.divisor_count() for s in lattice.signature_grid(5, 3)) \
+    assert 2 * sum(s.divisor_count() for s in lattice.signature_grid(5, 3, 2)) \
         == 15538
     assert sum(s.divisor_count() for s in lattice.signature_grid(6, 5)) \
-        == 1323651 <= restricted.SWEEP_CAP
+        == 1323651 <= lattice.SWEEP_CAP
 
 
 # Between them these commands reach every refusal site of the package.
@@ -1237,7 +1252,7 @@ REFUSALS = [
     (["extremal", "--sig", "30,30,30,30", "--list"], {}),
     (["matching", "--sig", "2,2,2,2,2,2,1,1,1,1,1,1"], {}),
     (["bound", "--sig", ",".join("1" * 17)], {}),
-    (["verify", "--max-n", "2", "--max-exp", "1"], {"verify.MEMBER_CAP": 1}),
+    (["verify", "--max-n", "2", "--max-exp", "1"], {"lattice.SWEEP_CAP": 1}),
     (["openprob", "--mode", "omega", "--max-n", "6", "--max-exp", "24",
       "--t", "2"], {}),
     (["openprob", "--mode", "omega", "--max-n", "8000", "--max-exp", "8000",

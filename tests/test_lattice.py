@@ -146,14 +146,6 @@ def test_divisor_tables_share_one_tuple_of_divisors(monkeypatch):
     assert lattice.divisor_set(sig) == set(lattice.enumerate_divisors(sig))
 
 
-def test_squarefree_masks():
-    """Every 0/1 tuple of each length up to n, keyed to its support mask."""
-    masks = lattice.squarefree_masks(3)
-    assert len(masks) == 1 + 2 + 4 + 8
-    for d, m in masks.items():
-        assert set(d) <= {0, 1} and lattice.radical(d) == m
-
-
 def test_radical():
     assert lattice.radical((2, 0, 1)) == 0b101
     assert lattice.radical((0, 0, 0)) == 0
@@ -266,9 +258,11 @@ def test_signature_grid_matches_the_filtered_product(max_n, max_exp):
                             for k in range(1, max_n + 1))
 
 
-def test_signature_grid_builds_only_its_signatures():
+def test_signature_grid_builds_only_its_signatures(monkeypatch):
     """The 6/12 grid holds 18563 signatures out of 12^6 + ... raw tuples;
-    it is built without walking the raw tuples."""
+    it is built without walking the raw tuples.  Its lattices walk 2.9
+    billion divisors, so the cap is lifted for it."""
+    monkeypatch.setattr(lattice, "SWEEP_CAP", 3 * 10**9)
     start = time.perf_counter()
     grid = lattice.signature_grid(6, 12)
     assert len(grid) == 18563 == sum(comb(12 + k - 1, k) for k in range(1, 7))
@@ -430,9 +424,9 @@ def test_meet_rows_are_those_of_the_pairwise_loop(rads):
     (6, 24), (8000, 8000), (10 ** 6, 1), (1, 50001), (10 ** 6, 10 ** 6)])
 def test_signature_grid_refuses_past_its_cap_before_building(
         monkeypatch, max_n, max_exp):
-    """C(6 + 24, 6) - 1 = 593774 signatures, and grids whose size has
+    """Grids of 593774 signatures (6/24) up to grids whose size has
     thousands of digits: refused at once, with no signature built and the
-    size never written out."""
+    price never written out."""
     def boom(*args):
         raise AssertionError("a signature of the grid was built")
 
@@ -441,15 +435,42 @@ def test_signature_grid_refuses_past_its_cap_before_building(
     with pytest.raises(ResourceLimitError) as exc:
         lattice.signature_grid(max_n, max_exp)
     assert str(exc.value) == (
-        "the number of signatures in the grid exceeds the cap of "
-        "50000 (lattice.GRID_CAP, a fixed constant)")
+        "the number of divisors the grid's sweep walks exceeds the cap of "
+        "2000000 (lattice.SWEEP_CAP, a fixed constant)")
     assert time.perf_counter() - start < 1.0
-    assert comb(max_n + max_exp, min(max_n, max_exp, 6)) - 1 > lattice.GRID_CAP
 
 
-@pytest.mark.parametrize("max_n,max_exp", [(6, 12), (1, 50000)])
-def test_signature_grid_admits_grids_at_or_under_its_cap(max_n, max_exp):
-    """The largest grid of the tests and the benchmark, and a grid of
-    exactly GRID_CAP signatures."""
-    assert len(lattice.signature_grid(max_n, max_exp)) == (
-        comb(max_n + max_exp, max_n) - 1) <= lattice.GRID_CAP
+@pytest.mark.parametrize("max_n,max_exp,walked", [
+    (6, 5, 1323651), (2, 61, 1947791)], ids=["6-5", "2-61"])
+def test_signature_grid_admits_grids_at_or_under_its_cap(max_n, max_exp,
+                                                         walked):
+    """The largest grid on six primes, and the largest on two: their
+    lattices walk at most SWEEP_CAP divisors in one pass."""
+    grid = lattice.signature_grid(max_n, max_exp)
+    assert sum(s.divisor_count() for s in grid) == walked <= lattice.SWEEP_CAP
+
+
+@pytest.mark.parametrize("max_n,max_exp,passes,walked", [
+    (6, 5, 2, 2 * 1323651), (2, 62, 1, 2074799), (6, 6, 1, 5715423)])
+def test_signature_grid_refuses_grids_just_past_its_cap(max_n, max_exp,
+                                                        passes, walked):
+    assert sum(s.divisor_count() for s in
+               _grid_by_filtering(max_n, max_exp)) * passes == walked
+    assert walked > lattice.SWEEP_CAP
+    with pytest.raises(ResourceLimitError, match=r"lattice\.SWEEP_CAP"):
+        lattice.signature_grid(max_n, max_exp, passes)
+
+
+@pytest.mark.parametrize("max_n", range(1, 7))
+@pytest.mark.parametrize("max_exp", range(1, 6))
+def test_signature_grid_is_refused_exactly_past_its_price(max_n, max_exp):
+    """A grid walked `passes` times is refused exactly when passes times
+    its divisor counts, summed, pass SWEEP_CAP."""
+    grid = _grid_by_filtering(max_n, max_exp)
+    walked = sum(s.divisor_count() for s in grid)
+    for passes in (1, 2, 3):
+        if passes * walked > lattice.SWEEP_CAP:
+            with pytest.raises(ResourceLimitError):
+                lattice.signature_grid(max_n, max_exp, passes)
+        else:
+            assert lattice.signature_grid(max_n, max_exp, passes) == grid

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,37 +87,22 @@ def test_k_cap_refusal_precedes_the_sweep(monkeypatch):
         run_verify(7, 1)
 
 
-def test_member_cap_refusal_precedes_the_sweep(monkeypatch):
-    """The member total of every signature is known from the mask families,
-    so the first signature over the cap, in grid order, is refused before
-    any is checked: on the 6/4 grid that is 4,3,3,3,3,3."""
+@pytest.mark.parametrize("max_n,max_exp", [(2, 62), (6, 6)])
+def test_sweep_cap_refusal_precedes_the_sweep(monkeypatch, capsys, max_n,
+                                              max_exp):
+    """A grid whose lattices walk more than lattice.SWEEP_CAP divisors
+    exits 3 at once, before any signature is checked: few primes with high
+    exponents as well as many primes."""
     def boom(*args, **kwargs):
         raise AssertionError("a signature was checked before the refusal")
 
     monkeypatch.setattr(verify, "_check_sig_claims", boom)
-    with pytest.raises(ResourceLimitError) as exc:
-        run_verify(6, 4)
-    assert str(exc.value) == (
-        "the number of family members of 4,3,3,3,3,3 is 12038086, above the "
-        "cap of 10000000 (verify.MEMBER_CAP, a fixed constant)")
-    monkeypatch.setattr(verify, "MEMBER_CAP", 44)
-    with pytest.raises(ResourceLimitError, match="of 2,2,1 is 45, above"):
-        run_verify(3, 2)
-
-
-def test_a_signature_checked_alone_still_refuses_the_member_cap(monkeypatch):
-    monkeypatch.setattr(verify, "MEMBER_CAP", 44)
-    with pytest.raises(ResourceLimitError,
-                       match=r"of 2,2,1 is 45, .*verify\.MEMBER_CAP"):
-        verify._check_sig_claims(Signature((2, 2, 1)))
-
-
-def test_member_totals_are_the_lifted_family_sizes():
-    for sig in lattice.signature_grid(4, 3):
-        counts = verify._member_counts(sig.n)
-        weights = lattice.alpha_weights(sig)
-        rep = oracle.enumerate_maximal_families(sig)
-        assert sum(c * w for c, w in zip(counts, weights)) == sum(rep.sizes)
+    start = time.perf_counter()
+    assert cli.main(["verify", "--max-n", str(max_n),
+                     "--max-exp", str(max_exp)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert ("exceeds the cap of 2000000 (lattice.SWEEP_CAP, a fixed "
+            "constant)") in capsys.readouterr().err
 
 
 # p1 and p1^2*p2 in the 2,1 lattice: not upward closed, and p1^2*p2 has no
