@@ -60,16 +60,19 @@ class Signature(Frozen):
     `alphas` is the normalized (descending) vector; `original` preserves the
     caller's order and `perm` maps normalized index -> original index, so
     user-facing prime labels can be kept consistent after normalization.
-    Immutable; equality and hashing consider `alphas` only.  Each exponent
-    is read with `operator.index`, so a float or a string raises TypeError
-    instead of being truncated or parsed.
+    `u` is the number of exponents strictly above the smallest one: zero
+    exactly when all exponents are equal, always < n; it is counted once,
+    here.  Immutable; equality and hashing consider `alphas` only.  Each
+    exponent is read with `operator.index`, so a float or a string raises
+    TypeError instead of being truncated or parsed.
     """
 
-    __slots__ = ("alphas", "original", "perm")
+    __slots__ = ("alphas", "original", "perm", "u")
 
     alphas: tuple[int, ...]
     original: tuple[int, ...]
     perm: tuple[int, ...]
+    u: int
 
     def __init__(self, exponents):
         orig = tuple(map(operator.index, exponents))
@@ -81,9 +84,11 @@ class Signature(Frozen):
             raise limit_error("the number of primes", len(orig), MAX_PRIMES,
                               "lattice.MAX_PRIMES")
         perm = tuple(sorted(range(len(orig)), key=lambda i: (-orig[i], i)))
-        object.__setattr__(self, "alphas", tuple(orig[i] for i in perm))
+        alphas = tuple(orig[i] for i in perm)
+        object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "original", orig)
         object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "u", sum(a > alphas[-1] for a in alphas))
 
     def _key(self) -> tuple[int, ...]:
         return self.alphas
@@ -94,14 +99,6 @@ class Signature(Frozen):
     @property
     def n(self) -> int:
         return len(self.alphas)
-
-    @property
-    def u(self) -> int:
-        """Number of exponents strictly above the smallest one.
-
-        Zero exactly when all exponents are equal; always < n.
-        """
-        return sum(1 for a in self.alphas if a > self.alphas[-1])
 
     @property
     def was_normalized(self) -> bool:
@@ -323,7 +320,7 @@ def meet_rows(rads: list[Mask]) -> list[int]:
 # lattice.  Every signature has at least two divisors, so this bounds the
 # grid's size as well.  The benchmark's largest sweep, openprob 5/3 at
 # t = 2,3, walks 15538.  On 2 vCPUs the admitted verify 6/4 (246729) takes
-# about 8 s at 52 MB and 6/5 (1323651) about 26 s at 211 MB; openprob 7/4 at
+# about 7 s at 35 MB and 6/5 (1323651) about 25 s at 68 MB; openprob 7/4 at
 # t = 3 (1379399) takes about 3.3 s in bigomega mode.
 SWEEP_CAP = 2_000_000
 

@@ -34,9 +34,11 @@ once per maximal family of that census; `_check_ground_pairing` checks the
 last once per ground.  The census lists no family.  Each mask family of
 `antichains.enumerate_families(n)` is held with its lift as one int over
 the canonical divisor index, read from the lift's `lattice.radical_table`
-by `_lifted_bits`.  What the masks alone fix is decided once per mask
-family and prime count, in a memo that lives for one `run_verify` call:
-the minimal radicals, the compatible masks of the maximality rule, and
+by `_lifted_bits`.  A divisor d sits at bit sum(d_i * stride_i), worked
+out from its exponents where it is used, so no table keyed by divisor is
+kept.  What the masks alone fix is decided once per mask family and prime
+count, in a memo that lives for one `run_verify` call: the minimal
+radicals, the compatible masks of the maximality rule, and
 complement-dichotomy and last-prime-partition.  Per signature only the
 weights are left: maximality (`families.is_maximal_size`), the verdict of
 `extremal.verdict`, the bit count, the closure, the rebuild and the
@@ -99,7 +101,7 @@ def _at(b: int, sig: Signature, /, **fields) -> dict:
 
 def _sig_claims(sig: Signature, rep: oracle.OracleReport,
                 lifted: list[tuple[MaskFamily, int]],
-                bit: dict) -> Iterator[Claim]:
+                strides: list[int]) -> Iterator[Claim]:
     """The claims about the census of `sig` as a whole."""
     bound = lattice.min_size_bound(sig)
     yield "min-size-equality", None if rep.min_size == bound else {
@@ -120,7 +122,8 @@ def _sig_claims(sig: Signature, rep: oracle.OracleReport,
             "predicted": predicted, "observed": rep.min_count}
 
     try:
-        closures = {sum(map(bit.__getitem__, families.upward_closure(gen, sig)))
+        closures = {sum(1 << sum(map(operator.mul, d, strides))
+                        for d in families.upward_closure(gen, sig))
                     for gen in extremal.extremal_families(sig).generators}
     except DivintError as exc:
         yield "extremal-agreement", {"error": str(exc)}
@@ -135,11 +138,12 @@ def _bit_tables(sig: Signature):
     """The `sig` lattice over its canonical divisor index, as bitsets.
 
     Divisor d has index sum(d_i * stride_i), d_0 the least significant
-    digit, which is the canonical order.  Returns each divisor's bit keyed
-    by the divisor; the (stride, below) pair of each prime, `below` holding
-    the divisors under that prime's top exponent; and the divisors on each
-    radical, indexed by mask.  All of it comes from the exponents, none from
-    the lift's `lattice.radical_table`.
+    digit, which is the canonical order.  Returns the stride of each prime;
+    the (stride, below) pair of each prime, `below` holding the divisors
+    under that prime's top exponent; and the divisors on each radical,
+    indexed by mask.  All of it comes from the exponents, none from the
+    lift's `lattice.radical_table`.  It holds n + 2^n ints as wide as the
+    lattice and none per divisor: a divisor's user shifts 1 by its index.
     """
     strides = list(itertools.accumulate(
         (a + 1 for a in sig.alphas[:-1]), operator.mul, initial=1))
@@ -155,9 +159,7 @@ def _bit_tables(sig: Signature):
         # it by e * stride overlaps another
         axis = sum(1 << e * stride for e in range(1, a + 1))
         on_radical += [x * axis for x in on_radical]
-    bit = {d: 1 << sum(map(operator.mul, d, strides))
-           for d in lattice.divisors(sig)}
-    return bit, steps, on_radical
+    return strides, steps, on_radical
 
 
 def _minima_closure(b: int, steps, alphas: tuple[int, ...]) -> int:
@@ -227,12 +229,13 @@ def _mask_facts(memo: dict, rads: MaskFamily, sig: Signature):
 
 
 def _lifted_bits(sig: Signature, fams,
-                 bit: dict) -> list[tuple[MaskFamily, int]]:
-    """Each mask family of `fams` with its lift as one int over `bit`: the
-    divisors of the lift's `lattice.radical_table` on its masks."""
+                 strides: list[int]) -> list[tuple[MaskFamily, int]]:
+    """Each mask family of `fams` with its lift as one int: the divisors of
+    the lift's `lattice.radical_table` on its masks, each at the bit its
+    exponents and `strides` place it on, whatever its row in that table."""
     lift = [0] * (1 << sig.n)
     for d, r in zip(*lattice.radical_table(sig)):
-        lift[r] |= bit[d]
+        lift[r] |= 1 << sum(map(operator.mul, d, strides))
     return [(masks, sum(map(lift.__getitem__, masks))) for masks in fams]
 
 
@@ -262,12 +265,12 @@ def _family_claims(sig: Signature, rep: oracle.OracleReport,
                    memo: dict) -> Iterator[Claim]:
     """The claims about each maximal family of the census, family by family.
 
-    A family is its mask family and one int over `_bit_tables`:
-    `_minima_closure` re-closes its minima, its rebuild is an OR of radical
-    bitsets, and its size is the bit count.  What the masks fix is decided
+    A family is its mask family and one int over the canonical divisor
+    index of `_bit_tables`: `_minima_closure` re-closes its minima, its
+    rebuild is an OR of radical bitsets, and its size is the bit count.  What the masks fix is decided
     once per mask family and n, in `memo`.
     """
-    bit, steps, on_radical = tables
+    _, steps, on_radical = tables
     weights = lattice.alpha_weights(sig)
     # the least divisor on each radical is its squarefree one
     squarefree = sum(x & -x for x in on_radical)

@@ -3,8 +3,10 @@
 import hashlib
 import itertools
 import json
+import operator
 import os
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,12 @@ def test_sweep_cap_refusal_precedes_the_sweep(monkeypatch, capsys, max_n,
             "constant)") in capsys.readouterr().err
 
 
+def _position(d, strides):
+    """The canonical index of divisor d: its exponents dotted with the
+    strides of `verify._bit_tables`."""
+    return sum(map(operator.mul, d, strides))
+
+
 # p1 and p1^2*p2 in the 2,1 lattice: not upward closed, and p1^2*p2 has no
 # lower cover in the family, so the predecessor test keeps it as a minimum.
 NOT_UPWARD_CLOSED = DivisorFamily([(1, 0), (2, 1)])
@@ -119,9 +127,10 @@ def test_a_family_that_is_not_upward_closed_fails_with_its_counterexamples(monke
         lifted = real(sig, *args)
         if sig != Signature((2, 1)):
             return lifted
-        bit = verify._bit_tables(sig)[0]
+        strides = verify._bit_tables(sig)[0]
         return lifted + [(NOT_UPWARD_CLOSED.radical_set,
-                          sum(map(bit.__getitem__, NOT_UPWARD_CLOSED)))]
+                          sum(1 << _position(d, strides)
+                              for d in NOT_UPWARD_CLOSED))]
 
     monkeypatch.setattr(verify, "_lifted_bits", with_bad_family)
     rows = {(r["claim"], r["subject"]): r for r in run_verify(2, 2).rows}
@@ -196,9 +205,10 @@ def test_a_lifted_member_altered_fails_the_rebuild_and_the_closure(monkeypatch):
         lifted = real(s, *args)
         if s != sig:
             return lifted
-        bit = verify._bit_tables(sig)[0]
+        strides = verify._bit_tables(sig)[0]
         (masks, first), *rest = lifted
-        return [(masks, first ^ bit[2, 0, 0] ^ bit[0, 2, 0])] + rest
+        return [(masks, first ^ (1 << _position((2, 0, 0), strides))
+                 ^ (1 << _position((0, 2, 0), strides)))] + rest
 
     monkeypatch.setattr(verify, "_lifted_bits", altered)
     rows = run_verify(3, 2).rows
@@ -293,13 +303,13 @@ def test_the_sweep_reads_the_lift_and_the_verdict_of_classify():
     `extremal.classify` on the lift.  Each family less its least mask is
     checked too: it is not maximal, and the sweep gives it no verdict."""
     for sig in lattice.signature_grid(4, 3):
-        bit = verify._bit_tables(sig)[0]
+        strides = verify._bit_tables(sig)[0]
         weights = lattice.alpha_weights(sig)
         fams = antichains.enumerate_families(sig.n)
         fams += tuple(f[1:] for f in fams)
-        for masks, b in verify._lifted_bits(sig, fams, bit):
+        for masks, b in verify._lifted_bits(sig, fams, strides):
             lift = DivisorFamily.lift(sig, masks)
-            assert b == sum(map(bit.__getitem__, lift.members))
+            assert b == sum(1 << _position(d, strides) for d in lift.members)
             want = extremal.classify(lift, sig)
             got = verify._verdict(b.bit_count(),
                                   verify._mask_facts({}, masks, sig),
@@ -343,37 +353,57 @@ def test_mask_level_claims_are_decided_once_per_squarefree_part(monkeypatch):
 
 
 def test_bit_tables_follow_the_canonical_order():
-    """Bit i is the i-th divisor of `lattice.enumerate_divisors`; `below`
-    holds the divisors under a prime's top exponent, one step up a prime is
-    a shift by its stride, and each radical's bitset holds the divisors on
-    it."""
+    """The strides place the i-th divisor of `lattice.enumerate_divisors`
+    at position i; `below` holds the divisors under a prime's top exponent,
+    one step up a prime is a shift by its stride, and each radical's bitset
+    holds the divisors on it."""
     for sig in lattice.signature_grid(4, 3):
-        bit, steps, on_radical = verify._bit_tables(sig)
+        strides, steps, on_radical = verify._bit_tables(sig)
         divisors = lattice.enumerate_divisors(sig)
-        assert [bit[d] for d in divisors] == [
-            1 << i for i in range(len(divisors))]
+        assert [_position(d, strides) for d in divisors] == list(
+            range(len(divisors)))
         for p, (stride, below) in enumerate(steps):
+            assert stride == strides[p]
             up = [d for d in divisors if d[p] < sig.alphas[p]]
-            assert below == sum(map(bit.__getitem__, up))
-            assert all(bit[d] << stride == bit[d[:p] + (d[p] + 1,) + d[p + 1:]]
-                       for d in up)
+            assert below == sum(1 << _position(d, strides) for d in up)
+            assert all(_position(d, strides) + stride == _position(
+                d[:p] + (d[p] + 1,) + d[p + 1:], strides) for d in up)
         assert on_radical == [
-            sum(bit[d] for d in divisors if lattice.radical(d) == m)
+            sum(1 << i for i, d in enumerate(divisors)
+                if lattice.radical(d) == m)
             for m in range(1 << sig.n)]
-        assert verify._bits_json(sum(bit.values()), sig) == [
+        assert verify._bits_json((1 << len(divisors)) - 1, sig) == [
             list(d) for d in divisors]
+
+
+def test_bit_tables_hold_no_table_per_divisor():
+    """On 4,4,4,4,4,4, 15625 divisors, the tables peak under 1 MB: the
+    strides, one (stride, below) pair per prime and one bitset per radical.
+    A single-bit int per divisor, as wide as the lattice, would take some
+    19 MB."""
+    sig = Signature((4,) * 6)
+    tracemalloc.start()
+    try:
+        tables = verify._bit_tables(sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables[2]) == 64
+    assert peak < 1 << 20
 
 
 @st.composite
 def lattice_families(draw):
     """Any family of divisors > 1 in a lattice of up to 4 primes, exponents
-    <= 3, with that family's bitset over `verify._bit_tables`."""
+    <= 3, with that family's bitset over the strides of
+    `verify._bit_tables`."""
     sig = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)
                .map(Signature))
     divs = [d for d in lattice.enumerate_divisors(sig) if any(d)]
     fam = DivisorFamily(draw(st.lists(st.sampled_from(divs), max_size=12)))
-    bit, steps, _ = verify._bit_tables(sig)
-    return sig, fam, sum(map(bit.__getitem__, fam.members)), steps
+    strides, steps, _ = verify._bit_tables(sig)
+    return sig, fam, sum(1 << _position(d, strides)
+                         for d in fam.members), steps
 
 
 @given(lattice_families())
