@@ -174,13 +174,13 @@ def is_maximal_size(size: int, compatible: Optional[list[Mask]],
 def check_maximal(family: DivisorFamily, sig: Signature) -> FamilyReport:
     """Full predicate: intersecting and admitting no further divisor of N.
 
-    A member that is not a divisor of N, being of the wrong length or above
-    `sig.alphas`, is refused with a PreconditionError that names it.  Only
-    a family that `is_maximal_size` refuses is scanned for its witness.
+    The first member that is not a divisor of N by `lattice.is_divisor`
+    (of the wrong length, with an exponent that is not an int, or one out
+    of range) is refused with a PreconditionError that names it.  Only a
+    family that `is_maximal_size` refuses is scanned for its witness.
     """
-    divisors = lattice.divisor_set(sig)
-    if not divisors.issuperset(family.members):
-        bad = next(d for d in family if d not in divisors)
+    bad = next((d for d in family if not lattice.is_divisor(d, sig)), None)
+    if bad is not None:
         raise PreconditionError(
             f"member {bad} does not divide the {sig} lattice", witness=bad)
     mins = antichains.minimal_masks(family.radical_set)
@@ -215,10 +215,12 @@ def upward_closure(generators: DivisorFamily, sig: Signature) -> DivisorFamily:
     """All divisors of N divisible by at least one generator.
 
     Each generator's multiples are enumerated directly as a product of
-    exponent ranges, so no divisibility test runs.
+    exponent ranges, so no divisibility test runs.  The first generator
+    that is not a divisor of N by `lattice.is_divisor` is refused with a
+    ValueError that names it.
     """
     for t in generators.members:
-        if len(t) != sig.n or not all(0 <= e <= a for e, a in zip(t, sig.alphas)):
+        if not lattice.is_divisor(t, sig):
             raise ValueError(f"generator {t} does not divide the {sig} lattice")
     lattice.check_lattice_size(sig)
     tops = [a + 1 for a in sig.alphas]

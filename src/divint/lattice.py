@@ -140,12 +140,10 @@ def enumerate_divisors(sig: Signature) -> list[Divisor]:
 
 @lru_cache(maxsize=1)
 def divisors(sig: Signature) -> tuple[Divisor, ...]:
-    """`enumerate_divisors` as one shared tuple.
-
-    Both tables below are built from it, each by a direct call rather than
-    through the other, so a member of a lifted family is the very object
-    that `divisor_set` holds, and a lookup stops at identity.
-    """
+    """`enumerate_divisors` as one shared tuple: the one copy of the lattice
+    outside the referees.  `radical_table` and every restricted universe
+    read it, so the t cells of a sweep, run one signature at a time, share
+    one enumeration."""
     return tuple(enumerate_divisors(sig))
 
 
@@ -166,10 +164,12 @@ def on_radicals(sig: Signature, masks: frozenset[Mask], items=None) -> tuple:
                                     map(masks.__contains__, radicals)))
 
 
-@lru_cache(maxsize=1)
-def divisor_set(sig: Signature) -> frozenset[Divisor]:
-    """The lattice's divisors, for membership tests."""
-    return frozenset(divisors(sig))
+def is_divisor(d: Divisor, sig: Signature) -> bool:
+    """Whether d is a divisor of N: `sig.n` ints, each between 0 and its
+    prime's exponent.  The one rule for what divides N; a float or a string
+    exponent is refused even where it equals an int."""
+    return len(d) == sig.n and all(isinstance(e, int) and 0 <= e <= a
+                                   for e, a in zip(d, sig.alphas))
 
 
 def divides(a: Divisor, b: Divisor) -> bool:

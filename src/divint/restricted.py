@@ -68,7 +68,8 @@ RADICAL_CAP = 300
 # component; past it the cell exits 3.  The largest search of the test suite
 # visits 29763 nodes (openprob 1^9, t=3); the benchmark's, 10544 (1^8, t=3).
 # A sweep's lattices are priced once, by `lattice.SWEEP_CAP`, with one pass
-# per t value, since each cell enumerates its whole lattice.
+# per t value: the cells of a signature share one enumeration, the cached
+# `lattice.divisors`, but each cell still walks the whole of it.
 NODE_CAP = 1_000_000
 MODES = ("omega", "bigomega")
 MAXIMALITIES = ("restricted", "global")
@@ -126,7 +127,7 @@ def build_universe(sig: Signature, mode: str, t: int,
     """
     _validate(mode, t, "restricted", allow_t1)
     count = _COUNTERS[mode]
-    return tuple(d for d in lattice.enumerate_divisors(sig) if count(d) == t)
+    return tuple(d for d in lattice.divisors(sig) if count(d) == t)
 
 
 def _twin_classes(universe: tuple[Divisor, ...]

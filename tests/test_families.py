@@ -178,6 +178,36 @@ def test_upward_closure_refuses_a_negative_exponent():
         families.upward_closure(DivisorFamily([(-1, 1)]), Signature((1, 1)))
 
 
+# Not divisors of 2,1: exponents that are not ints, even one equal to an
+# int, an exponent above its prime's or below 0, and a tuple one too long
+OFF_LATTICE = [(1.5, 0), (1.0, 0), ("1", 0), (3, 0), (0, 0, 1), (-1, 1)]
+
+
+@pytest.mark.parametrize("d", OFF_LATTICE, ids=repr)
+def test_one_rule_says_what_divides_n(d):
+    """`upward_closure` and `check_maximal` both refuse what
+    `lattice.is_divisor` refuses, each naming the tuple."""
+    sig = Signature((2, 1))
+    assert not lattice.is_divisor(d, sig)
+    with pytest.raises(ValueError) as exc:
+        families.upward_closure(DivisorFamily([d]), sig)
+    assert str(exc.value) == f"generator {d} does not divide the 2,1 lattice"
+    with pytest.raises(PreconditionError, match="does not divide") as exc:
+        families.check_maximal(DivisorFamily([d]), sig)
+    assert exc.value.witness == d and str(d) in str(exc.value)
+
+
+def test_both_checks_read_the_one_rule(monkeypatch):
+    """With `lattice.is_divisor` refusing everything, a true divisor is
+    refused by both checks."""
+    monkeypatch.setattr(lattice, "is_divisor", lambda d, sig: False)
+    sig, fam = Signature((2, 1)), DivisorFamily([(1, 0)])
+    with pytest.raises(ValueError, match=r"generator \(1, 0\)"):
+        families.upward_closure(fam, sig)
+    with pytest.raises(PreconditionError, match=r"member \(1, 0\)"):
+        families.check_maximal(fam, sig)
+
+
 @st.composite
 def antichain_families(draw):
     """A random divisibility antichain in a random small lattice."""

@@ -122,6 +122,16 @@ def test_enumerate_divisors_no_duplicates(sig):
     assert len(divs) == len(set(divs)) == sig.divisor_count()
 
 
+@given(signatures)
+def test_is_divisor_holds_on_the_lattice_only(sig):
+    """Every enumerated divisor passes the rule; its tuple with one exponent
+    pushed past the signature, or one prime more, does not."""
+    for d in lattice.enumerate_divisors(sig):
+        assert lattice.is_divisor(d, sig)
+        assert not lattice.is_divisor(d + (0,), sig)
+        assert not lattice.is_divisor((sig.alphas[0] + 1,) + d[1:], sig)
+
+
 def test_enumerate_divisors_cap():
     # 10^6 divisors, above MAX_DIVISORS; the refusal comes before any is built
     sig = Signature((9,) * 6)
@@ -132,18 +142,11 @@ def test_enumerate_divisors_cap():
             build(sig)
 
 
-def test_divisor_tables_share_one_tuple_of_divisors(monkeypatch):
-    """The lifts and the membership set hold the same divisor objects, and
-    the set is built without `radical_table`, so a patched `radical_table`
-    cannot leave it corrupted in its cache."""
+def test_divisor_tables_share_one_tuple_of_divisors():
+    """The lifts read the very tuple of `lattice.divisors`."""
     sig = Signature((2, 1, 1))
     table, _ = lattice.radical_table(sig)
     assert table is lattice.divisors(sig)
-    held = {id(d) for d in lattice.divisor_set(sig)}
-    assert len(held) == len(table) and all(id(d) in held for d in table)
-    lattice.divisor_set.cache_clear()
-    monkeypatch.setattr(lattice, "radical_table", lambda s: ((), ()))
-    assert lattice.divisor_set(sig) == set(lattice.enumerate_divisors(sig))
 
 
 def test_radical():

@@ -1,10 +1,12 @@
 """Tests for the restricted-universe minimum solvers."""
 
+import hashlib
+import json
 from math import comb
 
 import pytest
 
-from divint import antichains, families, lattice, oracle, restricted
+from divint import antichains, cli, families, lattice, oracle, restricted
 from divint.errors import DivintError, ResourceLimitError
 from divint.families import DivisorFamily, check_maximal
 from divint.lattice import Signature
@@ -356,6 +358,42 @@ def test_search_nodes_are_a_fixed_count():
     """The work of the benchmark's heavy cell, both orders together."""
     res = solve_restricted(Signature((1,) * 8), "omega", 3)
     assert (res.value, res.attaining_count, res.nodes) == (7, 240, 10544)
+
+
+@pytest.mark.parametrize("alphas, mode, want", [
+    ((1,) * 9, "omega", (7, 1080, 29763)),
+    ((2,) + (1,) * 6, "bigomega", (7, 30, 3821)),
+])
+def test_more_search_nodes_are_fixed_counts(alphas, mode, want):
+    """The largest search of the suite, and the benchmark's bigomega cell,
+    at t = 3: a change to the universe's order shows here."""
+    res = solve_restricted(Signature(alphas), mode, 3)
+    assert (res.value, res.attaining_count, res.nodes) == want
+
+
+def test_a_sweep_enumerates_each_lattice_once(monkeypatch):
+    """The t cells of a signature share `lattice.divisors`: the 55
+    signatures of 5/3 enumerate 55 lattices at two t values, not 110."""
+    seen = []
+    enumerate_divisors = lattice.enumerate_divisors
+    monkeypatch.setattr(lattice, "enumerate_divisors",
+                        lambda sig: seen.append(sig) or enumerate_divisors(sig))
+    lattice.divisors.cache_clear()
+    lattice.radical_table.cache_clear()
+    rows = sweep_tables(5, 3, [2, 3], "omega")
+    assert len(rows) == 110
+    assert len(seen) == len(set(seen)) == 55
+
+
+def test_the_bigomega_6_5_grid_keeps_its_bytes(capsys):
+    """`openprob --mode bigomega --max-n 6 --max-exp 5 --t 2 --format json`,
+    in-process: 461 rows."""
+    assert cli.main(["openprob", "--mode", "bigomega", "--max-n", "6",
+                     "--max-exp", "5", "--t", "2", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["results"]["rows"]) == 461
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f83c69a32e13701e9c07cf0aeefe9d7e5a7be37bd1d7c3c304961e463656b946")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
